@@ -1,0 +1,15 @@
+"""Put the benchmark modules and the package sources on the import path.
+
+Run from the repository root with `python3 -m pytest bench/tests`.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
