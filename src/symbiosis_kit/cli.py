@@ -185,7 +185,7 @@ def _cmd_eval(args: argparse.Namespace, io: _Io) -> int:
     for metric_id in metric_ids:
         try:
             results.append(
-                pipeline.evaluate_period(model, graph, log.records, metric_id, args.period)
+                pipeline.evaluate_period(model, graph, log, metric_id, args.period)
             )
         except periods.PeriodError as exc:
             io.note(f"note: skipping {metric_id}: {exc}")
@@ -241,7 +241,7 @@ def _cmd_report(args: argparse.Namespace, io: _Io) -> int:
             )
             continue
         for key in keys:
-            results.append(pipeline.evaluate_period(model, graph, log.records, metric_id, key))
+            results.append(pipeline.evaluate_period(model, graph, log, metric_id, key))
     if not results:
         io.note("error: no results")
         return EXIT_ERRORS

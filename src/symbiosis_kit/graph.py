@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .model import Model, NODE_KINDS
@@ -69,6 +69,9 @@ class UnknownNode(GraphError):
 class TraceabilityGraph:
     nodes: dict[str, str]  # id -> kind
     edges: tuple[Edge, ...]
+    # closure edges (CLOSURE_KINDS) by node, neighbours sorted: src -> dsts and dst -> srcs
+    closure_up: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
+    closure_down: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
 
     def edges_from(self, node_id: str, kinds: frozenset[EdgeKind] | None = None) -> list[Edge]:
         return [
@@ -140,7 +143,18 @@ def build_graph(model: Model) -> TraceabilityGraph:
     _check_refines_forest(model)
 
     ordered = tuple(sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)))
-    return TraceabilityGraph(nodes=nodes, edges=ordered)
+    up: dict[str, list[str]] = {}
+    down: dict[str, list[str]] = {}
+    for edge in ordered:
+        if edge.kind in CLOSURE_KINDS:
+            up.setdefault(edge.src, []).append(edge.dst)
+            down.setdefault(edge.dst, []).append(edge.src)
+    return TraceabilityGraph(
+        nodes=nodes,
+        edges=ordered,
+        closure_up={node: tuple(sorted(dsts)) for node, dsts in up.items()},
+        closure_down={node: tuple(sorted(srcs)) for node, srcs in down.items()},
+    )
 
 
 def _check_refines_forest(model: Model) -> None:
@@ -164,12 +178,7 @@ def _check_refines_forest(model: Model) -> None:
 def _closure(graph: TraceabilityGraph, start: str, forward: bool) -> set[str]:
     if start not in graph.nodes:
         raise UnknownNode(start)
-    adjacency: dict[str, list[str]] = {}
-    for edge in graph.edges:
-        if edge.kind not in CLOSURE_KINDS:
-            continue
-        src, dst = (edge.src, edge.dst) if forward else (edge.dst, edge.src)
-        adjacency.setdefault(src, []).append(dst)
+    adjacency = graph.closure_up if forward else graph.closure_down
     seen: set[str] = set()
     queue = deque([start])
     while queue:
@@ -200,18 +209,12 @@ def objective_ancestors_ordered(graph: TraceabilityGraph, node_id: str) -> list[
     """
     if node_id not in graph.nodes:
         raise UnknownNode(node_id)
-    adjacency: dict[str, list[str]] = {}
-    for edge in graph.edges:
-        if edge.kind in CLOSURE_KINDS:
-            adjacency.setdefault(edge.src, []).append(edge.dst)
-    for values in adjacency.values():
-        values.sort()
     ordered: list[str] = []
     seen = {node_id}
     queue = deque([node_id])
     while queue:
         current = queue.popleft()
-        for nxt in adjacency.get(current, ()):
+        for nxt in graph.closure_up.get(current, ()):
             if nxt in seen:
                 continue
             seen.add(nxt)

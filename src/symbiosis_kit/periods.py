@@ -14,6 +14,7 @@ just ``period_of(date, granularity) == key``.
 
 from __future__ import annotations
 
+import calendar
 import datetime as dt
 import re
 
@@ -102,8 +103,17 @@ def start_date(key: str) -> dt.date:
 
 
 def end_date(key: str) -> dt.date:
-    """Last calendar day of the period."""
-    return start_date(next_period(key)) - dt.timedelta(days=1)
+    """Last calendar day of the period (at most date.max)."""
+    granularity = granularity_of(key)
+    start = start_date(key)
+    if granularity is Granularity.DAILY:
+        return start
+    if granularity is Granularity.WEEKLY:
+        return min(start, dt.date.max - dt.timedelta(days=6)) + dt.timedelta(days=6)
+    if granularity is Granularity.YEARLY:
+        return dt.date(start.year, 12, 31)
+    month = start.month + (2 if granularity is Granularity.QUARTERLY else 0)
+    return dt.date(start.year, month, calendar.monthrange(start.year, month)[1])
 
 
 def next_period(key: str) -> str:

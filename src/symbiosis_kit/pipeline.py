@@ -7,13 +7,26 @@ Logs are JSON Lines. Two record shapes:
 
 The first feeds DIRECT base measurements, the second raw events counted by
 COUNT bases. Bad lines become I-diagnostics; good lines still flow.
+
+Cost model: each log is read once at ingest. The first aggregation over a
+log builds its MeasurementStore in one pass over the records, and each
+COUNT filter set is matched once against each distinct set of event
+fields. After that a COUNT binding for any period or density sub-period
+costs two bisects, O(log n) in the log's distinct dates, and a DIRECT
+binding costs time proportional to the base's entries inside the period.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 
 from . import evaluator, periods
 from .diagnostics import Diagnostic, Severity, SourceSpan, sort_key
@@ -51,17 +64,24 @@ class RawEvent:
     fields: tuple[tuple[str, str], ...]
     line: int
 
-    def field_map(self) -> dict[str, str]:
-        return dict(self.fields)
-
 
 MeasurementRecord = DirectEntry | RawEvent
 
 
 @dataclass(frozen=True)
 class MeasurementLog:
+    """Accepted records in ingest order (file order, then line), and diagnostics.
+
+    `store` indexes the records by date on first use and lives as long as
+    the log does.
+    """
+
     records: tuple[MeasurementRecord, ...]
     diagnostics: tuple[Diagnostic, ...]
+
+    @cached_property
+    def store(self) -> MeasurementStore:
+        return MeasurementStore(self.records)
 
 
 def _bad_line(filename: str, line_no: int, message: str, code: str = "I001") -> Diagnostic:
@@ -73,6 +93,17 @@ def _parse_timestamp(text: object) -> dt.date:
     if not isinstance(text, str):
         raise ValueError(f"timestamp must be a string, got {type(text).__name__}")
     return dt.date.fromisoformat(text)
+
+
+def _finite_number(value: object) -> float | None:
+    """`value` as a float, or None unless it is a finite JSON number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLog:
@@ -118,7 +149,8 @@ def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLo
             if not isinstance(base_id, str):
                 diags.append(_bad_line(filename, line_no, "malformed log line: 'base' must be a string"))
                 continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            number = _finite_number(value)
+            if number is None:
                 diags.append(
                     _bad_line(filename, line_no, "malformed log line: 'value' must be a finite number")
                 )
@@ -139,7 +171,7 @@ def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLo
                     )
                 )
                 continue
-            records.append(DirectEntry(timestamp, base_id, float(value), line_no))
+            records.append(DirectEntry(timestamp, base_id, number, line_no))
         else:
             fields = obj["fields"]
             if not isinstance(fields, dict) or not all(
@@ -179,42 +211,78 @@ def ingest_many(paths: list[str], model: Model) -> MeasurementLog:
 # -- aggregation --------------------------------------------------------------
 
 
+class MeasurementStore:
+    """Date-indexed view of one log's records, answering date-range queries.
+
+    Built in one pass: DIRECT entries grouped by base and sorted by (date,
+    line, later ingest first), raw events tallied by (date, fields). The
+    first query for a COUNT filter set matches each distinct field set
+    against it once and keeps the hits as sorted dates plus prefix sums.
+    Every query is then two bisects over one base's dates.
+    """
+
+    def __init__(self, records: tuple[MeasurementRecord, ...]) -> None:
+        by_base: dict[str, list[tuple[dt.date, int, int, float]]] = {}
+        for seq, record in enumerate(records):
+            if isinstance(record, DirectEntry):
+                entry = (record.timestamp, record.line, -seq, record.value)
+                by_base.setdefault(record.base, []).append(entry)
+        self._events = Counter(
+            (record.timestamp, record.fields) for record in records if isinstance(record, RawEvent)
+        )
+        self._direct: dict[str, tuple[list[dt.date], list[tuple[dt.date, int, int, float]]]] = {}
+        for base_id, entries in by_base.items():
+            entries.sort()
+            self._direct[base_id] = ([entry[0] for entry in entries], entries)
+        self._counts: dict[tuple[tuple[str, str], ...], tuple[list[dt.date], list[int]]] = {}
+
+    def count(self, filters: tuple[tuple[str, str], ...], first: dt.date, last: dt.date) -> int:
+        """Raw events dated first..last whose fields match every filter."""
+        index = self._counts.get(filters)
+        if index is None:
+            matches: dict[tuple[tuple[str, str], ...], bool] = {}
+            hits: Counter[dt.date] = Counter()
+            for (day, fields), n in self._events.items():
+                match = matches.get(fields)
+                if match is None:
+                    match = matches[fields] = all(pair in fields for pair in filters)
+                if match:
+                    hits[day] += n
+            dates = sorted(hits)
+            index = self._counts[filters] = (dates, [0, *accumulate(hits[d] for d in dates)])
+        dates, prefix = index
+        return prefix[bisect_right(dates, last)] - prefix[bisect_left(dates, first)]
+
+    def direct(
+        self, base_id: str, first: dt.date, last: dt.date
+    ) -> list[tuple[dt.date, int, int, float]]:
+        """(date, line, -ingest sequence, value) of the base's entries dated first..last, sorted."""
+        dates, entries = self._direct.get(base_id, ([], []))
+        return entries[bisect_left(dates, first) : bisect_right(dates, last)]
+
+
 def _aggregate_base(
     base: BaseMeasurementDef,
-    records: tuple[MeasurementRecord, ...],
-    period: str,
+    store: MeasurementStore,
+    first: dt.date,
+    last: dt.date,
 ) -> float | None:
-    """Aggregate one base over one period; None when no in-period data."""
+    """Aggregate one base over first..last; None when no DIRECT data."""
     if base.mode is SourceMode.COUNT:
-        count = 0
-        for record in records:
-            if not isinstance(record, RawEvent):
-                continue
-            if not periods.period_contains(period, record.timestamp):
-                continue
-            fields = record.field_map()
-            if all(fields.get(name) == value for name, value in base.filters):
-                count += 1
-        return float(count)
-
-    entries = [
-        record
-        for record in records
-        if isinstance(record, DirectEntry)
-        and record.base == base.id
-        and periods.period_contains(period, record.timestamp)
-    ]
+        return float(store.count(base.filters, first, last))
+    entries = store.direct(base.id, first, last)
     if not entries:
         return None
     if base.aggregation is Aggregation.SUM:
-        return float(sum(entry.value for entry in entries))
-    # LATEST: maximal timestamp; equal timestamps resolved by file order
-    best = max(entries, key=lambda e: (e.timestamp, e.line))
-    return best.value
+        # float addition is not associative: add in ingest order
+        in_order = sorted(entries, key=itemgetter(2), reverse=True)
+        return float(sum(value for _, _, _, value in in_order))
+    # LATEST: maximal (timestamp, line); on a tie the first ingested wins
+    return entries[-1][3]
 
 
 def aggregate(
-    records: tuple[MeasurementRecord, ...],
+    log: MeasurementLog,
     metric: MetricDef,
     period: str,
     model: Model,
@@ -224,12 +292,13 @@ def aggregate(
     Bases with no in-period data are absent; evaluation then reports
     MissingBinding rather than inventing a zero.
     """
+    first, last = periods.start_date(period), periods.end_date(period)
     bindings: dict[str, float] = {}
     for base_id in metric.uses:
         base = model.bases.get(base_id)
         if base is None:
             continue  # validation reports V002; don't crash mid-pipeline
-        value = _aggregate_base(base, records, period)
+        value = _aggregate_base(base, log.store, first, last)
         if value is not None:
             bindings[base_id] = value
     return bindings
@@ -268,14 +337,16 @@ class EvaluationResult:
 
 def _density_warnings(
     metric: MetricDef,
-    records: tuple[MeasurementRecord, ...],
+    log: MeasurementLog,
     period: str,
     model: Model,
 ) -> tuple[str, ...]:
     """Collection sub-periods of `period` with zero metric-relevant records.
 
     Only meaningful when evaluating at reporting granularity; a single
-    collection period is its own (trivially checked) sub-period.
+    collection period is its own (trivially checked) sub-period. A
+    sub-period that straddles the period's edge (an ISO week across a
+    month end) is checked only on its days inside the period.
     """
     schedule = metric.schedule
     if schedule is None:
@@ -286,16 +357,19 @@ def _density_warnings(
         return ()
     if subkeys == [period]:
         return ()
+    period_first, period_last = periods.start_date(period), periods.end_date(period)
     base_defs = [model.bases[b] for b in metric.uses if b in model.bases]
+    store = log.store
     warnings: list[str] = []
     for subkey in subkeys:
-        any_data = False
-        for base in base_defs:
-            value = _aggregate_base(base, records, subkey)
-            if value is not None and not (base.mode is SourceMode.COUNT and value == 0.0):
-                any_data = True
-                break
-        if not any_data:
+        first = max(periods.start_date(subkey), period_first)
+        last = min(periods.end_date(subkey), period_last)
+        if not any(
+            store.count(base.filters, first, last)
+            if base.mode is SourceMode.COUNT
+            else store.direct(base.id, first, last)
+            for base in base_defs
+        ):
             warnings.append(
                 f"collection period {subkey} inside {period} has no records for metric {metric.id}"
             )
@@ -305,7 +379,7 @@ def _density_warnings(
 def evaluate_period(
     model: Model,
     graph: TraceabilityGraph,
-    records: tuple[MeasurementRecord, ...],
+    log: MeasurementLog,
     metric_id: str,
     period: str,
 ) -> EvaluationResult:
@@ -321,9 +395,9 @@ def evaluate_period(
                 f"runs on {metric.schedule.notation()}"
             )
 
-    bindings = aggregate(records, metric, period, model)
+    bindings = aggregate(log, metric, period, model)
     affected = tuple(objective_ancestors_ordered(graph, metric_id))
-    density = _density_warnings(metric, records, period, model)
+    density = _density_warnings(metric, log, period, model)
 
     value: float | None = None
     failure: str | None = None

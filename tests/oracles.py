@@ -12,8 +12,8 @@ import datetime as dt
 from collections import defaultdict
 from itertools import accumulate
 
-from symbiosis_kit.model import Model
-from symbiosis_kit.pipeline import MeasurementRecord, RawEvent
+from symbiosis_kit.model import Aggregation, BaseMeasurementDef, Granularity, MetricDef, Model, SourceMode
+from symbiosis_kit.pipeline import DirectEntry, MeasurementRecord, RawEvent
 
 # -- band coverage sweep --------------------------------------------------------
 # Works in integer micro-units (1 unit == 1e-6 of the metric's value scale) so
@@ -87,6 +87,104 @@ def brute_force_count(
         if all(field_map.get(name) == value for name, value in filters):
             count += 1
     return float(count)
+
+
+# -- aggregation by rescanning ---------------------------------------------------
+# The record scan the package used before it indexed logs by date: each
+# (base, period) and each density sub-period walks every record again.
+
+
+def _scan_base(
+    base: BaseMeasurementDef,
+    records: tuple[MeasurementRecord, ...],
+    lo: dt.date,
+    hi: dt.date,
+) -> float | None:
+    """One base over the days lo..hi; None when a DIRECT base has no data."""
+    if base.mode is SourceMode.COUNT:
+        count = 0
+        for record in records:
+            if isinstance(record, RawEvent) and lo <= record.timestamp <= hi:
+                field_map = dict(record.fields)
+                if all(field_map.get(name) == value for name, value in base.filters):
+                    count += 1
+        return float(count)
+    entries = [
+        record
+        for record in records
+        if isinstance(record, DirectEntry) and record.base == base.id and lo <= record.timestamp <= hi
+    ]
+    if not entries:
+        return None
+    if base.aggregation is Aggregation.SUM:
+        return float(sum(entry.value for entry in entries))
+    return max(entries, key=lambda e: (e.timestamp, e.line)).value
+
+
+def scan_aggregate(
+    records: tuple[MeasurementRecord, ...],
+    metric: MetricDef,
+    period_key: str,
+    model: Model,
+) -> dict[str, float]:
+    """Bindings of the metric's bases over one period, by rescanning records."""
+    lo, hi = period_bounds(period_key)
+    bindings = {}
+    for base_id in metric.uses:
+        value = _scan_base(model.bases[base_id], records, lo, hi)
+        if value is not None:
+            bindings[base_id] = value
+    return bindings
+
+
+def _key_of(day: dt.date, granularity: Granularity) -> str:
+    if granularity is Granularity.DAILY:
+        return day.isoformat()
+    if granularity is Granularity.WEEKLY:
+        year, week, _ = day.isocalendar()
+        return f"{year:04d}-W{week:02d}"
+    if granularity is Granularity.MONTHLY:
+        return f"{day.year:04d}-{day.month:02d}"
+    if granularity is Granularity.QUARTERLY:
+        return f"{day.year:04d}-Q{(day.month + 2) // 3}"
+    return f"{day.year:04d}"
+
+
+def scan_density_warnings(
+    records: tuple[MeasurementRecord, ...],
+    metric: MetricDef,
+    period_key: str,
+    model: Model,
+) -> tuple[str, ...]:
+    """Collection sub-periods with no data on their days inside the period.
+
+    Sub-periods are found by walking every day of the period; a straddling
+    one (an ISO week across a month end) is judged on its inside days only.
+    """
+    if metric.schedule is None:
+        return ()
+    lo, hi = period_bounds(period_key)
+    days: dict[str, list[dt.date]] = {}
+    day = lo
+    while day <= hi:
+        days.setdefault(_key_of(day, metric.schedule.collection), []).append(day)
+        day += dt.timedelta(days=1)
+    if len(days) == 1:
+        return ()
+    warnings = []
+    for subkey, inside in days.items():
+        values = [
+            (base, _scan_base(base, records, inside[0], inside[-1]))
+            for base in (model.bases[b] for b in metric.uses)
+        ]
+        if not any(
+            value is not None and not (base.mode is SourceMode.COUNT and value == 0.0)
+            for base, value in values
+        ):
+            warnings.append(
+                f"collection period {subkey} inside {period_key} has no records for metric {metric.id}"
+            )
+    return tuple(warnings)
 
 
 # -- orphans after node removal --------------------------------------------------

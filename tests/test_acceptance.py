@@ -42,7 +42,7 @@ from symbiosis_kit.validator import band_partition_problems, validate
 
 
 def _eval(model, graph, log, metric_id: str, period: str):
-    return evaluate_period(model, graph, log.records, metric_id, period)
+    return evaluate_period(model, graph, log, metric_id, period)
 
 
 def test_criterion_1_jpmorgan_monthly_evaluation(jpmorgan, jpmorgan_logs):
@@ -255,7 +255,7 @@ def test_criterion_7_count_aggregation_oracle():
             method="m", function=None, bands=(), schedule=None, stakeholders=(),
         )
         period = rng.choice(period_pool)
-        bindings = aggregate(log.records, metric, period, model)
+        bindings = aggregate(log, metric, period, model)
         expected = brute_force_count(log.records, filters, period)
         assert bindings["bm_events"] == expected, (i, period, filters)
 
@@ -292,7 +292,7 @@ def test_criterion_9_report_determinism(corpus, jpmorgan_logs):
         graph = build_graph(model)
         log = ingest_many(months_01_09, model)
         results = [
-            evaluate_period(model, graph, log.records, metric_id, quarter)
+            evaluate_period(model, graph, log, metric_id, quarter)
             for metric_id in sorted(model.metrics)
             for quarter in quarters
         ]

@@ -1,7 +1,12 @@
 """End-to-end CLI behavior: exit codes, payload routing, --out/--quiet."""
 
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +176,28 @@ def test_eval_json(corpus, capsys):
     assert by_id["ME1.1.1.1.1"]["band"] == "ok"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_rejects_a_value_beyond_the_float_range(corpus, tmp_path, capsys, fmt):
+    log = tmp_path / "overflow.jsonl"
+    good = (corpus / "logs" / "jpmorgan_2014-01.jsonl").read_text(encoding="utf-8")
+    bad = '{"timestamp": "2014-01-15", "base": "bm_sections_total", "value": 1e400}\n'
+    log.write_text(good + bad, encoding="utf-8")
+    code = cli.main(
+        [
+            "eval", str(corpus / "jpmorgan.sym"), "--measurements", str(log),
+            "--metric", "all", "--period", "2014-01", "--format", fmt,
+        ]
+    )
+    assert code == 0
+    out, err = capsys.readouterr()
+    bad_line = len(good.splitlines()) + 1
+    diags = [line for line in err.splitlines() if line.startswith("I")]
+    assert len(diags) == 1
+    assert diags[0].startswith(f"I001 error {log}:{bad_line}:1 ")
+    assert "finite number" in diags[0]
+    assert not re.search(r"\b-?(inf|Infinity|nan|NaN)\b", out)
+
+
 def test_eval_unknown_metric(corpus, capsys):
     code = cli.main(
         [
@@ -288,6 +315,24 @@ def test_no_command_is_usage(capsys):
     assert cli.main([]) == 2
     _, err = capsys.readouterr()
     assert "usage:" in err
+
+
+def test_python_dash_m_runs_the_cli(corpus):
+    import symbiosis_kit
+
+    src = str(Path(symbiosis_kit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "symbiosis_kit", "check", str(corpus / "jpmorgan.sym")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "checked 1 file(s): 0 error(s), 0 warning(s)" in done.stderr
+    done = subprocess.run(
+        [sys.executable, "-m", "symbiosis_kit"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 2
+    assert "usage:" in done.stderr
 
 
 def test_console_script_is_installed():

@@ -67,6 +67,13 @@ def test_month_bounds_handle_leap_february():
     assert end_date("2015-02") == D(2015, 2, 28)
 
 
+def test_end_date_at_the_end_of_the_calendar():
+    assert end_date("9999") == D(9999, 12, 31)
+    assert end_date("9999-Q4") == D(9999, 12, 31)
+    assert end_date("9999-12") == D(9999, 12, 31)
+    assert end_date("9999-W52") == dt.date.max  # the week runs past the last representable day
+
+
 def test_next_period_rollovers():
     assert next_period("2014-12") == "2015-01"
     assert next_period("2014-Q4") == "2015-Q1"

@@ -12,6 +12,7 @@ from symbiosis_kit.periods import PeriodError
 from symbiosis_kit.pipeline import (
     DirectEntry,
     EvaluationResult,
+    MeasurementLog,
     RawEvent,
     UnresolvedTarget,
     aggregate,
@@ -61,6 +62,9 @@ metric M2 {
 """
 
 
+EMPTY = MeasurementLog((), ())
+
+
 @pytest.fixture(scope="module")
 def model():
     parsed, diags = parse(MODEL_SRC)
@@ -94,7 +98,7 @@ def test_good_lines_produce_records(model):
     assert isinstance(direct, DirectEntry)
     assert (direct.base, direct.value, direct.line) == ("tot", 3.0, 2)
     assert isinstance(event, RawEvent)
-    assert event.field_map() == {"kind": "x"}
+    assert dict(event.fields) == {"kind": "x"}
     assert event.timestamp == dt.date(2014, 1, 6)
 
 
@@ -107,6 +111,9 @@ def test_good_lines_produce_records(model):
         ('{"timestamp": "2014-01-05", "base": "tot", "value": "9"}', "I001", "finite number"),
         ('{"timestamp": "2014-01-05", "base": "tot", "value": NaN}', "I001", "non-finite"),
         ('{"timestamp": "2014-01-05", "base": "tot", "value": Infinity}', "I001", "non-finite"),
+        ('{"timestamp": "2014-01-05", "base": "tot", "value": 1e400}', "I001", "finite number"),
+        ('{"timestamp": "2014-01-05", "base": "tot", "value": -1e400}', "I001", "finite number"),
+        ('{"timestamp": "2014-01-05", "base": "tot", "value": 1' + "0" * 400 + "}", "I001", "finite number"),
         ('{"timestamp": "2014-01-05"}', "I001", "exactly one of"),
         (dline("2014-01-05", "tot", 1)[:-1] + ', "fields": {}}', "I001", "exactly one of"),
         ('{"timestamp": "2014-01-05", "fields": {"a": 1}}', "I001", "strings to strings"),
@@ -144,7 +151,7 @@ def test_ingest_reads_files(model, tmp_path):
 
 
 def test_count_applies_all_filters(model):
-    records = ingest_lines(
+    log = ingest_lines(
         [
             eline("2014-01-01", kind="x"),
             eline("2014-01-02", kind="x", extra="ignored"),
@@ -152,56 +159,56 @@ def test_count_applies_all_filters(model):
             eline("2014-02-01", kind="x"),  # outside the period
         ],
         "log", model,
-    ).records
-    assert aggregate(records, model.metrics["M"], "2014-01", model)["ev"] == 2.0
+    )
+    assert aggregate(log, model.metrics["M"], "2014-01", model)["ev"] == 2.0
 
 
 def test_count_of_nothing_is_zero_not_missing(model):
-    bindings = aggregate((), model.metrics["M"], "2014-01", model)
+    bindings = aggregate(EMPTY, model.metrics["M"], "2014-01", model)
     assert bindings["ev"] == 0.0
     assert "tot" not in bindings  # DIRECT with no data stays missing
 
 
 def test_sum_aggregation(model):
-    records = ingest_lines(
+    log = ingest_lines(
         [dline("2014-01-05", "tot", 2), dline("2014-01-20", "tot", 3.5)],
         "log", model,
-    ).records
-    assert aggregate(records, model.metrics["M"], "2014-01", model)["tot"] == 5.5
+    )
+    assert aggregate(log, model.metrics["M"], "2014-01", model)["tot"] == 5.5
 
 
 def test_latest_takes_newest_timestamp_then_file_order(model):
-    records = ingest_lines(
+    log = ingest_lines(
         [
             dline("2014-01-20", "g", 10),
             dline("2014-01-05", "g", 99),  # older, ignored
         ],
         "log", model,
-    ).records
-    assert aggregate(records, model.metrics["M2"], "2014-01", model)["g"] == 10.0
+    )
+    assert aggregate(log, model.metrics["M2"], "2014-01", model)["g"] == 10.0
 
     tied = ingest_lines(
         [dline("2014-01-20", "g", 1), dline("2014-01-20", "g", 2)],
         "log", model,
-    ).records
+    )
     assert aggregate(tied, model.metrics["M2"], "2014-01", model)["g"] == 2.0
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
-def _records(model, lines):
+def _log(model, lines):
     log = ingest_lines(lines, "log", model)
     assert not log.diagnostics
-    return log.records
+    return log
 
 
 def test_evaluate_period_success(model, graph):
-    records = _records(
+    log = _log(
         model,
         [eline("2014-01-01", kind="x")] * 30 + [dline("2014-01-31", "tot", 40)],
     )
-    result = evaluate_period(model, graph, records, "M", "2014-01")
+    result = evaluate_period(model, graph, log, "M", "2014-01")
     assert result.ok
     assert result.value == 75.0
     assert result.band.label == "high"
@@ -211,7 +218,7 @@ def test_evaluate_period_success(model, graph):
 
 
 def test_evaluate_period_missing_binding_becomes_failure(model, graph):
-    result = evaluate_period(model, graph, (), "M", "2014-01")
+    result = evaluate_period(model, graph, EMPTY, "M", "2014-01")
     assert not result.ok
     assert result.value is None and result.band is None
     assert "tot" in result.failure
@@ -219,26 +226,26 @@ def test_evaluate_period_missing_binding_becomes_failure(model, graph):
 
 def test_evaluate_period_unknown_metric(model, graph):
     with pytest.raises(KeyError):
-        evaluate_period(model, graph, (), "NOPE", "2014-01")
+        evaluate_period(model, graph, EMPTY, "NOPE", "2014-01")
 
 
 def test_evaluate_period_rejects_off_schedule_granularity(model, graph):
     with pytest.raises(PeriodError):
-        evaluate_period(model, graph, (), "M", "2014-W05")
+        evaluate_period(model, graph, EMPTY, "M", "2014-W05")
 
 
 def test_density_warnings_flag_empty_collection_periods(model, graph):
-    records = _records(
+    log = _log(
         model,
         [eline("2014-01-01", kind="x"), dline("2014-01-31", "tot", 1)],
     )
-    result = evaluate_period(model, graph, records, "M", "2014-Q1")
+    result = evaluate_period(model, graph, log, "M", "2014-Q1")
     assert result.density_warnings == (
         "collection period 2014-02 inside 2014-Q1 has no records for metric M",
         "collection period 2014-03 inside 2014-Q1 has no records for metric M",
     )
     # at collection granularity the period is its own sub-period: no warnings
-    monthly = evaluate_period(model, graph, records, "M", "2014-01")
+    monthly = evaluate_period(model, graph, log, "M", "2014-01")
     assert monthly.density_warnings == ()
 
 
@@ -246,11 +253,11 @@ def test_density_warnings_flag_empty_collection_periods(model, graph):
 
 
 def test_route_actions_orders_by_urgency_and_resolves_owner_of(model, graph):
-    records = _records(
+    log = _log(
         model,
         [eline("2014-01-01", kind="x"), dline("2014-01-31", "tot", 4)],
     )
-    result = evaluate_period(model, graph, records, "M", "2014-01")
+    result = evaluate_period(model, graph, log, "M", "2014-01")
     assert result.band.label == "low"  # 25.0
     directives = route_actions(result, model)
     assert [d.kind for d in directives] == [ActionKind.LOG, ActionKind.ESCALATE]
@@ -270,7 +277,7 @@ def test_route_actions_requires_a_band(model):
 
 
 def test_route_result_failure_notifies_metric_stakeholders(model, graph):
-    result = evaluate_period(model, graph, (), "M", "2014-01")
+    result = evaluate_period(model, graph, EMPTY, "M", "2014-01")
     directives = route_result(result, model)
     assert len(directives) == 1
     d = directives[0]
@@ -312,11 +319,11 @@ metric M3 {
 
 
 def test_result_json_shape(model, graph):
-    records = _records(
+    log = _log(
         model,
         [eline("2014-01-01", kind="x"), dline("2014-01-31", "tot", 2)],
     )
-    obj = evaluate_period(model, graph, records, "M", "2014-01").to_json_obj()
+    obj = evaluate_period(model, graph, log, "M", "2014-01").to_json_obj()
     assert obj["metric"] == "M"
     assert obj["value"] == 50.0
     assert obj["band"] == "high"

@@ -53,16 +53,16 @@ def model():
 @pytest.fixture(scope="module")
 def results(model):
     graph = build_graph(model)
-    records = ingest_lines(
+    log = ingest_lines(
         [
             '{"timestamp": "2014-01-10", "base": "g", "value": 85}',
             '{"timestamp": "2014-02-10", "base": "g", "value": 55}',
         ],
         "log",
         model,
-    ).records
+    )
     return [
-        evaluate_period(model, graph, records, "M", period)
+        evaluate_period(model, graph, log, "M", period)
         for period in ("2014-01", "2014-02", "2014-03")  # March has no data
     ]
 
