@@ -7,6 +7,7 @@ failure. Diagnostics and notes go to stderr; payloads go to stdout or --out.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import formulation, periods, pipeline, report as report_mod
@@ -166,6 +167,16 @@ def _fmt_binding(value: float) -> str:
     return str(int(value)) if value == int(value) else str(value)
 
 
+def _select_metrics(model: Model, metric: str, io: _Io) -> list[str] | None:
+    """Metric ids for `--metric`: every metric for 'all', else the one named."""
+    if metric == "all":
+        return sorted(model.metrics)
+    if metric not in model.metrics:
+        io.note(f"error: unknown metric {metric!r}")
+        return None
+    return [metric]
+
+
 def _cmd_eval(args: argparse.Namespace, io: _Io) -> int:
     model = _require_clean(args.model, io)
     if model is None:
@@ -173,13 +184,9 @@ def _cmd_eval(args: argparse.Namespace, io: _Io) -> int:
     log, code = _ingest(args.measurements, model, io)
     if log is None:
         return code
-    if args.metric == "all":
-        metric_ids = sorted(model.metrics)
-    else:
-        if args.metric not in model.metrics:
-            io.note(f"error: unknown metric {args.metric!r}")
-            return EXIT_ERRORS
-        metric_ids = [args.metric]
+    metric_ids = _select_metrics(model, args.metric, io)
+    if metric_ids is None:
+        return EXIT_ERRORS
     graph = build_graph(model)
     results = []
     for metric_id in metric_ids:
@@ -193,14 +200,8 @@ def _cmd_eval(args: argparse.Namespace, io: _Io) -> int:
         io.note("error: no results")
         return EXIT_ERRORS
     if args.format == "json":
-        import json
-
-        payload = []
-        for result in results:
-            obj = result.to_json_obj()
-            obj["directives"] = [d.to_json_obj() for d in pipeline.route_result(result, model)]
-            payload.append(obj)
-        return io.payload(json.dumps({"results": payload}, indent=2, sort_keys=True) + "\n")
+        payload = {"results": [report_mod.result_json_obj(result, model) for result in results]}
+        return io.payload(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     lines: list[str] = []
     for result in results:
         lines.extend(_eval_text(result, model))
@@ -220,13 +221,9 @@ def _cmd_report(args: argparse.Namespace, io: _Io) -> int:
         io.note(f"error: {exc}")
         return EXIT_USAGE
     granularity = periods.granularity_of(keys[0])
-    if args.metric == "all":
-        metric_ids = sorted(model.metrics)
-    else:
-        if args.metric not in model.metrics:
-            io.note(f"error: unknown metric {args.metric!r}")
-            return EXIT_ERRORS
-        metric_ids = [args.metric]
+    metric_ids = _select_metrics(model, args.metric, io)
+    if metric_ids is None:
+        return EXIT_ERRORS
     graph = build_graph(model)
     results = []
     for metric_id in metric_ids:
@@ -261,7 +258,7 @@ def _cmd_impact(args: argparse.Namespace, io: _Io) -> int:
     if new_model is None:
         return EXIT_ERRORS
     reports = impact_analyze(old_model, new_model)
-    if args.json or args.format == "json":
+    if args.json:
         return io.payload(impact_render_json(reports))
     return io.payload(impact_render_text(reports))
 
@@ -336,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("old")
     p.add_argument("new")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_impact)
 
     p = sub.add_parser("fmt", parents=[common], help="rewrite a model in canonical form")

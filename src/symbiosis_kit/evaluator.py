@@ -18,6 +18,12 @@ class MissingBinding(EvaluationError):
         self.name = name
 
 
+class SumOverflow(EvaluationError):
+    def __init__(self, base: str) -> None:
+        super().__init__(f"sum of base measurement {base!r} overflows the float range")
+        self.base = base
+
+
 class DivisionByZero(EvaluationError):
     def __init__(self, detail: str) -> None:
         super().__init__(f"division by zero in {detail}")

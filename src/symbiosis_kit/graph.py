@@ -4,14 +4,21 @@ Edge kinds: REFINES (child objective -> parent), MEASURES (goal -> objective),
 ASKS (question -> goal), ANSWERS (metric -> question), USES (metric -> base),
 DEPENDS_ON / AFFECTS (objective -> objective), STRATEGY_OF (strategy -> objective).
 
-ancestors/descendants close over REFINES, MEASURES, ASKS and ANSWERS only, so
-cyclic DEPENDS_ON/AFFECTS links never cause non-termination.
+build_graph expects a model that passed validation with zero errors and
+does not check it again. It stores the closure edges (REFINES, MEASURES,
+ASKS, ANSWERS) once as sorted adjacency in both directions. Every closure
+query (ancestors, descendants, objective_ancestors_ordered, and the
+orphan sets of impact analysis) is one breadth-first `reach` over that
+adjacency, so a query costs time linear in the edges it reaches, and
+cyclic DEPENDS_ON/AFFECTS links, which are outside the closure, never
+cause non-termination.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Iterable, Set as AbstractSet
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,24 +49,7 @@ class Edge:
     dst: str
 
 
-class GraphError(Exception):
-    pass
-
-
-class UnresolvedReference(GraphError):
-    def __init__(self, ref: str, site: str) -> None:
-        super().__init__(f"unresolved reference {ref!r} at {site}")
-        self.ref = ref
-        self.site = site
-
-
-class RefinesCycleError(GraphError):
-    def __init__(self, node_id: str) -> None:
-        super().__init__(f"refines cycle through {node_id!r}")
-        self.node_id = node_id
-
-
-class UnknownNode(GraphError):
+class UnknownNode(LookupError):
     def __init__(self, node_id: str) -> None:
         super().__init__(f"unknown node {node_id!r}")
         self.node_id = node_id
@@ -88,59 +78,41 @@ class TraceabilityGraph:
         ]
 
 
-def _require(graph_nodes: dict[str, str], ref: str, site: str) -> None:
-    if ref not in graph_nodes:
-        raise UnresolvedReference(ref, site)
-
-
 def build_graph(model: Model) -> TraceabilityGraph:
-    """Build the graph. Raises UnresolvedReference / RefinesCycleError / GraphError.
+    """Build the graph of a model that passed validation with zero errors.
 
-    Precondition: the model passed validation with zero errors; the checks here
-    are a defensive re-statement, not a replacement for the validator.
+    The validator owns every check on the model (V001 unique ids, V002
+    resolved references, V003 acyclic refines); this function repeats none
+    of them. On an unvalidated model it still returns: a dangling reference
+    becomes an edge to an id that is not a node, and a refines cycle is a
+    cycle the walk below never re-enters.
     """
-    nodes: dict[str, str] = {}
-    for kind in NODE_KINDS:
-        for node_id in model.collection(kind):
-            if node_id in nodes:
-                raise GraphError(f"duplicate node id {node_id!r}")
-            nodes[node_id] = kind
-
+    nodes = {node_id: kind for kind in NODE_KINDS for node_id in model.collection(kind)}
     edges: list[Edge] = []
 
     for bo_id, bo in sorted(model.objectives.items()):
         if bo.refines is not None:
-            _require(nodes, bo.refines, f"{bo_id}.refines")
             edges.append(Edge(EdgeKind.REFINES, bo_id, bo.refines))
         for dep in bo.depends_on:
-            _require(nodes, dep, f"{bo_id}.depends_on")
             edges.append(Edge(EdgeKind.DEPENDS_ON, bo_id, dep))
         for aff in bo.affects:
-            _require(nodes, aff, f"{bo_id}.affects")
             edges.append(Edge(EdgeKind.AFFECTS, bo_id, aff))
 
     for st_id, st in sorted(model.strategies.items()):
-        _require(nodes, st.for_objective, f"{st_id}.for")
         edges.append(Edge(EdgeKind.STRATEGY_OF, st_id, st.for_objective))
 
     for mg_id, mg in sorted(model.goals.items()):
         for bo_id in mg.measures:
-            _require(nodes, bo_id, f"{mg_id}.measures")
             edges.append(Edge(EdgeKind.MEASURES, mg_id, bo_id))
 
     for q_id, q in sorted(model.questions.items()):
-        _require(nodes, q.goal, f"{q_id}.goal")
         edges.append(Edge(EdgeKind.ASKS, q_id, q.goal))
 
     for m_id, metric in sorted(model.metrics.items()):
         for q_id in metric.answers:
-            _require(nodes, q_id, f"{m_id}.answers")
             edges.append(Edge(EdgeKind.ANSWERS, m_id, q_id))
         for b_id in metric.uses:
-            _require(nodes, b_id, f"{m_id}.uses")
             edges.append(Edge(EdgeKind.USES, m_id, b_id))
-
-    _check_refines_forest(model)
 
     ordered = tuple(sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)))
     up: dict[str, list[str]] = {}
@@ -157,48 +129,44 @@ def build_graph(model: Model) -> TraceabilityGraph:
     )
 
 
-def _check_refines_forest(model: Model) -> None:
-    # Single `refines` field rules out multiple parents; only cycles can occur.
-    state: dict[str, int] = {}  # 0 in progress, 1 done
-    for start in model.objectives:
-        node = start
-        trail = []
-        while node is not None and node in model.objectives:
-            if state.get(node) == 1:
-                break
-            if state.get(node) == 0:
-                raise RefinesCycleError(node)
-            state[node] = 0
-            trail.append(node)
-            node = model.objectives[node].refines
-        for seen in trail:
-            state[seen] = 1
+def reach(
+    adjacency: dict[str, tuple[str, ...]],
+    starts: Iterable[str],
+    avoid: AbstractSet[str] = frozenset(),
+) -> list[str]:
+    """Nodes reachable from `starts`, in breadth-first order.
 
-
-def _closure(graph: TraceabilityGraph, start: str, forward: bool) -> set[str]:
-    if start not in graph.nodes:
-        raise UnknownNode(start)
-    adjacency = graph.closure_up if forward else graph.closure_down
-    seen: set[str] = set()
-    queue = deque([start])
+    Neighbours are visited in the order the adjacency lists them (sorted,
+    as build_graph stores them). Nodes in `avoid` are never entered, and
+    the starts themselves are not listed. Each node and edge reached is
+    visited once, so a cycle ends the walk instead of looping.
+    """
+    queue = deque(starts)
+    seen = set(queue) | avoid
+    found: list[str] = []
     while queue:
-        current = queue.popleft()
-        for nxt in adjacency.get(current, ()):
-            if nxt not in seen and nxt != start:
+        for nxt in adjacency.get(queue.popleft(), ()):
+            if nxt not in seen:
                 seen.add(nxt)
+                found.append(nxt)
                 queue.append(nxt)
-    seen.discard(start)
-    return seen
+    return found
+
+
+def _known(graph: TraceabilityGraph, node_id: str) -> str:
+    if node_id not in graph.nodes:
+        raise UnknownNode(node_id)
+    return node_id
 
 
 def ancestors(graph: TraceabilityGraph, node_id: str) -> set[str]:
     """Nodes reachable toward coarser granularity (metric -> ... -> root objective)."""
-    return _closure(graph, node_id, forward=True)
+    return set(reach(graph.closure_up, [_known(graph, node_id)]))
 
 
 def descendants(graph: TraceabilityGraph, node_id: str) -> set[str]:
     """Nodes derived from node_id (reversed closure edges)."""
-    return _closure(graph, node_id, forward=False)
+    return set(reach(graph.closure_down, [_known(graph, node_id)]))
 
 
 def objective_ancestors_ordered(graph: TraceabilityGraph, node_id: str) -> list[str]:
@@ -207,21 +175,8 @@ def objective_ancestors_ordered(graph: TraceabilityGraph, node_id: str) -> list[
     Breadth-first over closure edges; successors visited in sorted order so the
     result is deterministic when derivation paths branch.
     """
-    if node_id not in graph.nodes:
-        raise UnknownNode(node_id)
-    ordered: list[str] = []
-    seen = {node_id}
-    queue = deque([node_id])
-    while queue:
-        current = queue.popleft()
-        for nxt in graph.closure_up.get(current, ()):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if graph.nodes.get(nxt) == "objective":
-                ordered.append(nxt)
-            queue.append(nxt)
-    return ordered
+    up = reach(graph.closure_up, [_known(graph, node_id)])
+    return [n for n in up if graph.nodes.get(n) == "objective"]
 
 
 _DOT_SHAPES = {

@@ -1,9 +1,12 @@
 """Structural diffs between model versions and change-impact sets.
 
 Impact is computed over the traceability closure (refines / measures / asks /
-answers edges). For a removal, a downstream node is orphaned when every one
-of its derivation paths to a surviving top-level objective ran through the
-removed node; nodes that keep an independent path merely need review.
+answers edges). For a removal, the orphans are the removed node's
+descendants that no surviving top-level objective reaches once the removed
+node is gone: one downward walk from the surviving roots that never enters
+the removed node finds every node that keeps a derivation path, and the
+descendants it misses are orphaned. Descendants it reaches merely need
+review.
 """
 
 from __future__ import annotations
@@ -12,14 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import (
-    CLOSURE_KINDS,
-    TraceabilityGraph,
-    UnknownNode,
-    ancestors,
-    build_graph,
-    descendants,
-)
+from .graph import TraceabilityGraph, ancestors, build_graph, descendants, reach
 from .model import KIND_OBJECTIVE, NODE_KINDS, Model, model_to_canonical
 
 
@@ -101,26 +97,6 @@ def _root_objectives(model: Model) -> set[str]:
     return {bo_id for bo_id, bo in model.objectives.items() if bo.refines is None}
 
 
-def _reaches_any(graph: TraceabilityGraph, start: str, targets: set[str], removed: str) -> bool:
-    """Ancestor-direction reachability from start to any target, skipping `removed`."""
-    if start in targets:
-        return True
-    seen = {start, removed}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for edge in graph.edges_from(node):
-            if edge.kind not in CLOSURE_KINDS or edge.dst in seen:
-                continue
-            if edge.dst == removed:
-                continue
-            if edge.dst in targets:
-                return True
-            seen.add(edge.dst)
-            frontier.append(edge.dst)
-    return False
-
-
 def _related_neighbors(model: Model, node_id: str) -> set[str]:
     related: set[str] = set()
     bo = model.objectives.get(node_id)
@@ -142,18 +118,15 @@ def impact(model: Model, change: Change, graph: TraceabilityGraph | None = None)
     node_id = change.node_id
     if graph is None:
         graph = build_graph(model)
-    if node_id not in graph.nodes:
-        raise UnknownNode(node_id)
 
     down = descendants(graph, node_id)
     up = ancestors(graph, node_id)
 
     orphans: set[str] = set()
     if change.kind is ChangeKind.REMOVED:
-        surviving_roots = _root_objectives(model) - {node_id}
-        for candidate in down:
-            if not _reaches_any(graph, candidate, surviving_roots, removed=node_id):
-                orphans.add(candidate)
+        # a root objective has no parent, so it is never in `down`
+        surviving = _root_objectives(model) - {node_id}
+        orphans = down - set(reach(graph.closure_down, surviving, avoid={node_id}))
 
     review = down - orphans
     upstream = {n for n in up if graph.nodes.get(n) == KIND_OBJECTIVE}

@@ -30,7 +30,7 @@ from operator import itemgetter
 
 from . import evaluator, periods
 from .diagnostics import Diagnostic, Severity, SourceSpan, sort_key
-from .evaluator import EvaluationError
+from .evaluator import EvaluationError, SumOverflow
 from .expr import to_text
 from .graph import TraceabilityGraph, objective_ancestors_ordered
 from .model import (
@@ -267,7 +267,10 @@ def _aggregate_base(
     first: dt.date,
     last: dt.date,
 ) -> float | None:
-    """Aggregate one base over first..last; None when no DIRECT data."""
+    """Aggregate one base over first..last; None when no DIRECT data.
+
+    Raises SumOverflow when a SUM of finite values leaves the float range.
+    """
     if base.mode is SourceMode.COUNT:
         return float(store.count(base.filters, first, last))
     entries = store.direct(base.id, first, last)
@@ -276,7 +279,10 @@ def _aggregate_base(
     if base.aggregation is Aggregation.SUM:
         # float addition is not associative: add in ingest order
         in_order = sorted(entries, key=itemgetter(2), reverse=True)
-        return float(sum(value for _, _, _, value in in_order))
+        total = float(sum(value for _, _, _, value in in_order))
+        if not math.isfinite(total):
+            raise SumOverflow(base.id)
+        return total
     # LATEST: maximal (timestamp, line); on a tie the first ingested wins
     return entries[-1][3]
 
@@ -290,7 +296,8 @@ def aggregate(
     """Bindings for the metric's bases over one period.
 
     Bases with no in-period data are absent; evaluation then reports
-    MissingBinding rather than inventing a zero.
+    MissingBinding rather than inventing a zero. A SUM that overflows
+    raises SumOverflow, which evaluation reports as the result's failure.
     """
     first, last = periods.start_date(period), periods.end_date(period)
     bindings: dict[str, float] = {}
@@ -395,14 +402,15 @@ def evaluate_period(
                 f"runs on {metric.schedule.notation()}"
             )
 
-    bindings = aggregate(log, metric, period, model)
     affected = tuple(objective_ancestors_ordered(graph, metric_id))
     density = _density_warnings(metric, log, period, model)
 
+    bindings: dict[str, float] = {}
     value: float | None = None
     failure: str | None = None
     band: InterpretationBand | None = None
     try:
+        bindings = aggregate(log, metric, period, model)
         value = evaluator.evaluate_metric(metric, bindings)
         band = evaluator.classify(metric, value)
     except EvaluationError as exc:

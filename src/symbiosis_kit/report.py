@@ -10,7 +10,7 @@ import json
 from xml.sax.saxutils import escape
 
 from .expr import format_number, to_text
-from .model import InterpretationBand, MetricDef, Model
+from .model import MetricDef, Model
 from .pipeline import ActionDirective, EvaluationResult, route_result
 
 FORMATS = ("text", "json", "svg")
@@ -103,6 +103,13 @@ def render_text(results: list[EvaluationResult], model: Model) -> str:
     return "\n".join(out)
 
 
+def result_json_obj(result: EvaluationResult, model: Model) -> dict:
+    """One result with its routed directives, as eval and report print it."""
+    obj = result.to_json_obj()
+    obj["directives"] = [d.to_json_obj() for d in route_result(result, model)]
+    return obj
+
+
 def render_json(results: list[EvaluationResult], model: Model) -> str:
     if not results:
         raise ValueError("no results to report")
@@ -114,12 +121,8 @@ def render_json(results: list[EvaluationResult], model: Model) -> str:
             "description": metric.description if metric else None,
             "function": to_text(metric.function) if metric and metric.function else None,
             "schedule": metric.schedule.notation() if metric and metric.schedule else None,
-            "results": [],
+            "results": [result_json_obj(result, model) for result in group],
         }
-        for result in group:
-            obj = result.to_json_obj()
-            obj["directives"] = [d.to_json_obj() for d in route_result(result, model)]
-            entry["results"].append(obj)
         payload["metrics"].append(entry)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -139,10 +142,6 @@ _CHART_H = _TITLE_H + _PLOT_H + _LABEL_H + _LEGEND_H
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".")
-
-
-def _band_of(metric: MetricDef, result: EvaluationResult) -> InterpretationBand | None:
-    return result.band
 
 
 def _svg_chart(
@@ -197,7 +196,7 @@ def _svg_chart(
                 f'<text x="{_fmt(cx)}" y="{_fmt(plot_bottom - 8)}" class="missing">no value</text>'
             )
             continue
-        band = _band_of(metric, result)
+        band = result.band
         color = palette.get(band.label, _FAIL_COLOR) if band else _FAIL_COLOR
         height = (result.value - lo) / span * _PLOT_H
         x = cx - bar_width / 2

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from symbiosis_kit.corpus import corpus_root
+from corpus import CORPUS_ROOT
 from symbiosis_kit.parser import parse_file
 from symbiosis_kit.validator import validate
 
 
 @pytest.fixture(scope="session")
 def corpus() -> Path:
-    return corpus_root()
+    return CORPUS_ROOT
 
 
 @pytest.fixture(scope="session")

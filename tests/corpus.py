@@ -11,10 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
-class CorpusNotFound(FileNotFoundError):
-    pass
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
     """One model plus the logs and golden files that exercise it."""
@@ -30,6 +26,8 @@ class CorpusEntry:
             golden=tuple(str(root / p) for p in self.golden),
         )
 
+
+CORPUS_ROOT = Path(__file__).resolve().parent.parent / "corpus"
 
 _JPMORGAN_LOGS = tuple(
     f"logs/jpmorgan_2014-{month:02d}.jsonl" for month in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11)
@@ -72,17 +70,6 @@ _ENTRIES = (
 )
 
 
-def corpus_root(start: Path | None = None) -> Path:
-    """Locate the corpus/ directory by walking up from this file (or `start`)."""
-    origin = start if start is not None else Path(__file__).resolve()
-    for parent in [origin] + list(origin.parents):
-        candidate = parent / "corpus"
-        if candidate.is_dir():
-            return candidate
-    raise CorpusNotFound("no corpus/ directory found above " + str(origin))
-
-
-def corpus_manifest(root: Path | None = None) -> list[CorpusEntry]:
-    """Entries with absolute paths, resolved against the located corpus root."""
-    base = root if root is not None else corpus_root()
-    return [entry.resolve(base) for entry in _ENTRIES]
+def corpus_manifest() -> list[CorpusEntry]:
+    """Entries with absolute paths under CORPUS_ROOT."""
+    return [entry.resolve(CORPUS_ROOT) for entry in _ENTRIES]

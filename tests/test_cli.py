@@ -176,18 +176,35 @@ def test_eval_json(corpus, capsys):
     assert by_id["ME1.1.1.1.1"]["band"] == "ok"
 
 
+def _eval_blocks(out: str, fmt: str) -> dict[str, object]:
+    """eval output by metric id: the JSON result, or the text lines."""
+    if fmt == "json":
+        return {r["metric"]: r for r in json.loads(out)["results"]}
+    blocks: dict[str, object] = {}
+    for line in out.splitlines():
+        if not line.startswith(" "):
+            metric_id = line.split()[0]
+            blocks[metric_id] = []
+        blocks[metric_id].append(line)
+    return blocks
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_eval_rejects_a_value_beyond_the_float_range(corpus, tmp_path, capsys, fmt):
     log = tmp_path / "overflow.jsonl"
-    good = (corpus / "logs" / "jpmorgan_2014-01.jsonl").read_text(encoding="utf-8")
+    clean = corpus / "logs" / "jpmorgan_2014-01.jsonl"
+    good = clean.read_text(encoding="utf-8")
     bad = '{"timestamp": "2014-01-15", "base": "bm_sections_total", "value": 1e400}\n'
-    log.write_text(good + bad, encoding="utf-8")
-    code = cli.main(
-        [
-            "eval", str(corpus / "jpmorgan.sym"), "--measurements", str(log),
-            "--metric", "all", "--period", "2014-01", "--format", fmt,
-        ]
+    # finite values whose SUM overflows: ME1.1.1.1.6 fails, the rest do not move
+    big = "".join(
+        f'{{"timestamp": "2014-01-{day}", "base": "bm_incidents_human", "value": 1e308}}\n'
+        for day in (10, 11)
     )
+    log.write_text(good + bad + big, encoding="utf-8")
+    argv = ["--metric", "all", "--period", "2014-01", "--format", fmt]
+    assert cli.main(["eval", str(corpus / "jpmorgan.sym"), "--measurements", str(clean), *argv]) == 0
+    expected = _eval_blocks(capsys.readouterr()[0], fmt)
+    code = cli.main(["eval", str(corpus / "jpmorgan.sym"), "--measurements", str(log), *argv])
     assert code == 0
     out, err = capsys.readouterr()
     bad_line = len(good.splitlines()) + 1
@@ -196,6 +213,16 @@ def test_eval_rejects_a_value_beyond_the_float_range(corpus, tmp_path, capsys, f
     assert diags[0].startswith(f"I001 error {log}:{bad_line}:1 ")
     assert "finite number" in diags[0]
     assert not re.search(r"\b-?(inf|Infinity|nan|NaN)\b", out)
+    got = _eval_blocks(out, fmt)
+    overflowed = got.pop("ME1.1.1.1.6")
+    expected.pop("ME1.1.1.1.6")
+    assert got == expected
+    message = "sum of base measurement 'bm_incidents_human' overflows the float range"
+    if fmt == "json":
+        assert overflowed["failure"] == message
+        assert overflowed["value"] is None
+    else:
+        assert overflowed[0] == f"ME1.1.1.1.6 2014-01: FAILED ({message})"
 
 
 def test_eval_unknown_metric(corpus, capsys):
@@ -267,6 +294,13 @@ def test_impact_text_and_json(clean_sym, tmp_path, capsys):
     out, _ = capsys.readouterr()
     (change,) = json.loads(out)["changes"]
     assert change["change"]["change"] == "modified"
+
+
+def test_impact_has_no_format_option(clean_sym, capsys):
+    # --json is the one way to ask impact for JSON
+    assert cli.main(["impact", str(clean_sym), str(clean_sym), "--format", "json"]) == 2
+    _, err = capsys.readouterr()
+    assert "--format" in err
 
 
 def test_impact_refuses_invalid_input(clean_sym, error_sym):

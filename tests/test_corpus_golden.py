@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from corpus import CORPUS_ROOT, corpus_manifest
 from symbiosis_kit import cli
-from symbiosis_kit.corpus import corpus_manifest, corpus_root
 
 JPMORGAN_Q_LOGS = [f"corpus/logs/jpmorgan_2014-{m:02d}.jsonl" for m in range(1, 10)]
 
@@ -25,14 +25,14 @@ def test_manifest_files_exist():
 
 def _regen(monkeypatch, tmp_path: Path, argv: list[str]) -> bytes:
     out = tmp_path / "out.bin"
-    monkeypatch.chdir(corpus_root().parent)
+    monkeypatch.chdir(CORPUS_ROOT.parent)
     code = cli.main(argv + ["--out", str(out), "--quiet"])
     assert code == 0, argv
     return out.read_bytes()
 
 
 def _golden(name: str) -> bytes:
-    return (corpus_root() / "golden" / name).read_bytes()
+    return (CORPUS_ROOT / "golden" / name).read_bytes()
 
 
 @pytest.mark.parametrize("node_id", ["BO1", "BO1.1", "BO1.1.1", "MG1.1.1.1"])
