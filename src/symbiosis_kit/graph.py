@@ -22,7 +22,7 @@ from collections.abc import Iterable, Set as AbstractSet
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import Model, NODE_KINDS
+from .model import Model
 
 
 class EdgeKind(Enum):
@@ -87,7 +87,6 @@ def build_graph(model: Model) -> TraceabilityGraph:
     becomes an edge to an id that is not a node, and a refines cycle is a
     cycle the walk below never re-enters.
     """
-    nodes = {node_id: kind for kind in NODE_KINDS for node_id in model.collection(kind)}
     edges: list[Edge] = []
 
     for bo_id, bo in sorted(model.objectives.items()):
@@ -122,7 +121,7 @@ def build_graph(model: Model) -> TraceabilityGraph:
             up.setdefault(edge.src, []).append(edge.dst)
             down.setdefault(edge.dst, []).append(edge.src)
     return TraceabilityGraph(
-        nodes=nodes,
+        nodes=model.kinds,
         edges=ordered,
         closure_up={node: tuple(sorted(dsts)) for node, dsts in up.items()},
         closure_down={node: tuple(sorted(srcs)) for node, srcs in down.items()},

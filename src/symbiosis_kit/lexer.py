@@ -1,4 +1,18 @@
-"""Tokenizer for .sym files. Whitespace-insensitive; # starts a line comment."""
+"""Tokenizer for .sym files.
+
+One pass of one compiled pattern. At each position the first of these token
+classes that matches wins:
+
+1. newline (counted for source locations)
+2. spaces, tabs, carriage returns and `#` comments (skipped)
+3. string: `"` up to the closing `"` or the end of the line (P002 if open)
+4. date `YYYY-MM-DD` (not followed by a further digit)
+5. number `123` or `12.5`
+6. identifier, with dots that are followed by a letter, digit or underscore
+7. `->`
+8. one punctuation character
+9. any other character (P001, skipped)
+"""
 
 from __future__ import annotations
 
@@ -40,30 +54,33 @@ class Token:
     value: float | None = None  # NUMBER only
 
 
+_PUNCT = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
+
 # Dots inside identifiers must be followed by an alphanumeric, so that
 # "org.*" lexes as IDENT(org) DOT STAR while "BO1.1" stays one identifier.
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*")
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}(?![0-9])")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+# A string ends at its closing quote or at the end of its line; a backslash
+# left alone before that end belongs to the string's span but not its text.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<newline>\n)
+    | (?P<skip>(?:[ \t\r]|\#[^\n]*)+)
+    | (?P<string>"(?P<body>(?:[^"\\\n]|\\.)*)(?:(?P<closed>")|\\?))
+    | (?P<date>\d{4}-\d{2}-\d{2}(?![0-9]))
+    | (?P<number>\d+(?:\.\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)
+    | (?P<arrow>->)
+    | (?P<punct>[""" + re.escape("".join(_PUNCT)) + r"""])
+    | (?P<other>.)
+    """,
+    re.VERBOSE,
+)
 
-_PUNCT = {
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACK,
-    "]": TokenKind.RBRACK,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    ":": TokenKind.COLON,
-    ",": TokenKind.COMMA,
-    ".": TokenKind.DOT,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "=": TokenKind.EQUALS,
-}
-
+_ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])  # an unknown escape keeps the character
 
 
 def parse_number(text: str) -> float:
@@ -75,105 +92,35 @@ def tokenize(text: str, filename: str = "<string>") -> tuple[list[Token], list[D
     """Total: any input yields a token list (ending in EOF) plus diagnostics."""
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    pos = 0
     line = 1
     line_start = 0
-    n = len(text)
-
-    def span(start: int, length: int) -> SourceSpan:
-        return SourceSpan(filename, line, start - line_start + 1, max(length, 1))
-
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "newline":
             line += 1
-            line_start = pos
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            pos += 1
+        if group == "skip":
             continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        if ch == '"':
-            start = pos
-            pos += 1
-            out: list[str] = []
-            closed = False
-            while pos < n:
-                c = text[pos]
-                if c == '"':
-                    pos += 1
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                if c == "\\":
-                    if pos + 1 < n and text[pos + 1] in _ESCAPES:
-                        out.append(_ESCAPES[text[pos + 1]])
-                        pos += 2
-                        continue
-                    # Unknown escape: keep the next character literally.
-                    if pos + 1 < n:
-                        out.append(text[pos + 1])
-                        pos += 2
-                        continue
-                    pos += 1
-                    continue
-                out.append(c)
-                pos += 1
-            if not closed:
-                diags.append(
-                    Diagnostic(
-                        "P002",
-                        Severity.ERROR,
-                        "unterminated string literal",
-                        span(start, pos - start),
-                    )
-                )
-            tokens.append(Token(TokenKind.STRING, "".join(out), span(start, pos - start)))
-            continue
-        m = _DATE_RE.match(text, pos)
-        if m:
-            tokens.append(Token(TokenKind.DATE, m.group(), span(pos, len(m.group()))))
-            pos = m.end()
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(
-                Token(
-                    TokenKind.NUMBER,
-                    m.group(),
-                    span(pos, len(m.group())),
-                    value=parse_number(m.group()),
-                )
+        start, lexeme = m.start(), m.group()
+        span = SourceSpan(filename, line, start - line_start + 1, len(lexeme))
+        if group == "string":
+            if m["closed"] is None:
+                diags.append(Diagnostic("P002", Severity.ERROR, "unterminated string literal", span))
+            tokens.append(Token(TokenKind.STRING, _ESCAPE_RE.sub(_unescape, m["body"]), span))
+        elif group == "date":
+            tokens.append(Token(TokenKind.DATE, lexeme, span))
+        elif group == "number":
+            tokens.append(Token(TokenKind.NUMBER, lexeme, span, value=parse_number(lexeme)))
+        elif group == "ident":
+            tokens.append(Token(TokenKind.IDENT, lexeme, span))
+        elif group == "arrow":
+            tokens.append(Token(TokenKind.ARROW, lexeme, span))
+        elif group == "punct":
+            tokens.append(Token(_PUNCT[lexeme], lexeme, span))
+        else:
+            diags.append(
+                Diagnostic("P001", Severity.ERROR, f"unexpected character {lexeme!r}", span)
             )
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(Token(TokenKind.IDENT, m.group(), span(pos, len(m.group()))))
-            pos = m.end()
-            continue
-        if text.startswith("->", pos):
-            tokens.append(Token(TokenKind.ARROW, "->", span(pos, 2)))
-            pos += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, span(pos, 1)))
-            pos += 1
-            continue
-        diags.append(
-            Diagnostic(
-                "P001",
-                Severity.ERROR,
-                f"unexpected character {ch!r}",
-                span(pos, 1),
-            )
-        )
-        pos += 1
-
-    tokens.append(Token(TokenKind.EOF, "", SourceSpan(filename, line, n - line_start + 1, 1)))
+    tokens.append(Token(TokenKind.EOF, "", SourceSpan(filename, line, len(text) - line_start + 1, 1)))
     return tokens, diags

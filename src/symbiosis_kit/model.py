@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from functools import cached_property
 
 from . import expr as _expr
 from .diagnostics import SourceSpan
@@ -27,19 +28,6 @@ KIND_GOAL = "goal"
 KIND_QUESTION = "question"
 KIND_BASE = "base"
 KIND_METRIC = "metric"
-
-# Fixed serialization / iteration order for node kinds.
-NODE_KINDS = (
-    KIND_UNIVERSE,
-    KIND_STAKEHOLDER,
-    KIND_OBJECTIVE,
-    KIND_STRATEGY,
-    KIND_GOAL,
-    KIND_QUESTION,
-    KIND_BASE,
-    KIND_METRIC,
-)
-
 
 def is_valid_identifier(text: str) -> bool:
     return bool(IDENTIFIER_RE.fullmatch(text))
@@ -69,7 +57,7 @@ _GRANULARITY_ORDER = {
 @dataclass(frozen=True, slots=True)
 class Stakeholder:
     id: str
-    name: str
+    name: str = ""
     role: str = ""
 
     def to_canonical(self) -> dict:
@@ -81,7 +69,7 @@ class ScopeUniverse:
     """A named measurement universe with an ordered set of facets."""
 
     id: str
-    facets: tuple[str, ...]
+    facets: tuple[str, ...] = ()
 
     def to_canonical(self) -> dict:
         return {"id": self.id, "facets": list(self.facets)}
@@ -115,11 +103,11 @@ class ScopeRef:
 @dataclass(frozen=True, slots=True)
 class BusinessObjective:
     id: str
-    object: str
-    scope: ScopeRef | None
-    purpose: str
-    viewpoint: tuple[str, ...]
-    context: str
+    object: str = ""
+    scope: ScopeRef | None = None
+    purpose: str = ""
+    viewpoint: tuple[str, ...] = ()
+    context: str = ""
     refines: str | None = None
     depends_on: tuple[str, ...] = ()
     affects: tuple[str, ...] = ()
@@ -154,9 +142,9 @@ class StrategyStep:
 @dataclass(frozen=True, slots=True)
 class Strategy:
     id: str
-    for_objective: str
-    steps: tuple[StrategyStep, ...]
-    justification: str
+    for_objective: str = ""
+    steps: tuple[StrategyStep, ...] = ()
+    justification: str = ""
 
     def to_canonical(self) -> dict:
         return {
@@ -170,14 +158,14 @@ class Strategy:
 @dataclass(frozen=True, slots=True)
 class MeasurementGoal:
     id: str
-    object: str
-    purpose: str
-    focus: str
-    scope: str
-    criteria: tuple[str, ...]
-    viewpoint: tuple[str, ...]
-    context: str
-    measures: tuple[str, ...]
+    object: str = ""
+    purpose: str = ""
+    focus: str = ""
+    scope: str = ""
+    criteria: tuple[str, ...] = ()
+    viewpoint: tuple[str, ...] = ()
+    context: str = ""
+    measures: tuple[str, ...] = ()
     related: tuple[str, ...] = ()
 
     def to_canonical(self) -> dict:
@@ -203,8 +191,8 @@ class QuestionStatus(Enum):
 @dataclass(frozen=True, slots=True)
 class MeasurementQuestion:
     id: str
-    goal: str
-    text: str
+    goal: str = ""
+    text: str = ""
     status: QuestionStatus = QuestionStatus.OPEN
 
     def to_canonical(self) -> dict:
@@ -229,8 +217,8 @@ class Aggregation(Enum):
 @dataclass(frozen=True, slots=True)
 class BaseMeasurementDef:
     id: str
-    description: str
-    mode: SourceMode
+    description: str = ""
+    mode: SourceMode = SourceMode.DIRECT
     filters: tuple[tuple[str, str], ...] = ()  # COUNT: conjunction of field == value
     aggregation: Aggregation | None = None  # DIRECT only
 
@@ -357,15 +345,15 @@ class ReportingSchedule:
 @dataclass(frozen=True, slots=True)
 class MetricDef:
     id: str
-    description: str
-    goal: str
-    answers: tuple[str, ...]
-    uses: tuple[str, ...]
-    method: str
-    function: _expr.Expr | None
-    bands: tuple[InterpretationBand, ...]
-    schedule: ReportingSchedule | None
-    stakeholders: tuple[str, ...]
+    description: str = ""
+    goal: str = ""
+    answers: tuple[str, ...] = ()
+    uses: tuple[str, ...] = ()
+    method: str = ""
+    function: _expr.Expr | None = None
+    bands: tuple[InterpretationBand, ...] = ()
+    schedule: ReportingSchedule | None = None
+    stakeholders: tuple[str, ...] = ()
     domain: Interval | None = None
     created: date | None = None
     modified: date | None = None
@@ -399,6 +387,20 @@ class MetricDef:
         }
 
 
+# Node class by kind, in the fixed serialization / iteration order of kinds.
+NODE_TYPES = {
+    KIND_UNIVERSE: ScopeUniverse,
+    KIND_STAKEHOLDER: Stakeholder,
+    KIND_OBJECTIVE: BusinessObjective,
+    KIND_STRATEGY: Strategy,
+    KIND_GOAL: MeasurementGoal,
+    KIND_QUESTION: MeasurementQuestion,
+    KIND_BASE: BaseMeasurementDef,
+    KIND_METRIC: MetricDef,
+}
+NODE_KINDS = tuple(NODE_TYPES)
+
+
 @dataclass(frozen=True)
 class Model:
     """All declarations of one measurement program, keyed by identifier."""
@@ -428,22 +430,20 @@ class Model:
             KIND_METRIC: self.metrics,
         }[kind]
 
-    def kind_of(self, node_id: str) -> str | None:
+    @cached_property
+    def kinds(self) -> dict[str, str]:
+        """Node id -> kind; an id in two collections keeps its first kind in NODE_KINDS order."""
+        kinds: dict[str, str] = {}
         for kind in NODE_KINDS:
-            if node_id in self.collection(kind):
-                return kind
-        return None
+            for node_id in self.collection(kind):
+                kinds.setdefault(node_id, kind)
+        return kinds
+
+    def kind_of(self, node_id: str) -> str | None:
+        return self.kinds.get(node_id)
 
     def span_of(self, kind: str, node_id: str) -> SourceSpan | None:
         return self.spans.get((kind, node_id))
-
-    def children_of(self, objective_id: str) -> list[BusinessObjective]:
-        """Business objectives whose refines points at objective_id, in id order."""
-        return [
-            bo
-            for _, bo in sorted(self.objectives.items())
-            if bo.refines == objective_id
-        ]
 
 
 def model_to_canonical(model: Model) -> dict:

@@ -1,7 +1,7 @@
 """Recursive-descent parser for .sym files.
 
 Parsing is total: any input produces a (possibly partial) model plus a list of
-coded diagnostics (P001-P007). With zero error diagnostics the model is fully
+coded diagnostics (P001-P008). With zero error diagnostics the model is fully
 populated; reference resolution is the validator's job.
 """
 
@@ -19,22 +19,14 @@ from .model import (
     ActionKind,
     ActionTarget,
     Aggregation,
-    BaseMeasurementDef,
-    BusinessObjective,
     Granularity,
     InterpretationBand,
     Interval,
-    MeasurementGoal,
-    MeasurementQuestion,
-    MetricDef,
     Model,
     QuestionStatus,
     ReportingSchedule,
     ScopeRef,
-    ScopeUniverse,
     SourceMode,
-    Stakeholder,
-    Strategy,
     StrategyStep,
     KIND_BASE,
     KIND_GOAL,
@@ -44,21 +36,18 @@ from .model import (
     KIND_STAKEHOLDER,
     KIND_STRATEGY,
     KIND_UNIVERSE,
-)
-
-BLOCK_KINDS = (
-    KIND_STAKEHOLDER,
-    KIND_UNIVERSE,
-    KIND_OBJECTIVE,
-    KIND_STRATEGY,
-    KIND_GOAL,
-    KIND_QUESTION,
-    KIND_BASE,
-    KIND_METRIC,
+    NODE_TYPES,
 )
 
 # Fields that may legitimately repeat within one block.
 _REPEATABLE = {"band", "step"}
+
+# Block field names that differ from the node attribute they fill.
+_ATTRIBUTE_OF = {"for": "for_objective", "where": "filters", "step": "steps", "band": "bands"}
+
+# Deepest metric function accepted: operator nesting (leaves count 0, each
+# Neg or BinOp one more than its deepest child) and parenthesis nesting.
+MAX_EXPR_DEPTH = 200
 
 _GRANULARITIES = {g.value: g for g in Granularity}
 _ACTION_KINDS = {k.value: k for k in ActionKind}
@@ -72,7 +61,7 @@ class _Builder:
     """Accumulates declarations across files; first declaration of an id wins."""
 
     def __init__(self) -> None:
-        self.nodes: dict[str, list] = {kind: [] for kind in BLOCK_KINDS}
+        self.nodes: dict[str, list] = {kind: [] for kind in NODE_TYPES}
         self.spans: dict[tuple[str, str], SourceSpan] = {}
         self.duplicates: list[tuple[str, str, SourceSpan]] = []
         self.declared: dict[str, tuple[str, SourceSpan]] = {}
@@ -84,10 +73,6 @@ class _Builder:
         self.declared[node_id] = (kind, span)
         self.nodes[kind].append(node)
         self.spans[(kind, node_id)] = span
-
-    def first_span(self, node_id: str) -> SourceSpan | None:
-        entry = self.declared.get(node_id)
-        return entry[1] if entry else None
 
     def build(self) -> Model:
         return Model(
@@ -161,7 +146,7 @@ class _Parser:
                 depth -= 1
                 if depth <= 0:
                     return
-            elif depth == 0 and tok.kind is TokenKind.IDENT and tok.text in BLOCK_KINDS:
+            elif depth == 0 and tok.kind is TokenKind.IDENT and tok.text in NODE_TYPES:
                 self.pos -= 1
                 return
 
@@ -190,7 +175,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind is TokenKind.IDENT and tok.text == "include":
                 self.parse_include()
-            elif tok.kind is TokenKind.IDENT and tok.text in BLOCK_KINDS:
+            elif tok.kind is TokenKind.IDENT and tok.text in NODE_TYPES:
                 self.parse_block(tok.text)
             elif (
                 tok.kind is TokenKind.IDENT
@@ -235,7 +220,6 @@ class _Parser:
             self.skip_block()
             return
         fields: dict[str, object] = {}
-        repeated: dict[str, list] = {"band": [], "step": []}
         seen: dict[str, SourceSpan] = {}
         while not self.at(TokenKind.RBRACE) and not self.at(TokenKind.EOF):
             name_tok = self.peek()
@@ -257,13 +241,11 @@ class _Parser:
             if duplicate or value is None:
                 continue
             if name in _REPEATABLE:
-                repeated[name].append(value)
+                fields.setdefault(name, []).append(value)
             else:
                 fields[name] = value
         self.expect(TokenKind.RBRACE, "'}'")
-        node = self.assemble(kind, id_tok.text, fields, repeated, id_tok.span)
-        if node is not None:
-            self.builder.add(kind, id_tok.text, node, id_tok.span)
+        self.builder.add(kind, id_tok.text, self.assemble(kind, id_tok.text, fields), id_tok.span)
 
     # -- field dispatch ----------------------------------------------------
 
@@ -582,44 +564,57 @@ class _Parser:
         return StrategyStep(text=text.text, spawns=spawns)
 
     def parse_value_expr(self) -> _expr.Expr | None:
-        return self.parse_expr_binary(0)
+        parsed = self.parse_expr_binary(0, 0, 0)
+        return parsed[0] if parsed else None
 
     _PRECEDENCE = {TokenKind.PLUS: 1, TokenKind.MINUS: 1, TokenKind.STAR: 2, TokenKind.SLASH: 2}
-    _OP_TEXT = {TokenKind.PLUS: "+", TokenKind.MINUS: "-", TokenKind.STAR: "*", TokenKind.SLASH: "/"}
 
-    def parse_expr_binary(self, min_prec: int) -> _expr.Expr | None:
-        left = self.parse_expr_unary()
-        if left is None:
+    # The expression parsers return (expression, depth), or None after a
+    # diagnostic. `above` counts the operators that will enclose the result
+    # and `parens` the open parentheses, so P008 stops the descent where a
+    # limit is crossed, long before Python's recursion limit.
+
+    def too_deep(self, tok: Token) -> None:
+        self.error("P008", f"metric function nests deeper than {MAX_EXPR_DEPTH} levels", tok.span)
+
+    def parse_expr_binary(self, min_prec: int, above: int, parens: int) -> tuple[_expr.Expr, int] | None:
+        parsed = self.parse_expr_unary(above, parens)
+        if parsed is None:
             return None
+        left, depth = parsed
         while True:
-            kind = self.peek().kind
-            prec = self._PRECEDENCE.get(kind)
+            op = self.peek()
+            prec = self._PRECEDENCE.get(op.kind)
             if prec is None or prec < min_prec:
-                return left
+                return left, depth
             self.advance()
-            right = self.parse_expr_binary(prec + 1)
+            right = self.parse_expr_binary(prec + 1, above + 1, parens)
             if right is None:
                 return None
-            left = _expr.BinOp(self._OP_TEXT[kind], left, right)
+            left, depth = _expr.BinOp(op.text, left, right[0]), 1 + max(depth, right[1])
+            if above + depth > MAX_EXPR_DEPTH:
+                return self.too_deep(op)
 
-    def parse_expr_unary(self) -> _expr.Expr | None:
+    def parse_expr_unary(self, above: int, parens: int) -> tuple[_expr.Expr, int] | None:
         tok = self.peek()
+        if above > MAX_EXPR_DEPTH:
+            return self.too_deep(tok)
         if tok.kind is TokenKind.MINUS:
             self.advance()
-            operand = self.parse_expr_unary()
-            return _expr.Neg(operand) if operand is not None else None
+            operand = self.parse_expr_unary(above + 1, parens)
+            return (_expr.Neg(operand[0]), operand[1] + 1) if operand else None
         if tok.kind is TokenKind.NUMBER:
             self.advance()
-            return _expr.Num(tok.value)
+            return _expr.Num(tok.value), 0
         if tok.kind is TokenKind.IDENT:
             self.advance()
-            return _expr.Var(tok.text)
+            return _expr.Var(tok.text), 0
         if tok.kind is TokenKind.LPAREN:
+            if parens == MAX_EXPR_DEPTH:
+                return self.too_deep(tok)
             self.advance()
-            inner = self.parse_expr_binary(0)
-            if inner is None:
-                return None
-            if self.expect(TokenKind.RPAREN, "')'") is None:
+            inner = self.parse_expr_binary(0, above, parens + 1)
+            if inner is None or self.expect(TokenKind.RPAREN, "')'") is None:
                 return None
             return inner
         shown = tok.text or tok.kind.value
@@ -628,80 +623,12 @@ class _Parser:
 
     # -- node assembly -----------------------------------------------------
 
-    def assemble(self, kind: str, node_id: str, fields: dict, repeated: dict, span: SourceSpan):
-        if kind == KIND_STAKEHOLDER:
-            return Stakeholder(
-                id=node_id, name=fields.get("name", ""), role=fields.get("role", "")
-            )
-        if kind == KIND_UNIVERSE:
-            return ScopeUniverse(id=node_id, facets=fields.get("facets", ()))
-        if kind == KIND_OBJECTIVE:
-            return BusinessObjective(
-                id=node_id,
-                object=fields.get("object", ""),
-                scope=fields.get("scope"),
-                purpose=fields.get("purpose", ""),
-                viewpoint=fields.get("viewpoint", ()),
-                context=fields.get("context", ""),
-                refines=fields.get("refines"),
-                depends_on=fields.get("depends_on", ()),
-                affects=fields.get("affects", ()),
-                priority=fields.get("priority"),
-                priority_justification=fields.get("priority_justification", ""),
-            )
-        if kind == KIND_STRATEGY:
-            return Strategy(
-                id=node_id,
-                for_objective=fields.get("for", ""),
-                steps=tuple(repeated["step"]),
-                justification=fields.get("justification", ""),
-            )
-        if kind == KIND_GOAL:
-            return MeasurementGoal(
-                id=node_id,
-                object=fields.get("object", ""),
-                purpose=fields.get("purpose", ""),
-                focus=fields.get("focus", ""),
-                scope=fields.get("scope", ""),
-                criteria=fields.get("criteria", ()),
-                viewpoint=fields.get("viewpoint", ()),
-                context=fields.get("context", ""),
-                measures=fields.get("measures", ()),
-                related=fields.get("related", ()),
-            )
-        if kind == KIND_QUESTION:
-            return MeasurementQuestion(
-                id=node_id,
-                goal=fields.get("goal", ""),
-                text=fields.get("text", ""),
-                status=fields.get("status", QuestionStatus.OPEN),
-            )
-        if kind == KIND_BASE:
-            return BaseMeasurementDef(
-                id=node_id,
-                description=fields.get("description", ""),
-                mode=fields.get("mode", SourceMode.DIRECT),
-                filters=fields.get("where", ()),
-                aggregation=fields.get("aggregation"),
-            )
-        if kind == KIND_METRIC:
-            return MetricDef(
-                id=node_id,
-                description=fields.get("description", ""),
-                goal=fields.get("goal", ""),
-                answers=fields.get("answers", ()),
-                uses=fields.get("uses", ()),
-                method=fields.get("method", ""),
-                function=fields.get("function"),
-                bands=tuple(repeated["band"]),
-                schedule=fields.get("schedule"),
-                stakeholders=fields.get("stakeholders", ()),
-                domain=fields.get("domain"),
-                created=fields.get("created"),
-                modified=fields.get("modified"),
-                reviewed=fields.get("reviewed"),
-            )
-        raise AssertionError(kind)
+    def assemble(self, kind: str, node_id: str, fields: dict):
+        values = {
+            _ATTRIBUTE_OF.get(name, name): tuple(value) if name in _REPEATABLE else value
+            for name, value in fields.items()
+        }
+        return NODE_TYPES[kind](id=node_id, **values)
 
 
 def parse(text: str, filename: str = "<string>") -> tuple[Model, list[Diagnostic]]:
@@ -724,7 +651,7 @@ def parse_expression(text: str) -> _expr.Expr:
     builder = _Builder()
     diags: list[Diagnostic] = []
     parser = _Parser(text, "<expression>", builder, diags, ())
-    result = parser.parse_expr_binary(0)
+    result = parser.parse_value_expr()
     if diags or result is None:
         message = diags[0].message if diags else "empty expression"
         raise ExpressionSyntaxError(message)

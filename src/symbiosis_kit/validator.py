@@ -23,6 +23,7 @@ from __future__ import annotations
 from . import expr as _expr
 from .diagnostics import Diagnostic, Severity, sort_key
 from .model import (
+    BusinessObjective,
     Interval,
     MetricDef,
     Model,
@@ -38,10 +39,10 @@ class _Checker:
         self.model = model
         self.out: list[Diagnostic] = []
 
-    def emit(self, code: str, severity: Severity, node_id: str | None, message: str, *, kind: str | None = None) -> None:
+    def emit(self, code: str, severity: Severity, node_id: str | None, message: str) -> None:
         span = None
         if node_id is not None:
-            owner_kind = kind or self.model.kind_of(node_id)
+            owner_kind = self.model.kind_of(node_id)
             if owner_kind is not None:
                 span = self.model.span_of(owner_kind, node_id)
         self.out.append(Diagnostic(code, severity, message, span, node_id))
@@ -259,8 +260,12 @@ class _Checker:
 
     def check_scope_coverage(self) -> None:
         model = self.model
-        for bo_id, bo in sorted(model.objectives.items()):
-            children = model.children_of(bo_id)
+        objectives = sorted(model.objectives.items())
+        children_of: dict[str, list[BusinessObjective]] = {}
+        for _, bo in objectives:
+            children_of.setdefault(bo.refines, []).append(bo)
+        for bo_id, bo in objectives:
+            children = children_of.get(bo_id)
             if not children or bo.scope is None:
                 continue
             universe = model.universes.get(bo.scope.universe)
@@ -293,9 +298,7 @@ class _Checker:
 
     def req(self, node_id: str, kind: str, field: str, ok: bool) -> None:
         if not ok:
-            self.emit(
-                "V010", _E, node_id, f"{kind} {node_id!r} is missing required field {field!r}", kind=kind
-            )
+            self.emit("V010", _E, node_id, f"{kind} {node_id!r} is missing required field {field!r}")
 
     def check_required_fields(self) -> None:
         model = self.model

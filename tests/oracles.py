@@ -1,17 +1,21 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here recomputes results from first principles (plain datetime
-arithmetic, exhaustive sweeps, fresh BFS over edges rebuilt from node fields)
-so a bug in the package cannot hide in its own oracle.
+arithmetic, exhaustive sweeps, fresh BFS over edges rebuilt from node fields,
+a character-at-a-time tokenizer) so a bug in the package cannot hide in its
+own oracle.
 """
 
 from __future__ import annotations
 
 import calendar
 import datetime as dt
+import re
 from collections import defaultdict
 from itertools import accumulate
 
+from symbiosis_kit.diagnostics import Diagnostic, Severity, SourceSpan
+from symbiosis_kit.lexer import Token, TokenKind, parse_number
 from symbiosis_kit.model import Aggregation, BaseMeasurementDef, Granularity, MetricDef, Model, SourceMode
 from symbiosis_kit.pipeline import DirectEntry, MeasurementRecord, RawEvent
 
@@ -247,3 +251,143 @@ def orphans_after_removal(model: Model, removed: str) -> set[str]:
         if not reached:
             orphans.add(node)
     return orphans
+
+
+# -- tokenizing one character at a time --------------------------------------------
+# The tokenizer the package had before it lexed with one compiled pattern, kept
+# as written. It differs on purpose in one case only: a backslash directly
+# before a newline inside a string escapes the newline here (and loses count
+# of the line), while the package ends the string at the newline.
+
+# Dots inside identifiers must be followed by an alphanumeric, so that
+# "org.*" lexes as IDENT(org) DOT STAR while "BO1.1" stays one identifier.
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*")
+_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}(?![0-9])")
+_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+
+_PUNCT = {
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    "[": TokenKind.LBRACK,
+    "]": TokenKind.RBRACK,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ":": TokenKind.COLON,
+    ",": TokenKind.COMMA,
+    ".": TokenKind.DOT,
+    "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
+    "+": TokenKind.PLUS,
+    "-": TokenKind.MINUS,
+    "=": TokenKind.EQUALS,
+}
+
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+
+
+def tokenize_by_characters(text: str, filename: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
+    """Total: any input yields a token list (ending in EOF) plus diagnostics."""
+    tokens: list[Token] = []
+    diags: list[Diagnostic] = []
+    pos = 0
+    line = 1
+    line_start = 0
+    n = len(text)
+
+    def span(start: int, length: int) -> SourceSpan:
+        return SourceSpan(filename, line, start - line_start + 1, max(length, 1))
+
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            pos += 1
+            line += 1
+            line_start = pos
+            continue
+        if ch in " \t\r":
+            pos += 1
+            continue
+        if ch == "#":
+            while pos < n and text[pos] != "\n":
+                pos += 1
+            continue
+        if ch == '"':
+            start = pos
+            pos += 1
+            out: list[str] = []
+            closed = False
+            while pos < n:
+                c = text[pos]
+                if c == '"':
+                    pos += 1
+                    closed = True
+                    break
+                if c == "\n":
+                    break
+                if c == "\\":
+                    if pos + 1 < n and text[pos + 1] in _ESCAPES:
+                        out.append(_ESCAPES[text[pos + 1]])
+                        pos += 2
+                        continue
+                    # Unknown escape: keep the next character literally.
+                    if pos + 1 < n:
+                        out.append(text[pos + 1])
+                        pos += 2
+                        continue
+                    pos += 1
+                    continue
+                out.append(c)
+                pos += 1
+            if not closed:
+                diags.append(
+                    Diagnostic(
+                        "P002",
+                        Severity.ERROR,
+                        "unterminated string literal",
+                        span(start, pos - start),
+                    )
+                )
+            tokens.append(Token(TokenKind.STRING, "".join(out), span(start, pos - start)))
+            continue
+        m = _DATE_RE.match(text, pos)
+        if m:
+            tokens.append(Token(TokenKind.DATE, m.group(), span(pos, len(m.group()))))
+            pos = m.end()
+            continue
+        m = _NUMBER_RE.match(text, pos)
+        if m:
+            tokens.append(
+                Token(
+                    TokenKind.NUMBER,
+                    m.group(),
+                    span(pos, len(m.group())),
+                    value=parse_number(m.group()),
+                )
+            )
+            pos = m.end()
+            continue
+        m = _IDENT_RE.match(text, pos)
+        if m:
+            tokens.append(Token(TokenKind.IDENT, m.group(), span(pos, len(m.group()))))
+            pos = m.end()
+            continue
+        if text.startswith("->", pos):
+            tokens.append(Token(TokenKind.ARROW, "->", span(pos, 2)))
+            pos += 2
+            continue
+        if ch in _PUNCT:
+            tokens.append(Token(_PUNCT[ch], ch, span(pos, 1)))
+            pos += 1
+            continue
+        diags.append(
+            Diagnostic(
+                "P001",
+                Severity.ERROR,
+                f"unexpected character {ch!r}",
+                span(pos, 1),
+            )
+        )
+        pos += 1
+
+    tokens.append(Token(TokenKind.EOF, "", SourceSpan(filename, line, n - line_start + 1, 1)))
+    return tokens, diags

@@ -338,6 +338,54 @@ def test_fmt_refuses_broken_files(tmp_path, capsys):
     assert "refusing" in err
 
 
+# -- deep metric functions ----------------------------------------------------------
+
+
+def _with_function(corpus, tmp_path, function: str) -> Path:
+    text = (corpus / "jpmorgan.sym").read_text(encoding="utf-8")
+    old = "function: (bm_completed / bm_took) * 100"
+    assert old in text
+    path = tmp_path / "deep.sym"
+    path.write_text(text.replace(old, "function: " + function), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "function",
+    ["(" * 5000 + "bm_completed" + ")" * 5000, "-" * 5000 + "bm_completed", " + ".join(["bm_completed"] * 2000)],
+    ids=["parentheses", "minuses", "flat-sum"],
+)
+def test_too_deep_function_is_p008_not_a_traceback(corpus, tmp_path, capsys, function):
+    path = _with_function(corpus, tmp_path, function)
+    assert cli.main(["check", str(path)]) == 1
+    out, _ = capsys.readouterr()
+    assert "P008" in out
+    assert cli.main(["fmt", str(path), "--out", str(tmp_path / "canon.sym")]) == 1
+    assert not (tmp_path / "canon.sym").exists()
+    logs = str(corpus / "logs" / "jpmorgan_2014-01.jsonl")
+    assert cli.main(["eval", str(path), "--measurements", logs, "--metric", "ME1", "--period", "2014-01"]) == 1
+
+
+def test_function_at_the_depth_limit_round_trips(corpus, tmp_path, capsys):
+    path = _with_function(corpus, tmp_path, " + ".join(["bm_completed"] * 201))
+    canon = tmp_path / "canon.sym"
+    assert cli.main(["check", str(path)]) == 0
+    assert cli.main(["fmt", str(path), "--out", str(canon)]) == 0
+    assert "(" * 200 + "bm_completed" in canon.read_text(encoding="utf-8")
+    assert cli.main(["check", str(canon)]) == 0
+    capsys.readouterr()
+    code = cli.main(
+        [
+            "eval", str(canon),
+            "--measurements", str(corpus / "logs" / "jpmorgan_2014-01.jsonl"),
+            "--metric", "ME1.1.1.1.1", "--period", "2014-01",
+        ]
+    )
+    assert code == 0
+    out, _ = capsys.readouterr()
+    assert "ME1.1.1.1.1 2014-01: FAILED" in out  # 201 x completed leaves the [0, 100] domain
+
+
 # -- top level --------------------------------------------------------------------
 
 

@@ -1,5 +1,9 @@
 """Tokenizer behavior, especially the dotted-identifier / punctuation split."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import tokenize_by_characters
 from symbiosis_kit.lexer import TokenKind, tokenize
 
 
@@ -115,3 +119,40 @@ def test_spans_are_one_based():
 def test_number_value_parsed():
     tokens, _ = tokenize("12.5")
     assert tokens[0].value == 12.5
+
+
+def test_string_ends_at_its_line_even_after_a_backslash():
+    text = 'stakeholder S {\n  name: "a\\\nb"\n  role: "x"\n}\n@\n'
+    tokens, diags = tokenize(text, "bs.sym")
+    assert [(d.code, d.span.line, d.span.col) for d in diags] == [
+        ("P002", 2, 9),
+        ("P002", 3, 2),
+        ("P001", 6, 1),
+    ]
+    assert tokens[5].text == "a"  # the lone backslash is dropped
+    role = next(t for t in tokens if t.text == "role")
+    assert (role.span.line, role.span.col) == (4, 3)
+
+
+# A lexically dense alphabet: every token class, both quote and escape
+# characters, digits, comment starts, CR/LF, non-ASCII letters and digits
+# (Arabic-Indic three), characters no token accepts, and fragments that sit
+# on the boundaries between classes (a date with one digit too many or too
+# few, dotted identifiers, numbers with dangling dots).
+_DENSE = (
+    st.lists(
+        st.sampled_from(
+            list('"\\0123456789.->#\r\n \tabZ_{}[]():,*/+=@é\u0663\x0b')
+            + ["2014-09-03", "2014-09-0", "12.5", "1.", "BO1.1", "org.*", "->", '\\"', "# c"]
+        ),
+        max_size=30,
+    )
+    .map("".join)
+    .filter(lambda text: "\\\n" not in text)
+)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_DENSE)
+def test_tokenize_matches_the_character_loop(text):
+    assert tokenize(text, "f.sym") == tokenize_by_characters(text, "f.sym")

@@ -1,10 +1,32 @@
 """Parser totality, recovery, and the P-series diagnostics."""
 
-import pytest
+import dataclasses
+import datetime as dt
 
-from symbiosis_kit.expr import BinOp, Num, Var
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symbiosis_kit.expr import BinOp, Neg, Num, Var
+from symbiosis_kit.model import (
+    Action,
+    ActionKind,
+    ActionTarget,
+    Aggregation,
+    Granularity,
+    InterpretationBand,
+    Interval,
+    NODE_TYPES,
+    QuestionStatus,
+    ReportingSchedule,
+    ScopeRef,
+    SourceMode,
+    StrategyStep,
+)
 from symbiosis_kit.parser import (
+    MAX_EXPR_DEPTH,
     ExpressionSyntaxError,
+    _Parser,
     parse,
     parse_expression,
     parse_file,
@@ -178,3 +200,112 @@ def test_variables_and_unary_minus():
 def test_expression_syntax_errors(bad):
     with pytest.raises(ExpressionSyntaxError):
         parse_expression(bad)
+
+
+def _sum(terms: int) -> str:
+    return " + ".join(["a"] * terms)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-" * MAX_EXPR_DEPTH + "a", "(" * MAX_EXPR_DEPTH + "a" + ")" * MAX_EXPR_DEPTH, _sum(MAX_EXPR_DEPTH + 1)],
+)
+def test_expressions_at_the_depth_limit_parse(text):
+    parse_expression(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-" * (MAX_EXPR_DEPTH + 1) + "a",
+        "(" * (MAX_EXPR_DEPTH + 1) + "a" + ")" * (MAX_EXPR_DEPTH + 1),
+        _sum(MAX_EXPR_DEPTH + 2),
+        "-" * 5000 + "a",
+        "(" * 5000 + "a" + ")" * 5000,
+        _sum(2000),
+    ],
+)
+def test_expressions_beyond_the_depth_limit_raise(text):
+    with pytest.raises(ExpressionSyntaxError, match="deeper than 200"):
+        parse_expression(text)
+
+
+def test_p008_is_reported_where_the_limit_is_crossed_and_drops_the_field():
+    flat = _sum(5000)
+    model, diags = parse(f'metric M {{\n  function: {flat}\n  method: "m"\n}}')
+    assert codes(diags) == ["P008"]
+    # The 201st '+' makes a sum of depth 201.
+    assert (diags[0].span.line, diags[0].span.col) == (2, 15 + 4 * MAX_EXPR_DEPTH)
+    assert model.metrics["M"].function is None
+    assert model.metrics["M"].method == "m"
+    _, diags = parse("metric M { function: " + "-(" * 300 + "a" + ")" * 300 + " }")
+    assert codes(diags) == ["P008"]
+
+
+def test_depth_counts_the_deepest_operand():
+    # A sum of n terms is n - 1 deep; the product is one deeper than its deeper side.
+    with pytest.raises(ExpressionSyntaxError):
+        parse_expression("(" + _sum(MAX_EXPR_DEPTH + 1) + ") * -a")
+    assert isinstance(parse_expression("(" + _sum(MAX_EXPR_DEPTH) + ") * -a").right, Neg)
+
+
+# One non-default value per schema value kind: (source text, parsed value).
+_SAMPLES = {
+    "str": ('"v"', "v"),
+    "ident": ("X1", "X1"),
+    "ident_list": ("X1, X2", ("X1", "X2")),
+    "str_list": ('"a", "b"', ("a", "b")),
+    "int": ("3", 3),
+    "date": ("2014-09-03", dt.date(2014, 9, 3)),
+    "status": ("answered", QuestionStatus.ANSWERED),
+    "mode": ("count", SourceMode.COUNT),
+    "aggregation": ("latest", Aggregation.LATEST),
+    "filters": ('kind = "x"', (("kind", "x"),)),
+    "scope": ('u.{a} "d"', ScopeRef("u", ("a",), "d")),
+    "schedule": ("monthly / quarterly", ReportingSchedule(Granularity.MONTHLY, Granularity.QUARTERLY)),
+    "expr": ("a + 1", BinOp("+", Var("a"), Num(1.0))),
+    "interval": ("[0, 5)", Interval(0.0, 5.0, True, False)),
+    "band": (
+        "[0, 5] -> ok { log s }",
+        (InterpretationBand(Interval(0.0, 5.0), "ok", (Action(ActionKind.LOG, ActionTarget("s")),)),),
+    ),
+    "step": ('"t" -> A', (StrategyStep("t", ("A",)),)),
+}
+
+
+@pytest.mark.parametrize("kind, field", sorted(_Parser._SCHEMA))
+def test_every_schema_field_reaches_its_attribute(kind, field):
+    source, expected = _SAMPLES[_Parser._SCHEMA[(kind, field)]]
+    model, diags = parse(f"{kind} N {{ {field}: {source} }}")
+    assert not diags
+    node = model.collection(kind)["N"]
+    default = NODE_TYPES[kind](id="N")
+    changed = [
+        getattr(node, f.name)
+        for f in dataclasses.fields(node)
+        if getattr(node, f.name) != getattr(default, f.name)
+    ]
+    assert changed == [expected]
+
+
+_PIECES = [
+    "(", ")", "-", "+", "*", "/", "a", "1", "2.5", ":", "{", "}", "[", "]", ",", "->", ".",
+    '"s"', '"', "\\", "#", "\n", "@", "metric", "objective", "strategy", "base", "function",
+    "band", "domain", "step", "where", "scope", "include", "M", "log", "owner_of", "=",
+]
+_NESTING = ["(", "-", "a + (", "- (", "a * -", "a + ", "a * (b - ", "((", ")"]
+
+
+@st.composite
+def _sym_texts(draw):
+    head = " ".join(draw(st.lists(st.sampled_from(_PIECES), max_size=30)))
+    nest = draw(st.sampled_from(_NESTING)) * draw(st.integers(0, 2000))
+    tail = " ".join(draw(st.lists(st.sampled_from(_PIECES), max_size=30)))
+    return f"{head} metric M {{ function: {nest} {tail}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=200), _sym_texts()))
+def test_parse_never_raises(text):
+    model, diags = parse(text)
+    assert all(d.code.startswith("P") for d in diags)
