@@ -39,6 +39,9 @@ from .model import (
     NODE_TYPES,
 )
 
+# Largest offset passed to _Parser.peek.
+_LOOKAHEAD = 2
+
 # Fields that may legitimately repeat within one block.
 _REPEATABLE = {"band", "step"}
 
@@ -103,15 +106,16 @@ class _Parser:
         self.diags = diags
         self.include_stack = include_stack
         tokens, lex_diags = tokenize(text, filename)
-        self.tokens = tokens
+        # The position never passes the EOF token, so _LOOKAHEAD more copies
+        # of it keep every peek in range.
+        self.tokens = tokens + [tokens[-1]] * _LOOKAHEAD
         self.diags.extend(lex_diags)
         self.pos = 0
 
     # -- token helpers -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -120,7 +124,7 @@ class _Parser:
         return tok
 
     def at(self, kind: TokenKind) -> bool:
-        return self.peek().kind is kind
+        return self.tokens[self.pos].kind is kind
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diags.append(Diagnostic(code, Severity.ERROR, message, span))
@@ -220,7 +224,7 @@ class _Parser:
             self.skip_block()
             return
         fields: dict[str, object] = {}
-        seen: dict[str, SourceSpan] = {}
+        seen: set[str] = set()
         while not self.at(TokenKind.RBRACE) and not self.at(TokenKind.EOF):
             name_tok = self.peek()
             if name_tok.kind is not TokenKind.IDENT:
@@ -236,7 +240,7 @@ class _Parser:
             duplicate = name in seen and name not in _REPEATABLE
             if duplicate:
                 self.error("P004", f"duplicate field {name!r} in {kind} block", name_tok.span)
-            seen.setdefault(name, name_tok.span)
+            seen.add(name)
             value = self.parse_field_value(kind, name, name_tok)
             if duplicate or value is None:
                 continue

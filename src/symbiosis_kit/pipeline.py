@@ -106,6 +106,28 @@ def _finite_number(value: object) -> float | None:
     return number if math.isfinite(number) else None
 
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+# One decoder for every line: json.loads builds a new one per call whenever
+# it is given a hook such as parse_constant.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode(line: str) -> object:
+    """json.loads(line, parse_constant=_reject_constant), errors included.
+
+    Nesting deeper than the decoder's recursion limit is a ValueError too.
+    """
+    if line.startswith("\ufeff"):  # checked by json.loads, not by the decoder
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    try:
+        return _DECODER.decode(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLog:
     records: list[MeasurementRecord] = []
     diags: list[Diagnostic] = []
@@ -114,10 +136,7 @@ def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLo
         if not stripped:
             continue
         try:
-            obj = json.loads(
-                stripped,
-                parse_constant=_reject_constant,
-            )
+            obj = _decode(stripped)
         except ValueError as exc:
             diags.append(_bad_line(filename, line_no, f"malformed log line: {exc}"))
             continue
@@ -187,10 +206,6 @@ def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLo
                 continue
             records.append(RawEvent(timestamp, tuple(sorted(fields.items())), line_no))
     return MeasurementLog(tuple(records), tuple(sorted(diags, key=sort_key)))
-
-
-def _reject_constant(name: str) -> float:
-    raise ValueError(f"non-finite number {name} is not allowed")
 
 
 def ingest(path: str, model: Model) -> MeasurementLog:

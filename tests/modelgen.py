@@ -241,6 +241,61 @@ def random_model(rng: random.Random, max_nodes: int = 30) -> Model:
     )
 
 
+def program_model(rng: random.Random, objectives: int = 511) -> Model:
+    """A measurement program of realistic size, for the lexer and parser.
+
+    Objectives `BO1`..`BO<n>` form a binary refines tree (BO<i> refines
+    BO<i // 2>); every leaf carries a goal, a question, two bases and a metric
+    whose texts, functions, bands and dates come from the generators above,
+    so the serialized program holds every kind of token at scale. References
+    resolve, but the validator still finds empty required texts and bands
+    that do not cover the domain.
+    """
+    universe = ScopeUniverse("org", ("a", "b", "c"))
+    stakeholder = Stakeholder("owner", _text(rng), _text(rng))
+    nodes: dict[str, dict] = {kind: {} for kind in ("objectives", "goals", "questions", "bases", "metrics")}
+    for i in range(1, objectives + 1):
+        bo_id = f"BO{i}"
+        nodes["objectives"][bo_id] = BusinessObjective(
+            id=bo_id,
+            object=_text(rng),
+            scope=ScopeRef("org", ("a", "b")[: rng.randint(1, 2)] if rng.random() < 0.5 else None),
+            purpose=_text(rng),
+            viewpoint=("owner",),
+            context=_text(rng),
+            refines=f"BO{i // 2}" if i > 1 else None,
+            priority=rng.randint(1, 5),
+            priority_justification=_text(rng, allow_empty=False),
+        )
+        if 2 * i <= objectives:
+            continue
+        mg, q, me, count, direct = f"MG{i}", f"Q{i}", f"ME{i}.1", f"bm_{i}_n", f"bm_{i}_v"
+        nodes["goals"][mg] = MeasurementGoal(
+            mg, _text(rng), _text(rng), _text(rng), _text(rng), (_text(rng),), ("owner",), _text(rng), (bo_id,)
+        )
+        nodes["questions"][q] = MeasurementQuestion(q, mg, _text(rng), rng.choice(list(QuestionStatus)))
+        nodes["bases"][count] = BaseMeasurementDef(count, _text(rng), SourceMode.COUNT, (("event", _text(rng)),))
+        nodes["bases"][direct] = BaseMeasurementDef(direct, _text(rng), SourceMode.DIRECT, (), Aggregation.SUM)
+        nodes["metrics"][me] = MetricDef(
+            id=me,
+            description=_text(rng),
+            goal=mg,
+            answers=(q,),
+            uses=(count, direct),
+            method=_text(rng),
+            function=_expr(rng, [count, direct], 3),
+            bands=tuple(
+                InterpretationBand(_interval(rng), f"b{k}", (Action(ActionKind.NOTIFY, ActionTarget(bo_id, True)),))
+                for k in range(rng.randint(1, 3))
+            ),
+            schedule=ReportingSchedule(Granularity.MONTHLY, Granularity.QUARTERLY),
+            stakeholders=("owner",),
+            domain=_interval(rng),
+            created=_date(rng),
+        )
+    return Model(stakeholders={"owner": stakeholder}, universes={"org": universe}, **nodes)
+
+
 # -- band sets for the partition property ----------------------------------
 # Endpoints live on a 1e-4 lattice inside the domain [0, 0.002]; in integer
 # micro-units (1e-6) that is multiples of 100 inside [0, 2000]. The micro-unit

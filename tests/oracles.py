@@ -255,15 +255,16 @@ def orphans_after_removal(model: Model, removed: str) -> set[str]:
 
 # -- tokenizing one character at a time --------------------------------------------
 # The tokenizer the package had before it lexed with one compiled pattern, kept
-# as written. It differs on purpose in one case only: a backslash directly
-# before a newline inside a string escapes the newline here (and loses count
-# of the line), while the package ends the string at the newline.
+# as written, except that it reads only ASCII digits and builds each token
+# through `_token`. It differs on purpose in one case only: a backslash
+# directly before a newline inside a string escapes the newline here (and
+# loses count of the line), while the package ends the string at the newline.
 
 # Dots inside identifiers must be followed by an alphanumeric, so that
 # "org.*" lexes as IDENT(org) DOT STAR while "BO1.1" stays one identifier.
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*")
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}(?![0-9])")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9])")
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 _PUNCT = {
     "{": TokenKind.LBRACE,
@@ -283,6 +284,11 @@ _PUNCT = {
 }
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+
+
+def _token(kind: TokenKind, text: str, span: SourceSpan, value: float | None = None) -> Token:
+    """A Token at a span: the lexer keeps locations as fields, not span objects."""
+    return Token(kind, text, span.file, span.line, span.col, span.length, value)
 
 
 def tokenize_by_characters(text: str, filename: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
@@ -347,17 +353,17 @@ def tokenize_by_characters(text: str, filename: str = "<string>") -> tuple[list[
                         span(start, pos - start),
                     )
                 )
-            tokens.append(Token(TokenKind.STRING, "".join(out), span(start, pos - start)))
+            tokens.append(_token(TokenKind.STRING, "".join(out), span(start, pos - start)))
             continue
         m = _DATE_RE.match(text, pos)
         if m:
-            tokens.append(Token(TokenKind.DATE, m.group(), span(pos, len(m.group()))))
+            tokens.append(_token(TokenKind.DATE, m.group(), span(pos, len(m.group()))))
             pos = m.end()
             continue
         m = _NUMBER_RE.match(text, pos)
         if m:
             tokens.append(
-                Token(
+                _token(
                     TokenKind.NUMBER,
                     m.group(),
                     span(pos, len(m.group())),
@@ -368,15 +374,15 @@ def tokenize_by_characters(text: str, filename: str = "<string>") -> tuple[list[
             continue
         m = _IDENT_RE.match(text, pos)
         if m:
-            tokens.append(Token(TokenKind.IDENT, m.group(), span(pos, len(m.group()))))
+            tokens.append(_token(TokenKind.IDENT, m.group(), span(pos, len(m.group()))))
             pos = m.end()
             continue
         if text.startswith("->", pos):
-            tokens.append(Token(TokenKind.ARROW, "->", span(pos, 2)))
+            tokens.append(_token(TokenKind.ARROW, "->", span(pos, 2)))
             pos += 2
             continue
         if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, span(pos, 1)))
+            tokens.append(_token(_PUNCT[ch], ch, span(pos, 1)))
             pos += 1
             continue
         diags.append(
@@ -389,5 +395,5 @@ def tokenize_by_characters(text: str, filename: str = "<string>") -> tuple[list[
         )
         pos += 1
 
-    tokens.append(Token(TokenKind.EOF, "", SourceSpan(filename, line, n - line_start + 1, 1)))
+    tokens.append(_token(TokenKind.EOF, "", SourceSpan(filename, line, n - line_start + 1, 1)))
     return tokens, diags

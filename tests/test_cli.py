@@ -59,6 +59,28 @@ def test_check_errors_exit_one(error_sym, capsys):
     assert "GHOST" in out
 
 
+@pytest.mark.parametrize(
+    "old, new, location, digit",
+    [
+        # an objective's priority: Arabic-Indic three, which `check` once read as 3
+        ("  depends_on: BO1.1\n", '  depends_on: BO1.1\n  priority: \u0663\n  priority_justification: "x"\n', "51:13", "\u0663"),
+        ("  created: 2014-01-15", "  created: \u0662\u0660\u0661\u0664-\u0660\u0661-\u0661\u0665", "208:12", "\u0662"),
+    ],
+    ids=["priority", "created"],
+)
+def test_non_ascii_digits_are_p001(corpus, tmp_path, capsys, old, new, location, digit):
+    text = (corpus / "jpmorgan.sym").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "digits.sym"
+    edited = text.replace(old, new, 1)
+    path.write_text(edited, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 1
+    out, _ = capsys.readouterr()
+    assert f"P001 error {path}:{location} - unexpected character {digit!r}\n" in out
+    assert cli.main(["fmt", str(path)]) == 1
+    assert path.read_text(encoding="utf-8") == edited
+
+
 def test_check_missing_file_is_usage_error(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "absent.sym")]) == 2
     _, err = capsys.readouterr()

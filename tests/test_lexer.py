@@ -1,10 +1,18 @@
 """Tokenizer behavior, especially the dotted-identifier / punctuation split."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import CORPUS_ROOT
+from modelgen import program_model
 from oracles import tokenize_by_characters
+from symbiosis_kit.diagnostics import SourceSpan
 from symbiosis_kit.lexer import TokenKind, tokenize
+from symbiosis_kit.parser import parse
+from symbiosis_kit.serializer import serialize
 
 
 def kinds(text: str) -> list[TokenKind]:
@@ -156,3 +164,88 @@ _DENSE = (
 @given(_DENSE)
 def test_tokenize_matches_the_character_loop(text):
     assert tokenize(text, "f.sym") == tokenize_by_characters(text, "f.sym")
+
+
+# -- ASCII digits only -------------------------------------------------------
+
+
+def test_non_ascii_digits_are_p001_not_numbers():
+    tokens, diags = tokenize("\u0663 1\u0663")  # Arabic-Indic three
+    assert [(t.kind, t.text) for t in tokens[:-1]] == [(TokenKind.NUMBER, "1")]
+    assert [(d.code, d.message, d.span.col) for d in diags] == [
+        ("P001", "unexpected character '\u0663'", 1),
+        ("P001", "unexpected character '\u0663'", 4),
+    ]
+
+
+def test_non_ascii_date_is_not_a_date():
+    tokens, diags = tokenize("\u0662\u0660\u0661\u0664-\u0660\u0669-\u0660\u0663")
+    assert [t.kind for t in tokens[:-1]] == [TokenKind.MINUS, TokenKind.MINUS]
+    assert [d.code for d in diags] == ["P001"] * 8
+
+
+# -- the character loop on real-sized inputs ----------------------------------
+
+
+def _fields(tokens):
+    return [(t.kind, t.text, t.value, t.span) for t in tokens]
+
+
+def _assert_same_as_character_loop(text: str, filename: str) -> None:
+    tokens, diags = tokenize(text, filename)
+    expected_tokens, expected_diags = tokenize_by_characters(text, filename)
+    assert _fields(tokens) == _fields(expected_tokens)
+    assert diags == expected_diags
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS_ROOT.glob("*.sym")), ids=lambda p: p.name)
+def test_tokenize_matches_the_character_loop_on_the_corpus(path):
+    _assert_same_as_character_loop(path.read_text(encoding="utf-8"), str(path))
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_tokenize_matches_the_character_loop_on_a_511_objective_program(eol):
+    text = serialize(program_model(random.Random(1))).replace("\n", eol)
+    assert len(text) > 250_000
+    _assert_same_as_character_loop(text, "program.sym")
+
+
+# -- spans built on demand ------------------------------------------------------
+# Expected spans are the ones the lexer produced when it built a SourceSpan for
+# every token. P002, P004 and P008 report a token's span; P001 is the lexer's.
+
+_SUM = " + ".join(["a"] * (2 + 200))  # the 201st '+' crosses the depth limit
+_LINES = ['metric M {', '  method: "m"', '  method: "n"', '  description: "open', "  @", "  function: " + _SUM, "}"]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_diagnostics_report_the_spans_of_their_tokens(eol):
+    _, diags = parse(eol.join(_LINES) + eol, "s.sym")
+    assert [(d.code, d.span) for d in diags] == [
+        ("P002", SourceSpan("s.sym", 4, 16, len('"open' + eol) - 1)),  # a CR belongs to the string
+        ("P001", SourceSpan("s.sym", 5, 3, 1)),
+        ("P004", SourceSpan("s.sym", 3, 3, 6)),
+        ("P008", SourceSpan("s.sym", 6, 815, 1)),
+    ]
+
+
+def test_diagnostics_on_one_crlf_line():
+    text = f'metric M {{ method: "m" method: "n" @ function: {_SUM} description: "open\r\n'
+    _, diags = parse(text, "s.sym")
+    assert [(d.code, d.span) for d in diags] == [
+        ("P001", SourceSpan("s.sym", 1, 36, 1)),
+        ("P002", SourceSpan("s.sym", 1, 867, 6)),
+        ("P004", SourceSpan("s.sym", 1, 24, 6)),
+        ("P008", SourceSpan("s.sym", 1, 850, 1)),
+        ("P001", SourceSpan("s.sym", 2, 1, 1)),  # expected '}' at the EOF token
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [("", 1, 1), ("a", 1, 2), ("a\r", 1, 3), ("a\r\n", 2, 1), ("a # c", 1, 6), ("\r\n\r\n  ", 3, 3), ("x\n# c\r\n", 3, 1)],
+)
+def test_eof_token_span(text, line, col):
+    eof = tokenize(text, "e.sym")[0][-1]
+    assert eof.kind is TokenKind.EOF
+    assert eof.span == SourceSpan("e.sym", line, col, 1)

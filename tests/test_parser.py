@@ -23,9 +23,11 @@ from symbiosis_kit.model import (
     SourceMode,
     StrategyStep,
 )
+from symbiosis_kit.lexer import TokenKind
 from symbiosis_kit.parser import (
     MAX_EXPR_DEPTH,
     ExpressionSyntaxError,
+    _Builder,
     _Parser,
     parse,
     parse_expression,
@@ -35,6 +37,14 @@ from symbiosis_kit.parser import (
 
 def codes(diags):
     return [d.code for d in diags]
+
+
+def test_lookahead_at_and_past_the_end_reads_eof():
+    parser = _Parser("a", "<string>", _Builder(), [], ())
+    assert [parser.peek(k).kind for k in range(3)] == [TokenKind.IDENT, TokenKind.EOF, TokenKind.EOF]
+    parser.advance()
+    assert parser.advance().kind is TokenKind.EOF  # the position stays on EOF
+    assert [parser.peek(k).kind for k in range(3)] == [TokenKind.EOF] * 3
 
 
 def test_full_block_parse():

@@ -106,6 +106,13 @@ def test_good_lines_produce_records(model):
     "line, code, fragment",
     [
         ("not json at all", "I001", "malformed log line"),
+        # json.loads' own words for a byte order mark, which its decoder alone lacks
+        (
+            "\ufeff" + dline("2014-01-05", "tot", 1),
+            "I001",
+            "malformed log line: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        ("[" * 100_000 + "]" * 100_000, "I001", "malformed log line: JSON nested too deeply"),
         ("[1, 2]", "I001", "not a JSON object"),
         ('{"timestamp": "2014-01-05", "base": "tot", "value": true}', "I001", "finite number"),
         ('{"timestamp": "2014-01-05", "base": "tot", "value": "9"}', "I001", "finite number"),
