@@ -61,7 +61,7 @@ def _load_model(path: str, io: _Io) -> tuple[Model | None, list[Diagnostic], int
 
     try:
         model, diags = parse_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         io.note(f"error: cannot read {path!r}: {exc}")
         return None, [], EXIT_USAGE
     diags = diags + validate(model)
@@ -137,7 +137,7 @@ def _cmd_graph(args: argparse.Namespace, io: _Io) -> int:
 def _ingest(paths: list[str], model: Model, io: _Io) -> tuple[pipeline.MeasurementLog | None, int]:
     try:
         log = pipeline.ingest_many(paths, model)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         io.note(f"error: cannot read measurements: {exc}")
         return None, EXIT_USAGE
     if log.diagnostics:

@@ -9,7 +9,6 @@ violations instead of constructors raising.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -17,8 +16,6 @@ from functools import cached_property
 
 from . import expr as _expr
 from .diagnostics import SourceSpan
-
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 KIND_STAKEHOLDER = "stakeholder"
 KIND_UNIVERSE = "universe"
@@ -28,9 +25,6 @@ KIND_GOAL = "goal"
 KIND_QUESTION = "question"
 KIND_BASE = "base"
 KIND_METRIC = "metric"
-
-def is_valid_identifier(text: str) -> bool:
-    return bool(IDENTIFIER_RE.fullmatch(text))
 
 
 class Granularity(Enum):
@@ -82,10 +76,6 @@ class ScopeRef:
     universe: str
     selection: tuple[str, ...] | None = None  # None means ALL
     description: str | None = None
-
-    @property
-    def is_all(self) -> bool:
-        return self.selection is None
 
     def selected_facets(self, universe: ScopeUniverse) -> tuple[str, ...]:
         if self.selection is None:

@@ -208,8 +208,9 @@ class _Parser:
             return
         try:
             text = Path(target).read_text(encoding="utf-8")
-        except OSError as exc:
-            self.error("P007", f"cannot read include {target!r}: {exc.strerror or exc}", path_tok.span)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            self.error("P007", f"cannot read include {target!r}: {reason}", path_tok.span)
             return
         sub = _Parser(text, target, self.builder, self.diags, self.include_stack + (key,))
         sub.parse_model()

@@ -8,12 +8,16 @@ Logs are JSON Lines. Two record shapes:
 The first feeds DIRECT base measurements, the second raw events counted by
 COUNT bases. Bad lines become I-diagnostics; good lines still flow.
 
-Cost model: each log is read once at ingest. The first aggregation over a
-log builds its MeasurementStore in one pass over the records, and each
-COUNT filter set is matched once against each distinct set of event
-fields. After that a COUNT binding for any period or density sub-period
-costs two bisects, O(log n) in the log's distinct dates, and a DIRECT
-binding costs time proportional to the base's entries inside the period.
+Cost model: each log is read once at ingest. A line in one of the two
+shapes exactly as json.dumps writes them costs one regex match; its date is
+parsed once per distinct date string and its fields decoded once per
+distinct text, so records share date and field-set objects. Every other
+line is decoded in full. The first aggregation over a log builds its
+MeasurementStore in one pass over the records, and each COUNT filter set
+is matched once against each distinct set of event fields. After that a
+COUNT binding for any period or density sub-period costs two bisects,
+O(log n) in the log's distinct dates, and a DIRECT binding costs time
+proportional to the base's entries inside the period.
 """
 
 from __future__ import annotations
@@ -21,17 +25,17 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from operator import itemgetter
 
 from . import evaluator, periods
 from .diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from .evaluator import EvaluationError, SumOverflow
-from .expr import to_text
 from .graph import TraceabilityGraph, objective_ancestors_ordered
 from .model import (
     ActionKind,
@@ -89,9 +93,16 @@ def _bad_line(filename: str, line_no: int, message: str, code: str = "I001") -> 
     return Diagnostic(code, _E, message, span, None)
 
 
+# A log date is exactly YYYY-MM-DD in ASCII digits: date.fromisoformat alone
+# also takes "20140903" and "2014W363" on Python 3.11 but not on 3.10.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _parse_timestamp(text: object) -> dt.date:
     if not isinstance(text, str):
         raise ValueError(f"timestamp must be a string, got {type(text).__name__}")
+    if not _DATE_RE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
     return dt.date.fromisoformat(text)
 
 
@@ -104,6 +115,15 @@ def _finite_number(value: object) -> float | None:
     except OverflowError:  # an integer beyond the float range
         return None
     return number if math.isfinite(number) else None
+
+
+def _field_set(fields: object) -> tuple[tuple[str, str], ...] | None:
+    """The sorted items of a JSON object mapping strings to strings, else None."""
+    if not isinstance(fields, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in fields.items()
+    ):
+        return None
+    return tuple(sorted(fields.items()))
 
 
 def _reject_constant(name: str) -> float:
@@ -128,89 +148,133 @@ def _decode(line: str) -> object:
         raise ValueError("JSON nested too deeply") from None
 
 
+def _decode_line(line: str, filename: str, line_no: int, model: Model) -> MeasurementRecord | Diagnostic:
+    """One stripped, non-blank log line decoded in full: its record or its I-diagnostic."""
+    try:
+        obj = _decode(line)
+    except ValueError as exc:
+        return _bad_line(filename, line_no, f"malformed log line: {exc}")
+    if not isinstance(obj, dict):
+        return _bad_line(filename, line_no, "malformed log line: not a JSON object")
+
+    try:
+        timestamp = _parse_timestamp(obj.get("timestamp"))
+    except ValueError as exc:
+        return _bad_line(filename, line_no, f"invalid date: {exc}", code="I003")
+
+    has_base = "base" in obj
+    if has_base == ("fields" in obj):
+        return _bad_line(filename, line_no, "malformed log line: need exactly one of 'base' or 'fields'")
+
+    if not has_base:
+        fields = _field_set(obj["fields"])
+        if fields is None:
+            return _bad_line(filename, line_no, "malformed log line: 'fields' must map strings to strings")
+        return RawEvent(timestamp, fields, line_no)
+
+    base_id = obj["base"]
+    if not isinstance(base_id, str):
+        return _bad_line(filename, line_no, "malformed log line: 'base' must be a string")
+    number = _finite_number(obj.get("value"))
+    if number is None:
+        return _bad_line(filename, line_no, "malformed log line: 'value' must be a finite number")
+    base_def = model.bases.get(base_id)
+    if base_def is None:
+        return _bad_line(filename, line_no, f"unknown base measurement {base_id!r}", code="I002")
+    if base_def.mode is not SourceMode.DIRECT:
+        return _bad_line(
+            filename,
+            line_no,
+            f"base measurement {base_id!r} is not DIRECT mode and cannot take reported values",
+            code="I002",
+        )
+    return DirectEntry(timestamp, base_id, number, line_no)
+
+
+# The two record shapes exactly as json.dumps writes them, with a base name
+# free of escapes and control characters. Groups: date, base, number, the
+# number's fraction and exponent (empty for an integer), fields object.
+_SHAPES = re.compile(
+    r'\{"timestamp": "([0-9]{4}-[0-9]{2}-[0-9]{2})", '
+    r'(?:"base": "([^"\\\x00-\x1f]*)", '
+    r'"value": (-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
+    r'|"fields": (\{.*\}))\}'
+)
+
+
+def _date_or_none(text: str) -> dt.date | None:
+    try:
+        return _parse_timestamp(text)
+    except ValueError:
+        return None
+
+
+def _decoded_field_set(text: str) -> tuple[tuple[str, str], ...] | None:
+    try:
+        return _field_set(_decode(text))
+    except ValueError:
+        return None
+
+
+def _json_number(text: str, fraction_or_exponent: str) -> float | None:
+    """What the decoder and `_finite_number` make of the JSON number `text`.
+
+    Integer text goes through int() as in the decoder, so "-0" is 0.0.
+    """
+    try:
+        return _finite_number(float(text) if fraction_or_exponent else int(text))
+    except ValueError:  # an integer with more digits than int() converts
+        return None
+
+
 def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLog:
+    """Records and I-diagnostics of one log's lines.
+
+    A line in one of the two shapes json.dumps writes takes the fast path:
+    one regex match, a date parsed once per distinct date string, and a
+    `fields` object decoded once per distinct text. Every other line, and
+    a fast-path line that fails a check, is decoded in full by
+    `_decode_line`, which gives each bad line its diagnostic.
+    """
     records: list[MeasurementRecord] = []
     diags: list[Diagnostic] = []
+    dates = cache(_date_or_none)
+    field_sets = cache(_decoded_field_set)
+    direct_bases = {base_id for base_id, base in model.bases.items() if base.mode is SourceMode.DIRECT}
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        try:
-            obj = _decode(stripped)
-        except ValueError as exc:
-            diags.append(_bad_line(filename, line_no, f"malformed log line: {exc}"))
-            continue
-        if not isinstance(obj, dict):
-            diags.append(_bad_line(filename, line_no, "malformed log line: not a JSON object"))
-            continue
-
-        try:
-            timestamp = _parse_timestamp(obj.get("timestamp"))
-        except ValueError as exc:
-            diags.append(_bad_line(filename, line_no, f"invalid date: {exc}", code="I003"))
-            continue
-
-        has_base = "base" in obj
-        has_fields = "fields" in obj
-        if has_base == has_fields:
-            diags.append(
-                _bad_line(
-                    filename,
-                    line_no,
-                    "malformed log line: need exactly one of 'base' or 'fields'",
-                )
-            )
-            continue
-
-        if has_base:
-            base_id = obj["base"]
-            value = obj.get("value")
-            if not isinstance(base_id, str):
-                diags.append(_bad_line(filename, line_no, "malformed log line: 'base' must be a string"))
-                continue
-            number = _finite_number(value)
-            if number is None:
-                diags.append(
-                    _bad_line(filename, line_no, "malformed log line: 'value' must be a finite number")
-                )
-                continue
-            base_def = model.bases.get(base_id)
-            if base_def is None:
-                diags.append(
-                    _bad_line(filename, line_no, f"unknown base measurement {base_id!r}", code="I002")
-                )
-                continue
-            if base_def.mode is not SourceMode.DIRECT:
-                diags.append(
-                    _bad_line(
-                        filename,
-                        line_no,
-                        f"base measurement {base_id!r} is not DIRECT mode and cannot take reported values",
-                        code="I002",
-                    )
-                )
-                continue
-            records.append(DirectEntry(timestamp, base_id, number, line_no))
+        shape = _SHAPES.fullmatch(stripped)
+        if shape is not None and (timestamp := dates(shape[1])) is not None:
+            _, base_id, number, fraction, fields_text = shape.groups()
+            if fields_text is not None:
+                fields = field_sets(fields_text)
+                if fields is not None:
+                    records.append(RawEvent(timestamp, fields, line_no))
+                    continue
+            elif base_id in direct_bases:
+                value = _json_number(number, fraction)
+                if value is not None:
+                    records.append(DirectEntry(timestamp, base_id, value, line_no))
+                    continue
+        record = _decode_line(stripped, filename, line_no, model)
+        if isinstance(record, Diagnostic):
+            diags.append(record)
         else:
-            fields = obj["fields"]
-            if not isinstance(fields, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in fields.items()
-            ):
-                diags.append(
-                    _bad_line(
-                        filename,
-                        line_no,
-                        "malformed log line: 'fields' must map strings to strings",
-                    )
-                )
-                continue
-            records.append(RawEvent(timestamp, tuple(sorted(fields.items())), line_no))
+            records.append(record)
     return MeasurementLog(tuple(records), tuple(sorted(diags, key=sort_key)))
 
 
 def ingest(path: str, model: Model) -> MeasurementLog:
+    """Ingest one UTF-8 log file; raises OSError or UnicodeDecodeError when unreadable."""
     with open(path, encoding="utf-8") as handle:
-        return ingest_lines(handle.read().splitlines(), path, model)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            exc.reason += f" in {path}"  # ingest_many reads many files: name the bad one
+            raise
+    return ingest_lines(text.splitlines(), path, model)
 
 
 def ingest_many(paths: list[str], model: Model) -> MeasurementLog:
@@ -543,7 +607,3 @@ def route_result(result: EvaluationResult, model: Model) -> list[ActionDirective
             ),
         )
     ]
-
-
-def function_text(metric: MetricDef) -> str:
-    return to_text(metric.function) if metric.function is not None else ""

@@ -2,22 +2,24 @@
 
 Everything here recomputes results from first principles (plain datetime
 arithmetic, exhaustive sweeps, fresh BFS over edges rebuilt from node fields,
-a character-at-a-time tokenizer) so a bug in the package cannot hide in its
-own oracle.
+a character-at-a-time tokenizer, an ingest that decodes every log line in
+full) so a bug in the package cannot hide in its own oracle.
 """
 
 from __future__ import annotations
 
 import calendar
 import datetime as dt
+import json
+import math
 import re
 from collections import defaultdict
 from itertools import accumulate
 
-from symbiosis_kit.diagnostics import Diagnostic, Severity, SourceSpan
+from symbiosis_kit.diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from symbiosis_kit.lexer import Token, TokenKind, parse_number
 from symbiosis_kit.model import Aggregation, BaseMeasurementDef, Granularity, MetricDef, Model, SourceMode
-from symbiosis_kit.pipeline import DirectEntry, MeasurementRecord, RawEvent
+from symbiosis_kit.pipeline import DirectEntry, MeasurementLog, MeasurementRecord, RawEvent
 
 # -- band coverage sweep --------------------------------------------------------
 # Works in integer micro-units (1 unit == 1e-6 of the metric's value scale) so
@@ -397,3 +399,130 @@ def tokenize_by_characters(text: str, filename: str = "<string>") -> tuple[list[
 
     tokens.append(_token(TokenKind.EOF, "", SourceSpan(filename, line, n - line_start + 1, 1)))
     return tokens, diags
+
+
+# -- ingest by decoding every line ----------------------------------------------
+# The ingest the package had before it matched the usual line shapes with one
+# pattern: every line is decoded in full by json's decoder. Kept as written,
+# except that a timestamp must be exactly YYYY-MM-DD in ASCII digits.
+
+_TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _bad_line(filename: str, line_no: int, message: str, code: str = "I001") -> Diagnostic:
+    span = SourceSpan(filename, line_no, 1)
+    return Diagnostic(code, Severity.ERROR, message, span, None)
+
+
+def _parse_timestamp(text: object) -> dt.date:
+    if not isinstance(text, str):
+        raise ValueError(f"timestamp must be a string, got {type(text).__name__}")
+    if not _TIMESTAMP_RE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
+def _finite_number(value: object) -> float | None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode(line: str) -> object:
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    try:
+        return _DECODER.decode(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> MeasurementLog:
+    records: list[MeasurementRecord] = []
+    diags: list[Diagnostic] = []
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            obj = _decode(stripped)
+        except ValueError as exc:
+            diags.append(_bad_line(filename, line_no, f"malformed log line: {exc}"))
+            continue
+        if not isinstance(obj, dict):
+            diags.append(_bad_line(filename, line_no, "malformed log line: not a JSON object"))
+            continue
+
+        try:
+            timestamp = _parse_timestamp(obj.get("timestamp"))
+        except ValueError as exc:
+            diags.append(_bad_line(filename, line_no, f"invalid date: {exc}", code="I003"))
+            continue
+
+        has_base = "base" in obj
+        has_fields = "fields" in obj
+        if has_base == has_fields:
+            diags.append(
+                _bad_line(
+                    filename,
+                    line_no,
+                    "malformed log line: need exactly one of 'base' or 'fields'",
+                )
+            )
+            continue
+
+        if has_base:
+            base_id = obj["base"]
+            value = obj.get("value")
+            if not isinstance(base_id, str):
+                diags.append(_bad_line(filename, line_no, "malformed log line: 'base' must be a string"))
+                continue
+            number = _finite_number(value)
+            if number is None:
+                diags.append(
+                    _bad_line(filename, line_no, "malformed log line: 'value' must be a finite number")
+                )
+                continue
+            base_def = model.bases.get(base_id)
+            if base_def is None:
+                diags.append(
+                    _bad_line(filename, line_no, f"unknown base measurement {base_id!r}", code="I002")
+                )
+                continue
+            if base_def.mode is not SourceMode.DIRECT:
+                diags.append(
+                    _bad_line(
+                        filename,
+                        line_no,
+                        f"base measurement {base_id!r} is not DIRECT mode and cannot take reported values",
+                        code="I002",
+                    )
+                )
+                continue
+            records.append(DirectEntry(timestamp, base_id, number, line_no))
+        else:
+            fields = obj["fields"]
+            if not isinstance(fields, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in fields.items()
+            ):
+                diags.append(
+                    _bad_line(
+                        filename,
+                        line_no,
+                        "malformed log line: 'fields' must map strings to strings",
+                    )
+                )
+                continue
+            records.append(RawEvent(timestamp, tuple(sorted(fields.items())), line_no))
+    return MeasurementLog(tuple(records), tuple(sorted(diags, key=sort_key)))

@@ -87,6 +87,16 @@ def test_check_missing_file_is_usage_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_check_of_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.sym"
+    path.write_bytes(b'stakeholder S { name: "\xff" }')
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
 def test_check_json_format(corpus, capsys):
     assert cli.main(["check", "--format", "json", str(corpus / "heartland_broken.sym")]) == 0
     out, _ = capsys.readouterr()
@@ -245,6 +255,19 @@ def test_eval_rejects_a_value_beyond_the_float_range(corpus, tmp_path, capsys, f
         assert overflowed["value"] is None
     else:
         assert overflowed[0] == f"ME1.1.1.1.6 2014-01: FAILED ({message})"
+
+
+def test_eval_of_a_log_that_is_not_utf8_is_usage_error(corpus, tmp_path, capsys):
+    log = tmp_path / "utf16.jsonl"
+    log.write_bytes(b"\xff\xfe" + '{"timestamp": "2014-01-05"}'.encode("utf-16-le"))
+    clean = corpus / "logs" / "jpmorgan_2014-01.jsonl"
+    argv = ["--measurements", str(clean), str(log), "--metric", "all", "--period", "2014-01"]
+    assert cli.main(["eval", str(corpus / "jpmorgan.sym"), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: cannot read measurements: 'utf-8' codec can't decode byte 0xff")
+    assert err.rstrip("\n").endswith(f" in {log}")
+    assert "Traceback" not in err
 
 
 def test_eval_unknown_metric(corpus, capsys):

@@ -175,6 +175,17 @@ def test_unreadable_include_is_p007(tmp_path):
     assert "BO1" in model.objectives  # parse continues
 
 
+def test_include_that_is_not_utf8_is_p007_at_its_path(tmp_path):
+    (tmp_path / "latin1.sym").write_bytes(b'stakeholder S { name: "\xff" }')
+    a = tmp_path / "a.sym"
+    a.write_text('include "latin1.sym"\nobjective BO1 { }', encoding="utf-8")
+    model, diags = parse_file(str(a))
+    assert codes(diags) == ["P007"]
+    assert (diags[0].span.line, diags[0].span.col) == (1, 9)
+    assert "can't decode byte 0xff" in diags[0].message
+    assert "BO1" in model.objectives
+
+
 def test_diagnostics_carry_position():
     _, diags = parse('objective BO1 {\n    object: "a"\n    object: "b"\n}')
     d = diags[0]

@@ -126,6 +126,10 @@ def test_good_lines_produce_records(model):
         ('{"timestamp": "2014-01-05", "fields": {"a": 1}}', "I001", "strings to strings"),
         ('{"base": "tot", "value": 1}', "I003", "invalid date"),
         (dline("2014-13-01", "tot", 1), "I003", "invalid date"),
+        # forms date.fromisoformat takes on Python 3.11 but not on 3.10
+        (dline("20140903", "tot", 1), "I003", "invalid date: Invalid isoformat string: '20140903'"),
+        (dline("2014W363", "tot", 1), "I003", "invalid date: Invalid isoformat string: '2014W363'"),
+        (dline("\u0662\u0660\u0661\u0664-\u0660\u0669-\u0660\u0663", "tot", 1), "I003", "invalid date"),
         (dline("2014-01-05", "nope", 1), "I002", "unknown base"),
         (dline("2014-01-05", "ev", 1), "I002", "not DIRECT mode"),
     ],
