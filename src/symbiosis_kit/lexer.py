@@ -2,25 +2,31 @@
 
 One pass of one compiled pattern, one match per token. Each match first
 consumes the blanks before its token: spaces, tabs, carriage returns,
-newlines (counted for source locations) and `#` comments. Then the first
-of these token classes that matches wins:
+newlines and `#` comments. Then the first of these token classes that
+matches wins (the most frequent come first):
 
-1. string: `"` up to the closing `"` or the end of the line (P002 if open)
-2. date `YYYY-MM-DD` of ASCII digits (not followed by a further digit)
-3. number `123` or `12.5`, ASCII digits only
-4. identifier, with dots that are followed by a letter, digit or underscore
-5. `->`
-6. one punctuation character
+1. identifier, with dots that are followed by a letter, digit or underscore
+2. `->`
+3. one punctuation character
+4. string: `"` up to the closing `"` or the end of the line (P002 if open)
+5. date `YYYY-MM-DD` of ASCII digits (not followed by a further digit)
+6. number `123` or `12.5`, ASCII digits only
 7. any other character (P001, skipped)
 8. the end of the input, after the last blanks (becomes the EOF token)
 
-A token carries its location as plain fields; its `span` is built only
-when something asks for it, which is a diagnostic or a declaration.
+Blanks are skipped without counting lines. A token holds its file's
+`Source` and its character offset; its `span` (line and column) is built
+only when something asks for it, which is a diagnostic or a declaration.
+The `Source` then bisects a table of line-start offsets that it extends
+only as far as the furthest offset asked for, so a file whose spans are
+never asked for is never scanned for newlines.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
 from enum import Enum
 from typing import NamedTuple
 
@@ -50,22 +56,49 @@ class TokenKind(Enum):
     EOF = "end of input"
 
 
+_NEWLINE_RE = re.compile("\n")
+
+
+class Source:
+    """One file's name and text, which maps character offsets to spans.
+
+    The line of an offset is found by bisecting the offsets at which lines
+    start. That table is filled in by scanning the text for newlines only
+    as far as the furthest offset asked for, 8 bytes per line.
+    """
+
+    __slots__ = ("name", "text", "_line_starts", "_scanned")
+
+    def __init__(self, name: str, text: str) -> None:
+        self.name = name
+        self.text = text
+        self._line_starts = array("q", [0])
+        self._scanned = 0  # every newline before this offset is in the table
+
+    def span(self, offset: int, length: int) -> SourceSpan:
+        starts = self._line_starts
+        if offset > self._scanned:
+            starts.extend(m.end() for m in _NEWLINE_RE.finditer(self.text, self._scanned, offset))
+            self._scanned = offset
+        line = bisect_right(starts, offset)
+        return SourceSpan(self.name, line, offset - starts[line - 1] + 1, length)
+
+
 class Token(NamedTuple):
     kind: TokenKind
     text: str
-    file: str
-    line: int  # 1-based
-    col: int  # 1-based
+    source: Source
+    offset: int  # characters from the start of the source
     length: int  # characters of source the token covers
     value: float | None = None  # NUMBER only
 
     @property
     def span(self) -> SourceSpan:
-        return SourceSpan(self.file, self.line, self.col, self.length)
+        return self.source.span(self.offset, self.length)
 
 
 _PUNCT = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
-_KIND_OF_GROUP = {"date": TokenKind.DATE, "ident": TokenKind.IDENT, "arrow": TokenKind.ARROW}
+_KIND_OF_GROUP = {"date": TokenKind.DATE, "arrow": TokenKind.ARROW}
 
 # Dots inside identifiers must be followed by an alphanumeric, so that
 # "org.*" lexes as IDENT(org) DOT STAR while "BO1.1" stays one identifier.
@@ -76,12 +109,12 @@ _TOKEN_RE = re.compile(
     r"""
     [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
     (?:
-      (?P<string>"(?P<body>[^"\\\n]*(?:\\.[^"\\\n]*)*)(?:(?P<closed>")|\\?))
-    | (?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9]))
-    | (?P<number>[0-9]+(?:\.[0-9]+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)
+      (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)
     | (?P<arrow>->)
     | (?P<punct>[""" + re.escape("".join(_PUNCT)) + r"""])
+    | (?P<string>"(?P<body>[^"\\\n]*(?:\\.[^"\\\n]*)*)(?:(?P<closed>")|\\?))
+    | (?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9]))
+    | (?P<number>[0-9]+(?:\.[0-9]+)?)
     | (?P<other>.)
     | (?P<end>)\Z
     )
@@ -108,40 +141,43 @@ def parse_number(text: str) -> float:
 
 def tokenize(text: str, filename: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
     """Total: any input yields a token list (ending in EOF) plus diagnostics."""
+    source = Source(filename, text)
     tokens: list[Token] = []
     append = tokens.append
     diags: list[Diagnostic] = []
-    line = 1
-    line_start = 0
+    # Identifiers repeat (field names, ids and references to them), so the
+    # tokens of one file share one string per name. The table is local:
+    # sys.intern would grow the interpreter's own table, whose resizes were
+    # seen to raise a long-running process's peak RSS by 1 MB.
+    names: dict[str, str] = {}
+    # A member read through its Enum class costs several times a local read.
+    ident, string, number = TokenKind.IDENT, TokenKind.STRING, TokenKind.NUMBER
     for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
         start, end = m.span(group)
-        blanks = m.start()
-        newlines = text.count("\n", blanks, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", blanks, start) + 1
-        col = start - line_start + 1
-        if group in _KIND_OF_GROUP:
-            append(_new(Token, (_KIND_OF_GROUP[group], text[start:end], filename, line, col, end - start, None)))
+        if group == "ident":
+            name = text[start:end]
+            append(_new(Token, (ident, names.setdefault(name, name), source, start, end - start, None)))
         elif group == "punct":
             lexeme = text[start]
-            append(_new(Token, (_PUNCT[lexeme], lexeme, filename, line, col, 1, None)))
+            append(_new(Token, (_PUNCT[lexeme], lexeme, source, start, 1, None)))
         elif group == "string":
             body = m["body"]
             if "\\" in body:
                 body = _ESCAPE_RE.sub(_unescape, body)
-            token = _new(Token, (TokenKind.STRING, body, filename, line, col, end - start, None))
+            token = _new(Token, (string, body, source, start, end - start, None))
             if m["closed"] is None:
                 diags.append(Diagnostic("P002", Severity.ERROR, "unterminated string literal", token.span))
             append(token)
         elif group == "number":
             lexeme = text[start:end]
-            append(_new(Token, (TokenKind.NUMBER, lexeme, filename, line, col, end - start, parse_number(lexeme))))
+            append(_new(Token, (number, lexeme, source, start, end - start, parse_number(lexeme))))
+        elif group in _KIND_OF_GROUP:
+            append(_new(Token, (_KIND_OF_GROUP[group], text[start:end], source, start, end - start, None)))
         elif group == "other":
-            span = SourceSpan(filename, line, col, 1)
-            diags.append(Diagnostic("P001", Severity.ERROR, f"unexpected character {text[start]!r}", span))
+            message = f"unexpected character {text[start]!r}"
+            diags.append(Diagnostic("P001", Severity.ERROR, message, source.span(start, 1)))
         else:
-            append(Token(TokenKind.EOF, "", filename, line, col, 1))
+            append(_new(Token, (TokenKind.EOF, "", source, start, 1, None)))
             break
     return tokens, diags

@@ -39,8 +39,32 @@ from .model import (
     NODE_TYPES,
 )
 
-# Largest offset passed to _Parser.peek.
+# Copies of the EOF token after the real one: reads up to this many tokens
+# past any token that is not EOF stay inside the token list.
 _LOOKAHEAD = 2
+
+# Token kinds as module constants. Reading a member through its Enum class
+# costs several times a global lookup, and the parser compares kinds on
+# every token.
+_EOF = TokenKind.EOF
+_IDENT = TokenKind.IDENT
+_STRING = TokenKind.STRING
+_NUMBER = TokenKind.NUMBER
+_DATE = TokenKind.DATE
+_LBRACE = TokenKind.LBRACE
+_RBRACE = TokenKind.RBRACE
+_LBRACK = TokenKind.LBRACK
+_RBRACK = TokenKind.RBRACK
+_LPAREN = TokenKind.LPAREN
+_RPAREN = TokenKind.RPAREN
+_COLON = TokenKind.COLON
+_COMMA = TokenKind.COMMA
+_ARROW = TokenKind.ARROW
+_DOT = TokenKind.DOT
+_STAR = TokenKind.STAR
+_SLASH = TokenKind.SLASH
+_MINUS = TokenKind.MINUS
+_EQUALS = TokenKind.EQUALS
 
 # Fields that may legitimately repeat within one block.
 _REPEATABLE = {"band", "step"}
@@ -52,8 +76,19 @@ _ATTRIBUTE_OF = {"for": "for_objective", "where": "filters", "step": "steps", "b
 # Neg or BinOp one more than its deepest child) and parenthesis nesting.
 MAX_EXPR_DEPTH = 200
 
+_PRECEDENCE = {TokenKind.PLUS: 1, TokenKind.MINUS: 1, TokenKind.STAR: 2, TokenKind.SLASH: 2}
+
+# The words some fields accept, mapped to the values they stand for.
 _GRANULARITIES = {g.value: g for g in Granularity}
 _ACTION_KINDS = {k.value: k for k in ActionKind}
+_STATUSES = {s.value: s for s in QuestionStatus}
+_MODES = {m.value: m for m in SourceMode}
+_AGGREGATIONS = {a.value: a for a in Aggregation}
+
+
+def _shown(tok: Token) -> str:
+    """How a diagnostic names the token it found."""
+    return tok.text or tok.kind.value
 
 
 class ExpressionSyntaxError(ValueError):
@@ -93,6 +128,13 @@ class _Builder:
 
 
 class _Parser:
+    """Reads one file's tokens into the builder.
+
+    `pos` is the index of the next unread token; it never passes the EOF
+    token. The readers index `tokens` directly; one that reads several
+    tokens keeps the position in a local and stores it back when it is done.
+    """
+
     def __init__(
         self,
         text: str,
@@ -106,100 +148,102 @@ class _Parser:
         self.diags = diags
         self.include_stack = include_stack
         tokens, lex_diags = tokenize(text, filename)
-        # The position never passes the EOF token, so _LOOKAHEAD more copies
-        # of it keep every peek in range.
-        self.tokens = tokens + [tokens[-1]] * _LOOKAHEAD
+        tokens.extend([tokens[-1]] * _LOOKAHEAD)
+        self.tokens = tokens
         self.diags.extend(lex_diags)
         self.pos = 0
-
-    # -- token helpers -----------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
-        return tok
-
-    def at(self, kind: TokenKind) -> bool:
-        return self.tokens[self.pos].kind is kind
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diags.append(Diagnostic(code, Severity.ERROR, message, span))
 
-    def expect(self, kind: TokenKind, what: str) -> Token | None:
-        tok = self.peek()
-        if tok.kind is kind:
-            return self.advance()
-        shown = tok.text or tok.kind.value
-        self.error("P001", f"expected {what}, found {shown!r}", tok.span)
-        return None
+    def expected(self, tok: Token, what: str) -> None:
+        """Report P001 at `tok`, which is not `what`. Returns None for the reader."""
+        self.error("P001", f"expected {what}, found {_shown(tok)!r}", tok.span)
+
+    def read_tokens(self, *wanted: tuple[TokenKind, str]) -> list[Token] | None:
+        """The next tokens, if their kinds are those of `wanted` in order.
+
+        `wanted` holds (kind, what) pairs. At the first token of another
+        kind, this reports P001 `expected <what>` and stops on that token.
+        """
+        tokens = self.tokens
+        i = self.pos
+        for kind, what in wanted:
+            if tokens[i].kind is not kind:
+                self.pos = i
+                return self.expected(tokens[i], what)
+            i += 1
+        self.pos = i
+        return tokens[i - len(wanted) : i]
 
     # -- recovery ----------------------------------------------------------
 
     def skip_block(self) -> None:
         """Skip tokens through a balanced { ... } group, or to the next block."""
+        tokens = self.tokens
+        i = self.pos
         depth = 0
-        while not self.at(TokenKind.EOF):
-            tok = self.advance()
-            if tok.kind is TokenKind.LBRACE:
+        while True:
+            tok = tokens[i]
+            kind = tok.kind
+            if kind is _EOF or (depth == 0 and kind is _IDENT and tok.text in NODE_TYPES):
+                break
+            i += 1
+            if kind is _LBRACE:
                 depth += 1
-            elif tok.kind is TokenKind.RBRACE:
+            elif kind is _RBRACE:
                 depth -= 1
                 if depth <= 0:
-                    return
-            elif depth == 0 and tok.kind is TokenKind.IDENT and tok.text in NODE_TYPES:
-                self.pos -= 1
-                return
+                    break
+        self.pos = i
 
     def skip_to_field_boundary(self) -> None:
         """Skip a malformed field value: stop before `name :` at depth 0 or `}`."""
+        tokens = self.tokens
+        i = self.pos
         depth = 0
-        while not self.at(TokenKind.EOF):
-            tok = self.peek()
-            if depth == 0:
-                if tok.kind is TokenKind.RBRACE:
-                    return
-                if tok.kind is TokenKind.IDENT and self.peek(1).kind is TokenKind.COLON:
-                    return
-            if tok.kind is TokenKind.LBRACE:
+        while True:
+            kind = tokens[i].kind
+            if kind is _EOF:
+                break
+            if depth == 0 and (kind is _RBRACE or (kind is _IDENT and tokens[i + 1].kind is _COLON)):
+                break
+            if kind is _LBRACE:
                 depth += 1
-            elif tok.kind is TokenKind.RBRACE:
+            elif kind is _RBRACE:
                 depth -= 1
-                if depth < 0:
-                    return
-            self.advance()
+            i += 1
+        self.pos = i
 
     # -- model structure ---------------------------------------------------
 
     def parse_model(self) -> None:
-        while not self.at(TokenKind.EOF):
-            tok = self.peek()
-            if tok.kind is TokenKind.IDENT and tok.text == "include":
-                self.parse_include()
-            elif tok.kind is TokenKind.IDENT and tok.text in NODE_TYPES:
-                self.parse_block(tok.text)
-            elif (
-                tok.kind is TokenKind.IDENT
-                and self.peek(1).kind is TokenKind.IDENT
-                and self.peek(2).kind is TokenKind.LBRACE
-            ):
-                self.error("P003", f"unknown block kind {tok.text!r}", tok.span)
-                self.advance()
-                self.advance()
-                self.skip_block()
-            else:
-                shown = tok.text or tok.kind.value
-                self.error("P001", f"expected a block declaration, found {shown!r}", tok.span)
-                self.advance()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind is _EOF:
+                return
+            if tok.kind is _IDENT:
+                if tok.text == "include":
+                    self.parse_include()
+                    continue
+                if tok.text in NODE_TYPES:
+                    self.parse_block(tok.text)
+                    continue
+                if tokens[self.pos + 1].kind is _IDENT and tokens[self.pos + 2].kind is _LBRACE:
+                    self.error("P003", f"unknown block kind {tok.text!r}", tok.span)
+                    self.pos += 2
+                    self.skip_block()
+                    continue
+            self.expected(tok, "a block declaration")
+            self.pos += 1
 
     def parse_include(self) -> None:
-        self.advance()  # include
-        path_tok = self.expect(TokenKind.STRING, "a quoted file path")
-        if path_tok is None:
-            return
+        self.pos += 1  # include
+        path_tok = self.tokens[self.pos]
+        if path_tok.kind is not _STRING:
+            return self.expected(path_tok, "a quoted file path")
+        self.pos += 1
         base = os.path.dirname(self.filename)
         target = os.path.normpath(os.path.join(base, path_tok.text))
         key = os.path.abspath(target)
@@ -207,7 +251,7 @@ class _Parser:
             self.error("P006", f"include cycle through {target!r}", path_tok.span)
             return
         try:
-            text = Path(target).read_text(encoding="utf-8")
+            text = Path(target).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             self.error("P007", f"cannot read include {target!r}: {reason}", path_tok.span)
@@ -216,43 +260,62 @@ class _Parser:
         sub.parse_model()
 
     def parse_block(self, kind: str) -> None:
-        self.advance()  # kind keyword
-        id_tok = self.expect(TokenKind.IDENT, f"an identifier after {kind!r}")
-        if id_tok is None:
-            self.skip_block()
-            return
-        if self.expect(TokenKind.LBRACE, "'{'") is None:
-            self.skip_block()
-            return
+        self.pos += 1  # the kind keyword
+        head = self.read_tokens((_IDENT, f"an identifier after {kind!r}"), (_LBRACE, "'{'"))
+        if head is None:
+            return self.skip_block()
+        id_tok = head[0]
+        tokens = self.tokens
+        i = self.pos
+        readers = _READERS[kind]
         fields: dict[str, object] = {}
         seen: set[str] = set()
-        while not self.at(TokenKind.RBRACE) and not self.at(TokenKind.EOF):
-            name_tok = self.peek()
-            if name_tok.kind is not TokenKind.IDENT:
-                shown = name_tok.text or name_tok.kind.value
-                self.error("P001", f"expected a field name, found {shown!r}", name_tok.span)
-                self.advance()
-                continue
-            self.advance()
-            if self.expect(TokenKind.COLON, f"':' after field {name_tok.text!r}") is None:
-                self.skip_to_field_boundary()
+        while True:
+            name_tok = tokens[i]
+            if name_tok.kind is not _IDENT:
+                if name_tok.kind is _RBRACE or name_tok.kind is _EOF:
+                    break
+                self.expected(name_tok, "a field name")
+                i += 1
                 continue
             name = name_tok.text
+            i += 1
+            if tokens[i].kind is not _COLON:
+                self.pos = i
+                self.expected(tokens[i], f"':' after field {name!r}")
+                self.skip_to_field_boundary()
+                i = self.pos
+                continue
+            self.pos = i + 1
             duplicate = name in seen and name not in _REPEATABLE
             if duplicate:
                 self.error("P004", f"duplicate field {name!r} in {kind} block", name_tok.span)
             seen.add(name)
-            value = self.parse_field_value(kind, name, name_tok)
+            reader = readers.get(name)
+            if reader is None:
+                self.error("P001", f"unknown field {name!r} in {kind} block", name_tok.span)
+                value = None
+            else:
+                value = reader(self)
+            if value is None:
+                self.skip_to_field_boundary()
+            i = self.pos
             if duplicate or value is None:
                 continue
             if name in _REPEATABLE:
                 fields.setdefault(name, []).append(value)
             else:
                 fields[name] = value
-        self.expect(TokenKind.RBRACE, "'}'")
+        if tokens[i].kind is _RBRACE:
+            i += 1
+        else:
+            self.expected(tokens[i], "'}'")
+        self.pos = i
         self.builder.add(kind, id_tok.text, self.assemble(kind, id_tok.text, fields), id_tok.span)
 
-    # -- field dispatch ----------------------------------------------------
+    # -- field schema ------------------------------------------------------
+    # The value kind of each (block kind, field); `_READERS` maps each field
+    # to the parse_value_<value kind> method that reads it.
 
     _SCHEMA: dict[tuple[str, str], str] = {
         (KIND_STAKEHOLDER, "name"): "str",
@@ -302,277 +365,251 @@ class _Parser:
         (KIND_METRIC, "stakeholders"): "ident_list",
     }
 
-    def parse_field_value(self, kind: str, name: str, name_tok: Token):
-        value_kind = self._SCHEMA.get((kind, name))
-        if value_kind is None:
-            self.error("P001", f"unknown field {name!r} in {kind} block", name_tok.span)
-            self.skip_to_field_boundary()
-            return None
-        parser = getattr(self, "parse_value_" + value_kind)
-        value = parser()
-        if value is None:
-            self.skip_to_field_boundary()
-        return value
-
-    # -- value parsers -----------------------------------------------------
+    # -- value readers -----------------------------------------------------
+    # A reader starts at `pos` and leaves it after what it read. It returns
+    # the value, or None after a diagnostic, with `pos` where reading stopped.
 
     def parse_value_str(self) -> str | None:
-        tok = self.expect(TokenKind.STRING, "a quoted string")
-        return tok.text if tok else None
+        tok = self.tokens[self.pos]
+        if tok.kind is not _STRING:
+            return self.expected(tok, "a quoted string")
+        self.pos += 1
+        return tok.text
 
     def parse_value_ident(self) -> str | None:
-        tok = self.expect(TokenKind.IDENT, "an identifier")
-        return tok.text if tok else None
+        tok = self.tokens[self.pos]
+        if tok.kind is not _IDENT:
+            return self.expected(tok, "an identifier")
+        self.pos += 1
+        return tok.text
+
+    def read_list(self, kind: TokenKind, what: str) -> tuple[str, ...] | None:
+        """`a, b, c`: one or more tokens of `kind` separated by commas."""
+        tokens = self.tokens
+        i = self.pos
+        tok = tokens[i]
+        if tok.kind is not kind:
+            return self.expected(tok, what)
+        items = [tok.text]
+        while tokens[i + 1].kind is _COMMA:
+            tok = tokens[i + 2]
+            if tok.kind is not kind:
+                self.pos = i + 2
+                self.expected(tok, what + " after ','")
+                return tuple(items)
+            items.append(tok.text)
+            i += 2
+        self.pos = i + 1
+        return tuple(items)
 
     def parse_value_ident_list(self) -> tuple[str, ...] | None:
-        items: list[str] = []
-        tok = self.expect(TokenKind.IDENT, "an identifier")
-        if tok is None:
-            return None
-        items.append(tok.text)
-        while self.at(TokenKind.COMMA):
-            self.advance()
-            tok = self.expect(TokenKind.IDENT, "an identifier after ','")
-            if tok is None:
-                return tuple(items)
-            items.append(tok.text)
-        return tuple(items)
+        return self.read_list(_IDENT, "an identifier")
 
     def parse_value_str_list(self) -> tuple[str, ...] | None:
-        items: list[str] = []
-        tok = self.expect(TokenKind.STRING, "a quoted string")
-        if tok is None:
-            return None
-        items.append(tok.text)
-        while self.at(TokenKind.COMMA):
-            self.advance()
-            tok = self.expect(TokenKind.STRING, "a quoted string after ','")
-            if tok is None:
-                return tuple(items)
-            items.append(tok.text)
-        return tuple(items)
+        return self.read_list(_STRING, "a quoted string")
 
     def parse_value_int(self) -> int | None:
-        tok = self.expect(TokenKind.NUMBER, "a number")
-        if tok is None:
-            return None
+        tok = self.tokens[self.pos]
+        if tok.kind is not _NUMBER:
+            return self.expected(tok, "a number")
+        self.pos += 1
         if tok.value != int(tok.value):
-            self.error("P001", f"expected an integer, found {tok.text!r}", tok.span)
-            return None
+            return self.error("P001", f"expected an integer, found {tok.text!r}", tok.span)
         return int(tok.value)
 
     def parse_value_date(self) -> _dt.date | None:
-        tok = self.expect(TokenKind.DATE, "a date (YYYY-MM-DD)")
-        if tok is None:
-            return None
+        tok = self.tokens[self.pos]
+        if tok.kind is not _DATE:
+            return self.expected(tok, "a date (YYYY-MM-DD)")
+        self.pos += 1
         try:
             return _dt.date.fromisoformat(tok.text)
         except ValueError:
-            self.error("P001", f"invalid date {tok.text!r}", tok.span)
-            return None
+            return self.error("P001", f"invalid date {tok.text!r}", tok.span)
+
+    def read_word(self, words: dict, what: str, unknown: str):
+        """An identifier that is a key of `words`; returns its value.
+
+        A token that is no identifier is P001 `expected <what>`; any other
+        identifier is P001 `<unknown> '<identifier>'`, after it is read.
+        """
+        tok = self.tokens[self.pos]
+        if tok.kind is not _IDENT:
+            return self.expected(tok, what)
+        self.pos += 1
+        value = words.get(tok.text)
+        if value is None:
+            self.error("P001", f"{unknown} {tok.text!r}", tok.span)
+        return value
 
     def parse_value_status(self) -> QuestionStatus | None:
-        tok = self.expect(TokenKind.IDENT, "'open' or 'answered'")
-        if tok is None:
-            return None
-        try:
-            return QuestionStatus(tok.text)
-        except ValueError:
-            self.error("P001", f"expected 'open' or 'answered', found {tok.text!r}", tok.span)
-            return None
+        what = "'open' or 'answered'"
+        return self.read_word(_STATUSES, what, f"expected {what}, found")
 
     def parse_value_mode(self) -> SourceMode | None:
-        tok = self.expect(TokenKind.IDENT, "'count' or 'direct'")
-        if tok is None:
-            return None
-        try:
-            return SourceMode(tok.text)
-        except ValueError:
-            self.error("P001", f"expected 'count' or 'direct', found {tok.text!r}", tok.span)
-            return None
+        what = "'count' or 'direct'"
+        return self.read_word(_MODES, what, f"expected {what}, found")
 
     def parse_value_aggregation(self) -> Aggregation | None:
-        tok = self.expect(TokenKind.IDENT, "'sum' or 'latest'")
-        if tok is None:
-            return None
-        try:
-            return Aggregation(tok.text)
-        except ValueError:
-            self.error("P001", f"expected 'sum' or 'latest', found {tok.text!r}", tok.span)
-            return None
+        what = "'sum' or 'latest'"
+        return self.read_word(_AGGREGATIONS, what, f"expected {what}, found")
 
     def parse_value_filters(self) -> tuple[tuple[str, str], ...] | None:
         pairs: list[tuple[str, str]] = []
         while True:
-            name = self.expect(TokenKind.IDENT, "a record field name")
-            if name is None:
+            pair = self.read_tokens((_IDENT, "a record field name"), (_EQUALS, "'='"), (_STRING, "a quoted value"))
+            if pair is None:
                 return tuple(pairs) if pairs else None
-            if self.expect(TokenKind.EQUALS, "'='") is None:
-                return tuple(pairs) if pairs else None
-            value = self.expect(TokenKind.STRING, "a quoted value")
-            if value is None:
-                return tuple(pairs) if pairs else None
-            pairs.append((name.text, value.text))
-            if not self.at(TokenKind.COMMA):
+            pairs.append((pair[0].text, pair[2].text))
+            if self.tokens[self.pos].kind is not _COMMA:
                 return tuple(pairs)
-            self.advance()
+            self.pos += 1
 
     def parse_value_scope(self) -> ScopeRef | None:
-        tok = self.expect(TokenKind.IDENT, "a universe identifier")
-        if tok is None:
-            return None
+        tokens = self.tokens
+        i = self.pos
+        tok = tokens[i]
+        if tok.kind is not _IDENT:
+            return self.expected(tok, "a universe identifier")
+        i += 1
         selection: tuple[str, ...] | None = None
-        if self.at(TokenKind.DOT):
-            self.advance()
-            if self.at(TokenKind.STAR):
-                self.advance()
-            elif self.at(TokenKind.LBRACE):
-                self.advance()
-                facets = self.parse_value_ident_list()
-                if facets is None:
+        if tokens[i].kind is _DOT:
+            i += 1
+            after = tokens[i]
+            if after.kind is _STAR:
+                i += 1
+            elif after.kind is _LBRACE:
+                self.pos = i + 1
+                selection = self.parse_value_ident_list()
+                if selection is None:
                     return None
-                selection = facets
-                if self.expect(TokenKind.RBRACE, "'}' closing the facet list") is None:
-                    return None
+                i = self.pos
+                if tokens[i].kind is not _RBRACE:
+                    return self.expected(tokens[i], "'}' closing the facet list")
+                i += 1
             else:
-                bad = self.peek()
-                self.error("P001", "expected '*' or '{facets}' after '.'", bad.span)
-                return None
+                self.pos = i
+                return self.error("P001", "expected '*' or '{facets}' after '.'", after.span)
         description: str | None = None
-        if self.at(TokenKind.STRING):
-            description = self.advance().text
+        if tokens[i].kind is _STRING:
+            description = tokens[i].text
+            i += 1
+        self.pos = i
         return ScopeRef(universe=tok.text, selection=selection, description=description)
 
     def parse_value_schedule(self) -> ReportingSchedule | None:
-        first = self.expect(TokenKind.IDENT, "a collection period")
-        if first is None:
+        collection = self.read_word(_GRANULARITIES, "a collection period", "unknown period")
+        if collection is None:
             return None
-        if first.text not in _GRANULARITIES:
-            self.error("P001", f"unknown period {first.text!r}", first.span)
+        tok = self.tokens[self.pos]
+        if tok.kind is not _SLASH:
+            return self.expected(tok, "'/' between collection and reporting periods")
+        self.pos += 1
+        reporting = self.read_word(_GRANULARITIES, "a reporting period", "unknown period")
+        if reporting is None:
             return None
-        if self.expect(TokenKind.SLASH, "'/' between collection and reporting periods") is None:
-            return None
-        second = self.expect(TokenKind.IDENT, "a reporting period")
-        if second is None:
-            return None
-        if second.text not in _GRANULARITIES:
-            self.error("P001", f"unknown period {second.text!r}", second.span)
-            return None
-        return ReportingSchedule(_GRANULARITIES[first.text], _GRANULARITIES[second.text])
+        return ReportingSchedule(collection, reporting)
+
+    def malformed_interval(self, tok: Token, what: str) -> None:
+        self.error("P005", f"malformed interval: expected {what}, found {_shown(tok)!r}", tok.span)
 
     def parse_signed_number(self, what: str) -> float | None:
-        negative = False
-        if self.at(TokenKind.MINUS):
-            self.advance()
-            negative = True
-        tok = self.peek()
-        if tok.kind is not TokenKind.NUMBER:
-            shown = tok.text or tok.kind.value
-            self.error("P005", f"malformed interval: expected {what}, found {shown!r}", tok.span)
-            return None
-        self.advance()
+        tokens = self.tokens
+        i = self.pos
+        negative = tokens[i].kind is _MINUS
+        if negative:
+            i += 1
+        tok = tokens[i]
+        self.pos = i
+        if tok.kind is not _NUMBER:
+            return self.malformed_interval(tok, what)
+        self.pos = i + 1
         value = -tok.value if negative else tok.value
         return 0.0 if value == 0 else value
 
     def parse_value_interval(self) -> Interval | None:
-        open_tok = self.peek()
-        if open_tok.kind is TokenKind.LBRACK:
-            lo_closed = True
-        elif open_tok.kind is TokenKind.LPAREN:
-            lo_closed = False
-        else:
-            shown = open_tok.text or open_tok.kind.value
-            self.error("P005", f"malformed interval: expected '[' or '(', found {shown!r}", open_tok.span)
-            return None
-        self.advance()
+        tokens = self.tokens
+        open_tok = tokens[self.pos]
+        if open_tok.kind is not _LBRACK and open_tok.kind is not _LPAREN:
+            return self.malformed_interval(open_tok, "'[' or '('")
+        self.pos += 1
         lo = self.parse_signed_number("a lower endpoint")
         if lo is None:
             return None
-        comma = self.peek()
-        if comma.kind is not TokenKind.COMMA:
-            shown = comma.text or comma.kind.value
-            self.error("P005", f"malformed interval: expected ',', found {shown!r}", comma.span)
-            return None
-        self.advance()
+        if tokens[self.pos].kind is not _COMMA:
+            return self.malformed_interval(tokens[self.pos], "','")
+        self.pos += 1
         hi = self.parse_signed_number("an upper endpoint")
         if hi is None:
             return None
-        close_tok = self.peek()
-        if close_tok.kind is TokenKind.RBRACK:
-            hi_closed = True
-        elif close_tok.kind is TokenKind.RPAREN:
-            hi_closed = False
-        else:
-            shown = close_tok.text or close_tok.kind.value
-            self.error("P005", f"malformed interval: expected ']' or ')', found {shown!r}", close_tok.span)
-            return None
-        self.advance()
-        interval = Interval(lo, hi, lo_closed, hi_closed)
+        close_tok = tokens[self.pos]
+        if close_tok.kind is not _RBRACK and close_tok.kind is not _RPAREN:
+            return self.malformed_interval(close_tok, "']' or ')'")
+        self.pos += 1
+        interval = Interval(lo, hi, open_tok.kind is _LBRACK, close_tok.kind is _RBRACK)
         if interval.is_empty():
-            self.error("P005", f"empty interval {interval.notation()}", open_tok.span)
-            return None
+            return self.error("P005", f"empty interval {interval.notation()}", open_tok.span)
         return interval
 
     def parse_value_band(self) -> InterpretationBand | None:
         interval = self.parse_value_interval()
         if interval is None:
             return None
-        if self.expect(TokenKind.ARROW, "'->' after the band interval") is None:
+        head = self.read_tokens(
+            (_ARROW, "'->' after the band interval"),
+            (_IDENT, "a band label"),
+            (_LBRACE, "'{' opening the action list"),
+        )
+        if head is None:
             return None
-        label = self.expect(TokenKind.IDENT, "a band label")
-        if label is None:
-            return None
-        if self.expect(TokenKind.LBRACE, "'{' opening the action list") is None:
-            return None
+        tokens = self.tokens
         actions: list[Action] = []
-        while not self.at(TokenKind.RBRACE) and not self.at(TokenKind.EOF):
-            word = self.expect(TokenKind.IDENT, "an action (log, notify or escalate)")
-            if word is None:
-                self.skip_to_field_boundary()
-                break
-            if word.text not in _ACTION_KINDS:
-                self.error("P001", f"unknown action {word.text!r}", word.span)
+        while tokens[self.pos].kind is not _RBRACE and tokens[self.pos].kind is not _EOF:
+            action = self.read_word(_ACTION_KINDS, "an action (log, notify or escalate)", "unknown action")
+            if action is None:
                 self.skip_to_field_boundary()
                 break
             target = self.parse_action_target()
             if target is None:
                 break
-            actions.append(Action(_ACTION_KINDS[word.text], target))
-        self.expect(TokenKind.RBRACE, "'}' closing the action list")
-        return InterpretationBand(interval=interval, label=label.text, actions=tuple(actions))
+            actions.append(Action(action, target))
+        if tokens[self.pos].kind is _RBRACE:
+            self.pos += 1
+        else:
+            self.expected(tokens[self.pos], "'}' closing the action list")
+        return InterpretationBand(interval=interval, label=head[1].text, actions=tuple(actions))
 
     def parse_action_target(self) -> ActionTarget | None:
-        tok = self.expect(TokenKind.IDENT, "a stakeholder id or owner_of(node)")
-        if tok is None:
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind is not _IDENT:
+            return self.expected(tok, "a stakeholder id or owner_of(node)")
+        self.pos += 1
+        if tok.text != "owner_of" or tokens[self.pos].kind is not _LPAREN:
+            return ActionTarget(ref=tok.text, is_owner=False)
+        self.pos += 1
+        ref = self.read_tokens((_IDENT, "a node id inside owner_of(...)"), (_RPAREN, "')'"))
+        if ref is None:
             return None
-        if tok.text == "owner_of" and self.at(TokenKind.LPAREN):
-            self.advance()
-            ref = self.expect(TokenKind.IDENT, "a node id inside owner_of(...)")
-            if ref is None:
-                return None
-            if self.expect(TokenKind.RPAREN, "')'") is None:
-                return None
-            return ActionTarget(ref=ref.text, is_owner=True)
-        return ActionTarget(ref=tok.text, is_owner=False)
+        return ActionTarget(ref=ref[0].text, is_owner=True)
 
     def parse_value_step(self) -> StrategyStep | None:
-        text = self.expect(TokenKind.STRING, "the step text")
-        if text is None:
-            return None
+        tokens = self.tokens
+        text = tokens[self.pos]
+        if text.kind is not _STRING:
+            return self.expected(text, "the step text")
+        self.pos += 1
         spawns: tuple[str, ...] = ()
-        if self.at(TokenKind.ARROW):
-            self.advance()
-            ids = self.parse_value_ident_list()
-            if ids is None:
+        if tokens[self.pos].kind is _ARROW:
+            self.pos += 1
+            spawns = self.parse_value_ident_list()
+            if spawns is None:
                 return None
-            spawns = ids
         return StrategyStep(text=text.text, spawns=spawns)
 
     def parse_value_expr(self) -> _expr.Expr | None:
         parsed = self.parse_expr_binary(0, 0, 0)
         return parsed[0] if parsed else None
-
-    _PRECEDENCE = {TokenKind.PLUS: 1, TokenKind.MINUS: 1, TokenKind.STAR: 2, TokenKind.SLASH: 2}
 
     # The expression parsers return (expression, depth), or None after a
     # diagnostic. `above` counts the operators that will enclose the result
@@ -587,12 +624,13 @@ class _Parser:
         if parsed is None:
             return None
         left, depth = parsed
+        tokens = self.tokens
         while True:
-            op = self.peek()
-            prec = self._PRECEDENCE.get(op.kind)
+            op = tokens[self.pos]
+            prec = _PRECEDENCE.get(op.kind)
             if prec is None or prec < min_prec:
                 return left, depth
-            self.advance()
+            self.pos += 1
             right = self.parse_expr_binary(prec + 1, above + 1, parens)
             if right is None:
                 return None
@@ -601,29 +639,32 @@ class _Parser:
                 return self.too_deep(op)
 
     def parse_expr_unary(self, above: int, parens: int) -> tuple[_expr.Expr, int] | None:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if above > MAX_EXPR_DEPTH:
             return self.too_deep(tok)
-        if tok.kind is TokenKind.MINUS:
-            self.advance()
+        kind = tok.kind
+        if kind is _MINUS:
+            self.pos += 1
             operand = self.parse_expr_unary(above + 1, parens)
             return (_expr.Neg(operand[0]), operand[1] + 1) if operand else None
-        if tok.kind is TokenKind.NUMBER:
-            self.advance()
+        if kind is _NUMBER:
+            self.pos += 1
             return _expr.Num(tok.value), 0
-        if tok.kind is TokenKind.IDENT:
-            self.advance()
+        if kind is _IDENT:
+            self.pos += 1
             return _expr.Var(tok.text), 0
-        if tok.kind is TokenKind.LPAREN:
+        if kind is _LPAREN:
             if parens == MAX_EXPR_DEPTH:
                 return self.too_deep(tok)
-            self.advance()
+            self.pos += 1
             inner = self.parse_expr_binary(0, above, parens + 1)
-            if inner is None or self.expect(TokenKind.RPAREN, "')'") is None:
+            if inner is None:
                 return None
+            if self.tokens[self.pos].kind is not _RPAREN:
+                return self.expected(self.tokens[self.pos], "')'")
+            self.pos += 1
             return inner
-        shown = tok.text or tok.kind.value
-        self.error("P001", f"expected an expression, found {shown!r}", tok.span)
+        self.error("P001", f"expected an expression, found {_shown(tok)!r}", tok.span)
         return None
 
     # -- node assembly -----------------------------------------------------
@@ -634,6 +675,17 @@ class _Parser:
             for name, value in fields.items()
         }
         return NODE_TYPES[kind](id=node_id, **values)
+
+
+# Each block kind's field readers: {block kind: {field name: reader}}.
+_READERS: dict[str, dict] = {
+    kind: {
+        name: getattr(_Parser, "parse_value_" + value_kind)
+        for (block, name), value_kind in _Parser._SCHEMA.items()
+        if block == kind
+    }
+    for kind in NODE_TYPES
+}
 
 
 def parse(text: str, filename: str = "<string>") -> tuple[Model, list[Diagnostic]]:
@@ -647,7 +699,7 @@ def parse(text: str, filename: str = "<string>") -> tuple[Model, list[Diagnostic
 
 
 def parse_file(path: str | Path) -> tuple[Model, list[Diagnostic]]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte order mark is dropped
     return parse(text, filename=str(path))
 
 
@@ -660,7 +712,7 @@ def parse_expression(text: str) -> _expr.Expr:
     if diags or result is None:
         message = diags[0].message if diags else "empty expression"
         raise ExpressionSyntaxError(message)
-    trailing = parser.peek()
+    trailing = parser.tokens[parser.pos]
     if trailing.kind is not TokenKind.EOF:
         raise ExpressionSyntaxError(f"unexpected trailing input {trailing.text!r}")
     return result

@@ -267,8 +267,12 @@ def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLo
 
 
 def ingest(path: str, model: Model) -> MeasurementLog:
-    """Ingest one UTF-8 log file; raises OSError or UnicodeDecodeError when unreadable."""
-    with open(path, encoding="utf-8") as handle:
+    """Ingest one UTF-8 log file; raises OSError or UnicodeDecodeError when unreadable.
+
+    A byte order mark at the start of the file is dropped, so the first line
+    reads like every other.
+    """
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

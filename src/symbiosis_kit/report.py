@@ -6,8 +6,8 @@ same bytes, which is what makes golden-file testing workable.
 
 from __future__ import annotations
 
+import html
 import json
-from xml.sax.saxutils import escape
 
 from .expr import format_number, to_text
 from .model import MetricDef, Model
@@ -18,6 +18,11 @@ FORMATS = ("text", "json", "svg")
 
 class UnknownFormat(ValueError):
     pass
+
+
+def _escape(text: str) -> str:
+    """Escape `&`, `<` and `>` for SVG text content."""
+    return html.escape(text, quote=False)
 
 
 # Fixed band palette by position: first band red, last green, interior amber
@@ -162,7 +167,7 @@ def _svg_chart(
     plot_width = plot_right - plot_left
 
     parts.append(
-        f'<text x="{plot_left}" y="{y_offset + 22}" class="title">{escape(metric.id)}</text>'
+        f'<text x="{plot_left}" y="{y_offset + 22}" class="title">{_escape(metric.id)}</text>'
     )
 
     # y axis with a tick at every band boundary plus the domain ends
@@ -180,7 +185,7 @@ def _svg_chart(
             f'<line x1="{plot_left - 4}" y1="{_fmt(y)}" x2="{plot_left}" y2="{_fmt(y)}" class="axis"/>'
         )
         parts.append(
-            f'<text x="{plot_left - 8}" y="{_fmt(y + 4)}" class="ytick">{escape(format_number(tick))}</text>'
+            f'<text x="{plot_left - 8}" y="{_fmt(y + 4)}" class="ytick">{_escape(format_number(tick))}</text>'
         )
 
     slot = plot_width / max(len(group), 1)
@@ -189,7 +194,7 @@ def _svg_chart(
         cx = plot_left + slot * i + slot / 2
         label_y = plot_bottom + 18
         parts.append(
-            f'<text x="{_fmt(cx)}" y="{label_y}" class="xtick">{escape(result.period)}</text>'
+            f'<text x="{_fmt(cx)}" y="{label_y}" class="xtick">{_escape(result.period)}</text>'
         )
         if result.value is None:
             parts.append(
@@ -206,7 +211,7 @@ def _svg_chart(
             f'height="{_fmt(height)}" fill="{color}"/>'
         )
         parts.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(y - 5)}" class="value">{escape(str(result.value))}</text>'
+            f'<text x="{_fmt(cx)}" y="{_fmt(y - 5)}" class="value">{_escape(str(result.value))}</text>'
         )
 
     legend_y = plot_bottom + _LABEL_H + 12
@@ -215,7 +220,7 @@ def _svg_chart(
         color = palette[band.label]
         parts.append(f'<rect x="{_fmt(x)}" y="{legend_y - 10}" width="12" height="12" fill="{color}"/>')
         text = f"{band.label} {band.interval.notation()}"
-        parts.append(f'<text x="{_fmt(x + 16)}" y="{legend_y}" class="legend">{escape(text)}</text>')
+        parts.append(f'<text x="{_fmt(x + 16)}" y="{legend_y}" class="legend">{_escape(text)}</text>')
         x += 16 + 7 * len(text) + 18
 
 

@@ -97,6 +97,17 @@ def test_check_of_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_check_of_a_model_and_include_with_byte_order_marks(tmp_path, capsys):
+    (tmp_path / "part.sym").write_text('\ufeffstakeholder t { name: "T" }\n', encoding="utf-8")
+    main = tmp_path / "main.sym"
+    main.write_text("\ufeff" + CLEAN_MODEL.lstrip() + 'include "part.sym"\n', encoding="utf-8")
+    assert cli.main(["check", str(main)]) == 0
+    out, err = capsys.readouterr()
+    # CLEAN_MODEL's one finding, at the same place as without the marks
+    assert out == f"V004 warning {main}:3:11 BO1 leaf objective 'BO1' is not measured by any measurement goal\n"
+    assert "checked 1 file(s): 0 error(s), 1 warning(s)" in err
+
+
 def test_check_json_format(corpus, capsys):
     assert cli.main(["check", "--format", "json", str(corpus / "heartland_broken.sym")]) == 0
     out, _ = capsys.readouterr()
@@ -268,6 +279,17 @@ def test_eval_of_a_log_that_is_not_utf8_is_usage_error(corpus, tmp_path, capsys)
     assert err.startswith("error: cannot read measurements: 'utf-8' codec can't decode byte 0xff")
     assert err.rstrip("\n").endswith(f" in {log}")
     assert "Traceback" not in err
+
+
+def test_eval_of_a_log_with_a_byte_order_mark_keeps_its_first_record(corpus, tmp_path, capsys):
+    clean = corpus / "logs" / "jpmorgan_2014-01.jsonl"
+    marked = tmp_path / "marked.jsonl"
+    marked.write_bytes(b"\xef\xbb\xbf" + clean.read_bytes())
+    argv = ["--metric", "all", "--period", "2014-01", "--format", "json"]
+    assert cli.main(["eval", str(corpus / "jpmorgan.sym"), "--measurements", str(clean), *argv]) == 0
+    expected = capsys.readouterr()
+    assert cli.main(["eval", str(corpus / "jpmorgan.sym"), "--measurements", str(marked), *argv]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_eval_unknown_metric(corpus, capsys):

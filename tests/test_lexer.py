@@ -142,6 +142,17 @@ def test_string_ends_at_its_line_even_after_a_backslash():
     assert (role.span.line, role.span.col) == (4, 3)
 
 
+def _fields(tokens):
+    return [(t.kind, t.text, t.value, t.span) for t in tokens]
+
+
+def _assert_same_as_character_loop(text: str, filename: str) -> None:
+    tokens, diags = tokenize(text, filename)
+    expected_tokens, expected_diags = tokenize_by_characters(text, filename)
+    assert _fields(tokens) == _fields(expected_tokens)
+    assert diags == expected_diags
+
+
 # A lexically dense alphabet: every token class, both quote and escape
 # characters, digits, comment starts, CR/LF, non-ASCII letters and digits
 # (Arabic-Indic three), characters no token accepts, and fragments that sit
@@ -163,7 +174,7 @@ _DENSE = (
 @settings(max_examples=3000, deadline=None)
 @given(_DENSE)
 def test_tokenize_matches_the_character_loop(text):
-    assert tokenize(text, "f.sym") == tokenize_by_characters(text, "f.sym")
+    _assert_same_as_character_loop(text, "f.sym")
 
 
 # -- ASCII digits only -------------------------------------------------------
@@ -185,17 +196,6 @@ def test_non_ascii_date_is_not_a_date():
 
 
 # -- the character loop on real-sized inputs ----------------------------------
-
-
-def _fields(tokens):
-    return [(t.kind, t.text, t.value, t.span) for t in tokens]
-
-
-def _assert_same_as_character_loop(text: str, filename: str) -> None:
-    tokens, diags = tokenize(text, filename)
-    expected_tokens, expected_diags = tokenize_by_characters(text, filename)
-    assert _fields(tokens) == _fields(expected_tokens)
-    assert diags == expected_diags
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS_ROOT.glob("*.sym")), ids=lambda p: p.name)
@@ -239,6 +239,17 @@ def test_diagnostics_on_one_crlf_line():
         ("P008", SourceSpan("s.sym", 1, 850, 1)),
         ("P001", SourceSpan("s.sym", 2, 1, 1)),  # expected '}' at the EOF token
     ]
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_spans_asked_in_any_order_match_the_character_loop(order):
+    text = serialize(program_model(random.Random(2), objectives=15)).replace("\n", "\r\n")
+    tokens = tokenize(text, "p.sym")[0]
+    expected = [t.span for t in tokenize_by_characters(text, "p.sym")[0]]
+    indices = list(range(len(tokens)))[::-1]
+    if order == "shuffled":
+        random.Random(3).shuffle(indices)
+    assert {i: tokens[i].span for i in indices} == dict(enumerate(expected))
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,16 @@
 
 import dataclasses
 import datetime as dt
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import CORPUS_ROOT
+from modelgen import program_model
+from oracles import parse_token_by_token
+from symbiosis_kit.diagnostics import SourceSpan
 from symbiosis_kit.expr import BinOp, Neg, Num, Var
 from symbiosis_kit.model import (
     Action,
@@ -23,7 +28,7 @@ from symbiosis_kit.model import (
     SourceMode,
     StrategyStep,
 )
-from symbiosis_kit.lexer import TokenKind
+from symbiosis_kit.lexer import TokenKind, tokenize
 from symbiosis_kit.parser import (
     MAX_EXPR_DEPTH,
     ExpressionSyntaxError,
@@ -33,6 +38,7 @@ from symbiosis_kit.parser import (
     parse_expression,
     parse_file,
 )
+from symbiosis_kit.serializer import serialize
 
 
 def codes(diags):
@@ -41,10 +47,10 @@ def codes(diags):
 
 def test_lookahead_at_and_past_the_end_reads_eof():
     parser = _Parser("a", "<string>", _Builder(), [], ())
-    assert [parser.peek(k).kind for k in range(3)] == [TokenKind.IDENT, TokenKind.EOF, TokenKind.EOF]
-    parser.advance()
-    assert parser.advance().kind is TokenKind.EOF  # the position stays on EOF
-    assert [parser.peek(k).kind for k in range(3)] == [TokenKind.EOF] * 3
+    assert [t.kind for t in parser.tokens] == [TokenKind.IDENT] + [TokenKind.EOF] * 3
+    parser.parse_model()
+    assert parser.pos == 1  # the position stays on EOF
+    assert [t.kind for t in parser.tokens[parser.pos :]] == [TokenKind.EOF] * 3
 
 
 def test_full_block_parse():
@@ -184,6 +190,21 @@ def test_include_that_is_not_utf8_is_p007_at_its_path(tmp_path):
     assert (diags[0].span.line, diags[0].span.col) == (1, 9)
     assert "can't decode byte 0xff" in diags[0].message
     assert "BO1" in model.objectives
+
+
+def test_a_byte_order_mark_is_dropped_from_models_and_includes(tmp_path):
+    part = tmp_path / "part.sym"
+    part.write_text('\ufeff@objective BO2 { object: "x" }', encoding="utf-8")
+    main = tmp_path / "main.sym"
+    main.write_text('\ufeffobjective BO1 { }\ninclude "part.sym"\n', encoding="utf-8")
+    model, diags = parse_file(str(main))
+    assert [(d.code, d.message, d.span) for d in diags] == [
+        ("P001", "unexpected character '@'", SourceSpan(str(part), 1, 1, 1)),
+    ]
+    assert model.spans == {
+        ("objective", "BO1"): SourceSpan(str(main), 1, 11, 3),
+        ("objective", "BO2"): SourceSpan(str(part), 1, 12, 3),
+    }
 
 
 def test_diagnostics_carry_position():
@@ -330,3 +351,93 @@ def _sym_texts(draw):
 def test_parse_never_raises(text):
     model, diags = parse(text)
     assert all(d.code.startswith("P") for d in diags)
+
+
+# -- the index-walking parser against the one that reads a token per call -------
+# `oracles.parse_token_by_token` is the parser as it was before its readers
+# walked the token list by index. Both must give the same model, spans and
+# duplicate declarations included, and the same diagnostics in the same order.
+
+
+def _assert_same_as_token_by_token(text: str, filename: str = "<string>") -> None:
+    model, diags = parse(text, filename)
+    expected_model, expected_diags = parse_token_by_token(text, filename)
+    assert model == expected_model
+    assert repr(model) == repr(expected_model)  # tells -0.0 from 0.0
+    assert diags == expected_diags
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=200), _sym_texts()))
+def test_parse_matches_the_token_by_token_parser(text):
+    _assert_same_as_token_by_token(text)
+
+
+# Each reader's recovery paths, one or more per line.
+_RECOVERY = [
+    "metric M { band: [-0, 5] -> ok { log owner_of notify owner_of(BO1) escalate owner_of( } }",
+    "metric M { band: (1, 2] -> { log s } band: [0, 1) -> x log s band: [0 1] -> y { } }",
+    "metric M { band: [0, 1] ok { } band: [5, 1] -> z { log } band: [0, 1] -> w { shout s } }",
+    "metric M { domain: (-0.0, -0] domain: [a, 1] domain: {0, 1} domain: [1, 2 function: }",
+    "metric M { function: (a + b function: a * * b function: -(-(a)) / 2.5 created: 2014-02-30 }",
+    "metric M { schedule: monthly / weekly schedule: daily quarterly schedule: yearly / }",
+    'base B { where: a = "x", b = , c = "y" where: d "e" mode: counted aggregation: max }',
+    'strategy S { step: "a" -> A, B, step: "b" -> for: X step: 1 justification: "j" }',
+    'objective BO1 { scope: u.{a, b "d" scope: u.* "x" scope: u. "y" scope: "z" }',
+    "objective BO1 { priority: 2.5 priority: 3 refines: BO1.1.1 depends_on: a, , b }",
+    'goal G { criteria: "a", "b", c criteria: viewpoint: o, p related: }',
+    "question Q { status: closed status: open goal: text: 1 }",
+    'widget W { } objective { } objective X y: 1 } stakeholder S name "n" } include x',
+]
+
+
+@pytest.mark.parametrize("text", _RECOVERY)
+def test_parse_matches_the_token_by_token_parser_on_recovery_paths(text):
+    _assert_same_as_token_by_token(text)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS_ROOT.glob("*.sym")), ids=lambda p: p.name)
+def test_parse_matches_the_token_by_token_parser_on_the_corpus(path):
+    _assert_same_as_token_by_token(path.read_text(encoding="utf-8"), str(path))
+
+
+# Programs of every block and field kind, with their tokens, to be cut up
+# token by token.
+_PROGRAMS = [
+    (text, tokenize(text)[0][:-1])
+    for text in (serialize(program_model(random.Random(seed), objectives=15)) for seed in range(3))
+]
+
+
+@st.composite
+def _mutated_programs(draw):
+    """A program with up to six of its tokens dropped, doubled or replaced,
+    or followed by a piece of `_PIECES`."""
+    text, tokens = draw(st.sampled_from(_PROGRAMS))
+    edits = draw(
+        st.dictionaries(
+            st.integers(0, len(tokens) - 1),
+            st.tuples(st.sampled_from(["drop", "double", "replace", "insert"]), st.sampled_from(_PIECES)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for index in sorted(edits, reverse=True):
+        op, piece = edits[index]
+        start = tokens[index].offset
+        end = start + tokens[index].length
+        lexeme = text[start:end]
+        new = {"drop": "", "double": f"{lexeme} {lexeme}", "replace": piece, "insert": f"{lexeme} {piece}"}[op]
+        text = text[:start] + new + text[end:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_programs())
+def test_parse_matches_the_token_by_token_parser_on_mutated_programs(text):
+    _assert_same_as_token_by_token(text, "m.sym")
+
+
+def test_parse_matches_the_token_by_token_parser_on_a_511_objective_program():
+    text = serialize(program_model(random.Random(1)))
+    _assert_same_as_token_by_token(text, "program.sym")

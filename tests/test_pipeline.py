@@ -158,6 +158,19 @@ def test_ingest_reads_files(model, tmp_path):
     assert not log.diagnostics
 
 
+def test_ingest_drops_a_byte_order_mark_at_the_start_of_a_file(model, tmp_path):
+    lines = [dline("2014-01-05", "tot", 2), eline("2014-01-06", kind="x")]
+    plain = tmp_path / "plain.jsonl"
+    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    marked = tmp_path / "marked.jsonl"
+    marked.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    log = ingest(str(marked), model)
+    assert not log.diagnostics
+    assert log.records == ingest(str(plain), model).records
+    assert [record.line for record in log.records] == [1, 2]
+
+
 # -- aggregation ---------------------------------------------------------------
 
 
