@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graph import TraceabilityGraph, ancestors, build_graph, descendants, reach
-from .model import KIND_OBJECTIVE, NODE_KINDS, Model, model_to_canonical
+from .model import KIND_OBJECTIVE, NODE_KINDS, Model, node_json
 
 
 class ChangeKind(Enum):
@@ -52,25 +52,30 @@ class Change:
 
 
 def diff(old: Model, new: Model) -> list[Change]:
-    """Node-level diff keyed by (kind, id); field diffs on canonical forms."""
-    old_canon = model_to_canonical(old)
-    new_canon = model_to_canonical(new)
+    """Node-level diff keyed by (kind, id); field diffs on the nodes' JSON forms.
+
+    Only a pair of nodes that differ is put into JSON form, and it is
+    MODIFIED only if some field of that form differs.
+    """
     changes: list[Change] = []
     for kind in NODE_KINDS:
-        old_nodes = old_canon[kind + "s"]
-        new_nodes = new_canon[kind + "s"]
+        old_nodes = old.collection(kind)
+        new_nodes = new.collection(kind)
         for node_id in sorted(old_nodes.keys() | new_nodes.keys()):
             if node_id not in new_nodes:
                 changes.append(Change(ChangeKind.REMOVED, kind, node_id))
             elif node_id not in old_nodes:
                 changes.append(Change(ChangeKind.ADDED, kind, node_id))
             elif old_nodes[node_id] != new_nodes[node_id]:
+                before = node_json(kind, old_nodes[node_id])
+                after = node_json(kind, new_nodes[node_id])
                 fields = tuple(
-                    FieldChange(name, old_nodes[node_id][name], new_nodes[node_id][name])
-                    for name in sorted(old_nodes[node_id])
-                    if old_nodes[node_id][name] != new_nodes[node_id][name]
+                    FieldChange(key, before[key], after[key])
+                    for key in sorted(before)
+                    if before[key] != after[key]
                 )
-                changes.append(Change(ChangeKind.MODIFIED, kind, node_id, fields))
+                if fields:
+                    changes.append(Change(ChangeKind.MODIFIED, kind, node_id, fields))
     changes.sort(key=lambda c: (c.node_kind, c.node_id))
     return changes
 

@@ -9,10 +9,12 @@ violations instead of constructors raising.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import expr as _expr
 from .diagnostics import SourceSpan
@@ -54,9 +56,6 @@ class Stakeholder:
     name: str = ""
     role: str = ""
 
-    def to_canonical(self) -> dict:
-        return {"id": self.id, "name": self.name, "role": self.role}
-
 
 @dataclass(frozen=True, slots=True)
 class ScopeUniverse:
@@ -64,9 +63,6 @@ class ScopeUniverse:
 
     id: str
     facets: tuple[str, ...] = ()
-
-    def to_canonical(self) -> dict:
-        return {"id": self.id, "facets": list(self.facets)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,13 +77,6 @@ class ScopeRef:
         if self.selection is None:
             return universe.facets
         return self.selection
-
-    def to_canonical(self) -> dict:
-        return {
-            "universe": self.universe,
-            "selection": "ALL" if self.selection is None else list(self.selection),
-            "description": self.description,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,29 +93,11 @@ class BusinessObjective:
     priority: int | None = None
     priority_justification: str = ""
 
-    def to_canonical(self) -> dict:
-        return {
-            "id": self.id,
-            "object": self.object,
-            "scope": self.scope.to_canonical() if self.scope else None,
-            "purpose": self.purpose,
-            "viewpoint": list(self.viewpoint),
-            "context": self.context,
-            "refines": self.refines,
-            "depends_on": list(self.depends_on),
-            "affects": list(self.affects),
-            "priority": self.priority,
-            "priority_justification": self.priority_justification,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class StrategyStep:
     text: str
     spawns: tuple[str, ...] = ()
-
-    def to_canonical(self) -> dict:
-        return {"text": self.text, "spawns": list(self.spawns)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,14 +106,6 @@ class Strategy:
     for_objective: str = ""
     steps: tuple[StrategyStep, ...] = ()
     justification: str = ""
-
-    def to_canonical(self) -> dict:
-        return {
-            "id": self.id,
-            "for": self.for_objective,
-            "steps": [s.to_canonical() for s in self.steps],
-            "justification": self.justification,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,20 +121,6 @@ class MeasurementGoal:
     measures: tuple[str, ...] = ()
     related: tuple[str, ...] = ()
 
-    def to_canonical(self) -> dict:
-        return {
-            "id": self.id,
-            "object": self.object,
-            "purpose": self.purpose,
-            "focus": self.focus,
-            "scope": self.scope,
-            "criteria": list(self.criteria),
-            "viewpoint": list(self.viewpoint),
-            "context": self.context,
-            "measures": list(self.measures),
-            "related": list(self.related),
-        }
-
 
 class QuestionStatus(Enum):
     OPEN = "open"
@@ -184,14 +133,6 @@ class MeasurementQuestion:
     goal: str = ""
     text: str = ""
     status: QuestionStatus = QuestionStatus.OPEN
-
-    def to_canonical(self) -> dict:
-        return {
-            "id": self.id,
-            "goal": self.goal,
-            "text": self.text,
-            "status": self.status.value,
-        }
 
 
 class SourceMode(Enum):
@@ -211,15 +152,6 @@ class BaseMeasurementDef:
     mode: SourceMode = SourceMode.DIRECT
     filters: tuple[tuple[str, str], ...] = ()  # COUNT: conjunction of field == value
     aggregation: Aggregation | None = None  # DIRECT only
-
-    def to_canonical(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "mode": self.mode.value,
-            "filters": [list(f) for f in self.filters],
-            "aggregation": self.aggregation.value if self.aggregation else None,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,14 +193,6 @@ class Interval:
         right = "]" if self.hi_closed else ")"
         return f"{left}{_expr.format_number(self.lo)}, {_expr.format_number(self.hi)}{right}"
 
-    def to_canonical(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "lo_closed": self.lo_closed,
-            "hi_closed": self.hi_closed,
-        }
-
 
 DEFAULT_DOMAIN = Interval(0.0, 100.0, True, True)
 
@@ -290,8 +214,6 @@ class ActionTarget:
     ref: str
     is_owner: bool = False
 
-    def to_canonical(self) -> dict:
-        return {"ref": self.ref, "owner": self.is_owner}
 
     def notation(self) -> str:
         return f"owner_of({self.ref})" if self.is_owner else self.ref
@@ -302,22 +224,12 @@ class Action:
     kind: ActionKind
     target: ActionTarget
 
-    def to_canonical(self) -> dict:
-        return {"kind": self.kind.value, "target": self.target.to_canonical()}
-
 
 @dataclass(frozen=True, slots=True)
 class InterpretationBand:
     interval: Interval
     label: str
     actions: tuple[Action, ...] = ()
-
-    def to_canonical(self) -> dict:
-        return {
-            "interval": self.interval.to_canonical(),
-            "label": self.label,
-            "actions": [a.to_canonical() for a in self.actions],
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,9 +239,6 @@ class ReportingSchedule:
 
     def notation(self) -> str:
         return f"{self.collection.value} / {self.reporting.value}"
-
-    def to_canonical(self) -> dict:
-        return {"collection": self.collection.value, "reporting": self.reporting.value}
 
 
 @dataclass(frozen=True, slots=True)
@@ -358,24 +267,6 @@ class MetricDef:
             sorted(self.bands, key=lambda b: (b.interval.lo, not b.interval.lo_closed))
         )
 
-    def to_canonical(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "goal": self.goal,
-            "answers": list(self.answers),
-            "uses": list(self.uses),
-            "method": self.method,
-            "function": _expr.to_text(self.function) if self.function else None,
-            "bands": [b.to_canonical() for b in self.bands],
-            "schedule": self.schedule.to_canonical() if self.schedule else None,
-            "stakeholders": list(self.stakeholders),
-            "domain": self.domain.to_canonical() if self.domain else None,
-            "created": self.created.isoformat() if self.created else None,
-            "modified": self.modified.isoformat() if self.modified else None,
-            "reviewed": self.reviewed.isoformat() if self.reviewed else None,
-        }
-
 
 # Node class by kind, in the fixed serialization / iteration order of kinds.
 NODE_TYPES = {
@@ -389,6 +280,9 @@ NODE_TYPES = {
     KIND_METRIC: MetricDef,
 }
 NODE_KINDS = tuple(NODE_TYPES)
+
+# The Model attribute that holds each kind's nodes: the kind's plural.
+COLLECTIONS = {kind: kind[:-1] + "ies" if kind.endswith("y") else kind + "s" for kind in NODE_TYPES}
 
 
 @dataclass(frozen=True)
@@ -409,16 +303,8 @@ class Model:
     duplicate_decls: tuple[tuple[str, str, SourceSpan], ...] = ()
 
     def collection(self, kind: str) -> dict:
-        return {
-            KIND_STAKEHOLDER: self.stakeholders,
-            KIND_UNIVERSE: self.universes,
-            KIND_OBJECTIVE: self.objectives,
-            KIND_STRATEGY: self.strategies,
-            KIND_GOAL: self.goals,
-            KIND_QUESTION: self.questions,
-            KIND_BASE: self.bases,
-            KIND_METRIC: self.metrics,
-        }[kind]
+        """The nodes of one kind by id."""
+        return getattr(self, COLLECTIONS[kind])
 
     @cached_property
     def kinds(self) -> dict[str, str]:
@@ -436,13 +322,143 @@ class Model:
         return self.spans.get((kind, node_id))
 
 
-def model_to_canonical(model: Model) -> dict:
-    out: dict = {}
-    for kind in NODE_KINDS:
-        coll = model.collection(kind)
-        out[kind + "s"] = {
-            node_id: node.to_canonical() for node_id, node in sorted(coll.items())
-        }
+class Field(NamedTuple):
+    """One row of a block kind's field table."""
+
+    name: str  # as written in a .sym block
+    attribute: str  # the node attribute it fills
+    key: str  # its key in the node's JSON form
+    value_kind: str  # names the reader, the printer and the JSON form of its value
+    always: bool  # printed even when it holds its dataclass default
+
+    @property
+    def repeated(self) -> bool:
+        """A repeated field may occur many times; its attribute is a tuple of items."""
+        return self.value_kind in REPEATED_KINDS
+
+
+REPEATED_KINDS = frozenset({"step", "band"})
+
+
+def _row(name: str, value_kind: str, always: bool = False, attribute: str = "", key: str = "") -> Field:
+    attribute = attribute or name
+    return Field(name, attribute, key or attribute, value_kind, always)
+
+
+# The fields of each block kind, in the order `serialize` prints them. The
+# parser reads a field with `parse_value_<value kind>`, the serializer prints
+# it with its value kind's printer, and `node_json` gives `impact.diff` and
+# `canonical_dump` its JSON form. Only rows whose default can be written are
+# always printed: an empty identifier or list cannot.
+FIELDS: dict[str, tuple[Field, ...]] = {
+    KIND_UNIVERSE: (_row("facets", "ident_list"),),
+    KIND_STAKEHOLDER: (_row("name", "str", always=True), _row("role", "str")),
+    KIND_OBJECTIVE: (
+        _row("refines", "ident"),
+        _row("object", "str", always=True),
+        _row("scope", "scope"),
+        _row("purpose", "str", always=True),
+        _row("viewpoint", "ident_list"),
+        _row("context", "str", always=True),
+        _row("depends_on", "ident_list"),
+        _row("affects", "ident_list"),
+        _row("priority", "int"),
+        _row("priority_justification", "str"),
+    ),
+    KIND_STRATEGY: (
+        _row("for", "ident", attribute="for_objective", key="for"),
+        _row("step", "step", attribute="steps"),
+        _row("justification", "str", always=True),
+    ),
+    KIND_GOAL: (
+        _row("object", "str", always=True),
+        _row("purpose", "str", always=True),
+        _row("focus", "str", always=True),
+        _row("scope", "str", always=True),
+        _row("criteria", "str_list"),
+        _row("viewpoint", "ident_list"),
+        _row("context", "str", always=True),
+        _row("measures", "ident_list"),
+        _row("related", "ident_list"),
+    ),
+    KIND_QUESTION: (
+        _row("goal", "ident"),
+        _row("text", "str", always=True),
+        _row("status", "status"),
+    ),
+    KIND_BASE: (
+        _row("description", "str", always=True),
+        _row("mode", "mode", always=True),
+        _row("where", "filters", attribute="filters"),
+        _row("aggregation", "aggregation"),
+    ),
+    KIND_METRIC: (
+        _row("description", "str", always=True),
+        _row("created", "date"),
+        _row("modified", "date"),
+        _row("reviewed", "date"),
+        _row("goal", "ident"),
+        _row("answers", "ident_list"),
+        _row("uses", "ident_list"),
+        _row("method", "str", always=True),
+        _row("function", "expr"),
+        _row("domain", "interval"),
+        _row("band", "band", attribute="bands"),
+        _row("schedule", "schedule"),
+        _row("stakeholders", "ident_list"),
+    ),
+}
+
+
+def _same(value):
+    return value
+
+
+# The JSON form of one value (one item, for a repeated field) by value kind.
+_JSON_FORMS = {
+    "str": _same,
+    "ident": _same,
+    "ident_list": list,
+    "str_list": list,
+    "int": _same,
+    "date": date.isoformat,
+    "scope": lambda ref: {
+        "universe": ref.universe,
+        "selection": "ALL" if ref.selection is None else list(ref.selection),
+        "description": ref.description,
+    },
+    "step": lambda step: {"text": step.text, "spawns": list(step.spawns)},
+    "status": attrgetter("value"),
+    "mode": attrgetter("value"),
+    "filters": lambda filters: [list(f) for f in filters],
+    "aggregation": attrgetter("value"),
+    "expr": _expr.to_text,
+    "interval": asdict,  # lo, hi, lo_closed, hi_closed
+    "band": lambda band: {
+        "interval": asdict(band.interval),
+        "label": band.label,
+        "actions": [
+            {"kind": a.kind.value, "target": {"ref": a.target.ref, "owner": a.target.is_owner}}
+            for a in band.actions
+        ],
+    },
+    "schedule": lambda s: {"collection": s.collection.value, "reporting": s.reporting.value},
+}
+
+
+def node_json(kind: str, node) -> dict:
+    """A node's JSON form: its id, and one key per row of its kind's field table.
+
+    A field left unset (None) is null; a repeated field is a list of items.
+    """
+    out = {"id": node.id}
+    for f in FIELDS[kind]:
+        value = getattr(node, f.attribute)
+        form = _JSON_FORMS[f.value_kind]
+        if f.repeated:
+            out[f.key] = [form(item) for item in value]
+        else:
+            out[f.key] = None if value is None else form(value)
     return out
 
 
@@ -451,4 +467,8 @@ def canonical_dump(model: Model) -> str:
 
     Excludes source spans; equal dumps mean semantically identical models.
     """
-    return json.dumps(model_to_canonical(model), indent=2, sort_keys=True) + "\n"
+    out = {  # keyed by kind + "s" ("strategys"), as the dump has always been
+        kind + "s": {node_id: node_json(kind, node) for node_id, node in model.collection(kind).items()}
+        for kind in NODE_KINDS
+    }
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"

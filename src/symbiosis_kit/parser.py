@@ -28,14 +28,8 @@ from .model import (
     ScopeRef,
     SourceMode,
     StrategyStep,
-    KIND_BASE,
-    KIND_GOAL,
-    KIND_METRIC,
-    KIND_OBJECTIVE,
-    KIND_QUESTION,
-    KIND_STAKEHOLDER,
-    KIND_STRATEGY,
-    KIND_UNIVERSE,
+    COLLECTIONS,
+    FIELDS,
     NODE_TYPES,
 )
 
@@ -66,15 +60,11 @@ _SLASH = TokenKind.SLASH
 _MINUS = TokenKind.MINUS
 _EQUALS = TokenKind.EQUALS
 
-# Fields that may legitimately repeat within one block.
-_REPEATABLE = {"band", "step"}
-
-# Block field names that differ from the node attribute they fill.
-_ATTRIBUTE_OF = {"for": "for_objective", "where": "filters", "step": "steps", "band": "bands"}
-
 # Deepest metric function accepted: operator nesting (leaves count 0, each
 # Neg or BinOp one more than its deepest child) and parenthesis nesting.
 MAX_EXPR_DEPTH = 200
+
+_INFINITY = float("inf")
 
 _PRECEDENCE = {TokenKind.PLUS: 1, TokenKind.MINUS: 1, TokenKind.STAR: 2, TokenKind.SLASH: 2}
 
@@ -113,18 +103,8 @@ class _Builder:
         self.spans[(kind, node_id)] = span
 
     def build(self) -> Model:
-        return Model(
-            stakeholders={n.id: n for n in self.nodes[KIND_STAKEHOLDER]},
-            universes={n.id: n for n in self.nodes[KIND_UNIVERSE]},
-            objectives={n.id: n for n in self.nodes[KIND_OBJECTIVE]},
-            strategies={n.id: n for n in self.nodes[KIND_STRATEGY]},
-            goals={n.id: n for n in self.nodes[KIND_GOAL]},
-            questions={n.id: n for n in self.nodes[KIND_QUESTION]},
-            bases={n.id: n for n in self.nodes[KIND_BASE]},
-            metrics={n.id: n for n in self.nodes[KIND_METRIC]},
-            spans=self.spans,
-            duplicate_decls=tuple(self.duplicates),
-        )
+        collections = {COLLECTIONS[kind]: {n.id: n for n in nodes} for kind, nodes in self.nodes.items()}
+        return Model(**collections, spans=self.spans, duplicate_decls=tuple(self.duplicates))
 
 
 class _Parser:
@@ -287,83 +267,34 @@ class _Parser:
                 i = self.pos
                 continue
             self.pos = i + 1
-            duplicate = name in seen and name not in _REPEATABLE
+            duplicate = name in seen and name not in _REPEATED_NAMES
             if duplicate:
                 self.error("P004", f"duplicate field {name!r} in {kind} block", name_tok.span)
             seen.add(name)
-            reader = readers.get(name)
-            if reader is None:
+            entry = readers.get(name)
+            if entry is None:
                 self.error("P001", f"unknown field {name!r} in {kind} block", name_tok.span)
                 value = None
             else:
-                value = reader(self)
+                read, attribute = entry
+                value = read(self)
             if value is None:
                 self.skip_to_field_boundary()
             i = self.pos
             if duplicate or value is None:
                 continue
-            if name in _REPEATABLE:
-                fields.setdefault(name, []).append(value)
+            if name in _REPEATED_NAMES:
+                fields.setdefault(attribute, []).append(value)
             else:
-                fields[name] = value
+                fields[attribute] = value
         if tokens[i].kind is _RBRACE:
             i += 1
         else:
             self.expected(tokens[i], "'}'")
         self.pos = i
-        self.builder.add(kind, id_tok.text, self.assemble(kind, id_tok.text, fields), id_tok.span)
-
-    # -- field schema ------------------------------------------------------
-    # The value kind of each (block kind, field); `_READERS` maps each field
-    # to the parse_value_<value kind> method that reads it.
-
-    _SCHEMA: dict[tuple[str, str], str] = {
-        (KIND_STAKEHOLDER, "name"): "str",
-        (KIND_STAKEHOLDER, "role"): "str",
-        (KIND_UNIVERSE, "facets"): "ident_list",
-        (KIND_OBJECTIVE, "object"): "str",
-        (KIND_OBJECTIVE, "scope"): "scope",
-        (KIND_OBJECTIVE, "purpose"): "str",
-        (KIND_OBJECTIVE, "viewpoint"): "ident_list",
-        (KIND_OBJECTIVE, "context"): "str",
-        (KIND_OBJECTIVE, "refines"): "ident",
-        (KIND_OBJECTIVE, "depends_on"): "ident_list",
-        (KIND_OBJECTIVE, "affects"): "ident_list",
-        (KIND_OBJECTIVE, "priority"): "int",
-        (KIND_OBJECTIVE, "priority_justification"): "str",
-        (KIND_STRATEGY, "for"): "ident",
-        (KIND_STRATEGY, "step"): "step",
-        (KIND_STRATEGY, "justification"): "str",
-        (KIND_GOAL, "object"): "str",
-        (KIND_GOAL, "purpose"): "str",
-        (KIND_GOAL, "focus"): "str",
-        (KIND_GOAL, "scope"): "str",
-        (KIND_GOAL, "criteria"): "str_list",
-        (KIND_GOAL, "viewpoint"): "ident_list",
-        (KIND_GOAL, "context"): "str",
-        (KIND_GOAL, "measures"): "ident_list",
-        (KIND_GOAL, "related"): "ident_list",
-        (KIND_QUESTION, "goal"): "ident",
-        (KIND_QUESTION, "text"): "str",
-        (KIND_QUESTION, "status"): "status",
-        (KIND_BASE, "description"): "str",
-        (KIND_BASE, "mode"): "mode",
-        (KIND_BASE, "where"): "filters",
-        (KIND_BASE, "aggregation"): "aggregation",
-        (KIND_METRIC, "description"): "str",
-        (KIND_METRIC, "created"): "date",
-        (KIND_METRIC, "modified"): "date",
-        (KIND_METRIC, "reviewed"): "date",
-        (KIND_METRIC, "goal"): "ident",
-        (KIND_METRIC, "answers"): "ident_list",
-        (KIND_METRIC, "uses"): "ident_list",
-        (KIND_METRIC, "method"): "str",
-        (KIND_METRIC, "function"): "expr",
-        (KIND_METRIC, "domain"): "interval",
-        (KIND_METRIC, "band"): "band",
-        (KIND_METRIC, "schedule"): "schedule",
-        (KIND_METRIC, "stakeholders"): "ident_list",
-    }
+        # A repeated field's items were gathered in a list.
+        values = {attribute: tuple(v) if type(v) is list else v for attribute, v in fields.items()}
+        self.builder.add(kind, id_tok.text, NODE_TYPES[kind](id=id_tok.text, **values), id_tok.span)
 
     # -- value readers -----------------------------------------------------
     # A reader starts at `pos` and leaves it after what it read. It returns
@@ -408,14 +339,29 @@ class _Parser:
     def parse_value_str_list(self) -> tuple[str, ...] | None:
         return self.read_list(_STRING, "a quoted string")
 
+    def number(self, tok: Token) -> float | None:
+        """The value of NUMBER token `tok`; every reader of a number asks here.
+
+        A literal beyond the float range (309 digits or more) lexes to
+        infinity: that is P001, and None.
+        """
+        if tok.value == _INFINITY:
+            text = tok.text
+            message = f"number too large: {text[:8]}...{text[-8:]} ({len(text)} characters)"
+            return self.error("P001", message, tok.span)
+        return tok.value
+
     def parse_value_int(self) -> int | None:
         tok = self.tokens[self.pos]
         if tok.kind is not _NUMBER:
             return self.expected(tok, "a number")
         self.pos += 1
-        if tok.value != int(tok.value):
+        value = self.number(tok)
+        if value is None:
+            return None
+        if value != int(value):
             return self.error("P001", f"expected an integer, found {tok.text!r}", tok.span)
-        return int(tok.value)
+        return int(value)
 
     def parse_value_date(self) -> _dt.date | None:
         tok = self.tokens[self.pos]
@@ -524,7 +470,11 @@ class _Parser:
         if tok.kind is not _NUMBER:
             return self.malformed_interval(tok, what)
         self.pos = i + 1
-        value = -tok.value if negative else tok.value
+        value = self.number(tok)
+        if value is None:
+            return None
+        if negative:
+            value = -value
         return 0.0 if value == 0 else value
 
     def parse_value_interval(self) -> Interval | None:
@@ -649,7 +599,8 @@ class _Parser:
             return (_expr.Neg(operand[0]), operand[1] + 1) if operand else None
         if kind is _NUMBER:
             self.pos += 1
-            return _expr.Num(tok.value), 0
+            value = self.number(tok)
+            return (_expr.Num(value), 0) if value is not None else None
         if kind is _IDENT:
             self.pos += 1
             return _expr.Var(tok.text), 0
@@ -667,25 +618,15 @@ class _Parser:
         self.error("P001", f"expected an expression, found {_shown(tok)!r}", tok.span)
         return None
 
-    # -- node assembly -----------------------------------------------------
-
-    def assemble(self, kind: str, node_id: str, fields: dict):
-        values = {
-            _ATTRIBUTE_OF.get(name, name): tuple(value) if name in _REPEATABLE else value
-            for name, value in fields.items()
-        }
-        return NODE_TYPES[kind](id=node_id, **values)
-
-
-# Each block kind's field readers: {block kind: {field name: reader}}.
-_READERS: dict[str, dict] = {
-    kind: {
-        name: getattr(_Parser, "parse_value_" + value_kind)
-        for (block, name), value_kind in _Parser._SCHEMA.items()
-        if block == kind
-    }
-    for kind in NODE_TYPES
+# Each block kind's fields by name: {block kind: {field name: (reader, attribute)}}.
+_READERS: dict[str, dict[str, tuple]] = {
+    kind: {f.name: (getattr(_Parser, "parse_value_" + f.value_kind), f.attribute) for f in fields}
+    for kind, fields in FIELDS.items()
 }
+
+# Field names that may repeat within one block: those of the repeated fields of
+# every kind, so that a `step` repeated in a metric block is unknown, not P004.
+_REPEATED_NAMES = frozenset(f.name for fields in FIELDS.values() for f in fields if f.repeated)
 
 
 def parse(text: str, filename: str = "<string>") -> tuple[Model, list[Diagnostic]]:

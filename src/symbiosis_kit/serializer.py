@@ -1,207 +1,110 @@
-"""Canonical .sym serialization: deterministic, reparses to an equal model."""
+"""Canonical .sym serialization: deterministic, reparses to an equal model.
+
+A block prints the rows of its kind's field table (`model.FIELDS`) in order.
+A row is printed when it is always printed or when its value differs from
+the dataclass default; a repeated field prints one row per item.
+"""
 
 from __future__ import annotations
 
+from datetime import date
+from operator import attrgetter
+
 from . import expr as _expr
 from .model import (
-    Action,
-    BaseMeasurementDef,
-    BusinessObjective,
-    Interval,
-    MeasurementGoal,
-    MeasurementQuestion,
-    MetricDef,
-    Model,
+    FIELDS,
     NODE_KINDS,
-    QuestionStatus,
+    NODE_TYPES,
+    InterpretationBand,
+    Interval,
+    Model,
+    ReportingSchedule,
     ScopeRef,
-    ScopeUniverse,
-    Stakeholder,
-    Strategy,
+    StrategyStep,
 )
 
-_HEADER = "# .sym model (canonical form)\n"
+_HEADER = "# .sym model (canonical form)"
 
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 
 
 def _quote(text: str) -> str:
-    out = []
-    for ch in text:
-        out.append(_STRING_ESCAPES.get(ch, ch))
-    return '"' + "".join(out) + '"'
-
-
-def _quote_list(items) -> str:
-    return ", ".join(_quote(x) for x in items)
-
-
-def _ident_list(items) -> str:
-    return ", ".join(items)
+    return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
 def _scope(ref: ScopeRef) -> str:
     if ref.selection is None:
         text = f"{ref.universe}.*"
     else:
-        text = f"{ref.universe}.{{{_ident_list(ref.selection)}}}"
+        text = f"{ref.universe}.{{{', '.join(ref.selection)}}}"
     if ref.description is not None:
         text += f" {_quote(ref.description)}"
     return text
 
 
-def _interval(iv: Interval) -> str:
-    return iv.notation()
+def _step(step: StrategyStep) -> str:
+    if step.spawns:
+        return f"{_quote(step.text)} -> {', '.join(step.spawns)}"
+    return _quote(step.text)
 
 
-def _action(action: Action) -> str:
-    return f"{action.kind.value} {action.target.notation()}"
+def _band(band: InterpretationBand) -> str:
+    actions = "".join(f"\n    {a.kind.value} {a.target.notation()}" for a in band.actions)
+    return f"{band.interval.notation()} -> {band.label} {{{actions}\n  }}"
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = [_HEADER.rstrip("\n")]
-
-    def blank(self) -> None:
-        if self.lines and self.lines[-1] != "":
-            self.lines.append("")
-
-    def block(self, kind: str, node_id: str, rows: list[str]) -> None:
-        self.blank()
-        self.lines.append(f"{kind} {node_id} {{")
-        self.lines.extend(f"  {row}" for row in rows)
-        self.lines.append("}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-def _stakeholder_rows(node: Stakeholder) -> list[str]:
-    rows = [f"name: {_quote(node.name)}"]
-    if node.role:
-        rows.append(f"role: {_quote(node.role)}")
-    return rows
-
-
-def _universe_rows(node: ScopeUniverse) -> list[str]:
-    return [f"facets: {_ident_list(node.facets)}"]
-
-
-def _objective_rows(node: BusinessObjective) -> list[str]:
-    rows = []
-    if node.refines:
-        rows.append(f"refines: {node.refines}")
-    rows.append(f"object: {_quote(node.object)}")
-    if node.scope is not None:
-        rows.append(f"scope: {_scope(node.scope)}")
-    rows.append(f"purpose: {_quote(node.purpose)}")
-    if node.viewpoint:
-        rows.append(f"viewpoint: {_ident_list(node.viewpoint)}")
-    rows.append(f"context: {_quote(node.context)}")
-    if node.depends_on:
-        rows.append(f"depends_on: {_ident_list(node.depends_on)}")
-    if node.affects:
-        rows.append(f"affects: {_ident_list(node.affects)}")
-    if node.priority is not None:
-        rows.append(f"priority: {node.priority}")
-    if node.priority_justification:
-        rows.append(f"priority_justification: {_quote(node.priority_justification)}")
-    return rows
-
-
-def _strategy_rows(node: Strategy) -> list[str]:
-    rows = [f"for: {node.for_objective}"]
-    for step in node.steps:
-        if step.spawns:
-            rows.append(f"step: {_quote(step.text)} -> {_ident_list(step.spawns)}")
-        else:
-            rows.append(f"step: {_quote(step.text)}")
-    rows.append(f"justification: {_quote(node.justification)}")
-    return rows
-
-
-def _goal_rows(node: MeasurementGoal) -> list[str]:
-    rows = [
-        f"object: {_quote(node.object)}",
-        f"purpose: {_quote(node.purpose)}",
-        f"focus: {_quote(node.focus)}",
-        f"scope: {_quote(node.scope)}",
-    ]
-    if node.criteria:
-        rows.append(f"criteria: {_quote_list(node.criteria)}")
-    if node.viewpoint:
-        rows.append(f"viewpoint: {_ident_list(node.viewpoint)}")
-    rows.append(f"context: {_quote(node.context)}")
-    if node.measures:
-        rows.append(f"measures: {_ident_list(node.measures)}")
-    if node.related:
-        rows.append(f"related: {_ident_list(node.related)}")
-    return rows
-
-
-def _question_rows(node: MeasurementQuestion) -> list[str]:
-    rows = [f"goal: {node.goal}", f"text: {_quote(node.text)}"]
-    if node.status is not QuestionStatus.OPEN:
-        rows.append(f"status: {node.status.value}")
-    return rows
-
-
-def _base_rows(node: BaseMeasurementDef) -> list[str]:
-    rows = [f"description: {_quote(node.description)}", f"mode: {node.mode.value}"]
-    if node.filters:
-        pairs = ", ".join(f"{name} = {_quote(value)}" for name, value in node.filters)
-        rows.append(f"where: {pairs}")
-    if node.aggregation is not None:
-        rows.append(f"aggregation: {node.aggregation.value}")
-    return rows
-
-
-def _metric_rows(node: MetricDef) -> list[str]:
-    rows = [f"description: {_quote(node.description)}"]
-    if node.created:
-        rows.append(f"created: {node.created.isoformat()}")
-    if node.modified:
-        rows.append(f"modified: {node.modified.isoformat()}")
-    if node.reviewed:
-        rows.append(f"reviewed: {node.reviewed.isoformat()}")
-    if node.goal:
-        rows.append(f"goal: {node.goal}")
-    if node.answers:
-        rows.append(f"answers: {_ident_list(node.answers)}")
-    if node.uses:
-        rows.append(f"uses: {_ident_list(node.uses)}")
-    rows.append(f"method: {_quote(node.method)}")
-    if node.function is not None:
-        rows.append(f"function: {_expr.to_text(node.function)}")
-    if node.domain is not None:
-        rows.append(f"domain: {_interval(node.domain)}")
-    for band in node.bands:
-        rows.append(f"band: {_interval(band.interval)} -> {band.label} {{")
-        rows.extend(f"  {_action(a)}" for a in band.actions)
-        rows.append("}")
-    if node.schedule is not None:
-        rows.append(f"schedule: {node.schedule.notation()}")
-    if node.stakeholders:
-        rows.append(f"stakeholders: {_ident_list(node.stakeholders)}")
-    return rows
-
-
-_ROW_BUILDERS = {
-    "stakeholder": _stakeholder_rows,
-    "universe": _universe_rows,
-    "objective": _objective_rows,
-    "strategy": _strategy_rows,
-    "goal": _goal_rows,
-    "question": _question_rows,
-    "base": _base_rows,
-    "metric": _metric_rows,
+# The text of one value (one item, for a repeated field) by value kind.
+_PRINTERS = {
+    "str": _quote,
+    "ident": str,
+    "ident_list": ", ".join,
+    "str_list": lambda items: ", ".join(map(_quote, items)),
+    "int": str,
+    "date": date.isoformat,
+    "scope": _scope,
+    "step": _step,
+    "status": attrgetter("value"),
+    "mode": attrgetter("value"),
+    "filters": lambda filters: ", ".join(f"{name} = {_quote(value)}" for name, value in filters),
+    "aggregation": attrgetter("value"),
+    "expr": _expr.to_text,
+    "interval": Interval.notation,
+    "band": _band,
+    "schedule": ReportingSchedule.notation,
 }
+
+
+def _printing(kind: str) -> tuple:
+    """(row prefix, attribute, printer, always printed, repeated, default) per field."""
+    default = NODE_TYPES[kind](id="")
+    return tuple(
+        (
+            f"  {f.name}: ",
+            f.attribute,
+            _PRINTERS[f.value_kind],
+            f.always,
+            f.repeated,
+            getattr(default, f.attribute),
+        )
+        for f in FIELDS[kind]
+    )
+
+
+_PRINTING = {kind: _printing(kind) for kind in FIELDS}
 
 
 def serialize(model: Model) -> str:
     """Emit the model in canonical form: fixed kind order, ids sorted, LF endings."""
-    writer = _Writer()
+    lines = [_HEADER]
     for kind in NODE_KINDS:
+        rows = _PRINTING[kind]
         for node_id, node in sorted(model.collection(kind).items()):
-            writer.block(kind, node_id, _ROW_BUILDERS[kind](node))
-    return writer.text()
+            lines.append(f"\n{kind} {node_id} {{")
+            for prefix, attribute, show, always, repeated, default in rows:
+                value = getattr(node, attribute)
+                if repeated:
+                    lines.extend(prefix + show(item) for item in value)
+                elif always or value != default:
+                    lines.append(prefix + show(value))
+            lines.append("}")
+    return "\n".join(lines) + "\n"

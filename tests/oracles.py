@@ -3,8 +3,8 @@
 Everything here recomputes results from first principles (plain datetime
 arithmetic, exhaustive sweeps, fresh BFS over edges rebuilt from node fields,
 a character-at-a-time tokenizer, a parser that reads one token per method
-call, an ingest that decodes every log line in full) so a bug in the package
-cannot hide in its own oracle.
+call, a diff of hand-written canonical dicts, an ingest that decodes every
+log line in full) so a bug in the package cannot hide in its own oracle.
 """
 
 from __future__ import annotations
@@ -32,23 +32,31 @@ from symbiosis_kit.model import (
     KIND_STAKEHOLDER,
     KIND_STRATEGY,
     KIND_UNIVERSE,
+    NODE_KINDS,
     NODE_TYPES,
     Action,
     ActionKind,
     ActionTarget,
     Aggregation,
     BaseMeasurementDef,
+    BusinessObjective,
     Granularity,
     InterpretationBand,
     Interval,
+    MeasurementGoal,
+    MeasurementQuestion,
     MetricDef,
     Model,
     QuestionStatus,
     ReportingSchedule,
     ScopeRef,
+    ScopeUniverse,
     SourceMode,
+    Stakeholder,
+    Strategy,
     StrategyStep,
 )
+from symbiosis_kit.impact import Change, ChangeKind, FieldChange
 from symbiosis_kit.parser import _Builder
 from symbiosis_kit.pipeline import DirectEntry, MeasurementLog, MeasurementRecord, RawEvent
 
@@ -284,6 +292,147 @@ def orphans_after_removal(model: Model, removed: str) -> set[str]:
         if not reached:
             orphans.add(node)
     return orphans
+
+
+# -- diffs on canonical dicts -----------------------------------------------------
+# The diff the package had before it compared frozen nodes and read fields
+# from one field table: every node of both models is turned into the dict
+# its class's `to_canonical` method built, and the dicts are compared. The
+# dicts are kept as written; the methods became one function per node class,
+# and those of nested values (scope, interval, band, step, action, schedule)
+# became helpers or inline dicts.
+
+
+def _scope_canonical(ref: ScopeRef) -> dict:
+    return {
+        "universe": ref.universe,
+        "selection": "ALL" if ref.selection is None else list(ref.selection),
+        "description": ref.description,
+    }
+
+
+def _interval_canonical(iv: Interval) -> dict:
+    return {
+        "lo": iv.lo,
+        "hi": iv.hi,
+        "lo_closed": iv.lo_closed,
+        "hi_closed": iv.hi_closed,
+    }
+
+
+def _band_canonical(band: InterpretationBand) -> dict:
+    return {
+        "interval": _interval_canonical(band.interval),
+        "label": band.label,
+        "actions": [
+            {"kind": a.kind.value, "target": {"ref": a.target.ref, "owner": a.target.is_owner}}
+            for a in band.actions
+        ],
+    }
+
+
+_TO_CANONICAL = {
+    Stakeholder: lambda n: {"id": n.id, "name": n.name, "role": n.role},
+    ScopeUniverse: lambda n: {"id": n.id, "facets": list(n.facets)},
+    BusinessObjective: lambda n: {
+        "id": n.id,
+        "object": n.object,
+        "scope": _scope_canonical(n.scope) if n.scope else None,
+        "purpose": n.purpose,
+        "viewpoint": list(n.viewpoint),
+        "context": n.context,
+        "refines": n.refines,
+        "depends_on": list(n.depends_on),
+        "affects": list(n.affects),
+        "priority": n.priority,
+        "priority_justification": n.priority_justification,
+    },
+    Strategy: lambda n: {
+        "id": n.id,
+        "for": n.for_objective,
+        "steps": [{"text": s.text, "spawns": list(s.spawns)} for s in n.steps],
+        "justification": n.justification,
+    },
+    MeasurementGoal: lambda n: {
+        "id": n.id,
+        "object": n.object,
+        "purpose": n.purpose,
+        "focus": n.focus,
+        "scope": n.scope,
+        "criteria": list(n.criteria),
+        "viewpoint": list(n.viewpoint),
+        "context": n.context,
+        "measures": list(n.measures),
+        "related": list(n.related),
+    },
+    MeasurementQuestion: lambda n: {
+        "id": n.id,
+        "goal": n.goal,
+        "text": n.text,
+        "status": n.status.value,
+    },
+    BaseMeasurementDef: lambda n: {
+        "id": n.id,
+        "description": n.description,
+        "mode": n.mode.value,
+        "filters": [list(f) for f in n.filters],
+        "aggregation": n.aggregation.value if n.aggregation else None,
+    },
+    MetricDef: lambda n: {
+        "id": n.id,
+        "description": n.description,
+        "goal": n.goal,
+        "answers": list(n.answers),
+        "uses": list(n.uses),
+        "method": n.method,
+        "function": _expr.to_text(n.function) if n.function else None,
+        "bands": [_band_canonical(b) for b in n.bands],
+        "schedule": (
+            {"collection": n.schedule.collection.value, "reporting": n.schedule.reporting.value}
+            if n.schedule
+            else None
+        ),
+        "stakeholders": list(n.stakeholders),
+        "domain": _interval_canonical(n.domain) if n.domain else None,
+        "created": n.created.isoformat() if n.created else None,
+        "modified": n.modified.isoformat() if n.modified else None,
+        "reviewed": n.reviewed.isoformat() if n.reviewed else None,
+    },
+}
+
+
+def model_to_canonical(model: Model) -> dict:
+    out: dict = {}
+    for kind in NODE_KINDS:
+        coll = model.collection(kind)
+        out[kind + "s"] = {
+            node_id: _TO_CANONICAL[type(node)](node) for node_id, node in sorted(coll.items())
+        }
+    return out
+
+
+def diff_by_canonical(old: Model, new: Model) -> list[Change]:
+    """Node-level diff keyed by (kind, id); field diffs on canonical forms."""
+    old_canon = model_to_canonical(old)
+    new_canon = model_to_canonical(new)
+    changes: list[Change] = []
+    for kind in NODE_KINDS:
+        old_nodes = old_canon[kind + "s"]
+        new_nodes = new_canon[kind + "s"]
+        for node_id in sorted(old_nodes.keys() | new_nodes.keys()):
+            if node_id not in new_nodes:
+                changes.append(Change(ChangeKind.REMOVED, kind, node_id))
+            elif node_id not in old_nodes:
+                changes.append(Change(ChangeKind.ADDED, kind, node_id))
+            elif old_nodes[node_id] != new_nodes[node_id]:
+                fields = tuple(
+                    FieldChange(name, old_nodes[node_id][name], new_nodes[node_id][name])
+                    for name in sorted(old_nodes[node_id])
+                    if old_nodes[node_id][name] != new_nodes[node_id][name]
+                )
+                changes.append(Change(ChangeKind.MODIFIED, kind, node_id, fields))
+    changes.sort(key=lambda c: (c.node_kind, c.node_id))
+    return changes
 
 
 # -- tokenizing one character at a time --------------------------------------------
@@ -574,7 +723,9 @@ def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> M
 # list, kept as written (`parse` is renamed `parse_token_by_token`, and `_dt`
 # is this module's `dt`): every token goes through peek, advance, expect or
 # at. It reads the tokens of the package's lexer, so it checks the parser
-# alone.
+# alone. One rule was added since: a number literal too large for a float
+# (its token's value is infinity) is P001 wherever a number is read, and the
+# field it is in is dropped.
 
 # Largest offset passed to _Parser.peek.
 _LOOKAHEAD = 2
@@ -853,9 +1004,17 @@ class _Parser:
             items.append(tok.text)
         return tuple(items)
 
+    def too_large(self, tok: Token) -> bool:
+        if not math.isinf(tok.value):
+            return False
+        text = tok.text
+        message = f"number too large: {text[:8]}...{text[-8:]} ({len(text)} characters)"
+        self.error("P001", message, tok.span)
+        return True
+
     def parse_value_int(self) -> int | None:
         tok = self.expect(TokenKind.NUMBER, "a number")
-        if tok is None:
+        if tok is None or self.too_large(tok):
             return None
         if tok.value != int(tok.value):
             self.error("P001", f"expected an integer, found {tok.text!r}", tok.span)
@@ -972,6 +1131,8 @@ class _Parser:
             self.error("P005", f"malformed interval: expected {what}, found {shown!r}", tok.span)
             return None
         self.advance()
+        if self.too_large(tok):
+            return None
         value = -tok.value if negative else tok.value
         return 0.0 if value == 0 else value
 
@@ -1111,6 +1272,8 @@ class _Parser:
             return (_expr.Neg(operand[0]), operand[1] + 1) if operand else None
         if tok.kind is TokenKind.NUMBER:
             self.advance()
+            if self.too_large(tok):
+                return None
             return _expr.Num(tok.value), 0
         if tok.kind is TokenKind.IDENT:
             self.advance()

@@ -97,6 +97,20 @@ def test_check_of_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["priority", "band", "domain", "function"])
+def test_check_of_a_number_beyond_the_float_range_is_p001_not_a_traceback(tmp_path, capsys, field):
+    from test_parser import TOO_LARGE
+
+    path = tmp_path / "huge.sym"
+    path.write_text(TOO_LARGE[field], encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "P001" in out and "number too large" in out
+    assert "Traceback" not in err
+    assert cli.main(["fmt", str(path)]) == 1
+    assert path.read_text(encoding="utf-8") == TOO_LARGE[field]
+
+
 def test_check_of_a_model_and_include_with_byte_order_marks(tmp_path, capsys):
     (tmp_path / "part.sym").write_text('\ufeffstakeholder t { name: "T" }\n', encoding="utf-8")
     main = tmp_path / "main.sym"

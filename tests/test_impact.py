@@ -1,9 +1,15 @@
 """Model diffs and change-impact classification."""
 
+import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modelgen import program_model, random_model
+from oracles import diff_by_canonical
 from symbiosis_kit.graph import UnknownNode, build_graph
 from symbiosis_kit.impact import (
     Change,
@@ -14,6 +20,7 @@ from symbiosis_kit.impact import (
     render_json,
     render_text,
 )
+from symbiosis_kit.model import COLLECTIONS, FIELDS, NODE_KINDS, NODE_TYPES
 from symbiosis_kit.parser import parse
 
 # Diamond: MGd keeps an independent path to a root when A is removed, MGo not.
@@ -60,6 +67,69 @@ def test_diff_kinds_and_ordering():
     (field_change,) = changes[2].fields
     assert field_change.field == "object"
     assert (field_change.old, field_change.new) == ("before", "after")
+
+
+# -- diff against the diff of hand-written canonical dicts ------------------------
+# `oracles.diff_by_canonical` is the diff as it was before it compared frozen
+# nodes first and read fields from the field table. `repr` tells 1 from 1.0.
+
+
+def _assert_same_as_canonical_diff(old, new):
+    changes = diff(old, new)
+    assert repr(changes) == repr(diff_by_canonical(old, new))
+    return changes
+
+
+def _edit_one_field(rng, model, donor):
+    """`model` with one field of one node set to its value in a node of the
+    same kind in `donor`, or in a default node."""
+    kind = rng.choice([k for k in NODE_KINDS if model.collection(k)])
+    nodes = model.collection(kind)
+    node_id = rng.choice(sorted(nodes))
+    row = rng.choice(FIELDS[kind])
+    pool = sorted(donor.collection(kind).values(), key=lambda n: n.id) + [NODE_TYPES[kind](id=node_id)]
+    value = getattr(rng.choice(pool), row.attribute)
+    node = dataclasses.replace(nodes[node_id], **{row.attribute: value})
+    return dataclasses.replace(model, **{COLLECTIONS[kind]: {**nodes, node_id: node}})
+
+
+def test_diff_matches_the_canonical_diff_on_random_pairs():
+    rng = random.Random(20190304)
+    for _ in range(300):
+        old, new = random_model(rng, max_nodes=20), random_model(rng, max_nodes=20)
+        _assert_same_as_canonical_diff(old, new)
+        assert _assert_same_as_canonical_diff(old, old) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_diff_matches_the_canonical_diff_on_one_field_edits(seed):
+    rng = random.Random(seed)
+    old = random_model(rng, max_nodes=20)
+    new = _edit_one_field(rng, old, random_model(rng, max_nodes=20))
+    changes = _assert_same_as_canonical_diff(old, new)
+    _assert_same_as_canonical_diff(new, old)
+    assert len(changes) <= 1
+    assert all(c.kind is ChangeKind.MODIFIED and len(c.fields) == 1 for c in changes)
+
+
+def test_diff_matches_the_canonical_diff_on_a_511_objective_program():
+    rng = random.Random(5)
+    old = program_model(random.Random(1))
+    new = old
+    for _ in range(40):
+        new = _edit_one_field(rng, new, program_model(random.Random(2)))
+    assert _assert_same_as_canonical_diff(old, new)
+    _assert_same_as_canonical_diff(new, old)
+
+
+def test_nodes_that_differ_only_in_python_types_are_not_modified():
+    old = build('objective BO1 { viewpoint: s affects: BO2 }\nobjective BO2 { }')
+    bo1 = old.objectives["BO1"]
+    listed = dataclasses.replace(bo1, viewpoint=["s"])
+    new = dataclasses.replace(old, objectives={**old.objectives, "BO1": listed})
+    assert listed != bo1
+    assert _assert_same_as_canonical_diff(old, new) == []
 
 
 # -- impact --------------------------------------------------------------------

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS_ROOT
 from modelgen import program_model
-from oracles import parse_token_by_token
+import oracles
+from oracles import diff_by_canonical, parse_token_by_token
 from symbiosis_kit.diagnostics import SourceSpan
 from symbiosis_kit.expr import BinOp, Neg, Num, Var
 from symbiosis_kit.model import (
@@ -20,6 +21,7 @@ from symbiosis_kit.model import (
     Aggregation,
     Granularity,
     InterpretationBand,
+    FIELDS,
     Interval,
     NODE_TYPES,
     QuestionStatus,
@@ -28,6 +30,7 @@ from symbiosis_kit.model import (
     SourceMode,
     StrategyStep,
 )
+from symbiosis_kit.impact import diff
 from symbiosis_kit.lexer import TokenKind, tokenize
 from symbiosis_kit.parser import (
     MAX_EXPR_DEPTH,
@@ -106,6 +109,41 @@ def test_empty_interval_is_p005():
 def test_backwards_interval_is_p005():
     _, diags = parse("metric M { band: [9, 2] -> x { log t } }")
     assert codes(diags) == ["P005"]
+
+
+# A number literal of 309 or more digits is beyond the float range.
+_HUGE = "9" * 400
+
+# The four fields that read a number, each with a huge literal.
+TOO_LARGE = {
+    "priority": f"objective B {{ priority: {_HUGE} }}",
+    "band": f"metric M {{ band: [{_HUGE}, 5] -> x {{ log s }} method: \"m\" }}",
+    "domain": f"metric M {{ domain: [0, {_HUGE}] method: \"m\" }}",
+    "function": f"metric M {{ function: a + -{_HUGE} * 2 method: \"m\" }}",
+}
+
+
+@pytest.mark.parametrize("field", sorted(TOO_LARGE))
+def test_a_number_beyond_the_float_range_is_one_p001_and_drops_the_field(field):
+    model, diags = parse(TOO_LARGE[field])
+    assert [(d.code, d.message) for d in diags] == [
+        ("P001", "number too large: 99999999...99999999 (400 characters)")
+    ]
+    assert diags[0].span.length == 400
+    (node,) = model.objectives.values() if field == "priority" else model.metrics.values()
+    assert getattr(node, "bands" if field == "band" else field) in (None, ())
+    assert field == "priority" or node.method == "m"  # parsing goes on after the field
+    reparsed, diags = parse(serialize(model))
+    assert not diags
+    assert reparsed.collection(model.kind_of(node.id))[node.id] == node
+    _assert_same_as_token_by_token(TOO_LARGE[field])
+
+
+def test_the_largest_literal_below_the_float_range_parses():
+    digits = "9" * 308
+    model, diags = parse(f"metric M {{ domain: [0, {digits}] function: {digits} }}")
+    assert not diags
+    assert model.metrics["M"].domain.hi == float(digits)
 
 
 def test_single_point_closed_interval_is_fine():
@@ -315,19 +353,44 @@ _SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("kind, field", sorted(_Parser._SCHEMA))
+# Every row of the field table, by (block kind, field name).
+_ROWS = {(kind, row.name): row for kind, rows in FIELDS.items() for row in rows}
+
+
+@pytest.mark.parametrize("kind, field", sorted(_ROWS))
 def test_every_schema_field_reaches_its_attribute(kind, field):
-    source, expected = _SAMPLES[_Parser._SCHEMA[(kind, field)]]
+    """A block with one field set fills that row's attribute and no other,
+    prints and reparses to the same node, and diffs from the default node
+    in that row's JSON key alone."""
+    row = _ROWS[(kind, field)]
+    source, expected = _SAMPLES[row.value_kind]
     model, diags = parse(f"{kind} N {{ {field}: {source} }}")
     assert not diags
     node = model.collection(kind)["N"]
     default = NODE_TYPES[kind](id="N")
     changed = [
-        getattr(node, f.name)
+        (f.name, getattr(node, f.name))
         for f in dataclasses.fields(node)
         if getattr(node, f.name) != getattr(default, f.name)
     ]
-    assert changed == [expected]
+    assert changed == [(row.attribute, expected)]
+
+    reparsed, diags = parse(serialize(model))
+    assert not diags
+    assert reparsed.collection(kind)["N"] == node
+
+    before, _ = parse(f"{kind} N {{ }}")
+    assert before.collection(kind)["N"] == default
+    changes = diff(before, model)
+    assert changes == diff_by_canonical(before, model)
+    (change,) = changes
+    (field_change,) = change.fields
+    assert field_change.field == row.key
+
+
+def test_the_oracle_parser_reads_the_rows_of_the_field_table():
+    rows = {(kind, row.name): row.value_kind for (kind, _), row in _ROWS.items()}
+    assert oracles._Parser._SCHEMA == rows
 
 
 _PIECES = [

@@ -1,5 +1,6 @@
 """Canonical serializer: fixpoint and determinism."""
 
+from symbiosis_kit.model import Model, Stakeholder
 from symbiosis_kit.parser import parse
 from symbiosis_kit.serializer import serialize
 
@@ -61,3 +62,31 @@ def test_optional_fields_omitted_when_absent():
 def test_interval_notation_preserved():
     out = roundtrip("metric M { band: (0, 50] -> low { log t } }")
     assert "(0, 50]" in out
+
+def test_unset_identifiers_and_lists_are_omitted_so_the_text_reparses():
+    # An empty identifier or list has no written form: `goal: ` would not parse.
+    model, diags = parse('question Q { text: "t" }\nstrategy S { step: "s" }\nuniverse U { }')
+    assert not diags
+    out = serialize(model)
+    assert out == (
+        "# .sym model (canonical form)\n\n"
+        "universe U {\n}\n\n"
+        'strategy S {\n  step: "s"\n  justification: ""\n}\n\n'
+        'question Q {\n  text: "t"\n}\n'
+    )
+    reparsed, diags = parse(out)
+    assert not diags
+    assert (reparsed.questions, reparsed.strategies, reparsed.universes) == (
+        model.questions,
+        model.strategies,
+        model.universes,
+    )
+
+
+def test_every_escape_and_other_text_is_quoted_as_written():
+    text = 'a"b\\c\nd\te\rf # 控制 {x}'
+    out = serialize(Model(stakeholders={"S": Stakeholder("S", text)}))
+    assert '  name: "a\\"b\\\\c\\nd\\te\\rf # 控制 {x}"\n' in out
+    reparsed, diags = parse(out)
+    assert not diags
+    assert reparsed.stakeholders["S"].name == text
