@@ -70,13 +70,6 @@ class TraceabilityGraph:
             if e.src == node_id and (kinds is None or e.kind in kinds)
         ]
 
-    def edges_to(self, node_id: str, kinds: frozenset[EdgeKind] | None = None) -> list[Edge]:
-        return [
-            e
-            for e in self.edges
-            if e.dst == node_id and (kinds is None or e.kind in kinds)
-        ]
-
 
 def build_graph(model: Model) -> TraceabilityGraph:
     """Build the graph of a model that passed validation with zero errors.

@@ -10,7 +10,7 @@ matches wins (the most frequent come first):
 3. one punctuation character
 4. string: `"` up to the closing `"` or the end of the line (P002 if open)
 5. date `YYYY-MM-DD` of ASCII digits (not followed by a further digit)
-6. number `123` or `12.5`, ASCII digits only
+6. number `123`, `12.5` or `1e-05`, ASCII digits only
 7. any other character (P001, skipped)
 8. the end of the input, after the last blanks (becomes the EOF token)
 
@@ -114,7 +114,7 @@ _TOKEN_RE = re.compile(
     | (?P<punct>[""" + re.escape("".join(_PUNCT)) + r"""])
     | (?P<string>"(?P<body>[^"\\\n]*(?:\\.[^"\\\n]*)*)(?:(?P<closed>")|\\?))
     | (?P<date>[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9]))
-    | (?P<number>[0-9]+(?:\.[0-9]+)?)
+    | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)
     | (?P<other>.)
     | (?P<end>)\Z
     )

@@ -330,6 +330,8 @@ class Field(NamedTuple):
     key: str  # its key in the node's JSON form
     value_kind: str  # names the reader, the printer and the JSON form of its value
     always: bool  # printed even when it holds its dataclass default
+    required: bool  # empty is V010
+    target: str | None  # the kind of node each id it names must be (V002)
 
     @property
     def repeated(self) -> bool:
@@ -340,72 +342,83 @@ class Field(NamedTuple):
 REPEATED_KINDS = frozenset({"step", "band"})
 
 
-def _row(name: str, value_kind: str, always: bool = False, attribute: str = "", key: str = "") -> Field:
+def _row(
+    name: str,
+    value_kind: str,
+    always: bool = False,
+    attribute: str = "",
+    key: str = "",
+    required: bool = False,
+    target: str | None = None,
+) -> Field:
     attribute = attribute or name
-    return Field(name, attribute, key or attribute, value_kind, always)
+    return Field(name, attribute, key or attribute, value_kind, always, required, target)
 
 
 # The fields of each block kind, in the order `serialize` prints them. The
 # parser reads a field with `parse_value_<value kind>`, the serializer prints
 # it with its value kind's printer, and `node_json` gives `impact.diff` and
 # `canonical_dump` its JSON form. Only rows whose default can be written are
-# always printed: an empty identifier or list cannot.
+# always printed: an empty identifier or list cannot. The validator reports
+# a required field left empty (V010) and an id named by a field with a
+# target that is not a node of that kind (V002): a scope names a universe,
+# and a step the objectives it spawns.
 FIELDS: dict[str, tuple[Field, ...]] = {
-    KIND_UNIVERSE: (_row("facets", "ident_list"),),
-    KIND_STAKEHOLDER: (_row("name", "str", always=True), _row("role", "str")),
+    KIND_UNIVERSE: (_row("facets", "ident_list", required=True),),
+    KIND_STAKEHOLDER: (_row("name", "str", always=True, required=True), _row("role", "str")),
     KIND_OBJECTIVE: (
-        _row("refines", "ident"),
-        _row("object", "str", always=True),
-        _row("scope", "scope"),
-        _row("purpose", "str", always=True),
-        _row("viewpoint", "ident_list"),
-        _row("context", "str", always=True),
-        _row("depends_on", "ident_list"),
-        _row("affects", "ident_list"),
+        _row("refines", "ident", target=KIND_OBJECTIVE),
+        _row("object", "str", always=True, required=True),
+        _row("scope", "scope", required=True, target=KIND_UNIVERSE),
+        _row("purpose", "str", always=True, required=True),
+        _row("viewpoint", "ident_list", required=True, target=KIND_STAKEHOLDER),
+        _row("context", "str", always=True, required=True),
+        _row("depends_on", "ident_list", target=KIND_OBJECTIVE),
+        _row("affects", "ident_list", target=KIND_OBJECTIVE),
         _row("priority", "int"),
         _row("priority_justification", "str"),
     ),
     KIND_STRATEGY: (
-        _row("for", "ident", attribute="for_objective", key="for"),
-        _row("step", "step", attribute="steps"),
-        _row("justification", "str", always=True),
+        _row("for", "ident", attribute="for_objective", key="for", required=True, target=KIND_OBJECTIVE),
+        _row("step", "step", attribute="steps", required=True, target=KIND_OBJECTIVE),
+        _row("justification", "str", always=True, required=True),
     ),
     KIND_GOAL: (
-        _row("object", "str", always=True),
-        _row("purpose", "str", always=True),
-        _row("focus", "str", always=True),
-        _row("scope", "str", always=True),
-        _row("criteria", "str_list"),
-        _row("viewpoint", "ident_list"),
-        _row("context", "str", always=True),
-        _row("measures", "ident_list"),
-        _row("related", "ident_list"),
+        _row("object", "str", always=True, required=True),
+        _row("purpose", "str", always=True, required=True),
+        _row("focus", "str", always=True, required=True),
+        _row("scope", "str", always=True, required=True),
+        _row("criteria", "str_list", required=True),
+        _row("viewpoint", "ident_list", target=KIND_STAKEHOLDER),
+        _row("context", "str", always=True, required=True),
+        _row("measures", "ident_list", required=True, target=KIND_OBJECTIVE),
+        _row("related", "ident_list", target=KIND_GOAL),
     ),
     KIND_QUESTION: (
-        _row("goal", "ident"),
-        _row("text", "str", always=True),
+        _row("goal", "ident", required=True, target=KIND_GOAL),
+        _row("text", "str", always=True, required=True),
         _row("status", "status"),
     ),
     KIND_BASE: (
-        _row("description", "str", always=True),
+        _row("description", "str", always=True, required=True),
         _row("mode", "mode", always=True),
         _row("where", "filters", attribute="filters"),
         _row("aggregation", "aggregation"),
     ),
     KIND_METRIC: (
-        _row("description", "str", always=True),
+        _row("description", "str", always=True, required=True),
         _row("created", "date"),
         _row("modified", "date"),
         _row("reviewed", "date"),
-        _row("goal", "ident"),
-        _row("answers", "ident_list"),
-        _row("uses", "ident_list"),
-        _row("method", "str", always=True),
-        _row("function", "expr"),
+        _row("goal", "ident", required=True, target=KIND_GOAL),
+        _row("answers", "ident_list", required=True, target=KIND_QUESTION),
+        _row("uses", "ident_list", required=True, target=KIND_BASE),
+        _row("method", "str", always=True, required=True),
+        _row("function", "expr", required=True),
         _row("domain", "interval"),
-        _row("band", "band", attribute="bands"),
-        _row("schedule", "schedule"),
-        _row("stakeholders", "ident_list"),
+        _row("band", "band", attribute="bands", required=True),
+        _row("schedule", "schedule", required=True),
+        _row("stakeholders", "ident_list", target=KIND_STAKEHOLDER),
     ),
 }
 

@@ -342,13 +342,15 @@ class _Parser:
     def number(self, tok: Token) -> float | None:
         """The value of NUMBER token `tok`; every reader of a number asks here.
 
-        A literal beyond the float range (309 digits or more) lexes to
-        infinity: that is P001, and None.
+        A literal beyond the float range (309 digits or more, or `1e309`)
+        lexes to infinity: that is P001, and None. The message shows a
+        literal whole when that is no longer than showing its ends.
         """
         if tok.value == _INFINITY:
             text = tok.text
-            message = f"number too large: {text[:8]}...{text[-8:]} ({len(text)} characters)"
-            return self.error("P001", message, tok.span)
+            if len(text) > 19:
+                text = f"{text[:8]}...{text[-8:]} ({len(text)} characters)"
+            return self.error("P001", f"number too large: {text}", tok.span)
         return tok.value
 
     def parse_value_int(self) -> int | None:

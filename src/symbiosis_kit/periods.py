@@ -117,20 +117,8 @@ def end_date(key: str) -> dt.date:
 
 
 def next_period(key: str) -> str:
-    granularity = granularity_of(key)
-    start = start_date(key)
-    if granularity is Granularity.DAILY:
-        return period_of(start + dt.timedelta(days=1), granularity)
-    if granularity is Granularity.WEEKLY:
-        return period_of(start + dt.timedelta(days=7), granularity)
-    if granularity is Granularity.MONTHLY:
-        step = dt.date(start.year + (start.month == 12), start.month % 12 + 1, 1)
-        return period_of(step, granularity)
-    if granularity is Granularity.QUARTERLY:
-        month = start.month + 3
-        step = dt.date(start.year + (month > 12), (month - 1) % 12 + 1, 1)
-        return period_of(step, granularity)
-    return f"{start.year + 1:04d}"
+    """The period of the same granularity that starts the day after `key` ends."""
+    return period_of(end_date(key) + dt.timedelta(days=1), granularity_of(key))
 
 
 def period_contains(key: str, date: dt.date) -> bool:

@@ -16,6 +16,13 @@ V010 E  required template/structural field empty or invalid
 V011 W  metric or measurement goal with an empty stakeholder/viewpoint list
 V012 E  metric answers a question that does not belong to its goal
 V013 W  affects link with no reciprocal depends_on
+
+V010 and V002 read the field table `model.FIELDS`: a row marked `required`
+is V010 when its value is empty, and every id a row with a `target` names
+must be a node of that kind. Only the conditional rules are written out
+here: a positive priority and its justification, a `count` base's `where`
+and a `direct` base's `aggregation`, the schedule's periods, the scope's
+facets, the objectives a step spawns, and the targets of band actions.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ from __future__ import annotations
 from . import expr as _expr
 from .diagnostics import Diagnostic, Severity, sort_key
 from .model import (
+    FIELDS,
+    KIND_BASE,
+    KIND_OBJECTIVE,
     BusinessObjective,
     Interval,
     MetricDef,
@@ -30,8 +40,20 @@ from .model import (
     SourceMode,
 )
 
-_E = Severity.ERROR
-_W = Severity.WARNING
+# The codes whose findings are warnings; the findings of every other code are errors.
+_WARNINGS = frozenset({"V004", "V005", "V006", "V009", "V011", "V013"})
+
+# The rows of each block kind's field table that V010 and V002 check.
+_REQUIRED = {kind: tuple(f for f in fields if f.required) for kind, fields in FIELDS.items()}
+_REFERENCES = {kind: tuple(f for f in fields if f.target) for kind, fields in FIELDS.items()}
+
+# The ids a referencing field's value names, by value kind.
+_REFERENCED = {
+    "ident": lambda ident: (ident,),
+    "ident_list": lambda idents: idents,
+    "scope": lambda scope: (scope.universe,),
+    "step": lambda steps: [spawned for step in steps for spawned in step.spawns],
+}
 
 
 class _Checker:
@@ -39,7 +61,8 @@ class _Checker:
         self.model = model
         self.out: list[Diagnostic] = []
 
-    def emit(self, code: str, severity: Severity, node_id: str | None, message: str) -> None:
+    def emit(self, code: str, node_id: str | None, message: str) -> None:
+        severity = Severity.WARNING if code in _WARNINGS else Severity.ERROR
         span = None
         if node_id is not None:
             owner_kind = self.model.kind_of(node_id)
@@ -57,7 +80,7 @@ class _Checker:
             self.out.append(
                 Diagnostic(
                     "V001",
-                    _E,
+                    Severity.ERROR,
                     f"duplicate identifier {node_id!r}{where}",
                     span,
                     node_id,
@@ -66,80 +89,52 @@ class _Checker:
 
     # -- V002 ---------------------------------------------------------------
 
-    def ref(self, node_id: str, field: str, target: str, expected_kind: str) -> bool:
-        """Check one reference; emit V002 and return False when it does not resolve."""
+    def ref(self, node_id: str, field: str, target: str, expected_kind: str) -> None:
+        """Emit V002 when a non-empty `target` is not a node of `expected_kind`."""
         if not target:
-            return False
+            return
         actual = self.model.kind_of(target)
         if actual is None:
-            self.emit("V002", _E, node_id, f"{field} references undeclared id {target!r}")
-            return False
-        if actual != expected_kind:
+            self.emit("V002", node_id, f"{field} references undeclared id {target!r}")
+        elif actual != expected_kind:
             self.emit(
                 "V002",
-                _E,
                 node_id,
                 f"{field} references {target!r} which is a {actual}, not a {expected_kind}",
             )
-            return False
-        return True
 
     def check_references(self) -> None:
         model = self.model
-        for bo_id, bo in sorted(model.objectives.items()):
-            if bo.refines:
-                self.ref(bo_id, "refines", bo.refines, "objective")
-            for dep in bo.depends_on:
-                self.ref(bo_id, "depends_on", dep, "objective")
-            for aff in bo.affects:
-                self.ref(bo_id, "affects", aff, "objective")
-            for sid in bo.viewpoint:
-                self.ref(bo_id, "viewpoint", sid, "stakeholder")
-            if bo.scope is not None and bo.scope.universe:
-                if self.ref(bo_id, "scope", bo.scope.universe, "universe"):
-                    universe = model.universes[bo.scope.universe]
-                    for facet in bo.scope.selection or ():
-                        if facet not in universe.facets:
-                            self.emit(
-                                "V002",
-                                _E,
-                                bo_id,
-                                f"scope facet {facet!r} is not declared in universe {universe.id!r}",
-                            )
-        for st_id, st in sorted(model.strategies.items()):
-            if st.for_objective:
-                self.ref(st_id, "for", st.for_objective, "objective")
+        for kind, fields in _REFERENCES.items():
+            for node_id, node in model.collection(kind).items():
+                for f in fields:
+                    value = getattr(node, f.attribute)
+                    if value:
+                        for target in _REFERENCED[f.value_kind](value):
+                            self.ref(node_id, f.name, target, f.target)
+        for bo_id, bo in model.objectives.items():
+            universe = model.universes.get(bo.scope.universe) if bo.scope is not None else None
+            if universe is None:
+                continue
+            for facet in bo.scope.selection or ():
+                if facet not in universe.facets:
+                    self.emit(
+                        "V002",
+                        bo_id,
+                        f"scope facet {facet!r} is not declared in universe {universe.id!r}",
+                    )
+        for st_id, st in model.strategies.items():
             for step in st.steps:
                 for spawned in step.spawns:
-                    if not self.ref(st_id, "step", spawned, "objective"):
-                        continue
-                    child = model.objectives[spawned]
-                    if child.refines != st.for_objective:
+                    if model.kind_of(spawned) != KIND_OBJECTIVE:
+                        continue  # a V002 of the `step` row
+                    if model.objectives[spawned].refines != st.for_objective:
                         self.emit(
                             "V002",
-                            _E,
                             st_id,
                             f"step spawns {spawned!r} whose refines is not {st.for_objective!r}",
                         )
-        for mg_id, mg in sorted(model.goals.items()):
-            for sid in mg.viewpoint:
-                self.ref(mg_id, "viewpoint", sid, "stakeholder")
-            for bo_id in mg.measures:
-                self.ref(mg_id, "measures", bo_id, "objective")
-            for other in mg.related:
-                self.ref(mg_id, "related", other, "goal")
-        for q_id, q in sorted(model.questions.items()):
-            if q.goal:
-                self.ref(q_id, "goal", q.goal, "goal")
-        for m_id, metric in sorted(model.metrics.items()):
-            if metric.goal:
-                self.ref(m_id, "goal", metric.goal, "goal")
-            for q_id in metric.answers:
-                self.ref(m_id, "answers", q_id, "question")
-            for b_id in metric.uses:
-                self.ref(m_id, "uses", b_id, "base")
-            for sid in metric.stakeholders:
-                self.ref(m_id, "stakeholders", sid, "stakeholder")
+        for m_id, metric in model.metrics.items():
             for band in metric.bands:
                 for action in band.actions:
                     target = action.target
@@ -150,14 +145,12 @@ class _Checker:
                         if owner_kind is None:
                             self.emit(
                                 "V002",
-                                _E,
                                 m_id,
                                 f"action owner_of references undeclared id {target.ref!r}",
                             )
                         elif owner_kind not in ("objective", "goal", "metric"):
                             self.emit(
                                 "V002",
-                                _E,
                                 m_id,
                                 f"owner_of target {target.ref!r} must be an objective, goal or metric (got {owner_kind})",
                             )
@@ -169,7 +162,7 @@ class _Checker:
     def check_refines_cycles(self) -> None:
         objectives = self.model.objectives
         consumed: set[str] = set()
-        for start in sorted(objectives):
+        for start in objectives:
             if start in consumed:
                 continue
             node: str | None = start
@@ -183,7 +176,6 @@ class _Checker:
                     rotated = cycle[offset:] + cycle[:offset] + [anchor]
                     self.emit(
                         "V003",
-                        _E,
                         anchor,
                         "refines cycle: " + " -> ".join(rotated),
                     )
@@ -199,34 +191,31 @@ class _Checker:
         model = self.model
         measured = {bo_id for mg in model.goals.values() for bo_id in mg.measures}
         parents = {bo.refines for bo in model.objectives.values() if bo.refines}
-        for bo_id in sorted(model.objectives):
+        for bo_id in model.objectives:
             if bo_id not in parents and bo_id not in measured:
                 self.emit(
                     "V004",
-                    _W,
                     bo_id,
                     f"leaf objective {bo_id!r} is not measured by any measurement goal",
                 )
         asked = {q.goal for q in model.questions.values()}
-        for mg_id in sorted(model.goals):
+        for mg_id in model.goals:
             if mg_id not in asked:
-                self.emit("V005", _W, mg_id, f"measurement goal {mg_id!r} has no question")
+                self.emit("V005", mg_id, f"measurement goal {mg_id!r} has no question")
         cited: set[str] = set()
         for metric in model.metrics.values():
             cited.update(metric.answers)
-        for q_id, q in sorted(model.questions.items()):
+        for q_id, q in model.questions.items():
             answered = q.status.value == "answered"
             if answered and q_id not in cited:
                 self.emit(
                     "V006",
-                    _W,
                     q_id,
                     f"question {q_id!r} is marked answered but no metric cites it",
                 )
             elif not answered and q_id in cited:
                 self.emit(
                     "V006",
-                    _W,
                     q_id,
                     f"question {q_id!r} is cited by a metric but still marked open",
                 )
@@ -234,15 +223,14 @@ class _Checker:
     # -- V007 ---------------------------------------------------------------
 
     def check_function_bases(self) -> None:
-        for m_id, metric in sorted(self.model.metrics.items()):
+        for m_id, metric in self.model.metrics.items():
             if metric.function is None:
                 continue
             declared = set(metric.uses)
-            for name in sorted(_expr.variables(metric.function)):
+            for name in _expr.variables(metric.function):
                 if name not in declared:
                     self.emit(
                         "V007",
-                        _E,
                         m_id,
                         f"function references base measurement {name!r} not listed in uses",
                     )
@@ -250,17 +238,17 @@ class _Checker:
     # -- V008 ---------------------------------------------------------------
 
     def check_bands(self) -> None:
-        for m_id, metric in sorted(self.model.metrics.items()):
+        for m_id, metric in self.model.metrics.items():
             if not metric.bands:
                 continue
             for problem in band_partition_problems(metric):
-                self.emit("V008", _E, m_id, problem)
+                self.emit("V008", m_id, problem)
 
     # -- V009 ---------------------------------------------------------------
 
     def check_scope_coverage(self) -> None:
         model = self.model
-        objectives = sorted(model.objectives.items())
+        objectives = model.objectives.items()
         children_of: dict[str, list[BusinessObjective]] = {}
         for _, bo in objectives:
             children_of.setdefault(bo.refines, []).append(bo)
@@ -288,7 +276,6 @@ class _Checker:
             if missing:
                 self.emit(
                     "V009",
-                    _W,
                     bo_id,
                     f"children of {bo_id!r} cover only part of scope universe "
                     f"{universe.id!r}: missing facets {', '.join(missing)}",
@@ -296,77 +283,48 @@ class _Checker:
 
     # -- V010 / V011 ----------------------------------------------------------
 
-    def req(self, node_id: str, kind: str, field: str, ok: bool) -> None:
-        if not ok:
-            self.emit("V010", _E, node_id, f"{kind} {node_id!r} is missing required field {field!r}")
+    def missing(self, kind: str, node_id: str, field: str) -> None:
+        self.emit("V010", node_id, f"{kind} {node_id!r} is missing required field {field!r}")
 
     def check_required_fields(self) -> None:
         model = self.model
-        for sid, stakeholder in sorted(model.stakeholders.items()):
-            self.req(sid, "stakeholder", "name", bool(stakeholder.name))
-        for uid, universe in sorted(model.universes.items()):
-            self.req(uid, "universe", "facets", bool(universe.facets))
-        for bo_id, bo in sorted(model.objectives.items()):
-            self.req(bo_id, "objective", "object", bool(bo.object))
-            self.req(bo_id, "objective", "scope", bo.scope is not None)
-            self.req(bo_id, "objective", "purpose", bool(bo.purpose))
-            self.req(bo_id, "objective", "viewpoint", bool(bo.viewpoint))
-            self.req(bo_id, "objective", "context", bool(bo.context))
+        for kind, fields in _REQUIRED.items():
+            for node_id, node in model.collection(kind).items():
+                for f in fields:
+                    if not getattr(node, f.attribute):
+                        self.missing(kind, node_id, f.name)
+        for bo_id, bo in model.objectives.items():
             if bo.priority is not None:
                 if bo.priority < 1:
-                    self.emit("V010", _E, bo_id, f"objective {bo_id!r} priority must be a positive integer")
-                self.req(
-                    bo_id, "objective", "priority_justification", bool(bo.priority_justification)
-                )
-        for st_id, st in sorted(model.strategies.items()):
-            self.req(st_id, "strategy", "for", bool(st.for_objective))
-            self.req(st_id, "strategy", "step", bool(st.steps))
-            self.req(st_id, "strategy", "justification", bool(st.justification))
-        for mg_id, mg in sorted(model.goals.items()):
-            self.req(mg_id, "goal", "object", bool(mg.object))
-            self.req(mg_id, "goal", "purpose", bool(mg.purpose))
-            self.req(mg_id, "goal", "focus", bool(mg.focus))
-            self.req(mg_id, "goal", "scope", bool(mg.scope))
-            self.req(mg_id, "goal", "criteria", bool(mg.criteria))
-            self.req(mg_id, "goal", "context", bool(mg.context))
-            self.req(mg_id, "goal", "measures", bool(mg.measures))
-            if not mg.viewpoint:
-                self.emit("V011", _W, mg_id, f"measurement goal {mg_id!r} has an empty viewpoint list")
-        for q_id, q in sorted(model.questions.items()):
-            self.req(q_id, "question", "goal", bool(q.goal))
-            self.req(q_id, "question", "text", bool(q.text))
-        for b_id, base in sorted(model.bases.items()):
-            self.req(b_id, "base", "description", bool(base.description))
+                    self.emit("V010", bo_id, f"objective {bo_id!r} priority must be a positive integer")
+                if not bo.priority_justification:
+                    self.missing(KIND_OBJECTIVE, bo_id, "priority_justification")
+        for b_id, base in model.bases.items():
             if base.mode is SourceMode.COUNT:
-                self.req(b_id, "base", "where", bool(base.filters))
-            else:
-                self.req(b_id, "base", "aggregation", base.aggregation is not None)
-        for m_id, metric in sorted(model.metrics.items()):
-            self.req(m_id, "metric", "description", bool(metric.description))
-            self.req(m_id, "metric", "goal", bool(metric.goal))
-            self.req(m_id, "metric", "answers", bool(metric.answers))
-            self.req(m_id, "metric", "uses", bool(metric.uses))
-            self.req(m_id, "metric", "method", bool(metric.method))
-            self.req(m_id, "metric", "function", metric.function is not None)
-            self.req(m_id, "metric", "band", bool(metric.bands))
-            self.req(m_id, "metric", "schedule", metric.schedule is not None)
-            if metric.schedule is not None:
-                if metric.schedule.reporting.ordinal < metric.schedule.collection.ordinal:
-                    self.emit(
-                        "V010",
-                        _E,
-                        m_id,
-                        f"metric {m_id!r} schedule reports ({metric.schedule.reporting.value}) "
-                        f"more often than it collects ({metric.schedule.collection.value})",
-                    )
+                if not base.filters:
+                    self.missing(KIND_BASE, b_id, "where")
+            elif base.aggregation is None:
+                self.missing(KIND_BASE, b_id, "aggregation")
+        for mg_id, mg in model.goals.items():
+            if not mg.viewpoint:
+                self.emit("V011", mg_id, f"measurement goal {mg_id!r} has an empty viewpoint list")
+        for m_id, metric in model.metrics.items():
+            schedule = metric.schedule
+            if schedule is not None and schedule.reporting.ordinal < schedule.collection.ordinal:
+                self.emit(
+                    "V010",
+                    m_id,
+                    f"metric {m_id!r} schedule reports ({schedule.reporting.value}) "
+                    f"more often than it collects ({schedule.collection.value})",
+                )
             if not metric.stakeholders:
-                self.emit("V011", _W, m_id, f"metric {m_id!r} has an empty stakeholder list")
+                self.emit("V011", m_id, f"metric {m_id!r} has an empty stakeholder list")
 
     # -- V012 ---------------------------------------------------------------
 
     def check_answer_goal_membership(self) -> None:
         model = self.model
-        for m_id, metric in sorted(model.metrics.items()):
+        for m_id, metric in model.metrics.items():
             if metric.goal not in model.goals:
                 continue
             for q_id in metric.answers:
@@ -374,7 +332,6 @@ class _Checker:
                 if question is not None and question.goal != metric.goal:
                     self.emit(
                         "V012",
-                        _E,
                         m_id,
                         f"metric {m_id!r} answers {q_id!r} which belongs to goal "
                         f"{question.goal!r}, not {metric.goal!r}",
@@ -384,13 +341,12 @@ class _Checker:
 
     def check_reciprocal_links(self) -> None:
         model = self.model
-        for bo_id, bo in sorted(model.objectives.items()):
+        for bo_id, bo in model.objectives.items():
             for aff in bo.affects:
                 target = model.objectives.get(aff)
                 if target is not None and bo_id not in target.depends_on:
                     self.emit(
                         "V013",
-                        _W,
                         bo_id,
                         f"{bo_id!r} affects {aff!r} but {aff!r} does not declare depends_on {bo_id!r}",
                     )

@@ -54,9 +54,13 @@ def _text(rng: random.Random, allow_empty: bool = True) -> str:
     return out
 
 
+def _scale(rng: random.Random) -> float:
+    """Mostly 1; sometimes 1e-6 or 1e17, whose multiples print with an exponent."""
+    return rng.choice([1, 1, 1, 1, 1e-6, 1e17])
+
+
 def _number(rng: random.Random) -> float:
-    # Integers and eighths only: their repr never needs exponent notation.
-    return rng.randint(0, 999) / rng.choice([1, 1, 2, 4, 8])
+    return rng.randint(0, 999) / rng.choice([1, 1, 2, 4, 8]) * _scale(rng)
 
 
 def _expr(rng: random.Random, names: list[str], depth: int) -> expr.Expr:
@@ -71,10 +75,11 @@ def _expr(rng: random.Random, names: list[str], depth: int) -> expr.Expr:
 
 
 def _interval(rng: random.Random) -> Interval:
-    lo = rng.randint(-50, 200) / rng.choice([1, 2, 4])
+    scale = _scale(rng)
+    lo = rng.randint(-50, 200) / rng.choice([1, 2, 4]) * scale
     if rng.random() < 0.15:
         return Interval(lo, lo, True, True)  # single point, both ends closed
-    hi = lo + rng.randint(1, 100) / rng.choice([1, 2, 4])
+    hi = lo + rng.randint(1, 100) / rng.choice([1, 2, 4]) * scale
     return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
 
 

@@ -4,7 +4,8 @@ Everything here recomputes results from first principles (plain datetime
 arithmetic, exhaustive sweeps, fresh BFS over edges rebuilt from node fields,
 a character-at-a-time tokenizer, a parser that reads one token per method
 call, a diff of hand-written canonical dicts, an ingest that decodes every
-log line in full) so a bug in the package cannot hide in its own oracle.
+log line in full, a validator that names every field by hand) so a bug in
+the package cannot hide in its own oracle.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from symbiosis_kit.model import (
 from symbiosis_kit.impact import Change, ChangeKind, FieldChange
 from symbiosis_kit.parser import _Builder
 from symbiosis_kit.pipeline import DirectEntry, MeasurementLog, MeasurementRecord, RawEvent
+from symbiosis_kit.validator import band_partition_problems
 
 # -- band coverage sweep --------------------------------------------------------
 # Works in integer micro-units (1 unit == 1e-6 of the metric's value scale) so
@@ -437,8 +439,9 @@ def diff_by_canonical(old: Model, new: Model) -> list[Change]:
 
 # -- tokenizing one character at a time --------------------------------------------
 # The tokenizer the package had before it lexed with one compiled pattern, kept
-# as written, except that it reads only ASCII digits and builds each token
-# through `_token`, as a `CharToken` that holds its span. It differs on
+# as written, except that it reads only ASCII digits, lets a number take an
+# exponent (`1e-05`) and builds each token through `_token`, as a `CharToken`
+# that holds its span. It differs on
 # purpose in one case only: a backslash directly before a newline inside a
 # string escapes the newline here (and loses count of the line), while the
 # package ends the string at the newline.
@@ -447,7 +450,7 @@ def diff_by_canonical(old: Model, new: Model) -> list[Change]:
 # "org.*" lexes as IDENT(org) DOT STAR while "BO1.1" stays one identifier.
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?![0-9])")
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 
 _PUNCT = {
     "{": TokenKind.LBRACE,
@@ -725,7 +728,8 @@ def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> M
 # at. It reads the tokens of the package's lexer, so it checks the parser
 # alone. One rule was added since: a number literal too large for a float
 # (its token's value is infinity) is P001 wherever a number is read, and the
-# field it is in is dropped.
+# field it is in is dropped; the message shows a literal of up to 19
+# characters whole, and a longer one by its ends and length.
 
 # Largest offset passed to _Parser.peek.
 _LOOKAHEAD = 2
@@ -1008,8 +1012,9 @@ class _Parser:
         if not math.isinf(tok.value):
             return False
         text = tok.text
-        message = f"number too large: {text[:8]}...{text[-8:]} ({len(text)} characters)"
-        self.error("P001", message, tok.span)
+        if len(text) > 19:
+            text = f"{text[:8]}...{text[-8:]} ({len(text)} characters)"
+        self.error("P001", f"number too large: {text}", tok.span)
         return True
 
     def parse_value_int(self) -> int | None:
@@ -1308,3 +1313,393 @@ def parse_token_by_token(text: str, filename: str = "<string>") -> tuple[Model, 
     parser = _Parser(text, filename, builder, diags, stack)
     parser.parse_model()
     return builder.build(), diags
+
+
+# -- validating field by field, kind by kind --------------------------------------
+# The validator the package had before V002 and V010 read the field table:
+# every required field (V010) and every reference (V002) of every block kind
+# is named by hand, and each rule walks its collections in sorted order. Kept
+# as written (`_Checker` is `_CheckerAsWritten`, `validate` is
+# `validate_as_written`); V008 calls the package's `band_partition_problems`,
+# which the band sweep above checks on its own.
+
+_E = Severity.ERROR
+_W = Severity.WARNING
+
+
+class _CheckerAsWritten:
+    def __init__(self, model: Model) -> None:
+        self.model = model
+        self.out: list[Diagnostic] = []
+
+    def emit(self, code: str, severity: Severity, node_id: str | None, message: str) -> None:
+        span = None
+        if node_id is not None:
+            owner_kind = self.model.kind_of(node_id)
+            if owner_kind is not None:
+                span = self.model.span_of(owner_kind, node_id)
+        self.out.append(Diagnostic(code, severity, message, span, node_id))
+
+    # -- V001 ---------------------------------------------------------------
+
+    def check_duplicates(self) -> None:
+        for kind, node_id, span in self.model.duplicate_decls:
+            first_kind = self.model.kind_of(node_id)
+            first = self.model.span_of(first_kind, node_id) if first_kind else None
+            where = f" (first declared as {first_kind} at {first.location()})" if first else ""
+            self.out.append(
+                Diagnostic(
+                    "V001",
+                    _E,
+                    f"duplicate identifier {node_id!r}{where}",
+                    span,
+                    node_id,
+                )
+            )
+
+    # -- V002 ---------------------------------------------------------------
+
+    def ref(self, node_id: str, field: str, target: str, expected_kind: str) -> bool:
+        """Check one reference; emit V002 and return False when it does not resolve."""
+        if not target:
+            return False
+        actual = self.model.kind_of(target)
+        if actual is None:
+            self.emit("V002", _E, node_id, f"{field} references undeclared id {target!r}")
+            return False
+        if actual != expected_kind:
+            self.emit(
+                "V002",
+                _E,
+                node_id,
+                f"{field} references {target!r} which is a {actual}, not a {expected_kind}",
+            )
+            return False
+        return True
+
+    def check_references(self) -> None:
+        model = self.model
+        for bo_id, bo in sorted(model.objectives.items()):
+            if bo.refines:
+                self.ref(bo_id, "refines", bo.refines, "objective")
+            for dep in bo.depends_on:
+                self.ref(bo_id, "depends_on", dep, "objective")
+            for aff in bo.affects:
+                self.ref(bo_id, "affects", aff, "objective")
+            for sid in bo.viewpoint:
+                self.ref(bo_id, "viewpoint", sid, "stakeholder")
+            if bo.scope is not None and bo.scope.universe:
+                if self.ref(bo_id, "scope", bo.scope.universe, "universe"):
+                    universe = model.universes[bo.scope.universe]
+                    for facet in bo.scope.selection or ():
+                        if facet not in universe.facets:
+                            self.emit(
+                                "V002",
+                                _E,
+                                bo_id,
+                                f"scope facet {facet!r} is not declared in universe {universe.id!r}",
+                            )
+        for st_id, st in sorted(model.strategies.items()):
+            if st.for_objective:
+                self.ref(st_id, "for", st.for_objective, "objective")
+            for step in st.steps:
+                for spawned in step.spawns:
+                    if not self.ref(st_id, "step", spawned, "objective"):
+                        continue
+                    child = model.objectives[spawned]
+                    if child.refines != st.for_objective:
+                        self.emit(
+                            "V002",
+                            _E,
+                            st_id,
+                            f"step spawns {spawned!r} whose refines is not {st.for_objective!r}",
+                        )
+        for mg_id, mg in sorted(model.goals.items()):
+            for sid in mg.viewpoint:
+                self.ref(mg_id, "viewpoint", sid, "stakeholder")
+            for bo_id in mg.measures:
+                self.ref(mg_id, "measures", bo_id, "objective")
+            for other in mg.related:
+                self.ref(mg_id, "related", other, "goal")
+        for q_id, q in sorted(model.questions.items()):
+            if q.goal:
+                self.ref(q_id, "goal", q.goal, "goal")
+        for m_id, metric in sorted(model.metrics.items()):
+            if metric.goal:
+                self.ref(m_id, "goal", metric.goal, "goal")
+            for q_id in metric.answers:
+                self.ref(m_id, "answers", q_id, "question")
+            for b_id in metric.uses:
+                self.ref(m_id, "uses", b_id, "base")
+            for sid in metric.stakeholders:
+                self.ref(m_id, "stakeholders", sid, "stakeholder")
+            for band in metric.bands:
+                for action in band.actions:
+                    target = action.target
+                    if not target.ref:
+                        continue
+                    if target.is_owner:
+                        owner_kind = model.kind_of(target.ref)
+                        if owner_kind is None:
+                            self.emit(
+                                "V002",
+                                _E,
+                                m_id,
+                                f"action owner_of references undeclared id {target.ref!r}",
+                            )
+                        elif owner_kind not in ("objective", "goal", "metric"):
+                            self.emit(
+                                "V002",
+                                _E,
+                                m_id,
+                                f"owner_of target {target.ref!r} must be an objective, goal or metric (got {owner_kind})",
+                            )
+                    else:
+                        self.ref(m_id, "action", target.ref, "stakeholder")
+
+    # -- V003 ---------------------------------------------------------------
+
+    def check_refines_cycles(self) -> None:
+        objectives = self.model.objectives
+        consumed: set[str] = set()
+        for start in sorted(objectives):
+            if start in consumed:
+                continue
+            node: str | None = start
+            path: list[str] = []
+            index: dict[str, int] = {}
+            while node is not None and node in objectives and node not in consumed:
+                if node in index:
+                    cycle = path[index[node]:]
+                    anchor = min(cycle)
+                    offset = cycle.index(anchor)
+                    rotated = cycle[offset:] + cycle[:offset] + [anchor]
+                    self.emit(
+                        "V003",
+                        _E,
+                        anchor,
+                        "refines cycle: " + " -> ".join(rotated),
+                    )
+                    break
+                index[node] = len(path)
+                path.append(node)
+                node = objectives[node].refines
+            consumed.update(path)
+
+    # -- V004 / V005 / V006 ---------------------------------------------------
+
+    def check_coverage(self) -> None:
+        model = self.model
+        measured = {bo_id for mg in model.goals.values() for bo_id in mg.measures}
+        parents = {bo.refines for bo in model.objectives.values() if bo.refines}
+        for bo_id in sorted(model.objectives):
+            if bo_id not in parents and bo_id not in measured:
+                self.emit(
+                    "V004",
+                    _W,
+                    bo_id,
+                    f"leaf objective {bo_id!r} is not measured by any measurement goal",
+                )
+        asked = {q.goal for q in model.questions.values()}
+        for mg_id in sorted(model.goals):
+            if mg_id not in asked:
+                self.emit("V005", _W, mg_id, f"measurement goal {mg_id!r} has no question")
+        cited: set[str] = set()
+        for metric in model.metrics.values():
+            cited.update(metric.answers)
+        for q_id, q in sorted(model.questions.items()):
+            answered = q.status.value == "answered"
+            if answered and q_id not in cited:
+                self.emit(
+                    "V006",
+                    _W,
+                    q_id,
+                    f"question {q_id!r} is marked answered but no metric cites it",
+                )
+            elif not answered and q_id in cited:
+                self.emit(
+                    "V006",
+                    _W,
+                    q_id,
+                    f"question {q_id!r} is cited by a metric but still marked open",
+                )
+
+    # -- V007 ---------------------------------------------------------------
+
+    def check_function_bases(self) -> None:
+        for m_id, metric in sorted(self.model.metrics.items()):
+            if metric.function is None:
+                continue
+            declared = set(metric.uses)
+            for name in sorted(_expr.variables(metric.function)):
+                if name not in declared:
+                    self.emit(
+                        "V007",
+                        _E,
+                        m_id,
+                        f"function references base measurement {name!r} not listed in uses",
+                    )
+
+    # -- V008 ---------------------------------------------------------------
+
+    def check_bands(self) -> None:
+        for m_id, metric in sorted(self.model.metrics.items()):
+            if not metric.bands:
+                continue
+            for problem in band_partition_problems(metric):
+                self.emit("V008", _E, m_id, problem)
+
+    # -- V009 ---------------------------------------------------------------
+
+    def check_scope_coverage(self) -> None:
+        model = self.model
+        objectives = sorted(model.objectives.items())
+        children_of: dict[str, list[BusinessObjective]] = {}
+        for _, bo in objectives:
+            children_of.setdefault(bo.refines, []).append(bo)
+        for bo_id, bo in objectives:
+            children = children_of.get(bo_id)
+            if not children or bo.scope is None:
+                continue
+            universe = model.universes.get(bo.scope.universe)
+            if universe is None:
+                continue
+            if any(
+                child.scope is None or child.scope.universe != bo.scope.universe
+                for child in children
+            ):
+                continue  # mixed-universe refinements are out of scope for this rule
+            parent_facets = set(bo.scope.selected_facets(universe))
+            child_union: set[str] = set()
+            for child in children:
+                child_union.update(child.scope.selected_facets(universe))
+            missing = [
+                facet
+                for facet in universe.facets
+                if facet in parent_facets and facet not in child_union
+            ]
+            if missing:
+                self.emit(
+                    "V009",
+                    _W,
+                    bo_id,
+                    f"children of {bo_id!r} cover only part of scope universe "
+                    f"{universe.id!r}: missing facets {', '.join(missing)}",
+                )
+
+    # -- V010 / V011 ----------------------------------------------------------
+
+    def req(self, node_id: str, kind: str, field: str, ok: bool) -> None:
+        if not ok:
+            self.emit("V010", _E, node_id, f"{kind} {node_id!r} is missing required field {field!r}")
+
+    def check_required_fields(self) -> None:
+        model = self.model
+        for sid, stakeholder in sorted(model.stakeholders.items()):
+            self.req(sid, "stakeholder", "name", bool(stakeholder.name))
+        for uid, universe in sorted(model.universes.items()):
+            self.req(uid, "universe", "facets", bool(universe.facets))
+        for bo_id, bo in sorted(model.objectives.items()):
+            self.req(bo_id, "objective", "object", bool(bo.object))
+            self.req(bo_id, "objective", "scope", bo.scope is not None)
+            self.req(bo_id, "objective", "purpose", bool(bo.purpose))
+            self.req(bo_id, "objective", "viewpoint", bool(bo.viewpoint))
+            self.req(bo_id, "objective", "context", bool(bo.context))
+            if bo.priority is not None:
+                if bo.priority < 1:
+                    self.emit("V010", _E, bo_id, f"objective {bo_id!r} priority must be a positive integer")
+                self.req(
+                    bo_id, "objective", "priority_justification", bool(bo.priority_justification)
+                )
+        for st_id, st in sorted(model.strategies.items()):
+            self.req(st_id, "strategy", "for", bool(st.for_objective))
+            self.req(st_id, "strategy", "step", bool(st.steps))
+            self.req(st_id, "strategy", "justification", bool(st.justification))
+        for mg_id, mg in sorted(model.goals.items()):
+            self.req(mg_id, "goal", "object", bool(mg.object))
+            self.req(mg_id, "goal", "purpose", bool(mg.purpose))
+            self.req(mg_id, "goal", "focus", bool(mg.focus))
+            self.req(mg_id, "goal", "scope", bool(mg.scope))
+            self.req(mg_id, "goal", "criteria", bool(mg.criteria))
+            self.req(mg_id, "goal", "context", bool(mg.context))
+            self.req(mg_id, "goal", "measures", bool(mg.measures))
+            if not mg.viewpoint:
+                self.emit("V011", _W, mg_id, f"measurement goal {mg_id!r} has an empty viewpoint list")
+        for q_id, q in sorted(model.questions.items()):
+            self.req(q_id, "question", "goal", bool(q.goal))
+            self.req(q_id, "question", "text", bool(q.text))
+        for b_id, base in sorted(model.bases.items()):
+            self.req(b_id, "base", "description", bool(base.description))
+            if base.mode is SourceMode.COUNT:
+                self.req(b_id, "base", "where", bool(base.filters))
+            else:
+                self.req(b_id, "base", "aggregation", base.aggregation is not None)
+        for m_id, metric in sorted(model.metrics.items()):
+            self.req(m_id, "metric", "description", bool(metric.description))
+            self.req(m_id, "metric", "goal", bool(metric.goal))
+            self.req(m_id, "metric", "answers", bool(metric.answers))
+            self.req(m_id, "metric", "uses", bool(metric.uses))
+            self.req(m_id, "metric", "method", bool(metric.method))
+            self.req(m_id, "metric", "function", metric.function is not None)
+            self.req(m_id, "metric", "band", bool(metric.bands))
+            self.req(m_id, "metric", "schedule", metric.schedule is not None)
+            if metric.schedule is not None:
+                if metric.schedule.reporting.ordinal < metric.schedule.collection.ordinal:
+                    self.emit(
+                        "V010",
+                        _E,
+                        m_id,
+                        f"metric {m_id!r} schedule reports ({metric.schedule.reporting.value}) "
+                        f"more often than it collects ({metric.schedule.collection.value})",
+                    )
+            if not metric.stakeholders:
+                self.emit("V011", _W, m_id, f"metric {m_id!r} has an empty stakeholder list")
+
+    # -- V012 ---------------------------------------------------------------
+
+    def check_answer_goal_membership(self) -> None:
+        model = self.model
+        for m_id, metric in sorted(model.metrics.items()):
+            if metric.goal not in model.goals:
+                continue
+            for q_id in metric.answers:
+                question = model.questions.get(q_id)
+                if question is not None and question.goal != metric.goal:
+                    self.emit(
+                        "V012",
+                        _E,
+                        m_id,
+                        f"metric {m_id!r} answers {q_id!r} which belongs to goal "
+                        f"{question.goal!r}, not {metric.goal!r}",
+                    )
+
+    # -- V013 ---------------------------------------------------------------
+
+    def check_reciprocal_links(self) -> None:
+        model = self.model
+        for bo_id, bo in sorted(model.objectives.items()):
+            for aff in bo.affects:
+                target = model.objectives.get(aff)
+                if target is not None and bo_id not in target.depends_on:
+                    self.emit(
+                        "V013",
+                        _W,
+                        bo_id,
+                        f"{bo_id!r} affects {aff!r} but {aff!r} does not declare depends_on {bo_id!r}",
+                    )
+
+
+def validate_as_written(model: Model) -> list[Diagnostic]:
+    """Run every rule; returns diagnostics in deterministic order."""
+    checker = _CheckerAsWritten(model)
+    checker.check_duplicates()
+    checker.check_references()
+    checker.check_refines_cycles()
+    checker.check_coverage()
+    checker.check_function_bases()
+    checker.check_bands()
+    checker.check_scope_coverage()
+    checker.check_required_fields()
+    checker.check_answer_goal_membership()
+    checker.check_reciprocal_links()
+    return sorted(checker.out, key=sort_key)

@@ -409,6 +409,39 @@ def test_fmt_out_leaves_original_untouched(clean_sym, tmp_path, capsys):
     assert target.read_text(encoding="utf-8").startswith("# .sym model")
 
 
+EXPONENT_MODEL = """
+stakeholder s { name: "S" }
+universe u { facets: a }
+objective BO1 { object: "x" scope: u.* purpose: "p" viewpoint: s context: "c" }
+goal MG1 { object: "o" purpose: "p" focus: "f" scope: "s" criteria: "c" viewpoint: s context: "c" measures: BO1 }
+question Q1 { goal: MG1 text: "t" status: answered }
+base a { description: "d" mode: direct aggregation: sum }
+metric M1 {
+  description: "d" goal: MG1 answers: Q1 uses: a method: "m"
+  function: a * 10000000000000000
+  domain: [0, 0.00001]
+  band: [0, 0.00001] -> ok { log s }
+  schedule: monthly / monthly stakeholders: s
+}
+"""
+
+
+def test_fmt_writes_numbers_with_an_exponent_that_check_reads(tmp_path, capsys):
+    path = tmp_path / "exponent.sym"
+    path.write_text(EXPONENT_MODEL, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 0
+    assert cli.main(["fmt", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert "function: (a * 1e+16)" in text and "domain: [0, 1e-05]" in text
+    capsys.readouterr()
+    assert cli.main(["check", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "0 error(s), 0 warning(s)" in err
+    assert cli.main(["fmt", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_fmt_refuses_broken_files(tmp_path, capsys):
     path = tmp_path / "bad.sym"
     original = "objective BO1 { ??? }"

@@ -1,4 +1,5 @@
-"""The language reference lists the fields of the package's field table."""
+"""The language reference lists the fields of the package's field table,
+with the fields V010 requires and the node kinds V002 checks references against."""
 
 import re
 
@@ -10,13 +11,30 @@ from symbiosis_kit.model import FIELDS
 GRAMMAR = (CORPUS_ROOT.parent / "docs" / "grammar.md").read_text(encoding="utf-8")
 
 
+def _section(kind: str) -> str:
+    return GRAMMAR.split(f"\n### {kind}\n", 1)[1].split("\n#", 1)[0]
+
+
 def _documented_fields(kind: str) -> list[str]:
     """The quoted names before `:` in the grammar block of a kind's section."""
-    section = GRAMMAR.split(f"\n### {kind}\n", 1)[1].split("\n#", 1)[0]
-    block = section.split("```ebnf\n", 1)[1].split("```", 1)[0]
+    block = _section(kind).split("```ebnf\n", 1)[1].split("```", 1)[0]
     return re.findall(r'"(\w+)"\s*,\s*":"', block)
+
+
+def _documented_line(kind: str, label: str) -> str:
+    """The text after `<label>: ` on the line of a kind's section that starts with it."""
+    (line,) = re.findall(rf"^{label}: (.*)$", _section(kind), re.MULTILINE)
+    return line
 
 
 @pytest.mark.parametrize("kind", list(FIELDS))
 def test_grammar_lists_each_kinds_fields_in_print_order(kind):
     assert _documented_fields(kind) == [row.name for row in FIELDS[kind]]
+
+
+@pytest.mark.parametrize("kind", list(FIELDS))
+def test_grammar_lists_each_kinds_required_fields_and_reference_targets(kind):
+    required = re.findall(r"`(\w+)`", _documented_line(kind, "Required"))
+    assert required == [row.name for row in FIELDS[kind] if row.required]
+    references = re.findall(r"`(\w+)` → (\w+)", _documented_line(kind, "References"))
+    assert references == [(row.name, row.target) for row in FIELDS[kind] if row.target]

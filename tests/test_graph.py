@@ -111,7 +111,7 @@ def test_edge_filters(jpmorgan):
     graph = build_graph(jpmorgan)
     uses = graph.edges_from("ME1.1.1.1.1", frozenset({EdgeKind.USES}))
     assert {e.dst for e in uses} == {"bm_completed", "bm_took"}
-    asks = graph.edges_to("MG1.1.1.1", frozenset({EdgeKind.ASKS}))
+    asks = [e for e in graph.edges if e.dst == "MG1.1.1.1" and e.kind is EdgeKind.ASKS]
     assert len(asks) == 6
 
 

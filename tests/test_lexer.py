@@ -129,6 +129,22 @@ def test_number_value_parsed():
     assert tokens[0].value == 12.5
 
 
+def test_number_takes_an_exponent():
+    tokens, diags = tokenize("1e-05 2E+16 5e-324 1.5e3 1e 3e+")
+    assert not diags
+    assert [(t.kind.name, t.text, t.value) for t in tokens[:-1]] == [
+        ("NUMBER", "1e-05", 1e-05),
+        ("NUMBER", "2E+16", 2e16),
+        ("NUMBER", "5e-324", 5e-324),
+        ("NUMBER", "1.5e3", 1500.0),
+        ("NUMBER", "1", 1.0),  # an exponent needs digits
+        ("IDENT", "e", None),
+        ("NUMBER", "3", 3.0),
+        ("IDENT", "e", None),
+        ("PLUS", "+", None),
+    ]
+
+
 def test_string_ends_at_its_line_even_after_a_backslash():
     text = 'stakeholder S {\n  name: "a\\\nb"\n  role: "x"\n}\n@\n'
     tokens, diags = tokenize(text, "bs.sym")
@@ -157,12 +173,12 @@ def _assert_same_as_character_loop(text: str, filename: str) -> None:
 # characters, digits, comment starts, CR/LF, non-ASCII letters and digits
 # (Arabic-Indic three), characters no token accepts, and fragments that sit
 # on the boundaries between classes (a date with one digit too many or too
-# few, dotted identifiers, numbers with dangling dots).
+# few, dotted identifiers, numbers with dangling dots or exponents).
 _DENSE = (
     st.lists(
         st.sampled_from(
-            list('"\\0123456789.->#\r\n \tabZ_{}[]():,*/+=@é\u0663\x0b')
-            + ["2014-09-03", "2014-09-0", "12.5", "1.", "BO1.1", "org.*", "->", '\\"', "# c"]
+            list('"\\0123456789.->#\r\n \tabeEZ_{}[]():,*/+=@é\u0663\x0b')
+            + ["2014-09-03", "2014-09-0", "12.5", "1.", "1e-05", "2E+", "BO1.1", "org.*", "->", '\\"', "# c"]
         ),
         max_size=30,
     )

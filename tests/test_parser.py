@@ -123,6 +123,13 @@ TOO_LARGE = {
 }
 
 
+def test_a_short_literal_beyond_the_float_range_is_shown_once():
+    src = "metric M { function: 1e400 }"
+    _, diags = parse(src)
+    assert [(d.code, d.message) for d in diags] == [("P001", "number too large: 1e400")]
+    _assert_same_as_token_by_token(src)
+
+
 @pytest.mark.parametrize("field", sorted(TOO_LARGE))
 def test_a_number_beyond_the_float_range_is_one_p001_and_drops_the_field(field):
     model, diags = parse(TOO_LARGE[field])

@@ -1,6 +1,8 @@
 """Canonical serializer: fixpoint and determinism."""
 
-from symbiosis_kit.model import Model, Stakeholder
+import pytest
+
+from symbiosis_kit.model import Model, Stakeholder, canonical_dump
 from symbiosis_kit.parser import parse
 from symbiosis_kit.serializer import serialize
 
@@ -90,3 +92,23 @@ def test_every_escape_and_other_text_is_quoted_as_written():
     reparsed, diags = parse(out)
     assert not diags
     assert reparsed.stakeholders["S"].name == text
+
+
+# Numbers that `fmt` prints with an exponent, and what it prints.
+EXPONENT_NUMBERS = {
+    "metric M { domain: [0, 0.00001] }": "domain: [0, 1e-05]",
+    "metric M { function: a * 10000000000000000 }": "function: (a * 1e+16)",
+    "metric M { domain: [-0.00001, 1e300] }": "domain: [-1e-05, 1e+300]",
+    "metric M { function: 5e-324 * a }": "function: (5e-324 * a)",
+}
+
+
+@pytest.mark.parametrize("src", sorted(EXPONENT_NUMBERS))
+def test_numbers_printed_with_an_exponent_read_back(src):
+    model, diags = parse(src)
+    assert not diags
+    text = serialize(model)
+    assert EXPONENT_NUMBERS[src] in text
+    reparsed, diags = parse(text)
+    assert not diags
+    assert canonical_dump(reparsed) == canonical_dump(model)

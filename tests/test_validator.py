@@ -1,7 +1,16 @@
 """One test (at least) per validation rule V001-V013."""
 
-from symbiosis_kit.diagnostics import Severity, sort_key
-from symbiosis_kit.parser import parse
+import random
+import re
+
+import pytest
+
+from modelgen import random_model
+from oracles import validate_as_written
+from symbiosis_kit.diagnostics import Severity, render_all, sort_key, to_json
+from symbiosis_kit.model import FIELDS, NODE_TYPES
+from symbiosis_kit.parser import parse, parse_file
+from symbiosis_kit.serializer import serialize
 from symbiosis_kit.validator import band_partition_problems, validate
 
 
@@ -336,3 +345,64 @@ def test_validate_output_is_sorted_and_deterministic(jpmorgan):
 def test_corpus_models_validate_clean(jpmorgan, anthem):
     assert validate(jpmorgan) == []
     assert validate(anthem) == []
+
+
+# -- the field table's V002 and V010 columns ----------------------------------
+
+
+def test_every_reference_row_names_ids_and_a_node_kind():
+    rows = [(kind, f) for kind, fields in FIELDS.items() for f in fields if f.target]
+    assert len(rows) == 15
+    for kind, f in rows:
+        assert f.value_kind in ("ident", "ident_list", "scope", "step"), (kind, f.name)
+        assert f.target in NODE_TYPES, (kind, f.name)
+
+
+# -- differential check against the validator as written field by field -------
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*")
+
+
+def _mutants(rng: random.Random, text: str, ids: list[str]):
+    """Copies of `text` with lines dropped, and with two identifiers swapped."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(2):
+        kept = [line for line in lines if rng.random() > 0.1]
+        yield "".join(kept)
+    for _ in range(2):
+        if len(ids) < 2:
+            return
+        a, b = rng.sample(ids, 2)
+        swap = {a: b, b: a}
+        yield _IDENT_RE.sub(lambda m: swap.get(m[0], m[0]), text)
+
+
+def _assert_same_findings(model) -> str:
+    expected = validate_as_written(model)
+    found = validate(model)
+    assert render_all(found) == render_all(expected)
+    assert to_json(found) == to_json(expected)
+    return render_all(found)
+
+
+def test_validate_matches_the_validator_as_written_on_random_models():
+    rng = random.Random(90210)
+    codes = ""
+    for _ in range(150):
+        text = serialize(random_model(rng, max_nodes=30))
+        model, _ = parse(text)
+        codes += _assert_same_findings(model)
+        for mutant in _mutants(rng, text, sorted(model.kinds)):
+            codes += _assert_same_findings(parse(mutant)[0])
+    # The set exercises both rules the field table drives, in both V002 shapes.
+    assert codes.count(" references undeclared id ") > 1000
+    assert codes.count(", not a ") > 5000
+    assert codes.count("is missing required field") > 5000
+
+
+@pytest.mark.parametrize(
+    "name", ["jpmorgan.sym", "anthem.sym", "heartland_broken.sym", "heartland_fixed.sym"]
+)
+def test_validate_matches_the_validator_as_written_on_the_corpus(corpus, name):
+    model, _ = parse_file(corpus / name)
+    _assert_same_findings(model)
