@@ -343,15 +343,20 @@ class _Parser:
         """The value of NUMBER token `tok`; every reader of a number asks here.
 
         A literal beyond the float range (309 digits or more, or `1e309`)
-        lexes to infinity: that is P001, and None. The message shows a
-        literal whole when that is no longer than showing its ends.
+        lexes to infinity, and one with a nonzero digit below it (`1e-400`)
+        to zero: either is P001, and None. The message shows a literal
+        whole when that is no longer than showing its ends.
         """
+        text = tok.text
         if tok.value == _INFINITY:
-            text = tok.text
-            if len(text) > 19:
-                text = f"{text[:8]}...{text[-8:]} ({len(text)} characters)"
-            return self.error("P001", f"number too large: {text}", tok.span)
-        return tok.value
+            size = "large"
+        elif tok.value == 0.0 and text.upper().partition("E")[0].strip("0."):
+            size = "small"
+        else:
+            return tok.value
+        if len(text) > 19:
+            text = f"{text[:8]}...{text[-8:]} ({len(text)} characters)"
+        return self.error("P001", f"number too {size}: {text}", tok.span)
 
     def parse_value_int(self) -> int | None:
         tok = self.tokens[self.pos]

@@ -8,27 +8,48 @@ A period key is a string naming one concrete reporting window:
     quarterly  2014-Q3
     yearly     2014
 
-Every date belongs to exactly one period per granularity, so membership is
-just ``period_of(date, granularity) == key``.
+A key is written in ASCII digits, is matched whole, and names a year from
+0001 to 9999. Every date belongs to exactly one period per granularity, so
+membership is just ``period_of(date, granularity) == key``.
+
+Each key is parsed once per process: `_period` caches the record of its
+parse, keyed by the key string alone, and the functions below read it. A
+rejected key is never cached; it raises the same PeriodError every time.
 """
 
 from __future__ import annotations
 
 import calendar
 import datetime as dt
+import functools
 import re
+from typing import Callable, NamedTuple
 
 from .model import Granularity
 
-_DAILY_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
-_WEEKLY_RE = re.compile(r"^(\d{4})-W(\d{2})$")
-_MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$")
-_QUARTERLY_RE = re.compile(r"^(\d{4})-Q([1-4])$")
-_YEARLY_RE = re.compile(r"^(\d{4})$")
+# Each key shape: its granularity, its pattern, what an impossible key of the
+# shape is called, and the first day of the period its numbers name.
+_SHAPES = (
+    (Granularity.DAILY, re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})"), "date", dt.date),
+    (Granularity.WEEKLY, re.compile(r"([0-9]{4})-W([0-9]{2})"), "ISO week",
+     lambda year, week: dt.date.fromisocalendar(year, week, 1)),
+    (Granularity.MONTHLY, re.compile(r"([0-9]{4})-([0-9]{2})"), "month",
+     lambda year, month: dt.date(year, month, 1)),
+    (Granularity.QUARTERLY, re.compile(r"([0-9]{4})-Q([1-4])"), "quarter",
+     lambda year, quarter: dt.date(year, 3 * quarter - 2, 1)),
+    (Granularity.YEARLY, re.compile(r"([0-9]{4})"), "year", lambda year: dt.date(year, 1, 1)),
+)
 
 
 class PeriodError(ValueError):
     pass
+
+
+class _Period(NamedTuple):
+    granularity: Granularity
+    key: str  # canonical
+    first: dt.date
+    last: dt.date  # at most date.max
 
 
 def period_of(date: dt.date, granularity: Granularity) -> str:
@@ -47,78 +68,64 @@ def period_of(date: dt.date, granularity: Granularity) -> str:
     raise PeriodError(f"unknown granularity {granularity!r}")
 
 
+def _shape(key: str) -> tuple[Granularity, str, Callable[..., dt.date], re.Match[str]]:
+    """The row of `_SHAPES` whose pattern `key` matches, with the match."""
+    for granularity, pattern, what, first_day in _SHAPES:
+        match = pattern.fullmatch(key)
+        if match:
+            return granularity, what, first_day, match
+    raise PeriodError(f"malformed period key {key!r}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _period(key: str) -> _Period:
+    """The one parse of `key`; PeriodError for a period that does not exist."""
+    granularity, what, first_day, match = _shape(key)
+    try:
+        first = first_day(*map(int, match.groups()))
+    except ValueError as exc:
+        raise PeriodError(f"invalid {what} {key!r}: {exc}") from None
+    if granularity is Granularity.DAILY:
+        last = first
+    elif granularity is Granularity.WEEKLY:
+        last = min(first, dt.date.max - dt.timedelta(days=6)) + dt.timedelta(days=6)
+    elif granularity is Granularity.YEARLY:
+        last = dt.date(first.year, 12, 31)
+    else:
+        month = first.month + (2 if granularity is Granularity.QUARTERLY else 0)
+        last = dt.date(first.year, month, calendar.monthrange(first.year, month)[1])
+    return _Period(granularity, period_of(first, granularity), first, last)
+
+
 def granularity_of(key: str) -> Granularity:
     """Infer the granularity from the shape of a period key."""
-    if _DAILY_RE.match(key):
-        return Granularity.DAILY
-    if _WEEKLY_RE.match(key):
-        return Granularity.WEEKLY
-    if _MONTHLY_RE.match(key):
-        return Granularity.MONTHLY
-    if _QUARTERLY_RE.match(key):
-        return Granularity.QUARTERLY
-    if _YEARLY_RE.match(key):
-        return Granularity.YEARLY
-    raise PeriodError(f"malformed period key {key!r}")
+    return _shape(key)[0]
 
 
 def parse_period_key(key: str) -> tuple[Granularity, str]:
     """Validate a key and return (granularity, canonical key).
 
     Raises PeriodError when the key is malformed or names an impossible
-    period (month 13, ISO week 54, Feb 30).
+    period (month 13, ISO week 54, Feb 30, year 0).
     """
-    granularity = granularity_of(key)
-    start = start_date(key)  # validates ranges
-    return granularity, period_of(start, granularity)
+    period = _period(key)
+    return period.granularity, period.key
 
 
 def start_date(key: str) -> dt.date:
     """First calendar day of the period."""
-    m = _DAILY_RE.match(key)
-    if m:
-        try:
-            return dt.date(int(m[1]), int(m[2]), int(m[3]))
-        except ValueError as exc:
-            raise PeriodError(f"invalid date {key!r}: {exc}") from None
-    m = _WEEKLY_RE.match(key)
-    if m:
-        try:
-            return dt.date.fromisocalendar(int(m[1]), int(m[2]), 1)
-        except ValueError as exc:
-            raise PeriodError(f"invalid ISO week {key!r}: {exc}") from None
-    m = _MONTHLY_RE.match(key)
-    if m:
-        try:
-            return dt.date(int(m[1]), int(m[2]), 1)
-        except ValueError as exc:
-            raise PeriodError(f"invalid month {key!r}: {exc}") from None
-    m = _QUARTERLY_RE.match(key)
-    if m:
-        return dt.date(int(m[1]), (int(m[2]) - 1) * 3 + 1, 1)
-    m = _YEARLY_RE.match(key)
-    if m:
-        return dt.date(int(m[1]), 1, 1)
-    raise PeriodError(f"malformed period key {key!r}")
+    return _period(key).first
 
 
 def end_date(key: str) -> dt.date:
     """Last calendar day of the period (at most date.max)."""
-    granularity = granularity_of(key)
-    start = start_date(key)
-    if granularity is Granularity.DAILY:
-        return start
-    if granularity is Granularity.WEEKLY:
-        return min(start, dt.date.max - dt.timedelta(days=6)) + dt.timedelta(days=6)
-    if granularity is Granularity.YEARLY:
-        return dt.date(start.year, 12, 31)
-    month = start.month + (2 if granularity is Granularity.QUARTERLY else 0)
-    return dt.date(start.year, month, calendar.monthrange(start.year, month)[1])
+    return _period(key).last
 
 
 def next_period(key: str) -> str:
     """The period of the same granularity that starts the day after `key` ends."""
-    return period_of(end_date(key) + dt.timedelta(days=1), granularity_of(key))
+    period = _period(key)
+    return period_of(period.last + dt.timedelta(days=1), period.granularity)
 
 
 def period_contains(key: str, date: dt.date) -> bool:
@@ -152,13 +159,21 @@ def subperiods(key: str, granularity: Granularity) -> list[str]:
     A finer period that straddles the boundary (ISO weeks do this) is
     included when any of its days fall inside `key`.
     """
+    return [subkey for subkey, _, _ in subperiod_windows(key, granularity)]
+
+
+@functools.lru_cache(maxsize=1024)
+def subperiod_windows(key: str, granularity: Granularity) -> tuple[tuple[str, dt.date, dt.date], ...]:
+    """(subkey, first, last) for each of `subperiods(key, granularity)`, its
+    days clipped to those of `key`. Cached and shared, so immutable."""
     own = granularity_of(key)
     if granularity.ordinal > own.ordinal:
-        raise PeriodError(
-            f"{granularity.value} is coarser than the period {key!r} itself"
-        )
+        raise PeriodError(f"{granularity.value} is coarser than the period {key!r} itself")
+    period = _period(key)
     if granularity is own:
-        return [key]
-    first = period_of(start_date(key), granularity)
-    last = period_of(end_date(key), granularity)
-    return period_range(first, last)
+        return ((period.key, period.first, period.last),)
+    subkeys = period_range(period_of(period.first, granularity), period_of(period.last, granularity))
+    return tuple(
+        (subkey, max(_period(subkey).first, period.first), min(_period(subkey).last, period.last))
+        for subkey in subkeys
+    )

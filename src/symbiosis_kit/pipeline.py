@@ -17,7 +17,8 @@ MeasurementStore in one pass over the records, and each COUNT filter set
 is matched once against each distinct set of event fields. After that a
 COUNT binding for any period or density sub-period costs two bisects,
 O(log n) in the log's distinct dates, and a DIRECT binding costs time
-proportional to the base's entries inside the period.
+proportional to the base's entries inside the period. Period bounds and
+density windows come from the periods module's per-key cache.
 """
 
 from __future__ import annotations
@@ -442,18 +443,15 @@ def _density_warnings(
     if schedule is None:
         return ()
     try:
-        subkeys = periods.subperiods(period, schedule.collection)
+        windows = periods.subperiod_windows(period, schedule.collection)
     except periods.PeriodError:
         return ()
-    if subkeys == [period]:
+    if len(windows) == 1:  # the period is its own collection period
         return ()
-    period_first, period_last = periods.start_date(period), periods.end_date(period)
     base_defs = [model.bases[b] for b in metric.uses if b in model.bases]
     store = log.store
     warnings: list[str] = []
-    for subkey in subkeys:
-        first = max(periods.start_date(subkey), period_first)
-        last = min(periods.end_date(subkey), period_last)
+    for subkey, first, last in windows:
         if not any(
             store.count(base.filters, first, last)
             if base.mode is SourceMode.COUNT

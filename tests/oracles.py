@@ -95,14 +95,17 @@ def sweep_band_defects(
 
 
 def period_bounds(key: str) -> tuple[dt.date, dt.date]:
-    """First and last day of a period key, from plain calendar arithmetic."""
+    """First and last day of a period key, from plain calendar arithmetic.
+
+    The last ISO week of 9999 runs past date.max; it ends at date.max here.
+    """
     if key.count("-") == 2:
         day = dt.date.fromisoformat(key)
         return day, day
     if "-W" in key:
         year, week = key.split("-W")
         first = dt.date.fromisocalendar(int(year), int(week), 1)
-        return first, first + dt.timedelta(days=6)
+        return first, first + min(dt.timedelta(days=6), dt.date.max - first)
     if "-Q" in key:
         year, quarter = key.split("-Q")
         month = (int(quarter) - 1) * 3 + 1
@@ -212,10 +215,9 @@ def scan_density_warnings(
         return ()
     lo, hi = period_bounds(period_key)
     days: dict[str, list[dt.date]] = {}
-    day = lo
-    while day <= hi:
+    for offset in range((hi - lo).days + 1):
+        day = lo + dt.timedelta(days=offset)
         days.setdefault(_key_of(day, metric.schedule.collection), []).append(day)
-        day += dt.timedelta(days=1)
     if len(days) == 1:
         return ()
     warnings = []
@@ -726,10 +728,11 @@ def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> M
 # list, kept as written (`parse` is renamed `parse_token_by_token`, and `_dt`
 # is this module's `dt`): every token goes through peek, advance, expect or
 # at. It reads the tokens of the package's lexer, so it checks the parser
-# alone. One rule was added since: a number literal too large for a float
-# (its token's value is infinity) is P001 wherever a number is read, and the
-# field it is in is dropped; the message shows a literal of up to 19
-# characters whole, and a longer one by its ends and length.
+# alone. Two rules were added since: a number literal too large for a float
+# (its token's value is infinity), or too small for one (a nonzero digit,
+# but the value is 0), is P001 wherever a number is read, and the field it
+# is in is dropped; the message shows a literal of up to 19 characters
+# whole, and a longer one by its ends and length.
 
 # Largest offset passed to _Parser.peek.
 _LOOKAHEAD = 2
@@ -1008,18 +1011,22 @@ class _Parser:
             items.append(tok.text)
         return tuple(items)
 
-    def too_large(self, tok: Token) -> bool:
-        if not math.isinf(tok.value):
-            return False
+    def out_of_range(self, tok: Token) -> bool:
         text = tok.text
+        if math.isinf(tok.value):
+            size = "large"
+        elif tok.value == 0 and any(c in "123456789" for c in re.split("[eE]", text)[0]):
+            size = "small"
+        else:
+            return False
         if len(text) > 19:
             text = f"{text[:8]}...{text[-8:]} ({len(text)} characters)"
-        self.error("P001", f"number too large: {text}", tok.span)
+        self.error("P001", f"number too {size}: {text}", tok.span)
         return True
 
     def parse_value_int(self) -> int | None:
         tok = self.expect(TokenKind.NUMBER, "a number")
-        if tok is None or self.too_large(tok):
+        if tok is None or self.out_of_range(tok):
             return None
         if tok.value != int(tok.value):
             self.error("P001", f"expected an integer, found {tok.text!r}", tok.span)
@@ -1136,7 +1143,7 @@ class _Parser:
             self.error("P005", f"malformed interval: expected {what}, found {shown!r}", tok.span)
             return None
         self.advance()
-        if self.too_large(tok):
+        if self.out_of_range(tok):
             return None
         value = -tok.value if negative else tok.value
         return 0.0 if value == 0 else value
@@ -1277,7 +1284,7 @@ class _Parser:
             return (_expr.Neg(operand[0]), operand[1] + 1) if operand else None
         if tok.kind is TokenKind.NUMBER:
             self.advance()
-            if self.too_large(tok):
+            if self.out_of_range(tok):
                 return None
             return _expr.Num(tok.value), 0
         if tok.kind is TokenKind.IDENT:

@@ -332,6 +332,22 @@ def test_eval_off_schedule_period_yields_no_results(corpus, capsys):
     assert "no results" in err
 
 
+def test_eval_of_year_zero_skips_every_metric_without_a_traceback(corpus, capsys):
+    code = cli.main(
+        [
+            "eval", str(corpus / "jpmorgan.sym"),
+            "--measurements", str(corpus / "logs" / "jpmorgan_2014-09.jsonl"),
+            "--metric", "all", "--period", "0000",
+        ]
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert "note: skipping ME1.1.1.1.1: invalid year '0000': year 0 is out of range" in err
+    assert err.endswith("error: no results\n")
+    assert "Traceback" not in err
+
+
 # -- report ---------------------------------------------------------------------
 
 
@@ -354,6 +370,13 @@ def test_report_rejects_bad_period(corpus, capsys):
     assert cli.main(_q1_args(corpus) + ["--from", "2014-01", "--to", "2014-Q3"]) == 2
     _, err = capsys.readouterr()
     assert "granularity" in err
+
+
+def test_report_of_year_zero_is_a_usage_error_without_a_traceback(corpus, capsys):
+    assert cli.main(_q1_args(corpus) + ["--from", "0000-Q1", "--to", "0000-Q2"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: invalid quarter '0000-Q1': year 0 is out of range\n"
 
 
 def test_report_rejects_unknown_format(corpus):

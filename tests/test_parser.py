@@ -130,6 +130,56 @@ def test_a_short_literal_beyond_the_float_range_is_shown_once():
     _assert_same_as_token_by_token(src)
 
 
+# A nonzero literal below the smallest double would read as 0.
+_TINY = "0." + "0" * 400 + "1"
+TOO_SMALL = {
+    "priority": "objective B { priority: 1e-400 }",
+    "band": "metric M { band: [1e-400, 5] -> x { log s } method: \"m\" }",
+    "domain": "metric M { domain: [0, 1e-400] method: \"m\" }",
+    "function": "metric M { function: a + -1E-999 * 2 method: \"m\" }",
+}
+
+
+@pytest.mark.parametrize("field", sorted(TOO_SMALL))
+def test_a_nonzero_number_below_the_float_range_is_one_p001_and_drops_the_field(field):
+    model, diags = parse(TOO_SMALL[field])
+    assert [d.code for d in diags] == ["P001"]
+    assert diags[0].message in ("number too small: 1e-400", "number too small: 1E-999")
+    (node,) = model.objectives.values() if field == "priority" else model.metrics.values()
+    assert getattr(node, "bands" if field == "band" else field) in (None, ())
+    assert field == "priority" or node.method == "m"
+    _assert_same_as_token_by_token(TOO_SMALL[field])
+
+
+def test_an_open_interval_to_a_tiny_literal_is_p001_not_an_empty_interval():
+    _, diags = parse("metric M { domain: (0, 1e-400] }")
+    assert [(d.code, d.message) for d in diags] == [("P001", "number too small: 1e-400")]
+
+
+def test_a_long_tiny_literal_is_shown_by_its_ends():
+    src = f"metric M {{ domain: [0, {_TINY}] }}"
+    _, diags = parse(src)
+    assert [(d.code, d.message) for d in diags] == [
+        ("P001", "number too small: 0.000000...00000001 (403 characters)")
+    ]
+    _assert_same_as_token_by_token(src)
+
+
+@pytest.mark.parametrize("zero", ["0", "0.000", "0e5", "00.00E-999", "0E+0"])
+def test_a_literal_of_only_zeros_is_zero_without_a_diagnostic(zero):
+    src = f"metric M {{ domain: [{zero}, 1] function: a * {zero} }}"
+    model, diags = parse(src)
+    assert not diags
+    assert model.metrics["M"].domain.lo == 0.0
+    _assert_same_as_token_by_token(src)
+
+
+def test_the_smallest_double_is_not_too_small():
+    model, diags = parse("metric M { domain: [0, 5e-324] }")
+    assert not diags
+    assert model.metrics["M"].domain.hi == 5e-324
+
+
 @pytest.mark.parametrize("field", sorted(TOO_LARGE))
 def test_a_number_beyond_the_float_range_is_one_p001_and_drops_the_field(field):
     model, diags = parse(TOO_LARGE[field])

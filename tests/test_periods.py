@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbiosis_kit import periods
 from symbiosis_kit.model import Granularity
 from symbiosis_kit.periods import (
     PeriodError,
@@ -19,6 +20,8 @@ from symbiosis_kit.periods import (
     start_date,
     subperiods,
 )
+
+from oracles import period_bounds
 
 D = dt.date
 G = Granularity
@@ -55,6 +58,37 @@ def test_granularity_of():
 def test_parse_period_key_rejects_malformed(bad):
     with pytest.raises(PeriodError):
         parse_period_key(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    # full-width and Arabic-Indic digits, and a key with something after it
+    ["\uff12\uff10\uff11\uff14-09", "\u0662\u0660\u0661\u0664-Q3", "2014-0\u0669",
+     "2014-09\n", "2014\n", "2014-Q3\n", "2014-09-03\n", "2014-W36\n", "2014-09 "],
+)
+def test_period_keys_are_ascii_digits_matched_whole(bad):
+    with pytest.raises(PeriodError, match="malformed period key"):
+        parse_period_key(bad)
+    with pytest.raises(PeriodError, match="malformed period key"):
+        granularity_of(bad)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("0000", "invalid year '0000': year 0 is out of range"),
+        ("0000-Q1", "invalid quarter '0000-Q1': year 0 is out of range"),
+        ("0000-01", "invalid month '0000-01': year 0 is out of range"),
+        ("0000-01-01", "invalid date '0000-01-01': year 0 is out of range"),
+        ("0000-W01", "invalid ISO week '0000-W01': Year is out of range: 0"),
+    ],
+)
+def test_year_zero_is_a_period_error_at_every_granularity(key, message):
+    for call in (parse_period_key, start_date, end_date, next_period):
+        with pytest.raises(PeriodError) as exc:
+            call(key)
+        assert str(exc.value) == message
+    assert granularity_of(key) is granularity_of(key.replace("0000", "2014"))
 
 
 def test_parse_period_key_returns_granularity_and_canonical_key():
@@ -142,3 +176,99 @@ def test_every_date_lands_inside_its_own_period(day, granularity):
     assert period_contains(key, day)
     # the following period starts strictly after this one ends
     assert start_date(next_period(key)) == end_date(key) + dt.timedelta(days=1)
+
+
+# -- the cached period table --------------------------------------------------
+# `periods._period` parses a key once and caches the record; these tests
+# check the record against plain calendar arithmetic (`oracles.period_bounds`)
+# and that sharing it never leaks a mutable result or a cached failure.
+
+_EDGES = [D.min, D.min + dt.timedelta(days=6), D(1, 12, 31), D(9999, 1, 1), D(9999, 12, 27), D.max]
+
+
+def _clear_period_caches():
+    periods._period.cache_clear()
+    periods.subperiod_windows.cache_clear()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.dates(), st.sampled_from(_EDGES)),
+    st.sampled_from(list(Granularity)),
+    st.booleans(),
+)
+def test_period_bounds_match_calendar_arithmetic(day, granularity, cold):
+    if cold:
+        _clear_period_caches()
+    key = period_of(day, granularity)
+    expected = period_bounds(key)
+    for _ in range(2):  # the parse, then the cached record
+        assert parse_period_key(key) == (granularity, key)
+        assert granularity_of(key) is granularity
+        assert (start_date(key), end_date(key)) == expected
+    assert expected[0] <= day <= expected[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.dates(), st.sampled_from(_EDGES)),
+    st.sampled_from(list(Granularity)),
+    st.sampled_from(list(Granularity)),
+)
+def test_subperiod_windows_cover_the_period_day_by_day(day, g1, g2):
+    fine, coarse = sorted((g1, g2), key=lambda g: g.ordinal)
+    key = period_of(day, coarse)
+    windows = periods.subperiod_windows(key, fine)
+    assert [sub for sub, _, _ in windows] == subperiods(key, fine)
+    lo, hi = period_bounds(key)
+    assert windows[0][1] == lo and windows[-1][2] == hi
+    for sub, first, last in windows:
+        sub_lo, sub_hi = period_bounds(sub)
+        assert (first, last) == (max(sub_lo, lo), min(sub_hi, hi))
+    for (_, _, last), (_, first, _) in zip(windows, windows[1:]):
+        assert first == last + dt.timedelta(days=1)
+
+
+def test_returned_lists_are_fresh_copies():
+    keys = period_range("2014-01", "2014-03")
+    keys.append("garbage")
+    keys[0] = "1999-01"
+    assert period_range("2014-01", "2014-03") == ["2014-01", "2014-02", "2014-03"]
+    months = subperiods("2014-Q3", G.MONTHLY)
+    months.clear()
+    assert subperiods("2014-Q3", G.MONTHLY) == ["2014-07", "2014-08", "2014-09"]
+    same = subperiods("2014-09", G.MONTHLY)
+    same.append("2014-10")
+    assert subperiods("2014-09", G.MONTHLY) == ["2014-09"]
+    assert isinstance(periods.subperiod_windows("2014-Q3", G.MONTHLY), tuple)
+
+
+_BAD_KEYS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["0000", "0000-Q4", "0000-W01", "2014-13", "2014-W53", "2015-W54", "2014-02-29",
+                     "2014-09\n", "\uff12\uff10\uff11\uff14", "9999-W53", "10000"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BAD_KEYS)
+def test_a_rejected_key_raises_the_same_message_every_time_and_is_not_cached(key):
+    try:
+        parse_period_key(key)
+    except PeriodError as exc:
+        first = str(exc)
+    else:
+        return  # st.text drew a valid key
+    cached = periods._period.cache_info().currsize
+    for call in (parse_period_key, parse_period_key, start_date, end_date):
+        with pytest.raises(PeriodError) as exc:
+            call(key)
+        assert str(exc.value) == first
+    with pytest.raises(PeriodError):
+        subperiods(key, G.DAILY)
+    assert periods._period.cache_info().currsize == cached
+
+
+def test_the_period_caches_are_bounded():
+    assert periods._period.cache_info().maxsize is not None
+    assert periods.subperiod_windows.cache_info().maxsize is not None

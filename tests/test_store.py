@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -20,9 +21,10 @@ from symbiosis_kit.model import (
     ReportingSchedule,
     SourceMode,
 )
+from symbiosis_kit import periods
 from symbiosis_kit.parser import parse
 from symbiosis_kit.periods import period_of
-from symbiosis_kit.pipeline import aggregate, evaluate_period, ingest_lines, ingest_many
+from symbiosis_kit.pipeline import _density_warnings, aggregate, evaluate_period, ingest_lines, ingest_many
 
 from oracles import scan_aggregate, scan_density_warnings
 
@@ -185,3 +187,54 @@ def test_straddling_week_is_judged_on_its_days_inside_the_month():
     assert _weekly_density(days, "2014-10") == (
         "collection period 2014-W40 inside 2014-10 has no records for metric W",
     )
+
+
+# -- density windows from the period cache against the day-walking oracle -----
+# `_density_warnings` reads each sub-period's window from the periods cache;
+# `oracles.scan_density_warnings` finds them by walking every day. Seeded
+# sparse logs leave some sub-periods empty, at both ends of the calendar too.
+
+G = Granularity
+_DENSITY_SCHEDULES = [
+    (G.WEEKLY, G.MONTHLY), (G.DAILY, G.MONTHLY), (G.MONTHLY, G.QUARTERLY),
+    (G.WEEKLY, G.QUARTERLY), (G.DAILY, G.WEEKLY), (G.QUARTERLY, G.YEARLY), (G.WEEKLY, G.YEARLY),
+]
+_SPAN_STARTS = [dt.date.min, dt.date(2014, 1, 1), dt.date(9999, 1, 1)]
+
+
+def _seeded_lines(rng: random.Random, first: dt.date, days: int) -> list[str]:
+    density = rng.choice([0.02, 0.2, 0.7])
+    lines = []
+    for offset in range(days):
+        if rng.random() < density:
+            ts = (first + dt.timedelta(days=offset)).isoformat()
+            if rng.random() < 0.5:
+                lines.append(json.dumps({"timestamp": ts, "base": rng.choice(["d_sum", "d_latest"]), "value": 1}))
+            else:
+                fields = {"kind": rng.choice(["x", "y"]), "status": rng.choice(["ok", "no"])}
+                lines.append(json.dumps({"timestamp": ts, "fields": fields}))
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    schedule=st.sampled_from(_DENSITY_SCHEDULES),
+    start=st.sampled_from(_SPAN_STARTS),
+    cold=st.booleans(),
+)
+def test_density_warnings_match_the_day_walking_oracle_on_seeded_logs(seed, schedule, start, cold):
+    if cold:
+        periods._period.cache_clear()
+        periods.subperiod_windows.cache_clear()
+    rng = random.Random(seed)
+    days = min(400, (dt.date.max - start).days + 1)
+    log = ingest_lines(_seeded_lines(rng, start, days), "log", Model(bases=BASES))
+    uses = tuple(rng.sample(sorted(BASES), rng.randint(1, 3)))
+    metric = _metric(uses, *schedule)
+    model = Model(bases=BASES, metrics={"M": metric})
+    keys = sorted({period_of(start + dt.timedelta(days=n), schedule[1]) for n in range(days)})
+    for key in keys:
+        expected = scan_density_warnings(log.records, metric, key, model)
+        assert _density_warnings(metric, log, key, model) == expected
+        assert _density_warnings(metric, log, key, model) == expected  # from the warm cache
