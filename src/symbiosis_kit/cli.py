@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import formulation, periods, pipeline, report as report_mod
 from .diagnostics import Diagnostic, has_errors, render_all, to_json
 from .impact import analyze as impact_analyze
 from .impact import render_json as impact_render_json
@@ -19,6 +19,12 @@ from .graph import build_graph, to_dot, to_json as graph_json
 from .model import Model
 from .parser import parse_file
 from .serializer import serialize
+
+# The evaluation modules (pipeline, periods, report) and formulation are
+# imported by the commands that use them, so `check`, `fmt`, `graph` and
+# `impact` do not load them.
+if TYPE_CHECKING:
+    from . import pipeline
 
 EXIT_OK = 0
 EXIT_ERRORS = 1
@@ -104,6 +110,8 @@ def _cmd_check(args: argparse.Namespace, io: _Io) -> int:
 
 
 def _cmd_render(args: argparse.Namespace, io: _Io) -> int:
+    from . import formulation
+
     model = _require_clean(args.model, io)
     if model is None:
         return EXIT_ERRORS
@@ -135,6 +143,8 @@ def _cmd_graph(args: argparse.Namespace, io: _Io) -> int:
 
 
 def _ingest(paths: list[str], model: Model, io: _Io) -> tuple[pipeline.MeasurementLog | None, int]:
+    from . import pipeline
+
     try:
         log = pipeline.ingest_many(paths, model)
     except (OSError, UnicodeDecodeError) as exc:
@@ -146,6 +156,8 @@ def _ingest(paths: list[str], model: Model, io: _Io) -> tuple[pipeline.Measureme
 
 
 def _eval_text(result: pipeline.EvaluationResult, model: Model) -> list[str]:
+    from . import pipeline
+
     lines = []
     if result.ok:
         band = result.band.label if result.band else "?"
@@ -178,6 +190,8 @@ def _select_metrics(model: Model, metric: str, io: _Io) -> list[str] | None:
 
 
 def _cmd_eval(args: argparse.Namespace, io: _Io) -> int:
+    from . import periods, pipeline, report as report_mod
+
     model = _require_clean(args.model, io)
     if model is None:
         return EXIT_ERRORS
@@ -209,6 +223,8 @@ def _cmd_eval(args: argparse.Namespace, io: _Io) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, io: _Io) -> int:
+    from . import periods, pipeline, report as report_mod
+
     model = _require_clean(args.model, io)
     if model is None:
         return EXIT_ERRORS

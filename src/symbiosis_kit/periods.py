@@ -123,8 +123,13 @@ def end_date(key: str) -> dt.date:
 
 
 def next_period(key: str) -> str:
-    """The period of the same granularity that starts the day after `key` ends."""
+    """The period of the same granularity that starts the day after `key` ends.
+
+    Raises PeriodError for a period that ends on date.max (9999-12-31).
+    """
     period = _period(key)
+    if period.last == dt.date.max:
+        raise PeriodError(f"no period follows {period.key!r}: it ends on the last representable day")
     return period_of(period.last + dt.timedelta(days=1), period.granularity)
 
 

@@ -118,6 +118,22 @@ def test_next_period_rollovers():
     assert next_period("2015-W53") == "2016-W01"
 
 
+@pytest.mark.parametrize("key", ["9999", "9999-Q4", "9999-12", "9999-12-31", "9999-W52"])
+def test_no_period_follows_one_that_ends_on_the_last_day(key):
+    with pytest.raises(PeriodError, match="last representable day"):
+        next_period(key)
+
+
+def test_ranges_and_subperiods_reach_the_last_day():
+    assert period_range("9998", "9999") == ["9998", "9999"]
+    assert period_range("9999-Q3", "9999-Q4") == ["9999-Q3", "9999-Q4"]
+    assert period_range("9999-12-30", "9999-12-31") == ["9999-12-30", "9999-12-31"]
+    assert period_range("9999-W50", "9999-W52") == ["9999-W50", "9999-W51", "9999-W52"]
+    assert subperiods("9999", G.QUARTERLY) == ["9999-Q1", "9999-Q2", "9999-Q3", "9999-Q4"]
+    assert subperiods("9999-Q4", G.MONTHLY) == ["9999-10", "9999-11", "9999-12"]
+    assert subperiods("9999-12", G.WEEKLY) == ["9999-W48", "9999-W49", "9999-W50", "9999-W51", "9999-W52"]
+
+
 def test_period_range_inclusive():
     assert period_range("2014-Q1", "2014-Q3") == ["2014-Q1", "2014-Q2", "2014-Q3"]
     assert period_range("2014-11", "2015-02") == ["2014-11", "2014-12", "2015-01", "2015-02"]
