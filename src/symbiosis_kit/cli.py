@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 model errors or runtime failure, 2 usage or I/O
 failure. Diagnostics and notes go to stderr; payloads go to stdout or --out.
+Every failure ends through `_Io.fail`, which writes its note and raises
+`_Exit`; `main` is the one place that turns that into the exit code.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .diagnostics import Diagnostic, has_errors, render_all, to_json
 from .impact import analyze as impact_analyze
@@ -31,6 +33,14 @@ EXIT_ERRORS = 1
 EXIT_USAGE = 2
 
 
+class _Exit(Exception):
+    """Ends a command with a non-zero exit code; raised by `_Io.fail`."""
+
+    def __init__(self, code: int) -> None:
+        super().__init__(code)
+        self.code = code
+
+
 class _Io:
     """Output plumbing honoring --out and --quiet."""
 
@@ -38,121 +48,100 @@ class _Io:
         self.out_path = out_path
         self.quiet = quiet
 
-    def payload(self, data: str | bytes) -> int:
+    def payload(self, data: str | bytes) -> None:
         raw = data.encode("utf-8") if isinstance(data, str) else data
         if self.out_path:
-            try:
-                with open(self.out_path, "wb") as handle:
-                    handle.write(raw)
-            except OSError as exc:
-                self.note(f"error: cannot write {self.out_path!r}: {exc}")
-                return EXIT_USAGE
+            self.write(self.out_path, raw)
         else:
             sys.stdout.buffer.write(raw)
             sys.stdout.buffer.flush()
-        return EXIT_OK
+
+    def write(self, path: str, raw: bytes) -> None:
+        try:
+            with open(path, "wb") as handle:
+                handle.write(raw)
+        except OSError as exc:
+            self.fail(f"error: cannot write {path!r}: {exc}", EXIT_USAGE)
 
     def note(self, message: str) -> None:
         if not self.quiet:
             print(message, file=sys.stderr)
 
+    def fail(self, message: str, code: int = EXIT_ERRORS) -> NoReturn:
+        self.note(message)
+        raise _Exit(code)
 
-def _load_model(path: str, io: _Io) -> tuple[Model | None, list[Diagnostic], int]:
-    """Parse + validate one model file. Returns (model, diagnostics, exit code).
 
-    The model comes back even with errors (for `check` to report); the exit
-    code says whether downstream commands may use it.
+def _load_model(path: str, io: _Io) -> tuple[Model, list[Diagnostic]]:
+    """Parse + validate one model file; an unreadable file fails with exit 2.
+
+    The model comes back even with errors, for `check` to report.
     """
     from .validator import validate
 
     try:
         model, diags = parse_file(path)
     except (OSError, UnicodeDecodeError) as exc:
-        io.note(f"error: cannot read {path!r}: {exc}")
-        return None, [], EXIT_USAGE
-    diags = diags + validate(model)
-    return model, diags, EXIT_ERRORS if has_errors(diags) else EXIT_OK
+        io.fail(f"error: cannot read {path!r}: {exc}", EXIT_USAGE)
+    return model, diags + validate(model)
 
 
-def _require_clean(path: str, io: _Io) -> Model | None:
-    model, diags, code = _load_model(path, io)
-    if model is None:
-        return None
+def _require_clean(path: str, io: _Io, refusal: str = "has validation errors; aborting") -> Model:
+    """The model at `path`, after noting its diagnostics; errors fail with exit 1."""
+    model, diags = _load_model(path, io)
     if diags:
         io.note(render_all(diags).rstrip("\n"))
-    if code != EXIT_OK:
-        io.note(f"error: {path} has validation errors; aborting")
-        return None
+    if has_errors(diags):
+        io.fail(f"error: {path} {refusal}")
     return model
 
 
-def _cmd_check(args: argparse.Namespace, io: _Io) -> int:
+def _cmd_check(args: argparse.Namespace, io: _Io) -> None:
     """The diagnostic listing is check's payload; the summary is a note."""
-    all_diags: list[Diagnostic] = []
-    worst = EXIT_OK
-    for path in args.models:
-        model, diags, code = _load_model(path, io)
-        if model is None:
-            return EXIT_USAGE
-        all_diags.extend(diags)
-        if code != EXIT_OK:
-            worst = EXIT_ERRORS
-    payload = to_json(all_diags) if args.format == "json" else render_all(all_diags)
-    code = io.payload(payload)
-    if code != EXIT_OK:
-        return code
-    errors = sum(1 for d in all_diags if d.is_error)
-    warnings = len(all_diags) - errors
-    io.note(f"checked {len(args.models)} file(s): {errors} error(s), {warnings} warning(s)")
-    if args.strict and warnings:
-        worst = EXIT_ERRORS
-    return worst
+    diags = [d for path in args.models for d in _load_model(path, io)[1]]
+    io.payload(to_json(diags) if args.format == "json" else render_all(diags))
+    errors = sum(1 for d in diags if d.is_error)
+    warnings = len(diags) - errors
+    summary = f"checked {len(args.models)} file(s): {errors} error(s), {warnings} warning(s)"
+    if errors or (args.strict and warnings):
+        io.fail(summary)
+    io.note(summary)
 
 
-def _cmd_render(args: argparse.Namespace, io: _Io) -> int:
+def _cmd_render(args: argparse.Namespace, io: _Io) -> None:
     from . import formulation
 
     model = _require_clean(args.model, io)
-    if model is None:
-        return EXIT_ERRORS
     try:
-        if args.id:
-            return io.payload(formulation.render_formulation(model, args.id) + "\n")
-        chunks = []
-        for node_id in formulation.renderable_ids(model):
-            chunks.append(f"## {node_id}")
-            chunks.append(formulation.render_formulation(model, node_id))
-            chunks.append("")
-        return io.payload("\n".join(chunks))
+        if args.id is not None:
+            text = formulation.render_formulation(model, args.id) + "\n"
+        else:
+            text = "\n".join(
+                f"## {node_id}\n{formulation.render_formulation(model, node_id)}\n"
+                for node_id in formulation.renderable_ids(model)
+            )
     except KeyError:
-        io.note(f"error: {args.id!r} is not a renderable objective or goal")
-        return EXIT_ERRORS
+        io.fail(f"error: {args.id!r} is not a renderable objective or goal")
     except formulation.MissingFieldError as exc:
-        io.note(f"error: {exc}")
-        return EXIT_ERRORS
+        io.fail(f"error: {exc}")
+    io.payload(text)
 
 
-def _cmd_graph(args: argparse.Namespace, io: _Io) -> int:
-    model = _require_clean(args.model, io)
-    if model is None:
-        return EXIT_ERRORS
-    graph = build_graph(model)
-    if args.format == "dot":
-        return io.payload(to_dot(graph))
-    return io.payload(graph_json(graph))
+def _cmd_graph(args: argparse.Namespace, io: _Io) -> None:
+    graph = build_graph(_require_clean(args.model, io))
+    io.payload(to_dot(graph) if args.format == "dot" else graph_json(graph))
 
 
-def _ingest(paths: list[str], model: Model, io: _Io) -> tuple[pipeline.MeasurementLog | None, int]:
+def _ingest(paths: list[str], model: Model, io: _Io) -> pipeline.MeasurementLog:
     from . import pipeline
 
     try:
         log = pipeline.ingest_many(paths, model)
     except (OSError, UnicodeDecodeError) as exc:
-        io.note(f"error: cannot read measurements: {exc}")
-        return None, EXIT_USAGE
+        io.fail(f"error: cannot read measurements: {exc}", EXIT_USAGE)
     if log.diagnostics:
         io.note(render_all(list(log.diagnostics)).rstrip("\n"))
-    return log, EXIT_OK
+    return log
 
 
 def _eval_text(result: pipeline.EvaluationResult, model: Model) -> list[str]:
@@ -179,28 +168,21 @@ def _fmt_binding(value: float) -> str:
     return str(int(value)) if value == int(value) else str(value)
 
 
-def _select_metrics(model: Model, metric: str, io: _Io) -> list[str] | None:
+def _select_metrics(model: Model, metric: str, io: _Io) -> list[str]:
     """Metric ids for `--metric`: every metric for 'all', else the one named."""
     if metric == "all":
         return sorted(model.metrics)
     if metric not in model.metrics:
-        io.note(f"error: unknown metric {metric!r}")
-        return None
+        io.fail(f"error: unknown metric {metric!r}")
     return [metric]
 
 
-def _cmd_eval(args: argparse.Namespace, io: _Io) -> int:
+def _cmd_eval(args: argparse.Namespace, io: _Io) -> None:
     from . import periods, pipeline, report as report_mod
 
     model = _require_clean(args.model, io)
-    if model is None:
-        return EXIT_ERRORS
-    log, code = _ingest(args.measurements, model, io)
-    if log is None:
-        return code
+    log = _ingest(args.measurements, model, io)
     metric_ids = _select_metrics(model, args.metric, io)
-    if metric_ids is None:
-        return EXIT_ERRORS
     graph = build_graph(model)
     results = []
     for metric_id in metric_ids:
@@ -211,94 +193,57 @@ def _cmd_eval(args: argparse.Namespace, io: _Io) -> int:
         except periods.PeriodError as exc:
             io.note(f"note: skipping {metric_id}: {exc}")
     if not results:
-        io.note("error: no results")
-        return EXIT_ERRORS
+        io.fail("error: no results")
     if args.format == "json":
         payload = {"results": [report_mod.result_json_obj(result, model) for result in results]}
-        return io.payload(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        io.payload(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
     lines: list[str] = []
     for result in results:
         lines.extend(_eval_text(result, model))
-    return io.payload("\n".join(lines) + "\n")
+    io.payload("\n".join(lines) + "\n")
 
 
-def _cmd_report(args: argparse.Namespace, io: _Io) -> int:
+def _cmd_report(args: argparse.Namespace, io: _Io) -> None:
     from . import periods, pipeline, report as report_mod
 
     model = _require_clean(args.model, io)
-    if model is None:
-        return EXIT_ERRORS
-    log, code = _ingest(args.measurements, model, io)
-    if log is None:
-        return code
+    log = _ingest(args.measurements, model, io)
     try:
         keys = periods.period_range(getattr(args, "from"), args.to)
     except periods.PeriodError as exc:
-        io.note(f"error: {exc}")
-        return EXIT_USAGE
+        io.fail(f"error: {exc}", EXIT_USAGE)
     granularity = periods.granularity_of(keys[0])
     metric_ids = _select_metrics(model, args.metric, io)
-    if metric_ids is None:
-        return EXIT_ERRORS
     graph = build_graph(model)
     results = []
     for metric_id in metric_ids:
-        metric = model.metrics[metric_id]
-        if metric.schedule is not None and granularity not in (
-            metric.schedule.collection,
-            metric.schedule.reporting,
-        ):
+        schedule = model.metrics[metric_id].schedule
+        if schedule is not None and not schedule.runs_at(granularity):
             io.note(
-                f"note: skipping {metric_id}: runs on {metric.schedule.notation()}, "
+                f"note: skipping {metric_id}: runs on {schedule.notation()}, "
                 f"not {granularity.value}"
             )
             continue
         for key in keys:
             results.append(pipeline.evaluate_period(model, graph, log, metric_id, key))
     if not results:
-        io.note("error: no results")
-        return EXIT_ERRORS
-    try:
-        payload = report_mod.generate_report(results, model, args.format)
-    except report_mod.UnknownFormat as exc:
-        io.note(f"error: {exc}")
-        return EXIT_USAGE
-    return io.payload(payload)
+        io.fail("error: no results")
+    io.payload(report_mod.generate_report(results, model, args.format))
 
 
-def _cmd_impact(args: argparse.Namespace, io: _Io) -> int:
-    old_model = _require_clean(args.old, io)
-    if old_model is None:
-        return EXIT_ERRORS
-    new_model = _require_clean(args.new, io)
-    if new_model is None:
-        return EXIT_ERRORS
-    reports = impact_analyze(old_model, new_model)
-    if args.json:
-        return io.payload(impact_render_json(reports))
-    return io.payload(impact_render_text(reports))
+def _cmd_impact(args: argparse.Namespace, io: _Io) -> None:
+    reports = impact_analyze(_require_clean(args.old, io), _require_clean(args.new, io))
+    io.payload(impact_render_json(reports) if args.json else impact_render_text(reports))
 
 
-def _cmd_fmt(args: argparse.Namespace, io: _Io) -> int:
-    model, diags, code = _load_model(args.model, io)
-    if model is None:
-        return EXIT_USAGE
-    if diags:
-        io.note(render_all(diags).rstrip("\n"))
-    if code != EXIT_OK:
-        io.note(f"error: {args.model} has errors; refusing to rewrite it")
-        return EXIT_ERRORS
-    text = serialize(model)
+def _cmd_fmt(args: argparse.Namespace, io: _Io) -> None:
+    text = serialize(_require_clean(args.model, io, "has errors; refusing to rewrite it"))
     if io.out_path:
-        return io.payload(text)
-    try:
-        with open(args.model, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        io.note(f"error: cannot write {args.model!r}: {exc}")
-        return EXIT_USAGE
+        io.payload(text)
+        return
+    io.write(args.model, text.encode("utf-8"))
     io.note(f"formatted {args.model}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,11 +309,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and EXIT_USAGE
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    io = _Io(getattr(args, "out", None), getattr(args, "quiet", False))
-    return args.func(args, io)
+    try:
+        args.func(args, _Io(args.out, args.quiet))
+    except _Exit as exc:
+        return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -240,6 +240,10 @@ class ReportingSchedule:
     def notation(self) -> str:
         return f"{self.collection.value} / {self.reporting.value}"
 
+    def runs_at(self, granularity: Granularity) -> bool:
+        """Whether a period of this granularity is one the metric is collected or reported on."""
+        return granularity in (self.collection, self.reporting)
+
 
 @dataclass(frozen=True, slots=True)
 class MetricDef:

@@ -475,13 +475,11 @@ def evaluate_period(
     if metric is None:
         raise KeyError(f"unknown metric {metric_id!r}")
     granularity, period = periods.parse_period_key(period)
-    if metric.schedule is not None:
-        allowed = {metric.schedule.collection, metric.schedule.reporting}
-        if granularity not in allowed:
-            raise periods.PeriodError(
-                f"period {period!r} is {granularity.value}; metric {metric_id!r} "
-                f"runs on {metric.schedule.notation()}"
-            )
+    if metric.schedule is not None and not metric.schedule.runs_at(granularity):
+        raise periods.PeriodError(
+            f"period {period!r} is {granularity.value}; metric {metric_id!r} "
+            f"runs on {metric.schedule.notation()}"
+        )
 
     affected = tuple(objective_ancestors_ordered(graph, metric_id))
     density = _density_warnings(metric, log, period, model)

@@ -81,20 +81,66 @@ def test_non_ascii_digits_are_p001(corpus, tmp_path, capsys, old, new, location,
     assert path.read_text(encoding="utf-8") == edited
 
 
-def test_check_missing_file_is_usage_error(tmp_path, capsys):
-    assert cli.main(["check", str(tmp_path / "absent.sym")]) == 2
-    _, err = capsys.readouterr()
-    assert "cannot read" in err
+def _with_model(command, model, corpus):
+    """Arguments running `command` on `model`; other inputs are clean corpus files."""
+    clean = str(corpus / "jpmorgan.sym")
+    log = ["--measurements", str(corpus / "logs" / "jpmorgan_2014-01.jsonl")]
+    return {
+        "check": ["check", model],
+        "render": ["render", model],
+        "graph": ["graph", model],
+        "eval": ["eval", model, *log, "--metric", "all", "--period", "2014-01"],
+        "report": ["report", model, *log, "--from", "2014-01", "--to", "2014-01"],
+        "impact-old": ["impact", model, clean],
+        "impact-new": ["impact", clean, model],
+        "fmt": ["fmt", model],
+    }[command]
 
 
-def test_check_of_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+MODEL_COMMANDS = ["check", "render", "graph", "eval", "report", "impact-old", "impact-new", "fmt"]
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_missing_model_is_usage_error(corpus, tmp_path, capsys, command):
+    path = str(tmp_path / "absent.sym")
+    assert cli.main(_with_model(command, path, corpus)) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == f"error: cannot read {path!r}: [Errno 2] No such file or directory: {path!r}\n"
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_model_that_is_not_utf8_is_usage_error(corpus, tmp_path, capsys, command):
     path = tmp_path / "latin1.sym"
     path.write_bytes(b'stakeholder S { name: "\xff" }')
-    assert cli.main(["check", str(path)]) == 2
+    assert cli.main(_with_model(command, str(path), corpus)) == 2
     out, err = capsys.readouterr()
     assert not out
     assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff")
     assert "Traceback" not in err
+    assert path.read_bytes() == b'stakeholder S { name: "\xff" }'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "jpmorgan.sym"],
+        ["graph", "jpmorgan.sym"],
+        ["report", "jpmorgan.sym", "--measurements", "logs/jpmorgan_2014-01.jsonl", "--from", "2014-01", "--to", "2014-01"],
+        ["fmt", "jpmorgan.sym"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_usage_error(corpus, tmp_path, capsys, argv):
+    target = str(tmp_path / "missing" / "x")
+    argv = [str(corpus / arg) if arg.endswith((".sym", ".jsonl")) else arg for arg in argv]
+    before = (corpus / "jpmorgan.sym").read_bytes()
+    assert cli.main(argv + ["--out", target]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.endswith(f"error: cannot write {target!r}: [Errno 2] No such file or directory: {target!r}\n")
+    assert "Traceback" not in err
+    assert (corpus / "jpmorgan.sym").read_bytes() == before
 
 
 @pytest.mark.parametrize("field", ["priority", "band", "domain", "function"])
@@ -174,6 +220,13 @@ def test_render_unknown_id(corpus, capsys):
     assert cli.main(["render", str(corpus / "jpmorgan.sym"), "--id", "NOPE"]) == 1
     _, err = capsys.readouterr()
     assert "not a renderable" in err
+
+
+def test_render_of_an_empty_id_is_an_unknown_id(corpus, capsys):
+    assert cli.main(["render", str(corpus / "jpmorgan.sym"), "--id", ""]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: '' is not a renderable objective or goal\n"
 
 
 def test_render_refuses_invalid_model(error_sym, capsys):
@@ -329,7 +382,11 @@ def test_eval_off_schedule_period_yields_no_results(corpus, capsys):
     )
     assert code == 1
     _, err = capsys.readouterr()
-    assert "no results" in err
+    assert err.startswith(
+        "note: skipping ME1.1.1.1.1: period '2014-W01' is weekly; "
+        "metric 'ME1.1.1.1.1' runs on monthly / quarterly\n"
+    )
+    assert err.endswith("error: no results\n")
 
 
 def test_eval_of_year_zero_skips_every_metric_without_a_traceback(corpus, capsys):
@@ -379,6 +436,14 @@ def test_report_of_year_zero_is_a_usage_error_without_a_traceback(corpus, capsys
     assert err == "error: invalid quarter '0000-Q1': year 0 is out of range\n"
 
 
+def test_report_skips_metrics_not_run_at_the_range_granularity(corpus, capsys):
+    assert cli.main(_q1_args(corpus) + ["--from", "2014", "--to", "2014"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    notes = [f"note: skipping ME1.1.1.1.{n}: runs on monthly / quarterly, not yearly\n" for n in range(1, 7)]
+    assert err == "".join(notes) + "error: no results\n"
+
+
 def test_report_rejects_unknown_format(corpus):
     assert cli.main(_q1_args(corpus) + ["--from", "2014-Q1", "--to", "2014-Q1", "--format", "pdf"]) == 2
 
@@ -423,6 +488,14 @@ def test_fmt_in_place(clean_sym, capsys):
     # idempotent
     assert cli.main(["fmt", str(clean_sym)]) == 0
     assert clean_sym.read_text(encoding="utf-8") == text
+
+
+def test_fmt_in_place_writes_lf_line_endings(clean_sym):
+    clean_sym.write_bytes(CLEAN_MODEL.replace("\n", "\r\n").encode("utf-8"))
+    assert cli.main(["fmt", str(clean_sym), "--quiet"]) == 0
+    raw = clean_sym.read_bytes()
+    assert b"\r" not in raw
+    assert raw.decode("utf-8").startswith("# .sym model (canonical form)\n")
 
 
 def test_fmt_out_leaves_original_untouched(clean_sym, tmp_path, capsys):

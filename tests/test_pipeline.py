@@ -6,7 +6,7 @@ import json
 import pytest
 
 from symbiosis_kit.graph import build_graph
-from symbiosis_kit.model import ActionKind, Aggregation, SourceMode
+from symbiosis_kit.model import ActionKind, Aggregation, Granularity, ReportingSchedule, SourceMode
 from symbiosis_kit.parser import parse
 from symbiosis_kit.periods import PeriodError
 from symbiosis_kit.pipeline import (
@@ -256,6 +256,12 @@ def test_evaluate_period_unknown_metric(model, graph):
 def test_evaluate_period_rejects_off_schedule_granularity(model, graph):
     with pytest.raises(PeriodError):
         evaluate_period(model, graph, EMPTY, "M", "2014-W05")
+
+
+def test_a_schedule_runs_at_its_collection_and_reporting_granularities():
+    schedule = ReportingSchedule(Granularity.MONTHLY, Granularity.QUARTERLY)
+    assert [g for g in Granularity if schedule.runs_at(g)] == [Granularity.MONTHLY, Granularity.QUARTERLY]
+    assert ReportingSchedule(Granularity.WEEKLY, Granularity.WEEKLY).runs_at(Granularity.WEEKLY)
 
 
 def test_density_warnings_flag_empty_collection_periods(model, graph):
