@@ -1,8 +1,9 @@
 """Traceability graph over model nodes, with closure queries and exports.
 
-Edge kinds: REFINES (child objective -> parent), MEASURES (goal -> objective),
-ASKS (question -> goal), ANSWERS (metric -> question), USES (metric -> base),
-DEPENDS_ON / AFFECTS (objective -> objective), STRATEGY_OF (strategy -> objective).
+The edges come from the field table `model.FIELDS`: a row with an `edge`
+gives the EdgeKind of the edge from a node to each id the field names (a
+child objective REFINES its parent, a question ASKS its goal, a strategy is
+STRATEGY_OF its objective).
 
 build_graph expects a model that passed validation with zero errors and
 does not check it again. It stores the closure edges (REFINES, MEASURES,
@@ -22,7 +23,7 @@ from collections.abc import Iterable, Set as AbstractSet
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import Model
+from .model import FIELDS, REFERENCED, Model
 
 
 class EdgeKind(Enum):
@@ -40,6 +41,15 @@ class EdgeKind(Enum):
 CLOSURE_KINDS = frozenset(
     {EdgeKind.REFINES, EdgeKind.MEASURES, EdgeKind.ASKS, EdgeKind.ANSWERS}
 )
+
+
+# Each node kind's edge rows of the field table: (attribute, the ids its
+# value names, the kind of edge to each of them).
+_EDGE_ROWS = {
+    kind: rows
+    for kind, fields in FIELDS.items()
+    if (rows := tuple((f.attribute, REFERENCED[f.value_kind], EdgeKind(f.edge)) for f in fields if f.edge))
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,35 +87,18 @@ def build_graph(model: Model) -> TraceabilityGraph:
     The validator owns every check on the model (V001 unique ids, V002
     resolved references, V003 acyclic refines); this function repeats none
     of them. On an unvalidated model it still returns: a dangling reference
-    becomes an edge to an id that is not a node, and a refines cycle is a
-    cycle the walk below never re-enters.
+    becomes an edge to an id that is not a node, an empty one (a `for` or
+    `goal` left unset) makes no edge, and a refines cycle is a cycle the
+    walk below never re-enters.
     """
-    edges: list[Edge] = []
-
-    for bo_id, bo in sorted(model.objectives.items()):
-        if bo.refines is not None:
-            edges.append(Edge(EdgeKind.REFINES, bo_id, bo.refines))
-        for dep in bo.depends_on:
-            edges.append(Edge(EdgeKind.DEPENDS_ON, bo_id, dep))
-        for aff in bo.affects:
-            edges.append(Edge(EdgeKind.AFFECTS, bo_id, aff))
-
-    for st_id, st in sorted(model.strategies.items()):
-        edges.append(Edge(EdgeKind.STRATEGY_OF, st_id, st.for_objective))
-
-    for mg_id, mg in sorted(model.goals.items()):
-        for bo_id in mg.measures:
-            edges.append(Edge(EdgeKind.MEASURES, mg_id, bo_id))
-
-    for q_id, q in sorted(model.questions.items()):
-        edges.append(Edge(EdgeKind.ASKS, q_id, q.goal))
-
-    for m_id, metric in sorted(model.metrics.items()):
-        for q_id in metric.answers:
-            edges.append(Edge(EdgeKind.ANSWERS, m_id, q_id))
-        for b_id in metric.uses:
-            edges.append(Edge(EdgeKind.USES, m_id, b_id))
-
+    edges = [
+        Edge(edge_kind, src, dst)
+        for kind, rows in _EDGE_ROWS.items()
+        for src, node in model.collection(kind).items()
+        for attribute, named, edge_kind in rows
+        if (value := getattr(node, attribute))
+        for dst in named(value)
+    ]
     ordered = tuple(sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)))
     up: dict[str, list[str]] = {}
     down: dict[str, list[str]] = {}

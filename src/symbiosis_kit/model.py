@@ -36,18 +36,8 @@ class Granularity(Enum):
     QUARTERLY = "quarterly"
     YEARLY = "yearly"
 
-    @property
-    def ordinal(self) -> int:
-        return _GRANULARITY_ORDER[self]
-
-
-_GRANULARITY_ORDER = {
-    Granularity.DAILY: 0,
-    Granularity.WEEKLY: 1,
-    Granularity.MONTHLY: 2,
-    Granularity.QUARTERLY: 3,
-    Granularity.YEARLY: 4,
-}
+    def __init__(self, value: str) -> None:
+        self.ordinal = len(type(self).__members__)  # declaration order: finest (daily) is 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,9 +192,8 @@ class ActionKind(Enum):
     NOTIFY = "notify"
     ESCALATE = "escalate"
 
-    @property
-    def urgency(self) -> int:
-        return {"log": 0, "notify": 1, "escalate": 2}[self.value]
+    def __init__(self, value: str) -> None:
+        self.urgency = len(type(self).__members__)  # declaration order: least urgent (log) is 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,6 +325,7 @@ class Field(NamedTuple):
     always: bool  # printed even when it holds its dataclass default
     required: bool  # empty is V010
     target: str | None  # the kind of node each id it names must be (V002)
+    edge: str | None  # the `graph.EdgeKind` value of the edge to each id it names
 
     @property
     def repeated(self) -> bool:
@@ -344,6 +334,18 @@ class Field(NamedTuple):
 
 
 REPEATED_KINDS = frozenset({"step", "band"})
+
+# The ids a referencing field's value names, by value kind; a repeated
+# field's value is its whole tuple of items.
+REFERENCED = {
+    "ident": lambda ident: (ident,),
+    "ident_list": lambda idents: idents,
+    "scope": lambda scope: (scope.universe,),
+    "step": lambda steps: [spawned for step in steps for spawned in step.spawns],
+}
+
+# The enum whose member values are the words a word-valued field accepts, by value kind.
+WORD_KINDS = {"status": QuestionStatus, "mode": SourceMode, "aggregation": Aggregation}
 
 
 def _row(
@@ -354,36 +356,42 @@ def _row(
     key: str = "",
     required: bool = False,
     target: str | None = None,
+    edge: str | None = None,
 ) -> Field:
     attribute = attribute or name
-    return Field(name, attribute, key or attribute, value_kind, always, required, target)
+    return Field(name, attribute, key or attribute, value_kind, always, required, target, edge)
 
 
 # The fields of each block kind, in the order `serialize` prints them. The
-# parser reads a field with `parse_value_<value kind>`, the serializer prints
-# it with its value kind's printer, and `node_json` gives `impact.diff` and
-# `canonical_dump` its JSON form. Only rows whose default can be written are
-# always printed: an empty identifier or list cannot. The validator reports
-# a required field left empty (V010) and an id named by a field with a
-# target that is not a node of that kind (V002): a scope names a universe,
-# and a step the objectives it spawns.
+# parser reads a field with `parse_value_<value kind>`, or as a member of its
+# enum in `WORD_KINDS`; the serializer prints it with its value kind's
+# printer, and `node_json` gives `impact.diff` and `canonical_dump` its JSON
+# form. Only rows whose default can be written are always printed: an empty
+# identifier or list cannot. The validator reports a required field left
+# empty (V010) and an id named by a field with a target that is not a node of
+# that kind (V002): a scope names a universe, and a step the objectives it
+# spawns. `build_graph` makes an edge of the row's `edge` kind from the node
+# to each id a row with an edge names.
 FIELDS: dict[str, tuple[Field, ...]] = {
     KIND_UNIVERSE: (_row("facets", "ident_list", required=True),),
     KIND_STAKEHOLDER: (_row("name", "str", always=True, required=True), _row("role", "str")),
     KIND_OBJECTIVE: (
-        _row("refines", "ident", target=KIND_OBJECTIVE),
+        _row("refines", "ident", target=KIND_OBJECTIVE, edge="refines"),
         _row("object", "str", always=True, required=True),
         _row("scope", "scope", required=True, target=KIND_UNIVERSE),
         _row("purpose", "str", always=True, required=True),
         _row("viewpoint", "ident_list", required=True, target=KIND_STAKEHOLDER),
         _row("context", "str", always=True, required=True),
-        _row("depends_on", "ident_list", target=KIND_OBJECTIVE),
-        _row("affects", "ident_list", target=KIND_OBJECTIVE),
+        _row("depends_on", "ident_list", target=KIND_OBJECTIVE, edge="depends_on"),
+        _row("affects", "ident_list", target=KIND_OBJECTIVE, edge="affects"),
         _row("priority", "int"),
         _row("priority_justification", "str"),
     ),
     KIND_STRATEGY: (
-        _row("for", "ident", attribute="for_objective", key="for", required=True, target=KIND_OBJECTIVE),
+        _row(
+            "for", "ident", attribute="for_objective", key="for", required=True, target=KIND_OBJECTIVE,
+            edge="strategy_of",
+        ),
         _row("step", "step", attribute="steps", required=True, target=KIND_OBJECTIVE),
         _row("justification", "str", always=True, required=True),
     ),
@@ -395,11 +403,11 @@ FIELDS: dict[str, tuple[Field, ...]] = {
         _row("criteria", "str_list", required=True),
         _row("viewpoint", "ident_list", target=KIND_STAKEHOLDER),
         _row("context", "str", always=True, required=True),
-        _row("measures", "ident_list", required=True, target=KIND_OBJECTIVE),
+        _row("measures", "ident_list", required=True, target=KIND_OBJECTIVE, edge="measures"),
         _row("related", "ident_list", target=KIND_GOAL),
     ),
     KIND_QUESTION: (
-        _row("goal", "ident", required=True, target=KIND_GOAL),
+        _row("goal", "ident", required=True, target=KIND_GOAL, edge="asks"),
         _row("text", "str", always=True, required=True),
         _row("status", "status"),
     ),
@@ -415,8 +423,8 @@ FIELDS: dict[str, tuple[Field, ...]] = {
         _row("modified", "date"),
         _row("reviewed", "date"),
         _row("goal", "ident", required=True, target=KIND_GOAL),
-        _row("answers", "ident_list", required=True, target=KIND_QUESTION),
-        _row("uses", "ident_list", required=True, target=KIND_BASE),
+        _row("answers", "ident_list", required=True, target=KIND_QUESTION, edge="answers"),
+        _row("uses", "ident_list", required=True, target=KIND_BASE, edge="uses"),
         _row("method", "str", always=True, required=True),
         _row("function", "expr", required=True),
         _row("domain", "interval"),
@@ -445,10 +453,8 @@ _JSON_FORMS = {
         "description": ref.description,
     },
     "step": lambda step: {"text": step.text, "spawns": list(step.spawns)},
-    "status": attrgetter("value"),
-    "mode": attrgetter("value"),
+    **dict.fromkeys(WORD_KINDS, attrgetter("value")),
     "filters": lambda filters: [list(f) for f in filters],
-    "aggregation": attrgetter("value"),
     "expr": _expr.to_text,
     "interval": asdict,  # lo, hi, lo_closed, hi_closed
     "band": lambda band: {

@@ -18,19 +18,17 @@ from .model import (
     Action,
     ActionKind,
     ActionTarget,
-    Aggregation,
     Granularity,
     InterpretationBand,
     Interval,
     Model,
-    QuestionStatus,
     ReportingSchedule,
     ScopeRef,
-    SourceMode,
     StrategyStep,
     COLLECTIONS,
     FIELDS,
     NODE_TYPES,
+    WORD_KINDS,
 )
 
 # Copies of the EOF token after the real one: reads up to this many tokens
@@ -68,12 +66,8 @@ _INFINITY = float("inf")
 
 _PRECEDENCE = {TokenKind.PLUS: 1, TokenKind.MINUS: 1, TokenKind.STAR: 2, TokenKind.SLASH: 2}
 
-# The words some fields accept, mapped to the values they stand for.
-_GRANULARITIES = {g.value: g for g in Granularity}
-_ACTION_KINDS = {k.value: k for k in ActionKind}
-_STATUSES = {s.value: s for s in QuestionStatus}
-_MODES = {m.value: m for m in SourceMode}
-_AGGREGATIONS = {a.value: a for a in Aggregation}
+# The words each enum read by `read_word` accepts, mapped to its members.
+_WORDS = {enum: {m.value: m for m in enum} for enum in (Granularity, ActionKind, *WORD_KINDS.values())}
 
 
 def _shown(tok: Token) -> str:
@@ -93,6 +87,7 @@ class _Builder:
         self.spans: dict[tuple[str, str], SourceSpan] = {}
         self.duplicates: list[tuple[str, str, SourceSpan]] = []
         self.declared: dict[str, tuple[str, SourceSpan]] = {}
+        self.included: set[str] = set()  # absolute paths of the files spliced in by an include
 
     def add(self, kind: str, node_id: str, node, span: SourceSpan) -> None:
         if node_id in self.declared:
@@ -230,12 +225,15 @@ class _Parser:
         if key in self.include_stack:
             self.error("P006", f"include cycle through {target!r}", path_tok.span)
             return
+        if key in self.builder.included:
+            return  # already spliced in: its declarations are in the model once
         try:
             text = Path(target).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             self.error("P007", f"cannot read include {target!r}: {reason}", path_tok.span)
             return
+        self.builder.included.add(key)
         sub = _Parser(text, target, self.builder, self.diags, self.include_stack + (key,))
         sub.parse_model()
 
@@ -380,32 +378,24 @@ class _Parser:
         except ValueError:
             return self.error("P001", f"invalid date {tok.text!r}", tok.span)
 
-    def read_word(self, words: dict, what: str, unknown: str):
-        """An identifier that is a key of `words`; returns its value.
+    def read_word(self, enum: type, what: str = "", unknown: str = ""):
+        """An identifier that is the value of a member of `enum`; returns the member.
 
         A token that is no identifier is P001 `expected <what>`; any other
         identifier is P001 `<unknown> '<identifier>'`, after it is read.
+        Without `what` and `unknown`, both are P001 `expected 'a' or 'b',
+        found ...`, listing the enum's words.
         """
         tok = self.tokens[self.pos]
-        if tok.kind is not _IDENT:
-            return self.expected(tok, what)
-        self.pos += 1
-        value = words.get(tok.text)
-        if value is None:
-            self.error("P001", f"{unknown} {tok.text!r}", tok.span)
-        return value
-
-    def parse_value_status(self) -> QuestionStatus | None:
-        what = "'open' or 'answered'"
-        return self.read_word(_STATUSES, what, f"expected {what}, found")
-
-    def parse_value_mode(self) -> SourceMode | None:
-        what = "'count' or 'direct'"
-        return self.read_word(_MODES, what, f"expected {what}, found")
-
-    def parse_value_aggregation(self) -> Aggregation | None:
-        what = "'sum' or 'latest'"
-        return self.read_word(_AGGREGATIONS, what, f"expected {what}, found")
+        words = _WORDS[enum]
+        if tok.kind is _IDENT:
+            self.pos += 1
+            if tok.text in words:
+                return words[tok.text]
+            if unknown:
+                return self.error("P001", f"{unknown} {tok.text!r}", tok.span)
+        *rest, last = map(repr, words)
+        return self.expected(tok, what or f"{', '.join(rest)} or {last}")
 
     def parse_value_filters(self) -> tuple[tuple[str, str], ...] | None:
         pairs: list[tuple[str, str]] = []
@@ -451,14 +441,14 @@ class _Parser:
         return ScopeRef(universe=tok.text, selection=selection, description=description)
 
     def parse_value_schedule(self) -> ReportingSchedule | None:
-        collection = self.read_word(_GRANULARITIES, "a collection period", "unknown period")
+        collection = self.read_word(Granularity, "a collection period", "unknown period")
         if collection is None:
             return None
         tok = self.tokens[self.pos]
         if tok.kind is not _SLASH:
             return self.expected(tok, "'/' between collection and reporting periods")
         self.pos += 1
-        reporting = self.read_word(_GRANULARITIES, "a reporting period", "unknown period")
+        reporting = self.read_word(Granularity, "a reporting period", "unknown period")
         if reporting is None:
             return None
         return ReportingSchedule(collection, reporting)
@@ -522,7 +512,7 @@ class _Parser:
         tokens = self.tokens
         actions: list[Action] = []
         while tokens[self.pos].kind is not _RBRACE and tokens[self.pos].kind is not _EOF:
-            action = self.read_word(_ACTION_KINDS, "an action (log, notify or escalate)", "unknown action")
+            action = self.read_word(ActionKind, "an action (log, notify or escalate)", "unknown action")
             if action is None:
                 self.skip_to_field_boundary()
                 break
@@ -625,10 +615,18 @@ class _Parser:
         self.error("P001", f"expected an expression, found {_shown(tok)!r}", tok.span)
         return None
 
+
+def _reader(value_kind: str):
+    """A word-valued field is read as a member of its enum, any other by `parse_value_<value kind>`."""
+    enum = WORD_KINDS.get(value_kind)
+    if enum is None:
+        return getattr(_Parser, "parse_value_" + value_kind)
+    return lambda parser: parser.read_word(enum)
+
+
 # Each block kind's fields by name: {block kind: {field name: (reader, attribute)}}.
 _READERS: dict[str, dict[str, tuple]] = {
-    kind: {f.name: (getattr(_Parser, "parse_value_" + f.value_kind), f.attribute) for f in fields}
-    for kind, fields in FIELDS.items()
+    kind: {f.name: (_reader(f.value_kind), f.attribute) for f in fields} for kind, fields in FIELDS.items()
 }
 
 # Field names that may repeat within one block: those of the repeated fields of

@@ -10,7 +10,8 @@ A period key is a string naming one concrete reporting window:
 
 A key is written in ASCII digits, is matched whole, and names a year from
 0001 to 9999. Every date belongs to exactly one period per granularity, so
-membership is just ``period_of(date, granularity) == key``.
+membership is just ``period_of(date, granularity) == key``. A key that is
+accepted is already canonical: it is the ``period_of`` of its first day.
 
 Each key is parsed once per process: `_period` caches the record of its
 parse, keyed by the key string alone, and the functions below read it. A
@@ -47,7 +48,6 @@ class PeriodError(ValueError):
 
 class _Period(NamedTuple):
     granularity: Granularity
-    key: str  # canonical
     first: dt.date
     last: dt.date  # at most date.max
 
@@ -94,7 +94,7 @@ def _period(key: str) -> _Period:
     else:
         month = first.month + (2 if granularity is Granularity.QUARTERLY else 0)
         last = dt.date(first.year, month, calendar.monthrange(first.year, month)[1])
-    return _Period(granularity, period_of(first, granularity), first, last)
+    return _Period(granularity, first, last)
 
 
 def granularity_of(key: str) -> Granularity:
@@ -103,13 +103,12 @@ def granularity_of(key: str) -> Granularity:
 
 
 def parse_period_key(key: str) -> tuple[Granularity, str]:
-    """Validate a key and return (granularity, canonical key).
+    """Validate a key and return (granularity, key); an accepted key is canonical.
 
     Raises PeriodError when the key is malformed or names an impossible
     period (month 13, ISO week 54, Feb 30, year 0).
     """
-    period = _period(key)
-    return period.granularity, period.key
+    return _period(key).granularity, key
 
 
 def start_date(key: str) -> dt.date:
@@ -129,7 +128,7 @@ def next_period(key: str) -> str:
     """
     period = _period(key)
     if period.last == dt.date.max:
-        raise PeriodError(f"no period follows {period.key!r}: it ends on the last representable day")
+        raise PeriodError(f"no period follows {key!r}: it ends on the last representable day")
     return period_of(period.last + dt.timedelta(days=1), period.granularity)
 
 
@@ -146,8 +145,6 @@ def period_range(first: str, last: str) -> list[str]:
             f"period range endpoints differ in granularity: {first!r} is "
             f"{g_first.value}, {last!r} is {g_last.value}"
         )
-    _, first = parse_period_key(first)
-    _, last = parse_period_key(last)
     if start_date(first) > start_date(last):
         raise PeriodError(f"period range start {first!r} is after end {last!r}")
     keys = [first]
@@ -176,7 +173,7 @@ def subperiod_windows(key: str, granularity: Granularity) -> tuple[tuple[str, dt
         raise PeriodError(f"{granularity.value} is coarser than the period {key!r} itself")
     period = _period(key)
     if granularity is own:
-        return ((period.key, period.first, period.last),)
+        return ((key, period.first, period.last),)
     subkeys = period_range(period_of(period.first, granularity), period_of(period.last, granularity))
     return tuple(
         (subkey, max(_period(subkey).first, period.first), min(_period(subkey).last, period.last))

@@ -279,7 +279,10 @@ def ingest(path: str, model: Model) -> MeasurementLog:
         except UnicodeDecodeError as exc:
             exc.reason += f" in {path}"  # ingest_many reads many files: name the bad one
             raise
-    return ingest_lines(text.splitlines(), path, model)
+    # Only "\n" (to which reading turned CR and CRLF) ends a line: unlike
+    # `str.splitlines`, not U+2028, U+0085 or a form feed inside a record.
+    lines = text.removesuffix("\n").split("\n") if text else []
+    return ingest_lines(lines, path, model)
 
 
 def ingest_many(paths: list[str], model: Model) -> MeasurementLog:

@@ -15,6 +15,7 @@ from .model import (
     FIELDS,
     NODE_KINDS,
     NODE_TYPES,
+    WORD_KINDS,
     InterpretationBand,
     Interval,
     Model,
@@ -63,10 +64,8 @@ _PRINTERS = {
     "date": date.isoformat,
     "scope": _scope,
     "step": _step,
-    "status": attrgetter("value"),
-    "mode": attrgetter("value"),
+    **dict.fromkeys(WORD_KINDS, attrgetter("value")),
     "filters": lambda filters: ", ".join(f"{name} = {_quote(value)}" for name, value in filters),
-    "aggregation": attrgetter("value"),
     "expr": _expr.to_text,
     "interval": Interval.notation,
     "band": _band,

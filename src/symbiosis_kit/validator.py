@@ -33,10 +33,12 @@ from .model import (
     FIELDS,
     KIND_BASE,
     KIND_OBJECTIVE,
+    REFERENCED,
     BusinessObjective,
     Interval,
     MetricDef,
     Model,
+    QuestionStatus,
     SourceMode,
 )
 
@@ -46,14 +48,6 @@ _WARNINGS = frozenset({"V004", "V005", "V006", "V009", "V011", "V013"})
 # The rows of each block kind's field table that V010 and V002 check.
 _REQUIRED = {kind: tuple(f for f in fields if f.required) for kind, fields in FIELDS.items()}
 _REFERENCES = {kind: tuple(f for f in fields if f.target) for kind, fields in FIELDS.items()}
-
-# The ids a referencing field's value names, by value kind.
-_REFERENCED = {
-    "ident": lambda ident: (ident,),
-    "ident_list": lambda idents: idents,
-    "scope": lambda scope: (scope.universe,),
-    "step": lambda steps: [spawned for step in steps for spawned in step.spawns],
-}
 
 
 class _Checker:
@@ -110,7 +104,7 @@ class _Checker:
                 for f in fields:
                     value = getattr(node, f.attribute)
                     if value:
-                        for target in _REFERENCED[f.value_kind](value):
+                        for target in REFERENCED[f.value_kind](value):
                             self.ref(node_id, f.name, target, f.target)
         for bo_id, bo in model.objectives.items():
             universe = model.universes.get(bo.scope.universe) if bo.scope is not None else None
@@ -206,7 +200,7 @@ class _Checker:
         for metric in model.metrics.values():
             cited.update(metric.answers)
         for q_id, q in model.questions.items():
-            answered = q.status.value == "answered"
+            answered = q.status is QuestionStatus.ANSWERED
             if answered and q_id not in cited:
                 self.emit(
                     "V006",

@@ -46,6 +46,8 @@ _ENTRIES = (
             "golden/jpmorgan_report_2014.txt",
             "golden/jpmorgan_report_2014.json",
             "golden/jpmorgan_report_2014.svg",
+            "golden/jpmorgan_graph.json",
+            "golden/jpmorgan_graph.dot",
         ),
     ),
     CorpusEntry(
@@ -55,6 +57,8 @@ _ENTRIES = (
             "golden/anthem_check.txt",
             "golden/anthem_report_2015.txt",
             "golden/anthem_report_2015.json",
+            "golden/anthem_graph.json",
+            "golden/anthem_graph.dot",
         ),
     ),
     CorpusEntry(

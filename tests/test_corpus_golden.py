@@ -70,3 +70,10 @@ def test_anthem_report_goldens(monkeypatch, tmp_path, fmt, ext):
         "--from", "2015-01", "--to", "2015-03", "--format", fmt,
     ]
     assert _regen(monkeypatch, tmp_path, argv) == _golden(f"anthem_report_2015.{ext}")
+
+
+@pytest.mark.parametrize("model", ["jpmorgan", "anthem"])
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_goldens(monkeypatch, tmp_path, model, fmt):
+    got = _regen(monkeypatch, tmp_path, ["graph", f"corpus/{model}.sym", "--format", fmt])
+    assert got == _golden(f"{model}_graph.{fmt}")

@@ -1,12 +1,13 @@
 """The language reference lists the fields of the package's field table,
-with the fields V010 requires and the node kinds V002 checks references against."""
+with the fields V010 requires, the node kinds V002 checks references against,
+the traceability edges each field makes and the words a word-valued field accepts."""
 
 import re
 
 import pytest
 
 from corpus import CORPUS_ROOT
-from symbiosis_kit.model import FIELDS
+from symbiosis_kit.model import FIELDS, WORD_KINDS
 
 GRAMMAR = (CORPUS_ROOT.parent / "docs" / "grammar.md").read_text(encoding="utf-8")
 
@@ -15,10 +16,13 @@ def _section(kind: str) -> str:
     return GRAMMAR.split(f"\n### {kind}\n", 1)[1].split("\n#", 1)[0]
 
 
+def _grammar_block(kind: str) -> str:
+    return _section(kind).split("```ebnf\n", 1)[1].split("```", 1)[0]
+
+
 def _documented_fields(kind: str) -> list[str]:
     """The quoted names before `:` in the grammar block of a kind's section."""
-    block = _section(kind).split("```ebnf\n", 1)[1].split("```", 1)[0]
-    return re.findall(r'"(\w+)"\s*,\s*":"', block)
+    return re.findall(r'"(\w+)"\s*,\s*":"', _grammar_block(kind))
 
 
 def _documented_line(kind: str, label: str) -> str:
@@ -38,3 +42,23 @@ def test_grammar_lists_each_kinds_required_fields_and_reference_targets(kind):
     assert required == [row.name for row in FIELDS[kind] if row.required]
     references = re.findall(r"`(\w+)` → (\w+)", _documented_line(kind, "References"))
     assert references == [(row.name, row.target) for row in FIELDS[kind] if row.target]
+
+
+@pytest.mark.parametrize("kind", list(FIELDS))
+def test_grammar_lists_each_kinds_traceability_edges(kind):
+    edges = re.findall(r"`(\w+)` → (\w+)", _documented_line(kind, "Edges"))
+    assert edges == [(row.name, row.edge) for row in FIELDS[kind] if row.edge]
+
+
+@pytest.mark.parametrize(
+    "kind,row",
+    [
+        pytest.param(kind, row, id=f"{kind}.{row.name}")
+        for kind, rows in FIELDS.items()
+        for row in rows
+        if row.value_kind in WORD_KINDS
+    ],
+)
+def test_grammar_lists_the_words_of_each_word_valued_field(kind, row):
+    (alternatives,) = re.findall(rf'"{row.name}"\s*,\s*":"\s*,\s*\(([^)]*)\)', _grammar_block(kind))
+    assert re.findall(r'"(\w+)"', alternatives) == [member.value for member in WORD_KINDS[row.value_kind]]

@@ -76,6 +76,29 @@ def test_unvalidated_models_do_not_raise_or_hang():
     assert objective_ancestors_ordered(graph, "B") == ["A"]
 
 
+def test_each_field_with_an_edge_kind_makes_its_edges():
+    graph = graph_of(
+        "objective A { }\nobjective B { refines: A depends_on: A affects: A }\n"
+        "strategy S { for: A }\ngoal G { measures: B related: G }\nquestion Q { goal: G }\n"
+        'base b { description: "d" }\nmetric M { goal: G answers: Q uses: b }'
+    )
+    assert [(e.kind, e.src, e.dst) for e in graph.edges] == [
+        (EdgeKind.AFFECTS, "B", "A"),
+        (EdgeKind.ANSWERS, "M", "Q"),
+        (EdgeKind.ASKS, "Q", "G"),
+        (EdgeKind.DEPENDS_ON, "B", "A"),
+        (EdgeKind.MEASURES, "G", "B"),
+        (EdgeKind.REFINES, "B", "A"),
+        (EdgeKind.STRATEGY_OF, "S", "A"),
+        (EdgeKind.USES, "M", "b"),
+    ]
+
+
+def test_an_empty_for_or_goal_makes_no_edge():
+    # the validator rejects both blocks (V010); the graph names no node ''
+    assert graph_of("strategy S { }\nquestion Q { }").edges == ()
+
+
 def test_reach_is_breadth_first_sorted_and_avoids():
     adjacency = {"s": ("b", "a"), "a": ("c", "s"), "b": ("c", "d"), "d": ("e",)}
     assert reach(adjacency, ["s"]) == ["b", "a", "c", "d", "e"]

@@ -268,6 +268,49 @@ def test_self_include_is_p006(tmp_path):
     assert codes(diags) == ["P006"]
 
 
+def _write_files(root, files: dict[str, str]) -> None:
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+
+
+def test_a_diamond_include_splices_the_shared_file_once(tmp_path):
+    _write_files(tmp_path, {
+        "a.sym": 'include "b.sym"\ninclude "c.sym"\n',
+        "b.sym": 'include "d.sym"\nobjective B { }\n',
+        "c.sym": 'include "d.sym"\nobjective C { }\n',
+        "d.sym": 'stakeholder s { name: "S" }\n',
+    })
+    model, diags = parse_file(str(tmp_path / "a.sym"))
+    assert not diags
+    assert model.duplicate_decls == ()
+    assert model.spans[("stakeholder", "s")] == SourceSpan(str(tmp_path / "d.sym"), 1, 13, 1)
+    assert list(model.objectives) == ["B", "C"]
+
+
+def test_an_include_written_twice_splices_its_file_once(tmp_path):
+    _write_files(tmp_path, {
+        "a.sym": 'include "b.sym"\ninclude "./b.sym"\nobjective A { }\n',
+        "b.sym": 'objective B { }\n',
+    })
+    model, diags = parse_file(str(tmp_path / "a.sym"))
+    assert not diags
+    assert model.duplicate_decls == ()
+    assert list(model.objectives) == ["B", "A"]
+
+
+def test_an_include_cycle_through_a_spliced_file_is_still_p006(tmp_path):
+    _write_files(tmp_path, {
+        "a.sym": 'include "b.sym"\n',
+        "b.sym": 'include "c.sym"\nobjective B { }\n',
+        "c.sym": 'include "b.sym"\n',
+    })
+    model, diags = parse_file(str(tmp_path / "a.sym"))
+    assert [(d.code, d.message, d.span.file) for d in diags] == [
+        ("P006", f"include cycle through {str(tmp_path / 'b.sym')!r}", str(tmp_path / "c.sym")),
+    ]
+    assert model.duplicate_decls == ()
+
+
 def test_unreadable_include_is_p007(tmp_path):
     a = tmp_path / "a.sym"
     a.write_text('include "missing.sym"\nobjective BO1 { }', encoding="utf-8")
@@ -384,6 +427,24 @@ def test_depth_counts_the_deepest_operand():
     with pytest.raises(ExpressionSyntaxError):
         parse_expression("(" + _sum(MAX_EXPR_DEPTH + 1) + ") * -a")
     assert isinstance(parse_expression("(" + _sum(MAX_EXPR_DEPTH) + ") * -a").right, Neg)
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("question Q { status: closed }", "expected 'open' or 'answered', found 'closed'"),
+        ('question Q { status: "open" }', "expected 'open' or 'answered', found 'open'"),
+        ("base B { mode: counted }", "expected 'count' or 'direct', found 'counted'"),
+        ("base B { aggregation: }", "expected 'sum' or 'latest', found '}'"),
+        ("metric M { schedule: hourly / monthly }", "unknown period 'hourly'"),
+        ("metric M { schedule: monthly / 3 }", "expected a reporting period, found '3'"),
+        ("metric M { band: [0, 1] -> ok { shout s } }", "unknown action 'shout'"),
+        ("metric M { band: [0, 1] -> ok { 3 s } }", "expected an action (log, notify or escalate), found '3'"),
+    ],
+)
+def test_a_word_field_names_the_words_it_accepts(src, message):
+    _, diags = parse(src)
+    assert [(d.code, d.message) for d in diags] == [("P001", message)]
 
 
 # One non-default value per schema value kind: (source text, parsed value).

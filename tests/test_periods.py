@@ -95,6 +95,26 @@ def test_parse_period_key_returns_granularity_and_canonical_key():
     assert parse_period_key("2014-Q3") == (G.QUARTERLY, "2014-Q3")
 
 
+_KEY_SHAPES = (
+    lambda year, a, b: f"{year:04d}-{a:02d}-{b:02d}",
+    lambda year, a, b: f"{year:04d}-W{a:02d}",
+    lambda year, a, b: f"{year:04d}-{a:02d}",
+    lambda year, a, b: f"{year:04d}-Q{a % 6}",
+    lambda year, a, b: f"{year:04d}",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_KEY_SHAPES), st.integers(0, 9999), st.integers(0, 55), st.integers(0, 32))
+def test_every_accepted_key_is_its_own_canonical_form(shape, year, a, b):
+    key = shape(year, a, b)
+    try:
+        granularity, returned = parse_period_key(key)
+    except PeriodError:
+        return
+    assert returned == key == period_of(start_date(key), granularity)
+
+
 def test_month_bounds_handle_leap_february():
     assert start_date("2016-02") == D(2016, 2, 1)
     assert end_date("2016-02") == D(2016, 2, 29)

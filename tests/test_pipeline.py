@@ -2,9 +2,13 @@
 
 import datetime as dt
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symbiosis_kit import pipeline
 from symbiosis_kit.graph import build_graph
 from symbiosis_kit.model import ActionKind, Aggregation, Granularity, ReportingSchedule, SourceMode
 from symbiosis_kit.parser import parse
@@ -169,6 +173,32 @@ def test_ingest_drops_a_byte_order_mark_at_the_start_of_a_file(model, tmp_path):
     assert not log.diagnostics
     assert log.records == ingest(str(plain), model).records
     assert [record.line for record in log.records] == [1, 2]
+
+
+def test_ingest_ends_lines_only_at_newlines(model, tmp_path):
+    # `str.splitlines` would also end a line at U+2028, U+0085, a form feed
+    # and a vertical tab; a JSON string may hold the first two unescaped.
+    lines = [
+        json.dumps({"timestamp": "2014-01-05", "fields": {"kind": "x", "note": "a\u2028b"}}, ensure_ascii=False),
+        json.dumps({"timestamp": "2014-01-06", "base": "tot", "value": 2, "note": "c\x85d"}, ensure_ascii=False)
+        + "\x0b\x0c",
+        dline("2014-01-07", "nope", 1),
+    ]
+    path = tmp_path / "x.jsonl"
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    log = ingest(str(path), model)
+    assert [record.line for record in log.records] == [1, 2]
+    assert [(d.code, d.span.line) for d in log.diagnostics] == [("I002", 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="a \n\r", max_size=12))
+def test_ingest_reads_the_lines_splitlines_gives_for_plain_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("log") / "x.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(pipeline, "ingest_lines", lambda lines, filename, model: lines):
+        lines = ingest(str(path), None)
+    assert lines == text.replace("\r\n", "\n").replace("\r", "\n").splitlines()
 
 
 # -- aggregation ---------------------------------------------------------------
