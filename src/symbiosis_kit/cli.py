@@ -238,11 +238,17 @@ def _cmd_impact(args: argparse.Namespace, io: _Io) -> None:
 
 
 def _cmd_fmt(args: argparse.Namespace, io: _Io) -> None:
-    text = serialize(_require_clean(args.model, io, "has errors; refusing to rewrite it"))
+    """Canonical text of the whole model: to --out, or back into a one-file model."""
+    model = _require_clean(args.model, io, "has errors; refusing to rewrite it")
     if io.out_path:
-        io.payload(text)
+        io.payload(serialize(model))
         return
-    io.write(args.model, text.encode("utf-8"))
+    if model.included:
+        io.fail(
+            f"error: {args.model} includes {', '.join(model.included)}; "
+            "refusing to rewrite it in place with their declarations (use --out)"
+        )
+    io.write(args.model, serialize(model).encode("utf-8"))
     io.note(f"formatted {args.model}")
 
 

@@ -290,10 +290,12 @@ class Model:
     questions: dict[str, MeasurementQuestion] = field(default_factory=dict)
     bases: dict[str, BaseMeasurementDef] = field(default_factory=dict)
     metrics: dict[str, MetricDef] = field(default_factory=dict)
-    # Plumbing: declaration spans keyed by (kind, id), plus re-declarations the
-    # parser dropped (kind, id, span) so the validator can report V001.
+    # Plumbing: declaration spans keyed by (kind, id), re-declarations the
+    # parser dropped (kind, id, span) so the validator can report V001, and
+    # the real paths of the files that include lines spliced in, sorted.
     spans: dict[tuple[str, str], SourceSpan] = field(default_factory=dict)
     duplicate_decls: tuple[tuple[str, str, SourceSpan], ...] = ()
+    included: tuple[str, ...] = ()
 
     def collection(self, kind: str) -> dict:
         """The nodes of one kind by id."""

@@ -87,7 +87,7 @@ class _Builder:
         self.spans: dict[tuple[str, str], SourceSpan] = {}
         self.duplicates: list[tuple[str, str, SourceSpan]] = []
         self.declared: dict[str, tuple[str, SourceSpan]] = {}
-        self.included: set[str] = set()  # absolute paths of the files spliced in by an include
+        self.included: set[str] = set()  # real paths of the files spliced in by an include
 
     def add(self, kind: str, node_id: str, node, span: SourceSpan) -> None:
         if node_id in self.declared:
@@ -99,7 +99,12 @@ class _Builder:
 
     def build(self) -> Model:
         collections = {COLLECTIONS[kind]: {n.id: n for n in nodes} for kind, nodes in self.nodes.items()}
-        return Model(**collections, spans=self.spans, duplicate_decls=tuple(self.duplicates))
+        return Model(
+            **collections,
+            spans=self.spans,
+            duplicate_decls=tuple(self.duplicates),
+            included=tuple(sorted(self.included)),
+        )
 
 
 class _Parser:
@@ -221,8 +226,10 @@ class _Parser:
         self.pos += 1
         base = os.path.dirname(self.filename)
         target = os.path.normpath(os.path.join(base, path_tok.text))
-        key = os.path.abspath(target)
-        if key in self.include_stack:
+        # Files are compared by real path, so a file reached through a symbolic
+        # link is one file; the stack is resolved only here, not for every model.
+        key = os.path.realpath(target)
+        if key in map(os.path.realpath, self.include_stack):
             self.error("P006", f"include cycle through {target!r}", path_tok.span)
             return
         if key in self.builder.included:
@@ -234,7 +241,7 @@ class _Parser:
             self.error("P007", f"cannot read include {target!r}: {reason}", path_tok.span)
             return
         self.builder.included.add(key)
-        sub = _Parser(text, target, self.builder, self.diags, self.include_stack + (key,))
+        sub = _Parser(text, target, self.builder, self.diags, self.include_stack + (target,))
         sub.parse_model()
 
     def parse_block(self, kind: str) -> None:
@@ -638,7 +645,7 @@ def parse(text: str, filename: str = "<string>") -> tuple[Model, list[Diagnostic
     """Parse .sym source text. Returns (model, diagnostics); never raises."""
     builder = _Builder()
     diags: list[Diagnostic] = []
-    stack = (os.path.abspath(filename),) if filename != "<string>" else ()
+    stack = (filename,) if filename != "<string>" else ()
     parser = _Parser(text, filename, builder, diags, stack)
     parser.parse_model()
     return builder.build(), diags

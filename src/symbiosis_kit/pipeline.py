@@ -8,17 +8,21 @@ Logs are JSON Lines. Two record shapes:
 The first feeds DIRECT base measurements, the second raw events counted by
 COUNT bases. Bad lines become I-diagnostics; good lines still flow.
 
-Cost model: each log is read once at ingest. A line in one of the two
-shapes exactly as json.dumps writes them costs one regex match; its date is
-parsed once per distinct date string and its fields decoded once per
-distinct text, so records share date and field-set objects. Every other
-line is decoded in full. The first aggregation over a log builds its
-MeasurementStore in one pass over the records, and each COUNT filter set
-is matched once against each distinct set of event fields. After that a
-COUNT binding for any period or density sub-period costs two bisects,
-O(log n) in the log's distinct dates, and a DIRECT binding costs time
-proportional to the base's entries inside the period. Period bounds and
-density windows come from the periods module's per-key cache.
+Cost model: each log is read once at ingest. Identical lines are tallied
+first, and each distinct line text is classified once: a line in one of the
+two shapes exactly as json.dumps writes them costs one regex match, with
+its date parsed once per distinct date string and its fields decoded once
+per distinct text; every other line is decoded in full. Raw events are kept
+as counts per (date, fields), never as one record per line. One more pass
+over the lines gives line numbers only where they are kept: to each DIRECT
+entry and to each rejected line, which gets its own diagnostic. The first
+aggregation over a log builds its MeasurementStore from the DIRECT entries
+and the tally, and each COUNT filter set is matched once against each
+distinct set of event fields. After that a COUNT binding for any period or
+density sub-period costs two bisects, O(log n) in the log's distinct
+dates, and a DIRECT binding costs time proportional to the base's entries
+inside the period. Period bounds and density windows come from the periods
+module's per-key cache.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
 from operator import itemgetter
+from typing import Callable
 
 from . import evaluator, periods
 from .diagnostics import Diagnostic, Severity, SourceSpan, sort_key
@@ -61,32 +66,26 @@ class DirectEntry:
     line: int  # 1-based line in the log; later lines win LATEST ties
 
 
-@dataclass(frozen=True, slots=True)
-class RawEvent:
-    """One raw log event, counted by COUNT bases via field filters."""
-
-    timestamp: dt.date
-    fields: tuple[tuple[str, str], ...]
-    line: int
-
-
-MeasurementRecord = DirectEntry | RawEvent
+FieldSet = tuple[tuple[str, str], ...]
+Event = tuple[dt.date, FieldSet]  # a raw event's date and sorted fields
 
 
 @dataclass(frozen=True)
 class MeasurementLog:
-    """Accepted records in ingest order (file order, then line), and diagnostics.
+    """What ingest accepted, and its diagnostics.
 
-    `store` indexes the records by date on first use and lives as long as
-    the log does.
+    `records` holds the DIRECT entries in ingest order (file order, then
+    line); `events` counts the raw events per (date, fields). `store`
+    indexes both by date on first use and lives as long as the log does.
     """
 
-    records: tuple[MeasurementRecord, ...]
+    records: tuple[DirectEntry, ...]
+    events: Counter[Event]
     diagnostics: tuple[Diagnostic, ...]
 
     @cached_property
     def store(self) -> MeasurementStore:
-        return MeasurementStore(self.records)
+        return MeasurementStore(self.records, self.events)
 
 
 def _bad_line(filename: str, line_no: int, message: str, code: str = "I001") -> Diagnostic:
@@ -118,7 +117,7 @@ def _finite_number(value: object) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _field_set(fields: object) -> tuple[tuple[str, str], ...] | None:
+def _field_set(fields: object) -> FieldSet | None:
     """The sorted items of a JSON object mapping strings to strings, else None."""
     if not isinstance(fields, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in fields.items()
@@ -149,47 +148,56 @@ def _decode(line: str) -> object:
         raise ValueError("JSON nested too deeply") from None
 
 
-def _decode_line(line: str, filename: str, line_no: int, model: Model) -> MeasurementRecord | Diagnostic:
-    """One stripped, non-blank log line decoded in full: its record or its I-diagnostic."""
+# What one line text is, as `_classify_line` tags it: a raw event (its
+# Event), a DIRECT value (date, base, value) or a rejected line (message,
+# I-code).
+_EVENT, _DIRECT, _REJECTED = "event", "direct", "rejected"
+Classified = tuple[str, tuple]
+
+
+def _rejected(message: str, code: str = "I001") -> Classified:
+    return _REJECTED, (message, code)
+
+
+def _decode_line(line: str, model: Model) -> Classified:
+    """One stripped, non-blank log line decoded in full and classified."""
     try:
         obj = _decode(line)
     except ValueError as exc:
-        return _bad_line(filename, line_no, f"malformed log line: {exc}")
+        return _rejected(f"malformed log line: {exc}")
     if not isinstance(obj, dict):
-        return _bad_line(filename, line_no, "malformed log line: not a JSON object")
+        return _rejected("malformed log line: not a JSON object")
 
     try:
         timestamp = _parse_timestamp(obj.get("timestamp"))
     except ValueError as exc:
-        return _bad_line(filename, line_no, f"invalid date: {exc}", code="I003")
+        return _rejected(f"invalid date: {exc}", code="I003")
 
     has_base = "base" in obj
     if has_base == ("fields" in obj):
-        return _bad_line(filename, line_no, "malformed log line: need exactly one of 'base' or 'fields'")
+        return _rejected("malformed log line: need exactly one of 'base' or 'fields'")
 
     if not has_base:
         fields = _field_set(obj["fields"])
         if fields is None:
-            return _bad_line(filename, line_no, "malformed log line: 'fields' must map strings to strings")
-        return RawEvent(timestamp, fields, line_no)
+            return _rejected("malformed log line: 'fields' must map strings to strings")
+        return _EVENT, (timestamp, fields)
 
     base_id = obj["base"]
     if not isinstance(base_id, str):
-        return _bad_line(filename, line_no, "malformed log line: 'base' must be a string")
+        return _rejected("malformed log line: 'base' must be a string")
     number = _finite_number(obj.get("value"))
     if number is None:
-        return _bad_line(filename, line_no, "malformed log line: 'value' must be a finite number")
+        return _rejected("malformed log line: 'value' must be a finite number")
     base_def = model.bases.get(base_id)
     if base_def is None:
-        return _bad_line(filename, line_no, f"unknown base measurement {base_id!r}", code="I002")
+        return _rejected(f"unknown base measurement {base_id!r}", code="I002")
     if base_def.mode is not SourceMode.DIRECT:
-        return _bad_line(
-            filename,
-            line_no,
+        return _rejected(
             f"base measurement {base_id!r} is not DIRECT mode and cannot take reported values",
             code="I002",
         )
-    return DirectEntry(timestamp, base_id, number, line_no)
+    return _DIRECT, (timestamp, base_id, number)
 
 
 # The two record shapes exactly as json.dumps writes them, with a base name
@@ -210,7 +218,7 @@ def _date_or_none(text: str) -> dt.date | None:
         return None
 
 
-def _decoded_field_set(text: str) -> tuple[tuple[str, str], ...] | None:
+def _decoded_field_set(text: str) -> FieldSet | None:
     try:
         return _field_set(_decode(text))
     except ValueError:
@@ -228,43 +236,71 @@ def _json_number(text: str, fraction_or_exponent: str) -> float | None:
         return None
 
 
-def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLog:
-    """Records and I-diagnostics of one log's lines.
+def _classify_line(
+    text: str,
+    model: Model,
+    dates: Callable[[str], dt.date | None],
+    field_sets: Callable[[str], FieldSet | None],
+) -> Classified | None:
+    """One log line text classified; None when it is blank.
 
     A line in one of the two shapes json.dumps writes takes the fast path:
-    one regex match, a date parsed once per distinct date string, and a
-    `fields` object decoded once per distinct text. Every other line, and
-    a fast-path line that fails a check, is decoded in full by
-    `_decode_line`, which gives each bad line its diagnostic.
+    one regex match, its date from `dates` and its `fields` object from
+    `field_sets`. Every other line, and a fast-path line that fails a
+    check, is decoded in full by `_decode_line`.
     """
-    records: list[MeasurementRecord] = []
-    diags: list[Diagnostic] = []
+    stripped = text.strip()
+    if not stripped:
+        return None
+    shape = _SHAPES.fullmatch(stripped)
+    if shape is not None and (timestamp := dates(shape[1])) is not None:
+        _, base_id, number, fraction, fields_text = shape.groups()
+        if fields_text is not None:
+            fields = field_sets(fields_text)
+            if fields is not None:
+                return _EVENT, (timestamp, fields)
+        elif (base := model.bases.get(base_id)) is not None and base.mode is SourceMode.DIRECT:
+            value = _json_number(number, fraction)
+            if value is not None:
+                return _DIRECT, (timestamp, base_id, value)
+    return _decode_line(stripped, model)
+
+
+def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLog:
+    """The raw-event tally, DIRECT entries and I-diagnostics of one log's lines.
+
+    Identical lines are tallied first and each distinct text is classified
+    once, with dates parsed once per distinct date string and `fields`
+    objects decoded once per distinct text, so events share date and field
+    set objects. A raw event only adds its lines' count to the tally. One
+    pass over the lines then gives each DIRECT entry its line number and
+    each rejected line its own diagnostic.
+    """
+    events: Counter[Event] = Counter()
+    numbered: dict[str, Classified] = {}  # DIRECT and rejected line texts
     dates = cache(_date_or_none)
     field_sets = cache(_decoded_field_set)
-    direct_bases = {base_id for base_id, base in model.bases.items() if base.mode is SourceMode.DIRECT}
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
+    for text, count in Counter(lines).items():
+        classified = _classify_line(text, model, dates, field_sets)
+        if classified is None:
             continue
-        shape = _SHAPES.fullmatch(stripped)
-        if shape is not None and (timestamp := dates(shape[1])) is not None:
-            _, base_id, number, fraction, fields_text = shape.groups()
-            if fields_text is not None:
-                fields = field_sets(fields_text)
-                if fields is not None:
-                    records.append(RawEvent(timestamp, fields, line_no))
-                    continue
-            elif base_id in direct_bases:
-                value = _json_number(number, fraction)
-                if value is not None:
-                    records.append(DirectEntry(timestamp, base_id, value, line_no))
-                    continue
-        record = _decode_line(stripped, filename, line_no, model)
-        if isinstance(record, Diagnostic):
-            diags.append(record)
+        kind, item = classified
+        if kind is _EVENT:
+            events[item] += count
         else:
-            records.append(record)
-    return MeasurementLog(tuple(records), tuple(sorted(diags, key=sort_key)))
+            numbered[text] = classified
+    records: list[DirectEntry] = []
+    diags: list[Diagnostic] = []
+    for line_no, text in enumerate(lines, start=1):
+        classified = numbered.get(text)
+        if classified is None:
+            continue
+        kind, item = classified
+        if kind is _DIRECT:
+            records.append(DirectEntry(*item, line_no))
+        else:
+            diags.append(_bad_line(filename, line_no, *item))
+    return MeasurementLog(tuple(records), events, tuple(sorted(diags, key=sort_key)))
 
 
 def ingest(path: str, model: Model) -> MeasurementLog:
@@ -281,53 +317,54 @@ def ingest(path: str, model: Model) -> MeasurementLog:
             raise
     # Only "\n" (to which reading turned CR and CRLF) ends a line: unlike
     # `str.splitlines`, not U+2028, U+0085 or a form feed inside a record.
-    lines = text.removesuffix("\n").split("\n") if text else []
+    lines = text.split("\n")
+    if not lines[-1]:  # the text ends with a line end (or is empty), which starts no line
+        lines.pop()
     return ingest_lines(lines, path, model)
 
 
 def ingest_many(paths: list[str], model: Model) -> MeasurementLog:
-    records: list[MeasurementRecord] = []
+    """Logs ingested in the order given: DIRECT entries concatenated, event tallies added."""
+    records: list[DirectEntry] = []
+    events: Counter[Event] = Counter()
     diags: list[Diagnostic] = []
     for path in paths:
         log = ingest(path, model)
         records.extend(log.records)
+        events.update(log.events)
         diags.extend(log.diagnostics)
-    return MeasurementLog(tuple(records), tuple(sorted(diags, key=sort_key)))
+    return MeasurementLog(tuple(records), events, tuple(sorted(diags, key=sort_key)))
 
 
 # -- aggregation --------------------------------------------------------------
 
 
 class MeasurementStore:
-    """Date-indexed view of one log's records, answering date-range queries.
+    """Date-indexed view of one log's DIRECT entries and raw-event tally.
 
-    Built in one pass: DIRECT entries grouped by base and sorted by (date,
-    line, later ingest first), raw events tallied by (date, fields). The
-    first query for a COUNT filter set matches each distinct field set
+    Built in one pass over the DIRECT entries, grouped by base and sorted
+    by (date, line, later ingest first); the event tally is kept as it is.
+    The first query for a COUNT filter set matches each distinct field set
     against it once and keeps the hits as sorted dates plus prefix sums.
     Every query is then two bisects over one base's dates.
     """
 
-    def __init__(self, records: tuple[MeasurementRecord, ...]) -> None:
+    def __init__(self, records: tuple[DirectEntry, ...], events: Counter[Event]) -> None:
         by_base: dict[str, list[tuple[dt.date, int, int, float]]] = {}
-        for seq, record in enumerate(records):
-            if isinstance(record, DirectEntry):
-                entry = (record.timestamp, record.line, -seq, record.value)
-                by_base.setdefault(record.base, []).append(entry)
-        self._events = Counter(
-            (record.timestamp, record.fields) for record in records if isinstance(record, RawEvent)
-        )
+        for seq, entry in enumerate(records):
+            by_base.setdefault(entry.base, []).append((entry.timestamp, entry.line, -seq, entry.value))
+        self._events = events
         self._direct: dict[str, tuple[list[dt.date], list[tuple[dt.date, int, int, float]]]] = {}
         for base_id, entries in by_base.items():
             entries.sort()
             self._direct[base_id] = ([entry[0] for entry in entries], entries)
-        self._counts: dict[tuple[tuple[str, str], ...], tuple[list[dt.date], list[int]]] = {}
+        self._counts: dict[FieldSet, tuple[list[dt.date], list[int]]] = {}
 
-    def count(self, filters: tuple[tuple[str, str], ...], first: dt.date, last: dt.date) -> int:
+    def count(self, filters: FieldSet, first: dt.date, last: dt.date) -> int:
         """Raw events dated first..last whose fields match every filter."""
         index = self._counts.get(filters)
         if index is None:
-            matches: dict[tuple[tuple[str, str], ...], bool] = {}
+            matches: dict[FieldSet, bool] = {}
             hits: Counter[dt.date] = Counter()
             for (day, fields), n in self._events.items():
                 match = matches.get(fields)

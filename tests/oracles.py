@@ -16,7 +16,7 @@ import json
 import math
 import os
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
@@ -59,7 +59,7 @@ from symbiosis_kit.model import (
 )
 from symbiosis_kit.impact import Change, ChangeKind, FieldChange
 from symbiosis_kit.parser import _Builder
-from symbiosis_kit.pipeline import DirectEntry, MeasurementLog, MeasurementRecord, RawEvent
+from symbiosis_kit.pipeline import DirectEntry
 from symbiosis_kit.validator import band_partition_problems
 
 # -- band coverage sweep --------------------------------------------------------
@@ -89,6 +89,36 @@ def sweep_band_defects(
         diff[end - domain_lo_u + 1] -= 1
     coverage = list(accumulate(diff[: n + 1]))
     return any(c == 0 for c in coverage), any(c > 1 for c in coverage)
+
+
+# -- log records, one per accepted line -------------------------------------------
+
+
+class RawEvent(NamedTuple):
+    """One raw log event, as the package kept it before it tallied events."""
+
+    timestamp: dt.date
+    fields: tuple[tuple[str, str], ...]
+    line: int
+
+
+MeasurementRecord = DirectEntry | RawEvent
+
+
+class DecodedLog(NamedTuple):
+    """Accepted records in ingest order, one per line, and diagnostics."""
+
+    records: tuple[MeasurementRecord, ...]
+    diagnostics: tuple[Diagnostic, ...]
+
+
+def event_tally(records: tuple[MeasurementRecord, ...]) -> Counter:
+    """Raw events counted per (date, fields), as the package keeps them."""
+    return Counter((r.timestamp, r.fields) for r in records if isinstance(r, RawEvent))
+
+
+def direct_entries(records: tuple[MeasurementRecord, ...]) -> list[DirectEntry]:
+    return [r for r in records if isinstance(r, DirectEntry)]
 
 
 # -- period bounds and counting -------------------------------------------------
@@ -598,8 +628,10 @@ def tokenize_by_characters(text: str, filename: str = "<string>") -> tuple[list[
 
 # -- ingest by decoding every line ----------------------------------------------
 # The ingest the package had before it matched the usual line shapes with one
-# pattern: every line is decoded in full by json's decoder. Kept as written,
-# except that a timestamp must be exactly YYYY-MM-DD in ASCII digits.
+# pattern: every line is decoded in full by json's decoder, and each accepted
+# line is one record. Kept as written, except that a timestamp must be
+# exactly YYYY-MM-DD in ASCII digits and the result is this module's
+# DecodedLog.
 
 _TIMESTAMP_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
@@ -643,7 +675,7 @@ def _decode(line: str) -> object:
         raise ValueError("JSON nested too deeply") from None
 
 
-def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> MeasurementLog:
+def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> DecodedLog:
     records: list[MeasurementRecord] = []
     diags: list[Diagnostic] = []
     for line_no, line in enumerate(lines, start=1):
@@ -720,7 +752,7 @@ def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> M
                 )
                 continue
             records.append(RawEvent(timestamp, tuple(sorted(fields.items())), line_no))
-    return MeasurementLog(tuple(records), tuple(sorted(diags, key=sort_key)))
+    return DecodedLog(tuple(records), tuple(sorted(diags, key=sort_key)))
 
 
 # -- parsing one token per method call ----------------------------------------------

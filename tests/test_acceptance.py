@@ -22,7 +22,7 @@ from modelgen import (
     random_dag_model,
     random_model,
 )
-from oracles import brute_force_count, orphans_after_removal, sweep_band_defects
+from oracles import brute_force_count, ingest_lines_by_decoding, orphans_after_removal, sweep_band_defects
 from symbiosis_kit.evaluator import classify
 from symbiosis_kit.graph import build_graph
 from symbiosis_kit.impact import Change, ChangeKind, impact
@@ -256,7 +256,7 @@ def test_criterion_7_count_aggregation_oracle():
         )
         period = rng.choice(period_pool)
         bindings = aggregate(log, metric, period, model)
-        expected = brute_force_count(log.records, filters, period)
+        expected = brute_force_count(ingest_lines_by_decoding(lines, "log", model).records, filters, period)
         assert bindings["bm_events"] == expected, (i, period, filters)
 
 

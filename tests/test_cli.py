@@ -505,6 +505,26 @@ def test_fmt_out_leaves_original_untouched(clean_sym, tmp_path, capsys):
     assert target.read_text(encoding="utf-8").startswith("# .sym model")
 
 
+def test_fmt_in_place_refuses_a_model_with_includes(tmp_path, capsys):
+    root = tmp_path / "a.sym"
+    root.write_text('include "b.sym"\ninclude "empty.sym"\nstakeholder s { name: "S" }\n', encoding="utf-8")
+    (tmp_path / "b.sym").write_text('stakeholder t { name: "T" }\n', encoding="utf-8")
+    (tmp_path / "empty.sym").write_text("# no declarations\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["fmt", str(root)]) == 1
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    out, err = capsys.readouterr()
+    assert out == ""
+    real = os.path.realpath(tmp_path)
+    assert f"{root} includes {real}/b.sym, {real}/empty.sym; refusing" in err
+    # --out still writes the whole model, flattened
+    target = tmp_path / "flat.sym"
+    assert cli.main(["fmt", str(root), "--out", str(target)]) == 0
+    text = target.read_text(encoding="utf-8")
+    assert "stakeholder s" in text and "stakeholder t" in text and "include" not in text
+
+
 EXPONENT_MODEL = """
 stakeholder s { name: "S" }
 universe u { facets: a }

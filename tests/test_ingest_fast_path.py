@@ -1,8 +1,9 @@
 """The ingest fast path against an ingest that decodes every line in full.
 
 Lines in the two shapes json.dumps writes, and near-misses of them, must give
-the same records (values compared by repr, so the sign of zero counts) and
-the same diagnostics as `oracles.ingest_lines_by_decoding`.
+the same DIRECT entries (values compared by repr, so the sign of zero
+counts), the same raw-event tally and the same diagnostics as
+`oracles.ingest_lines_by_decoding`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ingest_lines_by_decoding
+from oracles import direct_entries, event_tally, ingest_lines_by_decoding
 from symbiosis_kit.parser import parse
 from symbiosis_kit.pipeline import _SHAPES, DirectEntry, ingest_lines
 
@@ -129,16 +130,15 @@ _lines = st.one_of(
 )
 
 
-def _record_key(record) -> tuple:
-    if isinstance(record, DirectEntry):
-        return ("direct", record.timestamp, record.base, repr(record.value), record.line)
-    return ("event", record.timestamp, record.fields, record.line)
+def _entry_key(entry: DirectEntry) -> tuple:
+    return (entry.timestamp, entry.base, repr(entry.value), entry.line)
 
 
 def _assert_same_as_decoding(lines: list[str]) -> None:
     fast = ingest_lines(lines, "log", MODEL)
     slow = ingest_lines_by_decoding(lines, "log", MODEL)
-    assert [_record_key(r) for r in fast.records] == [_record_key(r) for r in slow.records]
+    assert [_entry_key(r) for r in fast.records] == [_entry_key(r) for r in direct_entries(slow.records)]
+    assert dict(fast.events) == dict(event_tally(slow.records))
     assert fast.diagnostics == slow.diagnostics
 
 
@@ -188,11 +188,17 @@ def test_json_dumps_writes_the_fast_shapes(day, base, value, fields):
         assert _SHAPES.fullmatch(json.dumps(obj)) is not None
 
 
-def test_records_share_dates_and_field_sets():
-    lines = [json.dumps({"timestamp": "2014-01-05", "fields": {"kind": "x", "a": "b"}})] * 3
+def test_events_and_entries_share_dates_and_field_sets():
+    lines = [
+        json.dumps({"timestamp": day, "fields": {"kind": "x", "a": "b"}})
+        for day in ("2014-01-05", "2014-01-05", "2014-01-06", "2014-01-05")
+    ]
     lines.append('{"timestamp": "2014-01-05", "base": "tot", "value": -0}')
-    records = ingest_lines(lines, "log", MODEL).records
-    assert len({id(record.timestamp) for record in records}) == 1
-    assert len({id(record.fields) for record in records[:3]}) == 1
-    assert records[0].fields == (("a", "b"), ("kind", "x"))
-    assert repr(records[3].value) == "0.0"
+    log = ingest_lines(lines, "log", MODEL)
+    (day5, fields5), (day6, fields6) = log.events
+    assert log.events[day5, fields5] == 3 and log.events[day6, fields6] == 1
+    assert fields5 is fields6
+    assert fields5 == (("a", "b"), ("kind", "x"))
+    (entry,) = log.records
+    assert entry.timestamp is day5
+    assert repr(entry.value) == "0.0"

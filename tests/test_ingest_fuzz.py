@@ -1,7 +1,8 @@
 """Arbitrary log lines: ingest never raises and the CLI keeps its exit codes.
 
-Every non-blank line is either one record or exactly one I-diagnostic, and a
-line that is not JSON is reported with the words json.loads uses for it.
+Every non-blank line is either accepted (one DIRECT entry, or one count in
+the raw-event tally) or exactly one I-diagnostic, and a line that is not
+JSON is reported with the words json.loads uses for it.
 """
 
 from __future__ import annotations
@@ -80,9 +81,13 @@ def _json_error(text: str) -> str | None:
 def test_ingest_never_raises_and_rejects_each_bad_line_once(lines):
     log = ingest_lines(lines, "log", MODEL)
     assert all(d.code.startswith("I") for d in log.diagnostics)
-    accepted = [record.line for record in log.records]
-    rejected = [d.span.line for d in log.diagnostics]
-    assert sorted(accepted + rejected) == [n for n, line in enumerate(lines, 1) if line.strip()]
+    non_blank = [n for n, line in enumerate(lines, 1) if line.strip()]
+    rejected = {d.span.line for d in log.diagnostics}
+    assert len(rejected) == len(log.diagnostics) and rejected <= set(non_blank)
+    accepted = [n for n in non_blank if n not in rejected]
+    direct = [record.line for record in log.records]
+    assert direct == sorted(set(direct)) and set(direct) <= set(accepted)
+    assert len(accepted) == len(direct) + sum(log.events.values())
     messages = {d.span.line: d.message for d in log.diagnostics}
     for n, line in enumerate(lines, 1):
         error = _json_error(line.strip()) if line.strip() else None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import datetime as dt
+import os
 import random
 
 import pytest
@@ -296,6 +297,27 @@ def test_an_include_written_twice_splices_its_file_once(tmp_path):
     assert not diags
     assert model.duplicate_decls == ()
     assert list(model.objectives) == ["B", "A"]
+
+
+def test_a_file_reached_through_a_symbolic_link_is_spliced_once(tmp_path):
+    _write_files(tmp_path, {
+        "a.sym": 'include "b.sym"\ninclude "c.sym"\n',
+        "b.sym": 'stakeholder s { name: "S" }\n',
+    })
+    (tmp_path / "c.sym").symlink_to(tmp_path / "b.sym")
+    model, diags = parse_file(str(tmp_path / "a.sym"))
+    assert not diags
+    assert model.duplicate_decls == ()
+    assert model.included == (os.path.realpath(tmp_path / "b.sym"),)
+    assert model.spans[("stakeholder", "s")] == SourceSpan(str(tmp_path / "b.sym"), 1, 13, 1)
+
+
+def test_a_symbolic_link_back_to_the_root_file_is_p006(tmp_path):
+    _write_files(tmp_path, {"a.sym": 'include "link.sym"\nobjective A { }\n'})
+    (tmp_path / "link.sym").symlink_to(tmp_path / "a.sym")
+    model, diags = parse_file(str(tmp_path / "a.sym"))
+    assert codes(diags) == ["P006"]
+    assert model.duplicate_decls == ()
 
 
 def test_an_include_cycle_through_a_spliced_file_is_still_p006(tmp_path):

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -17,7 +18,6 @@ from symbiosis_kit.pipeline import (
     DirectEntry,
     EvaluationResult,
     MeasurementLog,
-    RawEvent,
     UnresolvedTarget,
     aggregate,
     evaluate_period,
@@ -66,7 +66,7 @@ metric M2 {
 """
 
 
-EMPTY = MeasurementLog((), ())
+EMPTY = MeasurementLog((), Counter(), ())
 
 
 @pytest.fixture(scope="module")
@@ -92,18 +92,27 @@ def eline(ts: str, **fields) -> str:
 # -- ingestion ---------------------------------------------------------------
 
 
+def accepted_lines(lines: list[str], log: MeasurementLog) -> list[int]:
+    """Line numbers of the accepted lines: the non-blank ones not diagnosed.
+
+    There are as many as the log's DIRECT entries plus its tallied events.
+    """
+    diagnosed = {d.span.line for d in log.diagnostics}
+    accepted = [n for n, line in enumerate(lines, 1) if line.strip() and n not in diagnosed]
+    assert len(accepted) == len(log.records) + sum(log.events.values())
+    return accepted
+
+
 def test_good_lines_produce_records(model):
     log = ingest_lines(
         ["", dline("2014-01-05", "tot", 3), "   ", eline("2014-01-06", kind="x")],
         "log", model,
     )
     assert not log.diagnostics
-    direct, event = log.records
+    (direct,) = log.records
     assert isinstance(direct, DirectEntry)
     assert (direct.base, direct.value, direct.line) == ("tot", 3.0, 2)
-    assert isinstance(event, RawEvent)
-    assert dict(event.fields) == {"kind": "x"}
-    assert event.timestamp == dt.date(2014, 1, 6)
+    assert log.events == {(dt.date(2014, 1, 6), (("kind", "x"),)): 1}
 
 
 @pytest.mark.parametrize(
@@ -140,7 +149,7 @@ def test_good_lines_produce_records(model):
 )
 def test_bad_lines_become_diagnostics(model, line, code, fragment):
     log = ingest_lines([line], "log", model)
-    assert not log.records
+    assert not log.records and not log.events
     assert len(log.diagnostics) == 1
     diag = log.diagnostics[0]
     assert diag.code == code
@@ -171,8 +180,11 @@ def test_ingest_drops_a_byte_order_mark_at_the_start_of_a_file(model, tmp_path):
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     log = ingest(str(marked), model)
     assert not log.diagnostics
-    assert log.records == ingest(str(plain), model).records
-    assert [record.line for record in log.records] == [1, 2]
+    unmarked = ingest(str(plain), model)
+    assert (log.records, log.events) == (unmarked.records, unmarked.events)
+    assert accepted_lines(lines, log) == [1, 2]
+    assert [record.line for record in log.records] == [1]
+    assert log.events == {(dt.date(2014, 1, 6), (("kind", "x"),)): 1}
 
 
 def test_ingest_ends_lines_only_at_newlines(model, tmp_path):
@@ -187,7 +199,9 @@ def test_ingest_ends_lines_only_at_newlines(model, tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
     log = ingest(str(path), model)
-    assert [record.line for record in log.records] == [1, 2]
+    assert accepted_lines(lines, log) == [1, 2]
+    assert log.events == {(dt.date(2014, 1, 5), (("kind", "x"), ("note", "a\u2028b"))): 1}
+    assert [(record.line, record.value) for record in log.records] == [(2, 2.0)]
     assert [(d.code, d.span.line) for d in log.diagnostics] == [("I002", 3)]
 
 

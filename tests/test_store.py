@@ -26,7 +26,7 @@ from symbiosis_kit.parser import parse
 from symbiosis_kit.periods import period_of
 from symbiosis_kit.pipeline import _density_warnings, aggregate, evaluate_period, ingest_lines, ingest_many
 
-from oracles import scan_aggregate, scan_density_warnings
+from oracles import ingest_lines_by_decoding, scan_aggregate, scan_density_warnings
 
 BASES = {
     "c_any": BaseMeasurementDef("c_any", "d", SourceMode.COUNT, ()),
@@ -57,6 +57,12 @@ def _write_logs(directory: str, files: list[list[str]]) -> list[str]:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(str(path))
     return paths
+
+
+def _decoded_records(files: list[list[str]]) -> tuple:
+    """The oracle's records of several logs, one per accepted line, in ingest order."""
+    model = Model(bases=BASES)
+    return tuple(record for lines in files for record in ingest_lines_by_decoding(lines, "log", model).records)
 
 
 _day = st.integers(0, DAYS - 1).map(lambda n: (FIRST_DAY + dt.timedelta(days=n)).isoformat())
@@ -96,13 +102,14 @@ def test_store_matches_rescanning_oracle(files, queries):
     with tempfile.TemporaryDirectory() as directory:
         log = ingest_many(_write_logs(directory, files), Model(bases=BASES))
     assert not log.diagnostics
+    records = _decoded_records(files)
     for key, metric in queries:
         model = Model(bases=BASES, metrics={"M": metric})
-        expected = scan_aggregate(log.records, metric, key, model)
+        expected = scan_aggregate(records, metric, key, model)
         assert aggregate(log, metric, key, model) == expected
         result = evaluate_period(model, build_graph(model), log, "M", key)
         assert dict(result.bindings) == expected
-        assert result.density_warnings == scan_density_warnings(log.records, metric, key, model)
+        assert result.density_warnings == scan_density_warnings(records, metric, key, model)
 
 
 def test_sum_adds_in_ingest_order_across_files(tmp_path):
@@ -170,7 +177,8 @@ def _weekly_density(days: tuple[str, ...], period: str) -> tuple[str, ...]:
     lines = [json.dumps({"timestamp": day, "fields": {"kind": "x"}}) for day in days]
     log = ingest_lines(lines, "log", model)
     warnings = evaluate_period(model, build_graph(model), log, "W", period).density_warnings
-    assert warnings == scan_density_warnings(log.records, model.metrics["W"], period, model)
+    records = ingest_lines_by_decoding(lines, "log", model).records
+    assert warnings == scan_density_warnings(records, model.metrics["W"], period, model)
     return warnings
 
 
@@ -229,12 +237,14 @@ def test_density_warnings_match_the_day_walking_oracle_on_seeded_logs(seed, sche
         periods.subperiod_windows.cache_clear()
     rng = random.Random(seed)
     days = min(400, (dt.date.max - start).days + 1)
-    log = ingest_lines(_seeded_lines(rng, start, days), "log", Model(bases=BASES))
+    lines = _seeded_lines(rng, start, days)
+    log = ingest_lines(lines, "log", Model(bases=BASES))
+    records = _decoded_records([lines])
     uses = tuple(rng.sample(sorted(BASES), rng.randint(1, 3)))
     metric = _metric(uses, *schedule)
     model = Model(bases=BASES, metrics={"M": metric})
     keys = sorted({period_of(start + dt.timedelta(days=n), schedule[1]) for n in range(days)})
     for key in keys:
-        expected = scan_density_warnings(log.records, metric, key, model)
+        expected = scan_density_warnings(records, metric, key, model)
         assert _density_warnings(metric, log, key, model) == expected
         assert _density_warnings(metric, log, key, model) == expected  # from the warm cache
