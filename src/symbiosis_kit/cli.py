@@ -19,7 +19,7 @@ from .impact import render_json as impact_render_json
 from .impact import render_text as impact_render_text
 from .graph import build_graph, to_dot, to_json as graph_json
 from .model import Model
-from .parser import parse_file
+from .parser import BlockTable, parse_file
 from .serializer import serialize
 
 # The evaluation modules (pipeline, periods, report) and formulation are
@@ -72,7 +72,7 @@ class _Io:
         raise _Exit(code)
 
 
-def _load_model(path: str, io: _Io) -> tuple[Model, list[Diagnostic]]:
+def _load_model(path: str, io: _Io, table: BlockTable | None = None) -> tuple[Model, list[Diagnostic]]:
     """Parse + validate one model file; an unreadable file fails with exit 2.
 
     The model comes back even with errors, for `check` to report.
@@ -80,15 +80,17 @@ def _load_model(path: str, io: _Io) -> tuple[Model, list[Diagnostic]]:
     from .validator import validate
 
     try:
-        model, diags = parse_file(path)
+        model, diags = parse_file(path, table)
     except (OSError, UnicodeDecodeError) as exc:
         io.fail(f"error: cannot read {path!r}: {exc}", EXIT_USAGE)
     return model, diags + validate(model)
 
 
-def _require_clean(path: str, io: _Io, refusal: str = "has validation errors; aborting") -> Model:
+def _require_clean(
+    path: str, io: _Io, refusal: str = "has validation errors; aborting", table: BlockTable | None = None
+) -> Model:
     """The model at `path`, after noting its diagnostics; errors fail with exit 1."""
-    model, diags = _load_model(path, io)
+    model, diags = _load_model(path, io, table)
     if diags:
         io.note(render_all(diags).rstrip("\n"))
     if has_errors(diags):
@@ -233,7 +235,10 @@ def _cmd_report(args: argparse.Namespace, io: _Io) -> None:
 
 
 def _cmd_impact(args: argparse.Namespace, io: _Io) -> None:
-    reports = impact_analyze(_require_clean(args.old, io), _require_clean(args.new, io))
+    """The new version reuses the blocks of the old one that it holds unchanged."""
+    table: BlockTable = {}
+    old = _require_clean(args.old, io, table=table)
+    reports = impact_analyze(old, _require_clean(args.new, io, table=table))
     io.payload(impact_render_json(reports) if args.json else impact_render_text(reports))
 
 

@@ -3,17 +3,28 @@
 Parsing is total: any input produces a (possibly partial) model plus a list of
 coded diagnostics (P001-P008). With zero error diagnostics the model is fully
 populated; reference resolution is the validator's job.
+
+A load given a block table records each block that parsed with no diagnostic,
+keyed by its exact source text from the kind keyword through its closing `}`.
+A load that starts with blocks in the table (the new version of `impact`)
+cuts each file at the lines that hold only `}`, takes the recorded node for
+every piece whose text after its leading blanks and comments is a key, and
+lexes and parses only the runs between those pieces. So it costs time in its
+changed blocks, and in every block whose closing `}` is not alone on its
+line. A file whose runs hold an `include` or give a diagnostic is parsed
+whole, so the model and diagnostics are those of a full parse.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import os
+import re
 from pathlib import Path
 
 from . import expr as _expr
 from .diagnostics import Diagnostic, Severity, SourceSpan
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Source, Token, TokenKind, tokenize
 from .model import (
     Action,
     ActionKind,
@@ -79,30 +90,43 @@ class ExpressionSyntaxError(ValueError):
     """Raised by parse_expression for standalone expression text."""
 
 
-class _Builder:
-    """Accumulates declarations across files; first declaration of an id wins."""
+# Source text of a block that parsed with no diagnostic, from its kind keyword
+# through its closing `}` -> (kind, node, id token offset in that text, id length).
+BlockTable = dict[str, tuple[str, object, int, int]]
 
-    def __init__(self) -> None:
-        self.nodes: dict[str, list] = {kind: [] for kind in NODE_TYPES}
-        self.spans: dict[tuple[str, str], SourceSpan] = {}
-        self.duplicates: list[tuple[str, str, SourceSpan]] = []
-        self.declared: dict[str, tuple[str, SourceSpan]] = {}
+
+class _Builder:
+    """Accumulates declarations across files; first declaration of an id wins.
+
+    Declarations are kept in order and resolved by `build`, so a file whose
+    reuse of recorded blocks fails can take its declarations back.
+    """
+
+    def __init__(self, table: BlockTable | None = None) -> None:
+        self.declarations: list[tuple[str, str, object, SourceSpan]] = []
         self.included: set[str] = set()  # real paths of the files spliced in by an include
+        self.table = table  # records each clean block, when given
+        self.reuse = bool(table)  # the load began with blocks to reuse
 
     def add(self, kind: str, node_id: str, node, span: SourceSpan) -> None:
-        if node_id in self.declared:
-            self.duplicates.append((kind, node_id, span))
-            return
-        self.declared[node_id] = (kind, span)
-        self.nodes[kind].append(node)
-        self.spans[(kind, node_id)] = span
+        self.declarations.append((kind, node_id, node, span))
 
     def build(self) -> Model:
-        collections = {COLLECTIONS[kind]: {n.id: n for n in nodes} for kind, nodes in self.nodes.items()}
+        nodes: dict[str, dict] = {kind: {} for kind in NODE_TYPES}
+        spans: dict[tuple[str, str], SourceSpan] = {}
+        duplicates = []
+        declared: set[str] = set()
+        for kind, node_id, node, span in self.declarations:
+            if node_id in declared:
+                duplicates.append((kind, node_id, span))
+                continue
+            declared.add(node_id)
+            nodes[kind][node_id] = node
+            spans[(kind, node_id)] = span
         return Model(
-            **collections,
-            spans=self.spans,
-            duplicate_decls=tuple(self.duplicates),
+            **{COLLECTIONS[kind]: collection for kind, collection in nodes.items()},
+            spans=spans,
+            duplicate_decls=tuple(duplicates),
             included=tuple(sorted(self.included)),
         )
 
@@ -117,20 +141,20 @@ class _Parser:
 
     def __init__(
         self,
-        text: str,
+        tokens: list[Token],
         filename: str,
         builder: _Builder,
         diags: list[Diagnostic],
         include_stack: tuple[str, ...],
+        table: BlockTable | None = None,
     ) -> None:
         self.filename = filename
         self.builder = builder
         self.diags = diags
         self.include_stack = include_stack
-        tokens, lex_diags = tokenize(text, filename)
+        self.table = table  # where each block that parses with no diagnostic is recorded
         tokens.extend([tokens[-1]] * _LOOKAHEAD)
         self.tokens = tokens
-        self.diags.extend(lex_diags)
         self.pos = 0
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
@@ -241,11 +265,12 @@ class _Parser:
             self.error("P007", f"cannot read include {target!r}: {reason}", path_tok.span)
             return
         self.builder.included.add(key)
-        sub = _Parser(text, target, self.builder, self.diags, self.include_stack + (target,))
-        sub.parse_model()
+        _parse_source(text, target, self.builder, self.diags, self.include_stack + (target,))
 
     def parse_block(self, kind: str) -> None:
-        self.pos += 1  # the kind keyword
+        keyword = self.tokens[self.pos]
+        errors = len(self.diags)
+        self.pos += 1
         head = self.read_tokens((_IDENT, f"an identifier after {kind!r}"), (_LBRACE, "'{'"))
         if head is None:
             return self.skip_block()
@@ -299,7 +324,12 @@ class _Parser:
         self.pos = i
         # A repeated field's items were gathered in a list.
         values = {attribute: tuple(v) if type(v) is list else v for attribute, v in fields.items()}
-        self.builder.add(kind, id_tok.text, NODE_TYPES[kind](id=id_tok.text, **values), id_tok.span)
+        node = NODE_TYPES[kind](id=id_tok.text, **values)
+        self.builder.add(kind, id_tok.text, node, id_tok.span)
+        if self.table is not None and len(self.diags) == errors:
+            start = keyword.offset
+            text = keyword.source.text[start : tokens[i - 1].offset + 1]
+            self.table[text] = (kind, node, id_tok.offset - start, id_tok.length)
 
     # -- value readers -----------------------------------------------------
     # A reader starts at `pos` and leaves it after what it read. It returns
@@ -641,26 +671,88 @@ _READERS: dict[str, dict[str, tuple]] = {
 _REPEATED_NAMES = frozenset(f.name for fields in FIELDS.values() for f in fields if f.repeated)
 
 
-def parse(text: str, filename: str = "<string>") -> tuple[Model, list[Diagnostic]]:
-    """Parse .sym source text. Returns (model, diagnostics); never raises."""
-    builder = _Builder()
+# A line that holds only `}`, where a reused block may end; and the blanks and
+# comments the lexer skips before a token.
+_CLOSING_LINE_RE = re.compile(r"^\}[ \t\r]*$", re.MULTILINE)
+_BLANKS_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
+
+
+def _parse_source(text: str, filename: str, builder: _Builder, diags: list[Diagnostic], stack: tuple[str, ...]) -> None:
+    """Parse one file's text into the builder, from recorded blocks where the load reuses them."""
+    if builder.reuse and _reuse_blocks(text, filename, builder):
+        return
+    tokens, lex_diags = tokenize(text, filename)
+    diags.extend(lex_diags)
+    # A block holding a lexer diagnostic is not recorded: its reuse would drop the diagnostic.
+    table = None if lex_diags else builder.table
+    _Parser(tokens, filename, builder, diags, stack, table).parse_model()
+
+
+def _reuse_blocks(text: str, filename: str, builder: _Builder) -> bool:
+    """Add `text`'s declarations from recorded blocks and the runs parsed between them.
+
+    Returns False, with nothing added, when no piece is a recorded block or
+    a run holds an `include` or gives a diagnostic.
+    """
+    source = Source(filename, text)
+    mark = len(builder.declarations)
+    run_start = region_start = 0
+    for match in _CLOSING_LINE_RE.finditer(text):
+        end = match.start() + 1
+        key_start = _BLANKS_RE.match(text, region_start).end()
+        region_start = end
+        entry = builder.table.get(text[key_start:end])
+        if entry is None:
+            continue
+        if not _parse_run(text, run_start, key_start, source, builder):
+            break
+        kind, node, offset, length = entry
+        builder.add(kind, node.id, node, source.span(key_start + offset, length))
+        run_start = end
+    else:
+        if run_start and _parse_run(text, run_start, len(text), source, builder):
+            return True
+    del builder.declarations[mark:]
+    return False
+
+
+def _parse_run(text: str, start: int, stop: int, source: Source, builder: _Builder) -> bool:
+    """Lex and parse `text[start:stop]` into the builder; False if it contains `include` or gives a diagnostic."""
+    if _BLANKS_RE.match(text, start, stop).end() == stop:
+        return True
+    run = text[start:stop]
+    if "include" in run:
+        return False
+    tokens, diags = tokenize(run, source.name)
+    if diags:
+        return False
+    tokens = [token._replace(source=source, offset=token.offset + start) for token in tokens]
+    _Parser(tokens, source.name, builder, diags, (), builder.table).parse_model()
+    return not diags
+
+
+def parse(text: str, filename: str = "<string>", table: BlockTable | None = None) -> tuple[Model, list[Diagnostic]]:
+    """Parse .sym source text. Returns (model, diagnostics); never raises.
+
+    With a block table, the load records its clean blocks in it, and reuses
+    those already there (see the module docstring).
+    """
+    builder = _Builder(table)
     diags: list[Diagnostic] = []
     stack = (filename,) if filename != "<string>" else ()
-    parser = _Parser(text, filename, builder, diags, stack)
-    parser.parse_model()
+    _parse_source(text, filename, builder, diags, stack)
     return builder.build(), diags
 
 
-def parse_file(path: str | Path) -> tuple[Model, list[Diagnostic]]:
+def parse_file(path: str | Path, table: BlockTable | None = None) -> tuple[Model, list[Diagnostic]]:
     text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte order mark is dropped
-    return parse(text, filename=str(path))
+    return parse(text, str(path), table)
 
 
 def parse_expression(text: str) -> _expr.Expr:
     """Parse a standalone metric function. Raises ExpressionSyntaxError on bad input."""
-    builder = _Builder()
-    diags: list[Diagnostic] = []
-    parser = _Parser(text, "<expression>", builder, diags, ())
+    tokens, diags = tokenize(text, "<expression>")
+    parser = _Parser(tokens, "<expression>", _Builder(), diags, ())
     result = parser.parse_value_expr()
     if diags or result is None:
         message = diags[0].message if diags else "empty expression"

@@ -69,7 +69,12 @@ _ENTRIES = (
     CorpusEntry(
         model="heartland_fixed.sym",
         logs=(),
-        golden=("golden/heartland_fixed_check.txt",),
+        # The impact goldens compare heartland_broken.sym (old) with this model (new).
+        golden=(
+            "golden/heartland_fixed_check.txt",
+            "golden/heartland_impact.txt",
+            "golden/heartland_impact.json",
+        ),
     ),
 )
 

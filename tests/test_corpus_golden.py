@@ -77,3 +77,9 @@ def test_anthem_report_goldens(monkeypatch, tmp_path, fmt, ext):
 def test_graph_goldens(monkeypatch, tmp_path, model, fmt):
     got = _regen(monkeypatch, tmp_path, ["graph", f"corpus/{model}.sym", "--format", fmt])
     assert got == _golden(f"{model}_graph.{fmt}")
+
+
+@pytest.mark.parametrize("flags,ext", [([], "txt"), (["--json"], "json")])
+def test_heartland_impact_goldens(monkeypatch, tmp_path, flags, ext):
+    argv = ["impact", "corpus/heartland_broken.sym", "corpus/heartland_fixed.sym", *flags]
+    assert _regen(monkeypatch, tmp_path, argv) == _golden(f"heartland_impact.{ext}")

@@ -50,7 +50,7 @@ def codes(diags):
 
 
 def test_lookahead_at_and_past_the_end_reads_eof():
-    parser = _Parser("a", "<string>", _Builder(), [], ())
+    parser = _Parser(tokenize("a")[0], "<string>", _Builder(), [], ())
     assert [t.kind for t in parser.tokens] == [TokenKind.IDENT] + [TokenKind.EOF] * 3
     parser.parse_model()
     assert parser.pos == 1  # the position stays on EOF
