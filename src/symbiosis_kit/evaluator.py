@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import BinOp, Expr, Neg, Num, Var
+from .expr import BinOp, Expr, Neg, Num, Var, to_text
 from .model import InterpretationBand, MetricDef
 
 
@@ -67,8 +67,6 @@ def evaluate(expr: Expr, bindings: dict[str, float]) -> float:
             return left * right
         if expr.op == "/":
             if right == 0.0:
-                from .expr import to_text
-
                 raise DivisionByZero(to_text(expr))
             return left / right
         raise EvaluationError(f"unknown operator {expr.op!r}")

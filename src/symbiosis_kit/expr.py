@@ -5,9 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-BINARY_OPS = ("+", "-", "*", "/")
-
-
 @dataclass(frozen=True, slots=True)
 class Num:
     value: float
@@ -25,7 +22,7 @@ class Neg:
 
 @dataclass(frozen=True, slots=True)
 class BinOp:
-    op: str  # one of BINARY_OPS
+    op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 

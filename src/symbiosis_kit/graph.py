@@ -6,11 +6,13 @@ child objective REFINES its parent, a question ASKS its goal, a strategy is
 STRATEGY_OF its objective).
 
 build_graph expects a model that passed validation with zero errors and
-does not check it again. It stores the closure edges (REFINES, MEASURES,
-ASKS, ANSWERS) once as sorted adjacency in both directions. Every closure
-query (ancestors, descendants, objective_ancestors_ordered, and the
-orphan sets of impact analysis) is one breadth-first `reach` over that
-adjacency, so a query costs time linear in the edges it reaches, and
+does not check it again. One pass over the edges stores sorted neighbour
+tuples: the closure edges (REFINES, MEASURES, ASKS, ANSWERS) in both
+directions, each node's DEPENDS_ON/AFFECTS neighbours either way, and the
+metrics that use each base, so impact analysis never scans the model.
+Every closure query (ancestors, descendants, objective_ancestors_ordered,
+and the orphan sets of impact analysis) is one breadth-first `reach` over
+that adjacency, so a query costs time linear in the edges it reaches, and
 cyclic DEPENDS_ON/AFFECTS links, which are outside the closure, never
 cause non-termination.
 """
@@ -18,7 +20,7 @@ cause non-termination.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Iterable, Set as AbstractSet
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,6 +43,9 @@ class EdgeKind(Enum):
 CLOSURE_KINDS = frozenset(
     {EdgeKind.REFINES, EdgeKind.MEASURES, EdgeKind.ASKS, EdgeKind.ANSWERS}
 )
+
+
+_RELATED_KINDS = frozenset({EdgeKind.DEPENDS_ON, EdgeKind.AFFECTS})  # impact's `related`
 
 
 # Each node kind's edge rows of the field table: (attribute, the ids its
@@ -72,6 +77,10 @@ class TraceabilityGraph:
     # closure edges (CLOSURE_KINDS) by node, neighbours sorted: src -> dsts and dst -> srcs
     closure_up: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
     closure_down: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
+    # DEPENDS_ON/AFFECTS neighbours in either direction, never the node itself
+    related: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
+    # base -> the metrics that use it (USES edges reversed)
+    used_by: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
 
     def edges_from(self, node_id: str, kinds: frozenset[EdgeKind] | None = None) -> list[Edge]:
         return [
@@ -99,19 +108,20 @@ def build_graph(model: Model) -> TraceabilityGraph:
         if (value := getattr(node, attribute))
         for dst in named(value)
     ]
-    ordered = tuple(sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)))
-    up: dict[str, list[str]] = {}
-    down: dict[str, list[str]] = {}
-    for edge in ordered:
+    up, down, related, used_by = (defaultdict(set) for _ in range(4))
+    for edge in edges:
+        src, dst = edge.src, edge.dst
         if edge.kind in CLOSURE_KINDS:
-            up.setdefault(edge.src, []).append(edge.dst)
-            down.setdefault(edge.dst, []).append(edge.src)
-    return TraceabilityGraph(
-        nodes=model.kinds,
-        edges=ordered,
-        closure_up={node: tuple(sorted(dsts)) for node, dsts in up.items()},
-        closure_down={node: tuple(sorted(srcs)) for node, srcs in down.items()},
-    )
+            up[src].add(dst)
+            down[dst].add(src)
+        elif edge.kind is EdgeKind.USES:
+            used_by[dst].add(src)
+        elif edge.kind in _RELATED_KINDS and src != dst:
+            related[src].add(dst)
+            related[dst].add(src)
+    ordered = tuple(sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)))
+    adjacency = ({n: tuple(sorted(ns)) for n, ns in table.items()} for table in (up, down, related, used_by))
+    return TraceabilityGraph(model.kinds, ordered, *adjacency)
 
 
 def reach(

@@ -1,12 +1,17 @@
 """Structural diffs between model versions and change-impact sets.
 
-Impact is computed over the traceability closure (refines / measures / asks /
-answers edges). For a removal, the orphans are the removed node's
-descendants that no surviving top-level objective reaches once the removed
-node is gone: one downward walk from the surviving roots that never enters
-the removed node finds every node that keeps a derivation path, and the
-descendants it misses are orphaned. Descendants it reaches merely need
-review.
+Every impact set is read from the traceability graph of the version a
+change applies to; the model is read only to build a graph when none is
+given. A node's descendants over the closure (refines / measures / asks /
+answers edges) need review and its objective ancestors are upstream. A base
+is outside the closure, so a base change puts the metrics that use it under
+review and their objective ancestors upstream. `related` lists the node's
+depends_on/affects neighbours. For a removal, the orphans are the removed
+node's descendants that no surviving top-level objective (one with no
+closure edge up) reaches once the removed node is gone: one downward walk
+from the surviving roots that never enters the removed node finds every
+node that keeps a derivation path, and the descendants it misses are
+orphaned. Descendants it reaches merely need review.
 """
 
 from __future__ import annotations
@@ -98,23 +103,6 @@ class ImpactReport:
         }
 
 
-def _root_objectives(model: Model) -> set[str]:
-    return {bo_id for bo_id, bo in model.objectives.items() if bo.refines is None}
-
-
-def _related_neighbors(model: Model, node_id: str) -> set[str]:
-    related: set[str] = set()
-    bo = model.objectives.get(node_id)
-    if bo is not None:
-        related.update(bo.depends_on)
-        related.update(bo.affects)
-    for other_id, other in model.objectives.items():
-        if node_id in other.depends_on or node_id in other.affects:
-            related.add(other_id)
-    related.discard(node_id)
-    return related
-
-
 def impact(model: Model, change: Change, graph: TraceabilityGraph | None = None) -> ImpactReport:
     """Impact of one change against the model version it applies to.
 
@@ -126,17 +114,23 @@ def impact(model: Model, change: Change, graph: TraceabilityGraph | None = None)
 
     down = descendants(graph, node_id)
     up = ancestors(graph, node_id)
+    users = graph.used_by.get(node_id, ())  # metrics are leaves of the closure
+    down.update(users)
+    up.update(reach(graph.closure_up, users))
 
     orphans: set[str] = set()
     if change.kind is ChangeKind.REMOVED:
         # a root objective has no parent, so it is never in `down`
-        surviving = _root_objectives(model) - {node_id}
+        surviving = [
+            n for n, kind in graph.nodes.items()
+            if kind == KIND_OBJECTIVE and n not in graph.closure_up and n != node_id
+        ]
         orphans = down - set(reach(graph.closure_down, surviving, avoid={node_id}))
 
     review = down - orphans
     upstream = {n for n in up if graph.nodes.get(n) == KIND_OBJECTIVE}
     upstream -= orphans | review
-    related = _related_neighbors(model, node_id) - (orphans | review | upstream)
+    related = set(graph.related.get(node_id, ())) - (orphans | review | upstream)
     return ImpactReport(
         change=change,
         downstream_orphans=tuple(sorted(orphans)),

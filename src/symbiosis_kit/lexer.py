@@ -17,15 +17,15 @@ matches wins (the most frequent come first):
 Blanks are skipped without counting lines. A token holds its file's
 `Source` and its character offset; its `span` (line and column) is built
 only when something asks for it, which is a diagnostic or a declaration.
-The `Source` then bisects a table of line-start offsets that it extends
-only as far as the furthest offset asked for, so a file whose spans are
-never asked for is never scanned for newlines.
+The `Source` then bisects a table of line-start offsets, built in one scan
+of the whole text on the first span asked for. Every declaration asks for
+its id's span, so a file that declares anything is scanned to its last
+block anyway; a file whose spans are never asked for is never scanned.
 """
 
 from __future__ import annotations
 
 import re
-from array import array
 from bisect import bisect_right
 from enum import Enum
 from typing import NamedTuple
@@ -63,23 +63,21 @@ class Source:
     """One file's name and text, which maps character offsets to spans.
 
     The line of an offset is found by bisecting the offsets at which lines
-    start. That table is filled in by scanning the text for newlines only
-    as far as the furthest offset asked for, 8 bytes per line.
+    start. That table is built by one scan of the text for newlines, when
+    the first span is asked for.
     """
 
-    __slots__ = ("name", "text", "_line_starts", "_scanned")
+    __slots__ = ("name", "text", "_line_starts")
 
     def __init__(self, name: str, text: str) -> None:
         self.name = name
         self.text = text
-        self._line_starts = array("q", [0])
-        self._scanned = 0  # every newline before this offset is in the table
+        self._line_starts: list[int] | None = None
 
     def span(self, offset: int, length: int) -> SourceSpan:
         starts = self._line_starts
-        if offset > self._scanned:
-            starts.extend(m.end() for m in _NEWLINE_RE.finditer(self.text, self._scanned, offset))
-            self._scanned = offset
+        if starts is None:
+            starts = self._line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(self.text))]
         line = bisect_right(starts, offset)
         return SourceSpan(self.name, line, offset - starts[line - 1] + 1, length)
 

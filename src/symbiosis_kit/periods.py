@@ -155,19 +155,12 @@ def period_range(first: str, last: str) -> list[str]:
     return keys
 
 
-def subperiods(key: str, granularity: Granularity) -> list[str]:
-    """Periods of a finer granularity that overlap `key`, in order.
-
-    A finer period that straddles the boundary (ISO weeks do this) is
-    included when any of its days fall inside `key`.
-    """
-    return [subkey for subkey, _, _ in subperiod_windows(key, granularity)]
-
-
 @functools.lru_cache(maxsize=1024)
 def subperiod_windows(key: str, granularity: Granularity) -> tuple[tuple[str, dt.date, dt.date], ...]:
-    """(subkey, first, last) for each of `subperiods(key, granularity)`, its
-    days clipped to those of `key`. Cached and shared, so immutable."""
+    """(subkey, first, last) for each period of the finer `granularity` that
+    overlaps `key`, in order, its days clipped to those of `key`. A period
+    that straddles the boundary (ISO weeks do this) is included when any of
+    its days fall inside `key`. Cached and shared, so immutable."""
     own = granularity_of(key)
     if granularity.ordinal > own.ordinal:
         raise PeriodError(f"{granularity.value} is coarser than the period {key!r} itself")

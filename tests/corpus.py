@@ -48,6 +48,11 @@ _ENTRIES = (
             "golden/jpmorgan_report_2014.svg",
             "golden/jpmorgan_graph.json",
             "golden/jpmorgan_graph.dot",
+            "golden/jpmorgan_eval_2014-Q4.txt",
+            "golden/jpmorgan_report_2014-Q4.txt",
+            # impact of this model (old) against a copy that edits one filter of base bm_took (new)
+            "golden/jpmorgan_base_edit_impact.txt",
+            "golden/jpmorgan_base_edit_impact.json",
         ),
     ),
     CorpusEntry(

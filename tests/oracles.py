@@ -328,6 +328,34 @@ def orphans_after_removal(model: Model, removed: str) -> set[str]:
     return orphans
 
 
+# -- impact neighbours by model scans ---------------------------------------------
+# How impact analysis found these sets before it read them from the graph:
+# by scanning the model's nodes for each change.
+
+
+def root_objectives_by_scan(model: Model) -> set[str]:
+    return {bo_id for bo_id, bo in model.objectives.items() if bo.refines is None}
+
+
+def related_by_scan(model: Model, node_id: str) -> set[str]:
+    """The node's own depends_on/affects targets and the objectives naming it in theirs."""
+    related: set[str] = set()
+    bo = model.objectives.get(node_id)
+    if bo is not None:
+        related.update(bo.depends_on)
+        related.update(bo.affects)
+    for other_id, other in model.objectives.items():
+        if node_id in other.depends_on or node_id in other.affects:
+            related.add(other_id)
+    related.discard(node_id)
+    return related
+
+
+def users_by_scan(model: Model, base_id: str) -> set[str]:
+    """The metrics whose `uses` names the base."""
+    return {metric_id for metric_id, metric in model.metrics.items() if base_id in metric.uses}
+
+
 # -- diffs on canonical dicts -----------------------------------------------------
 # The diff the package had before it compared frozen nodes and read fields
 # from one field table: every node of both models is turned into the dict

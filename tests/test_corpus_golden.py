@@ -14,6 +14,11 @@ from corpus import CORPUS_ROOT, corpus_manifest
 from symbiosis_kit import cli
 
 JPMORGAN_Q_LOGS = [f"corpus/logs/jpmorgan_2014-{m:02d}.jsonl" for m in range(1, 10)]
+# Every jpmorgan log: 2014-Q4 has one for November only.
+JPMORGAN_LOGS = JPMORGAN_Q_LOGS + ["corpus/logs/jpmorgan_2014-11.jsonl"]
+# The base edit: bm_took counts the new hires who missed the training instead.
+ATTENDED = 'attendance = "attended"'
+ABSENT = 'attendance = "absent"'
 
 
 def test_manifest_files_exist():
@@ -83,3 +88,29 @@ def test_graph_goldens(monkeypatch, tmp_path, model, fmt):
 def test_heartland_impact_goldens(monkeypatch, tmp_path, flags, ext):
     argv = ["impact", "corpus/heartland_broken.sym", "corpus/heartland_fixed.sym", *flags]
     assert _regen(monkeypatch, tmp_path, argv) == _golden(f"heartland_impact.{ext}")
+
+
+def test_jpmorgan_2014_q4_eval_golden_warns_of_the_months_without_logs(monkeypatch, tmp_path):
+    argv = ["eval", "corpus/jpmorgan.sym", "--measurements", *JPMORGAN_LOGS, "--metric", "all", "--period", "2014-Q4"]
+    got = _regen(monkeypatch, tmp_path, argv)
+    assert got == _golden("jpmorgan_eval_2014-Q4.txt")
+    assert got.count(b"  warning: collection period 2014-10 inside 2014-Q4 has no records") == 6
+    assert got.count(b"  warning: collection period 2014-12 inside 2014-Q4 has no records") == 6
+
+
+def test_jpmorgan_2014_q4_report_golden_notes_the_months_without_logs(monkeypatch, tmp_path):
+    argv = ["report", "corpus/jpmorgan.sym", "--measurements", *JPMORGAN_LOGS, "--from", "2014-Q4", "--to", "2014-Q4"]
+    got = _regen(monkeypatch, tmp_path, argv)
+    assert got == _golden("jpmorgan_report_2014-Q4.txt")
+    assert got.count(b"  note 2014-Q4: collection period 2014-10 inside 2014-Q4 has no records") == 6
+    assert got.count(b"  note 2014-Q4: collection period 2014-12 inside 2014-Q4 has no records") == 6
+
+
+@pytest.mark.parametrize("flags,ext", [([], "txt"), (["--json"], "json")])
+def test_jpmorgan_base_edit_impact_goldens(monkeypatch, tmp_path, flags, ext):
+    text = (CORPUS_ROOT / "jpmorgan.sym").read_text(encoding="utf-8")
+    assert text.count(ATTENDED) == 1
+    edited = tmp_path / "jpmorgan_base_edit.sym"
+    edited.write_text(text.replace(ATTENDED, ABSENT), encoding="utf-8")
+    argv = ["impact", "corpus/jpmorgan.sym", str(edited), *flags]
+    assert _regen(monkeypatch, tmp_path, argv) == _golden(f"jpmorgan_base_edit_impact.{ext}")

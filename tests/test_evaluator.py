@@ -64,6 +64,25 @@ def test_boundary_goes_to_closed_side():
     assert classify(_metric(), 49.999).label == "low"
 
 
+def test_boundary_goes_to_closed_side_when_bands_are_declared_high_first():
+    # 50 is excluded from (50,100], which is tried first, and included in [0,50]
+    model, diags = parse(
+        """
+        metric M {
+            function: x
+            domain: [0, 100]
+            band: (50, 100] -> high { log t }
+            band: [0, 50] -> low { log t }
+        }
+        """
+    )
+    assert not diags
+    metric = model.metrics["M"]
+    assert classify(metric, 50.0).label == "low"
+    assert classify(metric, 50.001).label == "high"
+    assert classify(metric, 100.0).label == "high"
+
+
 def test_out_of_domain():
     with pytest.raises(OutOfDomain):
         evaluate_metric(_metric(), {"hits": 3, "total": 2})  # 150 > domain hi

@@ -1,9 +1,15 @@
 """Traceability graph construction, closure queries, and exports."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpus import CORPUS_ROOT
+from modelgen import random_dag_model, random_model
+from oracles import related_by_scan, root_objectives_by_scan, users_by_scan
 from symbiosis_kit.graph import (
     EdgeKind,
     UnknownNode,
@@ -16,7 +22,7 @@ from symbiosis_kit.graph import (
     to_json,
 )
 from symbiosis_kit.impact import Change, ChangeKind, impact
-from symbiosis_kit.parser import parse
+from symbiosis_kit.parser import parse, parse_file
 
 
 def graph_of(src: str):
@@ -154,3 +160,42 @@ def test_to_json_is_sorted_and_parses(jpmorgan):
     keys = [(e["kind"], e["src"], e["dst"]) for e in payload["edges"]]
     assert keys == sorted(keys)
     assert {"kind": "answers", "src": "ME1.1.1.1.1", "dst": "Q1.1.1.1.4"} in payload["edges"]
+
+
+# -- neighbour tables against scans of the model ----------------------------------
+# `related` and `used_by` replace impact analysis's scans of the model, and a
+# root objective is one with no closure edge up; `oracles` keeps the scans.
+
+
+def _assert_tables_match_model_scans(model):
+    graph = build_graph(model)
+    for node_id in graph.nodes:
+        assert set(graph.related.get(node_id, ())) == related_by_scan(model, node_id), node_id
+        assert set(graph.used_by.get(node_id, ())) == users_by_scan(model, node_id), node_id
+    for adjacency in (graph.related, graph.used_by):
+        for neighbours in adjacency.values():
+            assert list(neighbours) == sorted(set(neighbours))
+    roots = {n for n, kind in graph.nodes.items() if kind == "objective" and n not in graph.closure_up}
+    assert roots == root_objectives_by_scan(model)
+
+
+@pytest.mark.parametrize("name", ["jpmorgan", "anthem", "heartland_broken", "heartland_fixed"])
+def test_corpus_neighbour_tables_match_model_scans(name):
+    model, diags = parse_file(CORPUS_ROOT / f"{name}.sym")
+    assert not diags
+    _assert_tables_match_model_scans(model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_generated_neighbour_tables_match_model_scans(seed, dag):
+    rng = random.Random(seed)
+    model = random_dag_model(rng, max_nodes=20) if dag else random_model(rng, max_nodes=30)
+    _assert_tables_match_model_scans(model)
+
+
+def test_jpmorgan_base_users_are_kept_outside_the_closure(jpmorgan):
+    graph = build_graph(jpmorgan)
+    assert graph.used_by["bm_took"] == ("ME1.1.1.1.1",)
+    assert graph.used_by["bm_completed"] == ("ME1.1.1.1.1",)
+    assert "bm_took" not in graph.closure_up and "bm_took" not in graph.closure_down

@@ -162,6 +162,15 @@ def test_related_captures_dependency_neighbors(diamond):
     assert "BO2" not in report.downstream_review
 
 
+@pytest.mark.parametrize("change_kind", [ChangeKind.MODIFIED, ChangeKind.REMOVED])
+def test_base_change_reviews_the_metrics_that_use_it(jpmorgan, change_kind):
+    report = impact(jpmorgan, Change(change_kind, "base", "bm_took"))
+    assert report.downstream_orphans == ()  # the metric keeps its derivation path
+    assert report.downstream_review == ("ME1.1.1.1.1",)
+    assert report.upstream_review == ("BO1", "BO1.1", "BO1.1.1")
+    assert report.related == ()
+
+
 def test_unknown_node_raises(diamond):
     with pytest.raises(UnknownNode):
         impact(diamond, Change(ChangeKind.REMOVED, "objective", "NOPE"))

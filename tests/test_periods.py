@@ -18,13 +18,18 @@ from symbiosis_kit.periods import (
     period_of,
     period_range,
     start_date,
-    subperiods,
+    subperiod_windows,
 )
 
 from oracles import period_bounds
 
 D = dt.date
 G = Granularity
+
+
+def subperiods(key: str, granularity: Granularity) -> list[str]:
+    """Periods of a finer granularity that overlap `key`, in order."""
+    return [subkey for subkey, _, _ in subperiod_windows(key, granularity)]
 
 
 def test_period_of_every_granularity():
