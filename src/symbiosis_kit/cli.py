@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 model errors or runtime failure, 2 usage or I/O
 failure. Diagnostics and notes go to stderr; payloads go to stdout or --out.
 Every failure ends through `_Io.fail`, which writes its note and raises
 `_Exit`; `main` is the one place that turns that into the exit code.
+`_evaluate` is the one evaluation path: `eval` is `report` over one period,
+and each only renders the results it returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
 
@@ -52,9 +55,16 @@ class _Io:
         raw = data.encode("utf-8") if isinstance(data, str) else data
         if self.out_path:
             self.write(self.out_path, raw)
-        else:
+            return
+        try:
             sys.stdout.buffer.write(raw)
             sys.stdout.buffer.flush()
+        except OSError as exc:
+            # fd 1 goes to the null device, so the interpreter's flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+            self.fail(f"error: cannot write to stdout: {exc}", EXIT_USAGE)
 
     def write(self, path: str, raw: bytes) -> None:
         try:
@@ -179,58 +189,45 @@ def _select_metrics(model: Model, metric: str, io: _Io) -> list[str]:
     return [metric]
 
 
-def _cmd_eval(args: argparse.Namespace, io: _Io) -> None:
-    from . import periods, pipeline, report as report_mod
+def _evaluate(args: argparse.Namespace, io: _Io, first: str, last: str) -> tuple[Model, list[pipeline.EvaluationResult]]:
+    """Each selected metric over `first`..`last`: a bad key or range fails with exit 2, and a
+    metric that `evaluate_period` refuses for these periods (its schedule) is skipped with a note."""
+    from . import periods, pipeline
 
     model = _require_clean(args.model, io)
     log = _ingest(args.measurements, model, io)
+    try:
+        keys = periods.period_range(first, last)
+    except periods.PeriodError as exc:
+        io.fail(f"error: {exc}", EXIT_USAGE)
     metric_ids = _select_metrics(model, args.metric, io)
     graph = build_graph(model)
     results = []
     for metric_id in metric_ids:
         try:
-            results.append(
-                pipeline.evaluate_period(model, graph, log, metric_id, args.period)
-            )
+            results.extend([pipeline.evaluate_period(model, graph, log, metric_id, key) for key in keys])
         except periods.PeriodError as exc:
             io.note(f"note: skipping {metric_id}: {exc}")
     if not results:
         io.fail("error: no results")
+    return model, results
+
+
+def _cmd_eval(args: argparse.Namespace, io: _Io) -> None:
+    from . import report as report_mod
+
+    model, results = _evaluate(args, io, args.period, args.period)
     if args.format == "json":
         payload = {"results": [report_mod.result_json_obj(result, model) for result in results]}
         io.payload(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return
-    lines: list[str] = []
-    for result in results:
-        lines.extend(_eval_text(result, model))
-    io.payload("\n".join(lines) + "\n")
+    else:
+        io.payload("".join(f"{line}\n" for result in results for line in _eval_text(result, model)))
 
 
 def _cmd_report(args: argparse.Namespace, io: _Io) -> None:
-    from . import periods, pipeline, report as report_mod
+    from . import report as report_mod
 
-    model = _require_clean(args.model, io)
-    log = _ingest(args.measurements, model, io)
-    try:
-        keys = periods.period_range(getattr(args, "from"), args.to)
-    except periods.PeriodError as exc:
-        io.fail(f"error: {exc}", EXIT_USAGE)
-    granularity = periods.granularity_of(keys[0])
-    metric_ids = _select_metrics(model, args.metric, io)
-    graph = build_graph(model)
-    results = []
-    for metric_id in metric_ids:
-        schedule = model.metrics[metric_id].schedule
-        if schedule is not None and not schedule.runs_at(granularity):
-            io.note(
-                f"note: skipping {metric_id}: runs on {schedule.notation()}, "
-                f"not {granularity.value}"
-            )
-            continue
-        for key in keys:
-            results.append(pipeline.evaluate_period(model, graph, log, metric_id, key))
-    if not results:
-        io.fail("error: no results")
+    model, results = _evaluate(args, io, getattr(args, "from"), args.to)
     io.payload(report_mod.generate_report(results, model, args.format))
 
 

@@ -203,9 +203,7 @@ def to_json(graph: TraceabilityGraph) -> str:
             {"id": node_id, "kind": graph.nodes[node_id]}
             for node_id in sorted(graph.nodes)
         ],
-        "edges": [
-            {"kind": e.kind.value, "src": e.src, "dst": e.dst}
-            for e in sorted(graph.edges, key=lambda e: (e.kind.value, e.src, e.dst))
-        ],
+        # build_graph stores the edges sorted by (kind, src, dst)
+        "edges": [{"kind": e.kind.value, "src": e.src, "dst": e.dst} for e in graph.edges],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

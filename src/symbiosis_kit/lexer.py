@@ -103,9 +103,11 @@ _KIND_OF_GROUP = {"date": TokenKind.DATE, "arrow": TokenKind.ARROW}
 # A string ends at its closing quote or at the end of its line; a backslash
 # left alone before that end belongs to the string's span but not its text.
 # No token holds a newline, so every newline is in some match's blanks.
+# BLANKS, the blanks and comments before a token, reads the same without re.VERBOSE.
+BLANKS = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
 _TOKEN_RE = re.compile(
-    r"""
-    [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    BLANKS
+    + r"""
     (?:
       (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*)
     | (?P<arrow>->)

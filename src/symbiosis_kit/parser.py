@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import expr as _expr
 from .diagnostics import Diagnostic, Severity, SourceSpan
-from .lexer import Source, Token, TokenKind, tokenize
+from .lexer import BLANKS, Source, Token, TokenKind, tokenize
 from .model import (
     Action,
     ActionKind,
@@ -674,7 +674,7 @@ _REPEATED_NAMES = frozenset(f.name for fields in FIELDS.values() for f in fields
 # A line that holds only `}`, where a reused block may end; and the blanks and
 # comments the lexer skips before a token.
 _CLOSING_LINE_RE = re.compile(r"^\}[ \t\r]*$", re.MULTILINE)
-_BLANKS_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
+_BLANKS_RE = re.compile(BLANKS)
 
 
 def _parse_source(text: str, filename: str, builder: _Builder, diags: list[Diagnostic], stack: tuple[str, ...]) -> None:

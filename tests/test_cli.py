@@ -389,7 +389,7 @@ def test_eval_off_schedule_period_yields_no_results(corpus, capsys):
     assert err.endswith("error: no results\n")
 
 
-def test_eval_of_year_zero_skips_every_metric_without_a_traceback(corpus, capsys):
+def test_eval_of_year_zero_is_a_usage_error_without_a_traceback(corpus, capsys):
     code = cli.main(
         [
             "eval", str(corpus / "jpmorgan.sym"),
@@ -397,12 +397,10 @@ def test_eval_of_year_zero_skips_every_metric_without_a_traceback(corpus, capsys
             "--metric", "all", "--period", "0000",
         ]
     )
-    assert code == 1
+    assert code == 2
     out, err = capsys.readouterr()
     assert not out
-    assert "note: skipping ME1.1.1.1.1: invalid year '0000': year 0 is out of range" in err
-    assert err.endswith("error: no results\n")
-    assert "Traceback" not in err
+    assert err == "error: invalid year '0000': year 0 is out of range\n"
 
 
 # -- report ---------------------------------------------------------------------
@@ -440,12 +438,67 @@ def test_report_skips_metrics_not_run_at_the_range_granularity(corpus, capsys):
     assert cli.main(_q1_args(corpus) + ["--from", "2014", "--to", "2014"]) == 1
     out, err = capsys.readouterr()
     assert not out
-    notes = [f"note: skipping ME1.1.1.1.{n}: runs on monthly / quarterly, not yearly\n" for n in range(1, 7)]
+    notes = [
+        f"note: skipping ME1.1.1.1.{n}: period '2014' is yearly; metric 'ME1.1.1.1.{n}' runs on monthly / quarterly\n"
+        for n in range(1, 7)
+    ]
     assert err == "".join(notes) + "error: no results\n"
 
 
 def test_report_rejects_unknown_format(corpus):
     assert cli.main(_q1_args(corpus) + ["--from", "2014-Q1", "--to", "2014-Q1", "--format", "pdf"]) == 2
+
+
+# -- eval is report over one period ---------------------------------------------
+
+
+def _eval_and_report(corpus, capsys, model, logs, period):
+    """(exit code, stdout, stderr) of `eval --period P` and of `report --from P --to P`."""
+    common = [str(corpus / model), "--measurements", *map(str, logs), "--metric", "all", "--format", "json"]
+    runs = []
+    for argv in (["eval", *common, "--period", period], ["report", *common, "--from", period, "--to", period]):
+        code = cli.main(argv)
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+def _jpmorgan_logs(corpus):
+    return sorted((corpus / "logs").glob("jpmorgan_*.jsonl"))
+
+
+@pytest.mark.parametrize(
+    ("model", "period"),
+    [("jpmorgan.sym", "2014-09"), ("jpmorgan.sym", "2014-Q3"), ("anthem.sym", "2015"), ("anthem.sym", "2015-02")],
+)
+def test_eval_results_are_those_of_a_one_period_report(corpus, capsys, model, period):
+    logs = _jpmorgan_logs(corpus) if model == "jpmorgan.sym" else [corpus / "logs" / "anthem_2015.jsonl"]
+    (code, out, err), (report_code, report_out, report_err) = _eval_and_report(corpus, capsys, model, logs, period)
+    assert code == report_code == 0
+    assert err == report_err
+    results = json.loads(out)["results"]
+    assert results
+    assert results == [result for metric in json.loads(report_out)["metrics"] for result in metric["results"]]
+
+
+@pytest.mark.parametrize("period", ["2014-13", "0000"])
+def test_eval_and_report_refuse_a_bad_period_key_alike(corpus, capsys, period):
+    evaluated, reported = _eval_and_report(corpus, capsys, "jpmorgan.sym", _jpmorgan_logs(corpus), period)
+    assert evaluated == reported
+    code, out, err = evaluated
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eval_and_report_skip_off_schedule_metrics_alike(corpus, capsys):
+    evaluated, reported = _eval_and_report(corpus, capsys, "jpmorgan.sym", _jpmorgan_logs(corpus), "2014-W01")
+    assert evaluated == reported
+    code, out, err = evaluated
+    assert (code, out) == (1, "")
+    notes = [
+        f"note: skipping ME1.1.1.1.{n}: period '2014-W01' is weekly; metric 'ME1.1.1.1.{n}' runs on monthly / quarterly\n"
+        for n in range(1, 7)
+    ]
+    assert err == "".join(notes) + "error: no results\n"
 
 
 # -- impact ---------------------------------------------------------------------
@@ -629,11 +682,16 @@ def test_no_command_is_usage(capsys):
     assert "usage:" in err
 
 
-def test_python_dash_m_runs_the_cli(corpus):
+def _module_env() -> dict[str, str]:
+    """The environment for running `python -m symbiosis_kit` on this checkout's package."""
     import symbiosis_kit
 
     src = str(Path(symbiosis_kit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_the_cli(corpus):
+    env = _module_env()
     done = subprocess.run(
         [sys.executable, "-m", "symbiosis_kit", "check", str(corpus / "jpmorgan.sym")],
         capture_output=True, text=True, env=env, timeout=60,
@@ -645,6 +703,38 @@ def test_python_dash_m_runs_the_cli(corpus):
     )
     assert done.returncode == 2
     assert "usage:" in done.stderr
+
+
+def _graph_to_stdout(corpus, stdout) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "symbiosis_kit", "graph", str(corpus / "jpmorgan.sym")],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=_module_env(), timeout=60,
+    )
+
+
+def _assert_stdout_write_failed(done: subprocess.CompletedProcess, reason: str) -> None:
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: cannot write to stdout: ")
+    assert reason in done.stderr and done.stderr.count("\n") == 1
+
+
+def test_a_payload_to_a_closed_pipe_is_a_usage_error_without_a_traceback(corpus):
+    # the read end is closed before the child starts, so its first write gets EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _graph_to_stdout(corpus, write_end)
+    finally:
+        os.close(write_end)
+    _assert_stdout_write_failed(done, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_payload_to_a_full_device_is_a_usage_error_without_a_traceback(corpus):
+    with open("/dev/full", "wb") as full:
+        done = _graph_to_stdout(corpus, full)
+    _assert_stdout_write_failed(done, "No space left on device")
 
 
 def test_console_script_is_installed():
