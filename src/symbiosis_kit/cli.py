@@ -44,6 +44,13 @@ class _Exit(Exception):
         self.code = code
 
 
+def _to_devnull(fd: int) -> None:
+    """Point `fd` at the null device, so the interpreter's flush at exit cannot fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 class _Io:
     """Output plumbing honoring --out and --quiet."""
 
@@ -60,10 +67,7 @@ class _Io:
             sys.stdout.buffer.write(raw)
             sys.stdout.buffer.flush()
         except OSError as exc:
-            # fd 1 goes to the null device, so the interpreter's flush at exit cannot fail again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, 1)
-            os.close(devnull)
+            _to_devnull(1)
             self.fail(f"error: cannot write to stdout: {exc}", EXIT_USAGE)
 
     def write(self, path: str, raw: bytes) -> None:
@@ -74,8 +78,11 @@ class _Io:
             self.fail(f"error: cannot write {path!r}: {exc}", EXIT_USAGE)
 
     def note(self, message: str) -> None:
-        if not self.quiet:
-            print(message, file=sys.stderr)
+        try:
+            if not self.quiet:
+                print(message, file=sys.stderr)
+        except OSError:
+            _to_devnull(2)  # a note that cannot be written is dropped, as with --quiet
 
     def fail(self, message: str, code: int = EXIT_ERRORS) -> NoReturn:
         self.note(message)

@@ -13,9 +13,10 @@ A key is written in ASCII digits, is matched whole, and names a year from
 membership is just ``period_of(date, granularity) == key``. A key that is
 accepted is already canonical: it is the ``period_of`` of its first day.
 
-Each key is parsed once per process: `_period` caches the record of its
-parse, keyed by the key string alone, and the functions below read it. A
-rejected key is never cached; it raises the same PeriodError every time.
+Each key is parsed once per process: `period(key)` is that one parse, a
+cached `Period` record keyed by the key string alone, and every caller
+reads the record. A rejected key is never cached; it raises the same
+PeriodError every time.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class PeriodError(ValueError):
     pass
 
 
-class _Period(NamedTuple):
+class Period(NamedTuple):
     granularity: Granularity
     first: dt.date
     last: dt.date  # at most date.max
@@ -78,7 +79,7 @@ def _shape(key: str) -> tuple[Granularity, str, Callable[..., dt.date], re.Match
 
 
 @functools.lru_cache(maxsize=4096)
-def _period(key: str) -> _Period:
+def period(key: str) -> Period:
     """The one parse of `key`; PeriodError for a period that does not exist."""
     granularity, what, first_day, match = _shape(key)
     try:
@@ -94,7 +95,7 @@ def _period(key: str) -> _Period:
     else:
         month = first.month + (2 if granularity is Granularity.QUARTERLY else 0)
         last = dt.date(first.year, month, calendar.monthrange(first.year, month)[1])
-    return _Period(granularity, first, last)
+    return Period(granularity, first, last)
 
 
 def granularity_of(key: str) -> Granularity:
@@ -102,34 +103,15 @@ def granularity_of(key: str) -> Granularity:
     return _shape(key)[0]
 
 
-def parse_period_key(key: str) -> tuple[Granularity, str]:
-    """Validate a key and return (granularity, key); an accepted key is canonical.
-
-    Raises PeriodError when the key is malformed or names an impossible
-    period (month 13, ISO week 54, Feb 30, year 0).
-    """
-    return _period(key).granularity, key
-
-
-def start_date(key: str) -> dt.date:
-    """First calendar day of the period."""
-    return _period(key).first
-
-
-def end_date(key: str) -> dt.date:
-    """Last calendar day of the period (at most date.max)."""
-    return _period(key).last
-
-
 def next_period(key: str) -> str:
     """The period of the same granularity that starts the day after `key` ends.
 
     Raises PeriodError for a period that ends on date.max (9999-12-31).
     """
-    period = _period(key)
-    if period.last == dt.date.max:
+    granularity, _, last = period(key)
+    if last == dt.date.max:
         raise PeriodError(f"no period follows {key!r}: it ends on the last representable day")
-    return period_of(period.last + dt.timedelta(days=1), period.granularity)
+    return period_of(last + dt.timedelta(days=1), granularity)
 
 
 def period_contains(key: str, date: dt.date) -> bool:
@@ -145,12 +127,12 @@ def period_range(first: str, last: str) -> list[str]:
             f"period range endpoints differ in granularity: {first!r} is "
             f"{g_first.value}, {last!r} is {g_last.value}"
         )
-    if start_date(first) > start_date(last):
+    if period(first).first > period(last).first:
         raise PeriodError(f"period range start {first!r} is after end {last!r}")
     keys = [first]
     while keys[-1] != last:
         keys.append(next_period(keys[-1]))
-        if len(keys) > 20000:  # poor man's infinite-loop guard
+        if len(keys) > 20000:  # keys strictly increase, so this only limits the range a user asks for
             raise PeriodError(f"period range {first!r}..{last!r} is too large")
     return keys
 
@@ -164,11 +146,11 @@ def subperiod_windows(key: str, granularity: Granularity) -> tuple[tuple[str, dt
     own = granularity_of(key)
     if granularity.ordinal > own.ordinal:
         raise PeriodError(f"{granularity.value} is coarser than the period {key!r} itself")
-    period = _period(key)
+    _, first, last = period(key)
     if granularity is own:
-        return ((key, period.first, period.last),)
-    subkeys = period_range(period_of(period.first, granularity), period_of(period.last, granularity))
+        return ((key, first, last),)
+    subkeys = period_range(period_of(first, granularity), period_of(last, granularity))
     return tuple(
-        (subkey, max(_period(subkey).first, period.first), min(_period(subkey).last, period.last))
-        for subkey in subkeys
+        (subkey, max(sub_first, first), min(sub_last, last))
+        for subkey, (_, sub_first, sub_last) in zip(subkeys, map(period, subkeys))
     )

@@ -423,7 +423,7 @@ def aggregate(
     MissingBinding rather than inventing a zero. A SUM that overflows
     raises SumOverflow, which evaluation reports as the result's failure.
     """
-    first, last = periods.start_date(period), periods.end_date(period)
+    _, first, last = periods.period(period)
     bindings: dict[str, float] = {}
     for base_id in metric.uses:
         base = model.bases.get(base_id)
@@ -514,7 +514,7 @@ def evaluate_period(
     metric = model.metrics.get(metric_id)
     if metric is None:
         raise KeyError(f"unknown metric {metric_id!r}")
-    granularity, period = periods.parse_period_key(period)
+    granularity = periods.period(period).granularity
     if metric.schedule is not None and not metric.schedule.runs_at(granularity):
         raise periods.PeriodError(
             f"period {period!r} is {granularity.value}; metric {metric_id!r} "

@@ -13,8 +13,6 @@ from .expr import format_number, to_text
 from .model import MetricDef, Model
 from .pipeline import ActionDirective, EvaluationResult, route_result
 
-FORMATS = ("text", "json", "svg")
-
 
 class UnknownFormat(ValueError):
     pass
@@ -255,11 +253,12 @@ def render_svg(results: list[EvaluationResult], model: Model) -> str:
     return "\n".join(parts) + "\n"
 
 
+_RENDERERS = {"text": render_text, "json": render_json, "svg": render_svg}
+FORMATS = tuple(_RENDERERS)
+
+
 def generate_report(results: list[EvaluationResult], model: Model, format: str) -> bytes:
-    if format == "text":
-        return render_text(results, model).encode("utf-8")
-    if format == "json":
-        return render_json(results, model).encode("utf-8")
-    if format == "svg":
-        return render_svg(results, model).encode("utf-8")
-    raise UnknownFormat(f"unknown report format {format!r} (choose from {', '.join(FORMATS)})")
+    render = _RENDERERS.get(format)
+    if render is None:
+        raise UnknownFormat(f"unknown report format {format!r} (choose from {', '.join(FORMATS)})")
+    return render(results, model).encode("utf-8")

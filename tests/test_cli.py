@@ -434,6 +434,15 @@ def test_report_of_year_zero_is_a_usage_error_without_a_traceback(corpus, capsys
     assert err == "error: invalid quarter '0000-Q1': year 0 is out of range\n"
 
 
+def test_report_refuses_a_range_of_more_than_twenty_thousand_keys(corpus, capsys):
+    log = str(corpus / "logs" / "jpmorgan_2014-09.jsonl")
+    argv = ["report", str(corpus / "jpmorgan.sym"), "--measurements", log, "--from", "2014-09", "--to", "9999-12"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: period range '2014-09'..'9999-12' is too large\n"
+
+
 def test_report_skips_metrics_not_run_at_the_range_granularity(corpus, capsys):
     assert cli.main(_q1_args(corpus) + ["--from", "2014", "--to", "2014"]) == 1
     out, err = capsys.readouterr()
@@ -735,6 +744,49 @@ def test_a_payload_to_a_full_device_is_a_usage_error_without_a_traceback(corpus)
     with open("/dev/full", "wb") as full:
         done = _graph_to_stdout(corpus, full)
     _assert_stdout_write_failed(done, "No space left on device")
+
+
+def _check(path, stderr) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "symbiosis_kit", "check", str(path)],
+        stdout=subprocess.PIPE, stderr=stderr, env=_module_env(), timeout=60,
+    )
+
+
+def _check_to_closed_pipe(path) -> subprocess.CompletedProcess:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _check(path, write_end)
+    finally:
+        os.close(write_end)
+
+
+def _check_to_full_device(path) -> subprocess.CompletedProcess:
+    with open("/dev/full", "wb") as full:
+        return _check(path, full)
+
+
+@pytest.mark.parametrize(
+    "check_with_broken_stderr",
+    [
+        _check_to_closed_pipe,
+        pytest.param(
+            _check_to_full_device,
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform"),
+        ),
+    ],
+    ids=["closed-pipe", "full-device"],
+)
+@pytest.mark.parametrize("model, code", [("clean", 0), ("errors", 1), ("unreadable", 2)])
+def test_a_note_that_cannot_be_written_does_not_change_the_exit_code(
+    corpus, error_sym, tmp_path, check_with_broken_stderr, model, code
+):
+    path = {"clean": corpus / "jpmorgan.sym", "errors": error_sym, "unreadable": tmp_path / "missing.sym"}[model]
+    normal = _check(path, subprocess.PIPE)
+    assert normal.returncode == code and normal.stderr
+    done = check_with_broken_stderr(path)
+    assert (done.returncode, done.stdout) == (code, normal.stdout)
 
 
 def test_console_script_is_installed():

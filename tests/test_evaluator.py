@@ -88,6 +88,12 @@ def test_out_of_domain():
         evaluate_metric(_metric(), {"hits": 3, "total": 2})  # 150 > domain hi
 
 
+def test_classify_checks_the_domain_of_a_value_it_did_not_evaluate(jpmorgan):
+    with pytest.raises(OutOfDomain) as exc:
+        classify(jpmorgan.metrics["ME1.1.1.1.1"], 1e9)
+    assert str(exc.value) == "value 1000000000.0 falls outside the metric domain [0, 100]"
+
+
 def test_non_finite_result_from_overflow():
     model, _ = parse("metric M { function: x * x }")
     with pytest.raises(NonFiniteResult):

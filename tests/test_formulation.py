@@ -59,11 +59,15 @@ def test_dependency_clauses():
         + 'objective BO1 { object: "x" scope: org.* "s" purpose: "p" viewpoint: ceo '
         + 'context: "c" depends_on: BO2 affects: BO3 }\n'
         + 'objective BO2 { object: "y" scope: org.* purpose: "p" viewpoint: ceo context: "c" }\n'
-        + 'objective BO3 { object: "z" scope: org.* purpose: "p" viewpoint: ceo context: "c" }'
+        + 'objective BO3 { object: "z" scope: org.* purpose: "p" viewpoint: ceo context: "c" }\n'
+        + 'objective BO1.1 { refines: BO1 object: "w" scope: org.* purpose: "p" viewpoint: ciso '
+        + 'context: "c" depends_on: BO2 affects: BO3 }'
     )
     text = render_formulation(model, "BO1")
     assert "This business objective depends on the achievement of BO2" in text
     assert "Achieving this business objective will affect BO3" in text
+    refined = render_formulation(model, "BO1.1")
+    assert refined.endswith(". This objective depends on BO2 This objective is expected to affect BO3")
 
 
 def test_goal_template_with_criteria_and_related():

@@ -10,14 +10,12 @@ from symbiosis_kit import periods
 from symbiosis_kit.model import Granularity
 from symbiosis_kit.periods import (
     PeriodError,
-    end_date,
     granularity_of,
     next_period,
-    parse_period_key,
+    period,
     period_contains,
     period_of,
     period_range,
-    start_date,
     subperiod_windows,
 )
 
@@ -44,8 +42,7 @@ def test_period_of_every_granularity():
 def test_iso_week_year_boundary():
     # 2014-12-29 is a Monday belonging to ISO week 2015-W01.
     assert period_of(D(2014, 12, 29), G.WEEKLY) == "2015-W01"
-    assert start_date("2015-W01") == D(2014, 12, 29)
-    assert end_date("2015-W01") == D(2015, 1, 4)
+    assert period("2015-W01")[1:] == (D(2014, 12, 29), D(2015, 1, 4))
 
 
 def test_granularity_of():
@@ -62,7 +59,7 @@ def test_granularity_of():
 )
 def test_parse_period_key_rejects_malformed(bad):
     with pytest.raises(PeriodError):
-        parse_period_key(bad)
+        period(bad)
 
 
 @pytest.mark.parametrize(
@@ -73,7 +70,7 @@ def test_parse_period_key_rejects_malformed(bad):
 )
 def test_period_keys_are_ascii_digits_matched_whole(bad):
     with pytest.raises(PeriodError, match="malformed period key"):
-        parse_period_key(bad)
+        period(bad)
     with pytest.raises(PeriodError, match="malformed period key"):
         granularity_of(bad)
 
@@ -89,7 +86,7 @@ def test_period_keys_are_ascii_digits_matched_whole(bad):
     ],
 )
 def test_year_zero_is_a_period_error_at_every_granularity(key, message):
-    for call in (parse_period_key, start_date, end_date, next_period):
+    for call in (period, next_period):
         with pytest.raises(PeriodError) as exc:
             call(key)
         assert str(exc.value) == message
@@ -97,7 +94,7 @@ def test_year_zero_is_a_period_error_at_every_granularity(key, message):
 
 
 def test_parse_period_key_returns_granularity_and_canonical_key():
-    assert parse_period_key("2014-Q3") == (G.QUARTERLY, "2014-Q3")
+    assert period("2014-Q3") == (G.QUARTERLY, D(2014, 7, 1), D(2014, 9, 30))
 
 
 _KEY_SHAPES = (
@@ -114,23 +111,22 @@ _KEY_SHAPES = (
 def test_every_accepted_key_is_its_own_canonical_form(shape, year, a, b):
     key = shape(year, a, b)
     try:
-        granularity, returned = parse_period_key(key)
+        granularity, first, _ = period(key)
     except PeriodError:
         return
-    assert returned == key == period_of(start_date(key), granularity)
+    assert key == period_of(first, granularity)
 
 
 def test_month_bounds_handle_leap_february():
-    assert start_date("2016-02") == D(2016, 2, 1)
-    assert end_date("2016-02") == D(2016, 2, 29)
-    assert end_date("2015-02") == D(2015, 2, 28)
+    assert period("2016-02")[1:] == (D(2016, 2, 1), D(2016, 2, 29))
+    assert period("2015-02").last == D(2015, 2, 28)
 
 
 def test_end_date_at_the_end_of_the_calendar():
-    assert end_date("9999") == D(9999, 12, 31)
-    assert end_date("9999-Q4") == D(9999, 12, 31)
-    assert end_date("9999-12") == D(9999, 12, 31)
-    assert end_date("9999-W52") == dt.date.max  # the week runs past the last representable day
+    assert period("9999").last == D(9999, 12, 31)
+    assert period("9999-Q4").last == D(9999, 12, 31)
+    assert period("9999-12").last == D(9999, 12, 31)
+    assert period("9999-W52").last == dt.date.max  # the week runs past the last representable day
 
 
 def test_next_period_rollovers():
@@ -212,15 +208,15 @@ def test_period_contains():
 )
 def test_every_date_lands_inside_its_own_period(day, granularity):
     key = period_of(day, granularity)
-    parse_period_key(key)  # never raises for generated keys
-    assert start_date(key) <= day <= end_date(key)
+    _, first, last = period(key)  # never raises for generated keys
+    assert first <= day <= last
     assert period_contains(key, day)
     # the following period starts strictly after this one ends
-    assert start_date(next_period(key)) == end_date(key) + dt.timedelta(days=1)
+    assert period(next_period(key)).first == last + dt.timedelta(days=1)
 
 
 # -- the cached period table --------------------------------------------------
-# `periods._period` parses a key once and caches the record; these tests
+# `periods.period` parses a key once and caches the record; these tests
 # check the record against plain calendar arithmetic (`oracles.period_bounds`)
 # and that sharing it never leaks a mutable result or a cached failure.
 
@@ -228,7 +224,7 @@ _EDGES = [D.min, D.min + dt.timedelta(days=6), D(1, 12, 31), D(9999, 1, 1), D(99
 
 
 def _clear_period_caches():
-    periods._period.cache_clear()
+    periods.period.cache_clear()
     periods.subperiod_windows.cache_clear()
 
 
@@ -244,9 +240,8 @@ def test_period_bounds_match_calendar_arithmetic(day, granularity, cold):
     key = period_of(day, granularity)
     expected = period_bounds(key)
     for _ in range(2):  # the parse, then the cached record
-        assert parse_period_key(key) == (granularity, key)
+        assert period(key) == (granularity, *expected)
         assert granularity_of(key) is granularity
-        assert (start_date(key), end_date(key)) == expected
     assert expected[0] <= day <= expected[1]
 
 
@@ -295,21 +290,21 @@ _BAD_KEYS = st.one_of(
 @given(_BAD_KEYS)
 def test_a_rejected_key_raises_the_same_message_every_time_and_is_not_cached(key):
     try:
-        parse_period_key(key)
+        period(key)
     except PeriodError as exc:
         first = str(exc)
     else:
         return  # st.text drew a valid key
-    cached = periods._period.cache_info().currsize
-    for call in (parse_period_key, parse_period_key, start_date, end_date):
+    cached = periods.period.cache_info().currsize
+    for call in (period, period, next_period):
         with pytest.raises(PeriodError) as exc:
             call(key)
         assert str(exc.value) == first
     with pytest.raises(PeriodError):
         subperiods(key, G.DAILY)
-    assert periods._period.cache_info().currsize == cached
+    assert periods.period.cache_info().currsize == cached
 
 
 def test_the_period_caches_are_bounded():
-    assert periods._period.cache_info().maxsize is not None
+    assert periods.period.cache_info().maxsize is not None
     assert periods.subperiod_windows.cache_info().maxsize is not None

@@ -233,7 +233,7 @@ def _seeded_lines(rng: random.Random, first: dt.date, days: int) -> list[str]:
 )
 def test_density_warnings_match_the_day_walking_oracle_on_seeded_logs(seed, schedule, start, cold):
     if cold:
-        periods._period.cache_clear()
+        periods.period.cache_clear()
         periods.subperiod_windows.cache_clear()
     rng = random.Random(seed)
     days = min(400, (dt.date.max - start).days + 1)
