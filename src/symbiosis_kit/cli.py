@@ -17,6 +17,7 @@ import sys
 from typing import TYPE_CHECKING, NoReturn
 
 from .diagnostics import Diagnostic, has_errors, render_all, to_json
+from .expr import format_number
 from .impact import analyze as impact_analyze
 from .impact import render_json as impact_render_json
 from .impact import render_text as impact_render_text
@@ -172,7 +173,7 @@ def _eval_text(result: pipeline.EvaluationResult, model: Model) -> list[str]:
         lines.append(f"{result.metric_id} {result.period}: value {result.value} band '{band}'")
     else:
         lines.append(f"{result.metric_id} {result.period}: FAILED ({result.failure})")
-    bound = ", ".join(f"{name}={_fmt_binding(value)}" for name, value in result.bindings)
+    bound = ", ".join(f"{name}={format_number(value)}" for name, value in result.bindings)
     lines.append(f"  bindings: {bound or 'none'}")
     lines.append(f"  affected objectives: {', '.join(result.affected_objectives) or 'none'}")
     for warning in result.density_warnings:
@@ -181,10 +182,6 @@ def _eval_text(result: pipeline.EvaluationResult, model: Model) -> list[str]:
         targets = ", ".join(directive.stakeholders) or "-"
         lines.append(f"  {directive.kind.value} -> {targets}")
     return lines
-
-
-def _fmt_binding(value: float) -> str:
-    return str(int(value)) if value == int(value) else str(value)
 
 
 def _select_metrics(model: Model, metric: str, io: _Io) -> list[str]:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 CODE_RE = re.compile(r"[PVI][0-9]{3}")
 
@@ -15,8 +15,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Location of a finding: file, 1-based line/column and length in characters."""
 
     file: str
@@ -28,19 +27,28 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    """A coded finding with severity, message and optional location/node."""
-
+class _DiagnosticFields(NamedTuple):
     code: str
     severity: Severity
     message: str
     span: SourceSpan | None = None
     node_id: str | None = None
 
-    def __post_init__(self) -> None:
-        if not CODE_RE.fullmatch(self.code):
-            raise ValueError(f"bad diagnostic code: {self.code!r}")
+
+class Diagnostic(_DiagnosticFields):
+    """A coded finding with severity, message and optional location/node."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Diagnostic:
+        diag = super().__new__(cls, *args, **kwargs)
+        if not CODE_RE.fullmatch(diag.code):
+            raise ValueError(f"bad diagnostic code: {diag.code!r}")
+        return diag
+
+    @classmethod
+    def _make(cls, iterable) -> Diagnostic:  # `_replace` builds through here: check it too
+        return cls(*iterable)
 
     @property
     def is_error(self) -> bool:

@@ -2,26 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
-@dataclass(frozen=True, slots=True)
-class Num:
+
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"

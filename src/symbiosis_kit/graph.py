@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict, deque
 from collections.abc import Iterable, Set as AbstractSet
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .model import FIELDS, REFERENCED, Model
 
@@ -57,8 +57,7 @@ _EDGE_ROWS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     kind: EdgeKind
     src: str
     dst: str
@@ -70,17 +69,16 @@ class UnknownNode(LookupError):
         self.node_id = node_id
 
 
-@dataclass(frozen=True)
-class TraceabilityGraph:
+class TraceabilityGraph(NamedTuple):
     nodes: dict[str, str]  # id -> kind
     edges: tuple[Edge, ...]
     # closure edges (CLOSURE_KINDS) by node, neighbours sorted: src -> dsts and dst -> srcs
-    closure_up: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
-    closure_down: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
+    closure_up: dict[str, tuple[str, ...]]
+    closure_down: dict[str, tuple[str, ...]]
     # DEPENDS_ON/AFFECTS neighbours in either direction, never the node itself
-    related: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
+    related: dict[str, tuple[str, ...]]
     # base -> the metrics that use it (USES edges reversed)
-    used_by: dict[str, tuple[str, ...]] = field(repr=False, compare=False)
+    used_by: dict[str, tuple[str, ...]]
 
     def edges_from(self, node_id: str, kinds: frozenset[EdgeKind] | None = None) -> list[Edge]:
         return [

@@ -17,8 +17,8 @@ orphaned. Descendants it reaches merely need review.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .graph import TraceabilityGraph, ancestors, build_graph, descendants, reach
 from .model import KIND_OBJECTIVE, NODE_KINDS, Model, node_json
@@ -30,8 +30,7 @@ class ChangeKind(Enum):
     MODIFIED = "modified"
 
 
-@dataclass(frozen=True)
-class FieldChange:
+class FieldChange(NamedTuple):
     field: str
     old: object
     new: object
@@ -40,8 +39,7 @@ class FieldChange:
         return {"field": self.field, "old": self.old, "new": self.new}
 
 
-@dataclass(frozen=True)
-class Change:
+class Change(NamedTuple):
     kind: ChangeKind
     node_kind: str
     node_id: str
@@ -85,8 +83,7 @@ def diff(old: Model, new: Model) -> list[Change]:
     return changes
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(NamedTuple):
     change: Change
     downstream_orphans: tuple[str, ...]
     downstream_review: tuple[str, ...]

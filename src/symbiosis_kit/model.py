@@ -2,14 +2,13 @@
 
 A model holds stakeholders, scope universes, business objectives, strategies,
 measurement goals, questions, base measurement definitions and metrics, each
-keyed by identifier. Nodes are immutable; the validator reports invariant
-violations instead of constructors raising.
+keyed by identifier. Nodes and values are immutable `NamedTuple` records; the
+validator reports invariant violations instead of constructors raising.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
 from datetime import date
 from enum import Enum
 from functools import cached_property
@@ -40,23 +39,20 @@ class Granularity(Enum):
         self.ordinal = len(type(self).__members__)  # declaration order: finest (daily) is 0
 
 
-@dataclass(frozen=True, slots=True)
-class Stakeholder:
+class Stakeholder(NamedTuple):
     id: str
     name: str = ""
     role: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class ScopeUniverse:
+class ScopeUniverse(NamedTuple):
     """A named measurement universe with an ordered set of facets."""
 
     id: str
     facets: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ScopeRef:
+class ScopeRef(NamedTuple):
     """Reference to a universe slice: all facets (selection None) or a subset."""
 
     universe: str
@@ -69,8 +65,7 @@ class ScopeRef:
         return self.selection
 
 
-@dataclass(frozen=True, slots=True)
-class BusinessObjective:
+class BusinessObjective(NamedTuple):
     id: str
     object: str = ""
     scope: ScopeRef | None = None
@@ -84,22 +79,19 @@ class BusinessObjective:
     priority_justification: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class StrategyStep:
+class StrategyStep(NamedTuple):
     text: str
     spawns: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Strategy:
+class Strategy(NamedTuple):
     id: str
     for_objective: str = ""
     steps: tuple[StrategyStep, ...] = ()
     justification: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementGoal:
+class MeasurementGoal(NamedTuple):
     id: str
     object: str = ""
     purpose: str = ""
@@ -117,8 +109,7 @@ class QuestionStatus(Enum):
     ANSWERED = "answered"
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementQuestion:
+class MeasurementQuestion(NamedTuple):
     id: str
     goal: str = ""
     text: str = ""
@@ -135,8 +126,7 @@ class Aggregation(Enum):
     LATEST = "latest"
 
 
-@dataclass(frozen=True, slots=True)
-class BaseMeasurementDef:
+class BaseMeasurementDef(NamedTuple):
     id: str
     description: str = ""
     mode: SourceMode = SourceMode.DIRECT
@@ -144,8 +134,7 @@ class BaseMeasurementDef:
     aggregation: Aggregation | None = None  # DIRECT only
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(NamedTuple):
     """Numeric interval with independent endpoint closedness."""
 
     lo: float
@@ -196,8 +185,7 @@ class ActionKind(Enum):
         self.urgency = len(type(self).__members__)  # declaration order: least urgent (log) is 0
 
 
-@dataclass(frozen=True, slots=True)
-class ActionTarget:
+class ActionTarget(NamedTuple):
     """Either a stakeholder id, or owner_of(node) resolved at routing time."""
 
     ref: str
@@ -208,21 +196,18 @@ class ActionTarget:
         return f"owner_of({self.ref})" if self.is_owner else self.ref
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
+class Action(NamedTuple):
     kind: ActionKind
     target: ActionTarget
 
 
-@dataclass(frozen=True, slots=True)
-class InterpretationBand:
+class InterpretationBand(NamedTuple):
     interval: Interval
     label: str
     actions: tuple[Action, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ReportingSchedule:
+class ReportingSchedule(NamedTuple):
     collection: Granularity
     reporting: Granularity
 
@@ -234,8 +219,7 @@ class ReportingSchedule:
         return granularity in (self.collection, self.reporting)
 
 
-@dataclass(frozen=True, slots=True)
-class MetricDef:
+class MetricDef(NamedTuple):
     id: str
     description: str = ""
     goal: str = ""
@@ -278,24 +262,29 @@ NODE_KINDS = tuple(NODE_TYPES)
 COLLECTIONS = {kind: kind[:-1] + "ies" if kind.endswith("y") else kind + "s" for kind in NODE_TYPES}
 
 
-@dataclass(frozen=True)
-class Model:
-    """All declarations of one measurement program, keyed by identifier."""
-
-    stakeholders: dict[str, Stakeholder] = field(default_factory=dict)
-    universes: dict[str, ScopeUniverse] = field(default_factory=dict)
-    objectives: dict[str, BusinessObjective] = field(default_factory=dict)
-    strategies: dict[str, Strategy] = field(default_factory=dict)
-    goals: dict[str, MeasurementGoal] = field(default_factory=dict)
-    questions: dict[str, MeasurementQuestion] = field(default_factory=dict)
-    bases: dict[str, BaseMeasurementDef] = field(default_factory=dict)
-    metrics: dict[str, MetricDef] = field(default_factory=dict)
+class _ModelFields(NamedTuple):
+    stakeholders: dict[str, Stakeholder] = {}
+    universes: dict[str, ScopeUniverse] = {}
+    objectives: dict[str, BusinessObjective] = {}
+    strategies: dict[str, Strategy] = {}
+    goals: dict[str, MeasurementGoal] = {}
+    questions: dict[str, MeasurementQuestion] = {}
+    bases: dict[str, BaseMeasurementDef] = {}
+    metrics: dict[str, MetricDef] = {}
     # Plumbing: declaration spans keyed by (kind, id), re-declarations the
     # parser dropped (kind, id, span) so the validator can report V001, and
     # the real paths of the files that include lines spliced in, sorted.
-    spans: dict[tuple[str, str], SourceSpan] = field(default_factory=dict)
+    spans: dict[tuple[str, str], SourceSpan] = {}
     duplicate_decls: tuple[tuple[str, str, SourceSpan], ...] = ()
     included: tuple[str, ...] = ()
+
+
+class Model(_ModelFields):
+    """All declarations of one measurement program, keyed by identifier.
+
+    A dict left at its default is one empty dict shared by every model that
+    leaves it so; nothing mutates a model's dicts once the parser built them.
+    """
 
     def collection(self, kind: str) -> dict:
         """The nodes of one kind by id."""
@@ -324,7 +313,7 @@ class Field(NamedTuple):
     attribute: str  # the node attribute it fills
     key: str  # its key in the node's JSON form
     value_kind: str  # names the reader, the printer and the JSON form of its value
-    always: bool  # printed even when it holds its dataclass default
+    always: bool  # printed even when it holds its node type's default
     required: bool  # empty is V010
     target: str | None  # the kind of node each id it names must be (V002)
     edge: str | None  # the `graph.EdgeKind` value of the edge to each id it names
@@ -458,9 +447,9 @@ _JSON_FORMS = {
     **dict.fromkeys(WORD_KINDS, attrgetter("value")),
     "filters": lambda filters: [list(f) for f in filters],
     "expr": _expr.to_text,
-    "interval": asdict,  # lo, hi, lo_closed, hi_closed
+    "interval": Interval._asdict,  # lo, hi, lo_closed, hi_closed
     "band": lambda band: {
-        "interval": asdict(band.interval),
+        "interval": band.interval._asdict(),
         "label": band.label,
         "actions": [
             {"kind": a.kind.value, "target": {"ref": a.target.ref, "owner": a.target.is_owner}}

@@ -33,11 +33,10 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import evaluator, periods
 from .diagnostics import Diagnostic, Severity, SourceSpan, sort_key
@@ -56,8 +55,7 @@ from .model import (
 _E = Severity.ERROR
 
 
-@dataclass(frozen=True, slots=True)
-class DirectEntry:
+class DirectEntry(NamedTuple):
     """One reported value for a DIRECT base measurement."""
 
     timestamp: dt.date
@@ -70,18 +68,19 @@ FieldSet = tuple[tuple[str, str], ...]
 Event = tuple[dt.date, FieldSet]  # a raw event's date and sorted fields
 
 
-@dataclass(frozen=True)
-class MeasurementLog:
+class _LogFields(NamedTuple):
+    records: tuple[DirectEntry, ...]
+    events: Counter[Event]
+    diagnostics: tuple[Diagnostic, ...]
+
+
+class MeasurementLog(_LogFields):
     """What ingest accepted, and its diagnostics.
 
     `records` holds the DIRECT entries in ingest order (file order, then
     line); `events` counts the raw events per (date, fields). `store`
     indexes both by date on first use and lives as long as the log does.
     """
-
-    records: tuple[DirectEntry, ...]
-    events: Counter[Event]
-    diagnostics: tuple[Diagnostic, ...]
 
     @cached_property
     def store(self) -> MeasurementStore:
@@ -438,8 +437,7 @@ def aggregate(
 # -- evaluation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     metric_id: str
     period: str
     bindings: tuple[tuple[str, float], ...]
@@ -552,8 +550,7 @@ def evaluate_period(
 # -- action routing -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionDirective:
+class ActionDirective(NamedTuple):
     kind: ActionKind
     stakeholders: tuple[str, ...]
     metric_id: str

@@ -2,7 +2,7 @@
 
 A block prints the rows of its kind's field table (`model.FIELDS`) in order.
 A row is printed when it is always printed or when its value differs from
-the dataclass default; a repeated field prints one row per item.
+the field's default in its node type; a repeated field prints one row per item.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ diagnostics, declaration spans, duplicate declarations and included files of
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -84,8 +83,8 @@ def _edit_one_field(rng: random.Random, model, donor):
     attribute = rng.choice(FIELDS[kind]).attribute
     pool = sorted(donor.collection(kind).values(), key=lambda n: n.id) + [NODE_TYPES[kind](id=node_id)]
     value = getattr(rng.choice(pool), attribute)
-    node = dataclasses.replace(nodes[node_id], **{attribute: value})
-    return dataclasses.replace(model, **{COLLECTIONS[kind]: {**nodes, node_id: node}})
+    node = nodes[node_id]._replace(**{attribute: value})
+    return model._replace(**{COLLECTIONS[kind]: {**nodes, node_id: node}})
 
 
 def test_random_models_with_one_field_edited(tmp_path):
@@ -183,9 +182,7 @@ def test_reuse_equals_a_full_parse(scratch_dir, versions):
 def test_second_load_lexes_only_the_changed_block(tmp_path, monkeypatch):
     model = program_model(random.Random(3), objectives=127)
     objective = model.objectives["BO9"]
-    edited = dataclasses.replace(
-        model, objectives={**model.objectives, "BO9": dataclasses.replace(objective, context="edited")}
-    )
+    edited = model._replace(objectives={**model.objectives, "BO9": objective._replace(context="edited")})
     old = _write(tmp_path / "old.sym", serialize(model))
     new_text = serialize(edited)
     new = _write(tmp_path / "new.sym", new_text)

@@ -335,6 +335,20 @@ def test_eval_rejects_a_value_beyond_the_float_range(corpus, tmp_path, capsys, f
         assert overflowed[0] == f"ME1.1.1.1.6 2014-01: FAILED ({message})"
 
 
+def test_eval_text_prints_large_bindings_as_logged(corpus, tmp_path, capsys):
+    log = tmp_path / "large.jsonl"
+    log.write_text(
+        '{"timestamp": "2014-01-15", "base": "bm_days_since_review", "value": 1e300}\n'
+        '{"timestamp": "2014-01-15", "base": "bm_tailoring_score", "value": 12345678901234567890}\n',
+        encoding="utf-8",
+    )
+    argv = ["eval", str(corpus / "jpmorgan.sym"), "--measurements", str(log), "--metric", "all", "--period", "2014-01"]
+    assert cli.main(argv) == 0
+    bindings = [line.strip() for line in capsys.readouterr()[0].splitlines() if "bindings:" in line]
+    assert "bindings: bm_days_since_review=1e+300" in bindings
+    assert "bindings: bm_tailoring_score=1.2345678901234567e+19" in bindings
+
+
 def test_eval_of_a_log_that_is_not_utf8_is_usage_error(corpus, tmp_path, capsys):
     log = tmp_path / "utf16.jsonl"
     log.write_bytes(b"\xff\xfe" + '{"timestamp": "2014-01-05"}'.encode("utf-16-le"))

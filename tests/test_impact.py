@@ -1,6 +1,5 @@
 """Model diffs and change-impact classification."""
 
-import dataclasses
 import json
 import random
 
@@ -89,8 +88,8 @@ def _edit_one_field(rng, model, donor):
     row = rng.choice(FIELDS[kind])
     pool = sorted(donor.collection(kind).values(), key=lambda n: n.id) + [NODE_TYPES[kind](id=node_id)]
     value = getattr(rng.choice(pool), row.attribute)
-    node = dataclasses.replace(nodes[node_id], **{row.attribute: value})
-    return dataclasses.replace(model, **{COLLECTIONS[kind]: {**nodes, node_id: node}})
+    node = nodes[node_id]._replace(**{row.attribute: value})
+    return model._replace(**{COLLECTIONS[kind]: {**nodes, node_id: node}})
 
 
 def test_diff_matches_the_canonical_diff_on_random_pairs():
@@ -126,8 +125,8 @@ def test_diff_matches_the_canonical_diff_on_a_511_objective_program():
 def test_nodes_that_differ_only_in_python_types_are_not_modified():
     old = build('objective BO1 { viewpoint: s affects: BO2 }\nobjective BO2 { }')
     bo1 = old.objectives["BO1"]
-    listed = dataclasses.replace(bo1, viewpoint=["s"])
-    new = dataclasses.replace(old, objectives={**old.objectives, "BO1": listed})
+    listed = bo1._replace(viewpoint=["s"])
+    new = old._replace(objectives={**old.objectives, "BO1": listed})
     assert listed != bo1
     assert _assert_same_as_canonical_diff(old, new) == []
 

@@ -10,7 +10,6 @@ some impact report.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from hypothesis import example, given, settings
@@ -101,8 +100,8 @@ EDITS = _candidate_edits()
 
 def _edited(kind, node_id, attribute, value):
     nodes = JPMORGAN.collection(kind)
-    node = dataclasses.replace(nodes[node_id], **{attribute: value})
-    return dataclasses.replace(JPMORGAN, **{COLLECTIONS[kind]: {**nodes, node_id: node}})
+    node = nodes[node_id]._replace(**{attribute: value})
+    return JPMORGAN._replace(**{COLLECTIONS[kind]: {**nodes, node_id: node}})
 
 
 @settings(max_examples=200, deadline=None)

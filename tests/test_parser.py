@@ -1,6 +1,5 @@
 """Parser totality, recovery, and the P-series diagnostics."""
 
-import dataclasses
 import datetime as dt
 import os
 import random
@@ -509,9 +508,9 @@ def test_every_schema_field_reaches_its_attribute(kind, field):
     node = model.collection(kind)["N"]
     default = NODE_TYPES[kind](id="N")
     changed = [
-        (f.name, getattr(node, f.name))
-        for f in dataclasses.fields(node)
-        if getattr(node, f.name) != getattr(default, f.name)
+        (name, getattr(node, name))
+        for name in node._fields
+        if getattr(node, name) != getattr(default, name)
     ]
     assert changed == [(row.attribute, expected)]
 

@@ -1,6 +1,5 @@
 """Log ingestion, per-period aggregation, evaluation and action routing."""
 
-import dataclasses
 import datetime as dt
 import json
 from collections import Counter
@@ -331,14 +330,14 @@ def test_density_warnings_flag_empty_collection_periods(model, graph):
     monthly = evaluate_period(model, graph, log, "M", "2014-01")
     assert monthly.density_warnings == ()
     # no schedule names a collection granularity; a finer period has no collection sub-periods
-    unscheduled = dataclasses.replace(model.metrics["M"], schedule=None)
+    unscheduled = model.metrics["M"]._replace(schedule=None)
     assert pipeline._density_warnings(unscheduled, log, "2014-Q1", model) == ()
     assert pipeline._density_warnings(model.metrics["M"], log, "2014-01-05", model) == ()
 
 
 def test_aggregate_skips_a_use_that_names_no_base(model):
     log = _log(model, [eline("2014-01-01", kind="x"), dline("2014-01-31", "tot", 4)])
-    metric = dataclasses.replace(model.metrics["M"], uses=("ev", "ghost", "tot"))
+    metric = model.metrics["M"]._replace(uses=("ev", "ghost", "tot"))
     assert aggregate(log, metric, "2014-01", model) == {"ev": 1.0, "tot": 4.0}
 
 
@@ -393,7 +392,7 @@ def test_unresolved_action_target_raises(model):
 
 def test_owner_of_a_question_is_an_unresolved_target(jpmorgan):
     owner_of_question = Action(ActionKind.ESCALATE, ActionTarget("Q1.1.1.1.1", is_owner=True))
-    band = dataclasses.replace(jpmorgan.metrics["ME1.1.1.1.1"].bands[0], actions=(owner_of_question,))
+    band = jpmorgan.metrics["ME1.1.1.1.1"].bands[0]._replace(actions=(owner_of_question,))
     result = EvaluationResult(
         metric_id="ME1.1.1.1.1", period="2014-09", bindings=(), value=10.0,
         failure=None, band=band, affected_objectives=(),

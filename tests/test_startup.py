@@ -61,6 +61,27 @@ def test_loading_a_model_imports_only_what_it_uses():
     assert loaded.isdisjoint(_EVALUATION + ("serializer",))
 
 
+# Records are `NamedTuple`s: `dataclasses` pulls in `inspect`, and building
+# the classes cost a fresh process about 35 ms before any work began.
+_CLASS_MACHINERY = ("dataclasses", "inspect")
+
+
+def test_loading_a_model_builds_no_dataclasses(corpus):
+    loaded = _probe(
+        "before = set(sys.modules)\n"
+        "from symbiosis_kit import parse_file, validate, build_graph\n"
+        f"model, diags = parse_file({str(corpus / 'jpmorgan.sym')!r})\n"
+        "validate(model)\n"
+        "build_graph(model)\n" + _LOADED
+    )
+    assert [name for name in _CLASS_MACHINERY if name in loaded] == []
+
+
+def test_importing_the_cli_builds_no_dataclasses():
+    loaded = _probe("before = set(sys.modules)\nimport symbiosis_kit.cli\n" + _LOADED)
+    assert [name for name in _CLASS_MACHINERY if name in loaded] == []
+
+
 # The public names as they were when every module was imported eagerly.
 _PUBLIC = {
     "ActionDirective", "Change", "ChangeKind", "Diagnostic", "EvaluationError", "EvaluationResult",
