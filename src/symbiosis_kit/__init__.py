@@ -33,7 +33,7 @@ _EXPORTS = {
         ("model", ("Model", "canonical_dump")),
         ("parser", ("parse", "parse_expression", "parse_file")),
         ("pipeline", ("ActionDirective", "EvaluationResult", "aggregate", "evaluate_period",
-                      "ingest", "route_actions", "route_result")),
+                      "ingest", "route_result")),
         ("report", ("generate_report",)),
         ("serializer", ("serialize",)),
         ("validator", ("validate",)),

@@ -169,8 +169,7 @@ def _eval_text(result: pipeline.EvaluationResult, model: Model) -> list[str]:
 
     lines = []
     if result.ok:
-        band = result.band.label if result.band else "?"
-        lines.append(f"{result.metric_id} {result.period}: value {result.value} band '{band}'")
+        lines.append(f"{result.metric_id} {result.period}: value {result.value} band '{result.band.label}'")
     else:
         lines.append(f"{result.metric_id} {result.period}: FAILED ({result.failure})")
     bound = ", ".join(f"{name}={format_number(value)}" for name, value in result.bindings)

@@ -1,7 +1,5 @@
 """Diagnostic records shared by the parser, validator and measurement pipeline."""
 
-from __future__ import annotations
-
 import json
 import re
 from enum import Enum
@@ -40,14 +38,14 @@ class Diagnostic(_DiagnosticFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> Diagnostic:
+    def __new__(cls, *args, **kwargs) -> "Diagnostic":
         diag = super().__new__(cls, *args, **kwargs)
         if not CODE_RE.fullmatch(diag.code):
             raise ValueError(f"bad diagnostic code: {diag.code!r}")
         return diag
 
     @classmethod
-    def _make(cls, iterable) -> Diagnostic:  # `_replace` builds through here: check it too
+    def _make(cls, iterable) -> "Diagnostic":  # `_replace` builds through here: check it too
         return cls(*iterable)
 
     @property

@@ -1,7 +1,5 @@
 """AST for metric functions: arithmetic over named base measurements."""
 
-from __future__ import annotations
-
 from typing import NamedTuple, Union
 
 

@@ -17,8 +17,6 @@ cyclic DEPENDS_ON/AFFECTS links, which are outside the closure, never
 cause non-termination.
 """
 
-from __future__ import annotations
-
 import json
 from collections import defaultdict, deque
 from collections.abc import Iterable, Set as AbstractSet

@@ -6,8 +6,6 @@ keyed by identifier. Nodes and values are immutable `NamedTuple` records; the
 validator reports invariant violations instead of constructors raising.
 """
 
-from __future__ import annotations
-
 import json
 from datetime import date
 from enum import Enum
@@ -424,6 +422,10 @@ FIELDS: dict[str, tuple[Field, ...]] = {
         _row("stakeholders", "ident_list", target=KIND_STAKEHOLDER),
     ),
 }
+
+# The kinds an `owner_of(id)` action target may name, each with the attribute
+# that holds its owners: the one field of the kind that names stakeholders.
+OWNERS = {kind: f.attribute for kind, fields in FIELDS.items() for f in fields if f.target == KIND_STAKEHOLDER}
 
 
 def _same(value):

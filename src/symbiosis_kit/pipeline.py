@@ -43,7 +43,9 @@ from .diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from .evaluator import EvaluationError, SumOverflow
 from .graph import TraceabilityGraph, objective_ancestors_ordered
 from .model import (
+    OWNERS,
     ActionKind,
+    ActionTarget,
     Aggregation,
     BaseMeasurementDef,
     InterpretationBand,
@@ -573,74 +575,49 @@ class UnresolvedTarget(Exception):
     pass
 
 
-def _owner_stakeholders(model: Model, ref: str) -> tuple[str, ...]:
-    if ref in model.objectives:
-        return model.objectives[ref].viewpoint
-    if ref in model.goals:
-        return model.goals[ref].viewpoint
-    if ref in model.metrics:
-        return model.metrics[ref].stakeholders
-    raise UnresolvedTarget(f"owner_of({ref}) does not name an objective, goal or metric")
+def _stakeholders(model: Model, target: ActionTarget) -> tuple[str, ...]:
+    """The stakeholders an action target names; raises UnresolvedTarget when it names none."""
+    if target.is_owner:
+        kind = model.kind_of(target.ref)
+        if kind not in OWNERS:
+            raise UnresolvedTarget(f"owner_of({target.ref}) does not name an objective, goal or metric")
+        return getattr(model.collection(kind)[target.ref], OWNERS[kind])
+    if target.ref not in model.stakeholders:
+        raise UnresolvedTarget(f"action target {target.ref!r} is not a stakeholder")
+    return (target.ref,)
 
 
-def route_actions(result: EvaluationResult, model: Model) -> list[ActionDirective]:
-    """Expand the matched band's actions into concrete directives.
+def route_result(result: EvaluationResult, model: Model) -> list[ActionDirective]:
+    """The directives one result sends, whether it classified or failed.
 
-    Requires a classified result. Output is ordered LOG < NOTIFY < ESCALATE,
-    stable within a kind (band declaration order).
+    A classified result expands its band's actions, ordered LOG < NOTIFY <
+    ESCALATE and stable within a kind (band declaration order). A failed
+    evaluation is itself a finding: it goes to the metric's own
+    stakeholders at NOTIFY level.
     """
-    if result.band is None:
-        raise ValueError(f"result for {result.metric_id!r} has no classification to route")
     band = result.band
+    if band is None:
+        metric = model.metrics.get(result.metric_id)
+        detail = result.failure or "no classification"
+        have = ", ".join(name for name, _ in result.bindings) or "none"
+        message = (
+            f"metric {result.metric_id} period {result.period} could not be "
+            f"evaluated: {detail} (bindings present: {have})"
+        )
+        return [
+            ActionDirective(
+                ActionKind.NOTIFY, metric.stakeholders if metric else (), result.metric_id, result.period, None, message
+            )
+        ]
     affected = ", ".join(result.affected_objectives) or "none"
     message = (
         f"metric {result.metric_id} period {result.period}: value {result.value} "
         f"in band '{band.label}'; affected objectives: {affected}"
     )
-    directives: list[ActionDirective] = []
-    for action in band.actions:
-        if action.target.is_owner:
-            stakeholders = _owner_stakeholders(model, action.target.ref)
-        else:
-            if action.target.ref not in model.stakeholders:
-                raise UnresolvedTarget(f"action target {action.target.ref!r} is not a stakeholder")
-            stakeholders = (action.target.ref,)
-        directives.append(
-            ActionDirective(
-                kind=action.kind,
-                stakeholders=stakeholders,
-                metric_id=result.metric_id,
-                period=result.period,
-                band_label=band.label,
-                message=message,
-            )
-        )
-    directives.sort(key=lambda d: d.kind.urgency)  # stable: declaration order within kind
-    return directives
-
-
-def route_result(result: EvaluationResult, model: Model) -> list[ActionDirective]:
-    """Route a result whether it classified or failed.
-
-    A failed evaluation is itself a finding: it goes to the metric's own
-    stakeholders at NOTIFY level.
-    """
-    if result.band is not None:
-        return route_actions(result, model)
-    metric = model.metrics.get(result.metric_id)
-    stakeholders = metric.stakeholders if metric else ()
-    detail = result.failure or "no classification"
-    have = ", ".join(name for name, _ in result.bindings) or "none"
-    return [
+    directives = (
         ActionDirective(
-            kind=ActionKind.NOTIFY,
-            stakeholders=stakeholders,
-            metric_id=result.metric_id,
-            period=result.period,
-            band_label=None,
-            message=(
-                f"metric {result.metric_id} period {result.period} could not be "
-                f"evaluated: {detail} (bindings present: {have})"
-            ),
+            action.kind, _stakeholders(model, action.target), result.metric_id, result.period, band.label, message
         )
-    ]
+        for action in band.actions
+    )
+    return sorted(directives, key=lambda d: d.kind.urgency)  # stable: declaration order within kind

@@ -33,6 +33,7 @@ from .model import (
     FIELDS,
     KIND_BASE,
     KIND_OBJECTIVE,
+    OWNERS,
     REFERENCED,
     BusinessObjective,
     Interval,
@@ -142,7 +143,7 @@ class _Checker:
                                 m_id,
                                 f"action owner_of references undeclared id {target.ref!r}",
                             )
-                        elif owner_kind not in ("objective", "goal", "metric"):
+                        elif owner_kind not in OWNERS:
                             self.emit(
                                 "V002",
                                 m_id,

@@ -35,7 +35,7 @@ from symbiosis_kit.model import (
     canonical_dump,
 )
 from symbiosis_kit.parser import parse, parse_file
-from symbiosis_kit.pipeline import evaluate_period, ingest_lines, ingest_many, route_actions
+from symbiosis_kit.pipeline import evaluate_period, ingest_lines, ingest_many, route_result
 from symbiosis_kit.report import generate_report
 from symbiosis_kit.serializer import serialize
 from symbiosis_kit.validator import band_partition_problems, validate
@@ -54,20 +54,20 @@ def test_criterion_1_jpmorgan_monthly_evaluation(jpmorgan, jpmorgan_logs):
     month_a = _eval(jpmorgan, graph, log, "ME1.1.1.1.1", "2014-01")
     assert month_a.value == 100.0
     assert month_a.band is not None and month_a.band.label == "ok"
-    directives = route_actions(month_a, jpmorgan)
+    directives = route_result(month_a, jpmorgan)
     assert [d.kind for d in directives] == [ActionKind.LOG]
 
     month_b = _eval(jpmorgan, graph, log, "ME1.1.1.1.1", "2014-09")
     assert month_b.value == 70.0
     assert month_b.band is not None and month_b.band.label == "watch"
-    directives = route_actions(month_b, jpmorgan)
+    directives = route_result(month_b, jpmorgan)
     assert [d.kind for d in directives] == [ActionKind.NOTIFY]
     assert directives[0].stakeholders == ("training_manager",)
 
     month_c = _eval(jpmorgan, graph, log, "ME1.1.1.1.1", "2014-11")
     assert month_c.value == 50.0
     assert month_c.band is not None and month_c.band.label == "intervene"
-    directives = route_actions(month_c, jpmorgan)
+    directives = route_result(month_c, jpmorgan)
     assert all(d.kind is ActionKind.ESCALATE for d in directives)
     # owner_of on the next objective up resolves to the CISO
     assert ("ciso",) in [d.stakeholders for d in directives]
@@ -85,20 +85,20 @@ def test_criterion_2_anthem_band_routing(anthem, corpus):
     at_100 = _eval(anthem, graph, log, "ME2", "2015-01")
     assert at_100.value == 100.0
     assert at_100.band.label == "ok"
-    kinds = [d.kind for d in route_actions(at_100, anthem)]
+    kinds = [d.kind for d in route_result(at_100, anthem)]
     assert ActionKind.NOTIFY not in kinds and ActionKind.ESCALATE not in kinds
 
     at_95 = _eval(anthem, graph, log, "ME2", "2015-02")
     assert at_95.value == 95.0
     assert at_95.band.label == "notify"
-    directives = route_actions(at_95, anthem)
+    directives = route_result(at_95, anthem)
     assert all(d.kind is ActionKind.NOTIFY for d in directives)
     assert {s for d in directives for s in d.stakeholders} == {"ciso", "dba"}
 
     at_85 = _eval(anthem, graph, log, "ME2", "2015-03")
     assert at_85.value == 85.0
     assert at_85.band.label == "escalate"
-    directives = route_actions(at_85, anthem)
+    directives = route_result(at_85, anthem)
     assert all(d.kind is ActionKind.ESCALATE for d in directives)
     assert {s for d in directives for s in d.stakeholders} == {
         "privacy_manager",

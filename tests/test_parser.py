@@ -95,6 +95,12 @@ def test_unknown_field_is_p001_and_skipped():
     assert model.objectives["BO1"].purpose == "p"
 
 
+def test_a_bad_spawn_list_after_the_arrow_is_p001_and_drops_the_step():
+    model, diags = parse('strategy S { for: BO1 step: "t" -> 7 justification: "j" }')
+    assert [(d.code, d.message) for d in diags] == [("P001", "expected an identifier, found '7'")]
+    assert model.strategies["S"].steps == ()
+
+
 def test_duplicate_field_is_p004_first_wins():
     model, diags = parse('objective BO1 { object: "a" object: "b" }')
     assert codes(diags) == ["P004"]

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from symbiosis_kit import pipeline
 from symbiosis_kit.graph import build_graph
 from symbiosis_kit.model import (
+    NODE_KINDS,
+    OWNERS,
     Action,
     ActionKind,
     ActionTarget,
@@ -31,9 +33,9 @@ from symbiosis_kit.pipeline import (
     evaluate_period,
     ingest,
     ingest_lines,
-    route_actions,
     route_result,
 )
+from symbiosis_kit.validator import validate
 
 MODEL_SRC = """
 stakeholder s { name: "S" }
@@ -351,21 +353,12 @@ def test_route_actions_orders_by_urgency_and_resolves_owner_of(model, graph):
     )
     result = evaluate_period(model, graph, log, "M", "2014-01")
     assert result.band.label == "low"  # 25.0
-    directives = route_actions(result, model)
+    directives = route_result(result, model)
     assert [d.kind for d in directives] == [ActionKind.LOG, ActionKind.ESCALATE]
     assert directives[0].stakeholders == ("s",)
     assert directives[1].stakeholders == ("o",)  # owner_of(BO2) -> its viewpoint
     assert "band 'low'" in directives[1].message
     assert "BO2, BO1" in directives[1].message
-
-
-def test_route_actions_requires_a_band(model):
-    result = EvaluationResult(
-        metric_id="M", period="2014-01", bindings=(), value=None,
-        failure="boom", band=None, affected_objectives=(),
-    )
-    with pytest.raises(ValueError):
-        route_actions(result, model)
 
 
 def test_route_result_failure_notifies_metric_stakeholders(model, graph):
@@ -387,7 +380,7 @@ def test_unresolved_action_target_raises(model):
         failure=None, band=band, affected_objectives=(),
     )
     with pytest.raises(UnresolvedTarget):
-        route_actions(result, model)
+        route_result(result, model)
 
 
 def test_owner_of_a_question_is_an_unresolved_target(jpmorgan):
@@ -398,7 +391,7 @@ def test_owner_of_a_question_is_an_unresolved_target(jpmorgan):
         failure=None, band=band, affected_objectives=(),
     )
     with pytest.raises(UnresolvedTarget) as exc:
-        route_actions(result, jpmorgan)
+        route_result(result, jpmorgan)
     assert str(exc.value) == "owner_of(Q1.1.1.1.1) does not name an objective, goal or metric"
 
 
@@ -418,8 +411,31 @@ metric M3 {
         metric_id="M3", period="2014-01", bindings=(), value=5.0,
         failure=None, band=band, affected_objectives=(),
     )
-    directives = route_actions(result, bigger)
+    directives = route_result(result, bigger)
     assert [d.stakeholders for d in directives] == [("o",), ("s",)]
+
+
+@pytest.mark.parametrize("kind", NODE_KINDS)
+def test_the_validator_and_the_router_agree_on_owner_of(jpmorgan, kind):
+    """V002 flags an owner_of target exactly when routing cannot resolve it."""
+    target = min(jpmorgan.collection(kind))
+    metric = jpmorgan.metrics["ME1.1.1.1.1"]
+    owner_of = Action(ActionKind.ESCALATE, ActionTarget(target, is_owner=True))
+    band = metric.bands[0]._replace(actions=(owner_of,))
+    changed = jpmorgan._replace(
+        metrics={**jpmorgan.metrics, metric.id: metric._replace(bands=(band, *metric.bands[1:]))}
+    )
+    flagged = any(d.code == "V002" and repr(target) in d.message for d in validate(changed))
+    result = EvaluationResult(
+        metric_id=metric.id, period="2014-09", bindings=(), value=10.0,
+        failure=None, band=band, affected_objectives=(),
+    )
+    try:
+        route_result(result, changed)
+        unresolved = False
+    except UnresolvedTarget:
+        unresolved = True
+    assert flagged == unresolved == (kind not in OWNERS)
 
 
 def test_result_json_shape(model, graph):

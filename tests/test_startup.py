@@ -88,7 +88,7 @@ _PUBLIC = {
     "ImpactReport", "MissingBinding", "Model", "Severity", "SourceSpan", "TraceabilityGraph",
     "aggregate", "analyze", "ancestors", "build_graph", "canonical_dump", "classify", "descendants",
     "diff", "evaluate", "evaluate_period", "generate_report", "impact", "ingest", "parse",
-    "parse_expression", "parse_file", "render_formulation", "route_actions", "route_result",
+    "parse_expression", "parse_file", "render_formulation", "route_result",
     "serialize", "validate", "__version__",
 }
 
