@@ -11,7 +11,6 @@ and each only renders the results it returns.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
@@ -218,11 +217,11 @@ def _evaluate(args: argparse.Namespace, io: _Io, first: str, last: str) -> tuple
 
 def _cmd_eval(args: argparse.Namespace, io: _Io) -> None:
     from . import report as report_mod
+    from .payload import dumps
 
     model, results = _evaluate(args, io, args.period, args.period)
     if args.format == "json":
-        payload = {"results": [report_mod.result_json_obj(result, model) for result in results]}
-        io.payload(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        io.payload(dumps({"results": [report_mod.result_json_obj(result, model) for result in results]}))
     else:
         io.payload("".join(f"{line}\n" for result in results for line in _eval_text(result, model)))
 

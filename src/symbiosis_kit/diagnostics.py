@@ -1,6 +1,5 @@
 """Diagnostic records shared by the parser, validator and measurement pipeline."""
 
-import json
 import re
 from enum import Enum
 from typing import NamedTuple
@@ -78,6 +77,8 @@ def render_all(diags: list[Diagnostic]) -> str:
 
 def to_json(diags: list[Diagnostic]) -> str:
     """Machine-readable mirror of render_all, as a JSON array."""
+    from .payload import dumps
+
     rows = []
     for d in sorted(diags, key=sort_key):
         rows.append(
@@ -91,7 +92,7 @@ def to_json(diags: list[Diagnostic]) -> str:
                 "node": d.node_id,
             }
         )
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    return dumps(rows)
 
 
 def has_errors(diags: list[Diagnostic]) -> bool:

@@ -17,7 +17,6 @@ cyclic DEPENDS_ON/AFFECTS links, which are outside the closure, never
 cause non-termination.
 """
 
-import json
 from collections import defaultdict, deque
 from collections.abc import Iterable, Set as AbstractSet
 from enum import Enum
@@ -194,6 +193,8 @@ def to_dot(graph: TraceabilityGraph) -> str:
 
 
 def to_json(graph: TraceabilityGraph) -> str:
+    from .payload import dumps
+
     payload = {
         "nodes": [
             {"id": node_id, "kind": graph.nodes[node_id]}
@@ -202,4 +203,4 @@ def to_json(graph: TraceabilityGraph) -> str:
         # build_graph stores the edges sorted by (kind, src, dst)
         "edges": [{"kind": e.kind.value, "src": e.src, "dst": e.dst} for e in graph.edges],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dumps(payload)

@@ -176,5 +176,6 @@ def render_text(reports: list[ImpactReport]) -> str:
 
 
 def render_json(reports: list[ImpactReport]) -> str:
-    payload = {"changes": [r.to_json_obj() for r in reports]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    from .payload import dumps
+
+    return dumps({"changes": [r.to_json_obj() for r in reports]})

@@ -6,7 +6,6 @@ keyed by identifier. Nodes and values are immutable `NamedTuple` records; the
 validator reports invariant violations instead of constructors raising.
 """
 
-import json
 from datetime import date
 from enum import Enum
 from functools import cached_property
@@ -483,8 +482,10 @@ def canonical_dump(model: Model) -> str:
 
     Excludes source spans; equal dumps mean semantically identical models.
     """
+    from .payload import dumps
+
     out = {  # keyed by kind + "s" ("strategys"), as the dump has always been
         kind + "s": {node_id: node_json(kind, node) for node_id, node in model.collection(kind).items()}
         for kind in NODE_KINDS
     }
-    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+    return dumps(out)

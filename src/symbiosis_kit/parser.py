@@ -1,7 +1,7 @@
 """Recursive-descent parser for .sym files.
 
 Parsing is total: any input produces a (possibly partial) model plus a list of
-coded diagnostics (P001-P008). With zero error diagnostics the model is fully
+coded diagnostics (P001-P009). With zero error diagnostics the model is fully
 populated; reference resolution is the validator's job.
 
 A load given a block table records each block that parsed with no diagnostic,
@@ -72,6 +72,12 @@ _EQUALS = TokenKind.EQUALS
 # Deepest metric function accepted: operator nesting (leaves count 0, each
 # Neg or BinOp one more than its deepest child) and parenthesis nesting.
 MAX_EXPR_DEPTH = 200
+
+# Deepest include chain accepted, counting the root file. Each file costs
+# three frames (`_parse_source`, `parse_model`, `parse_include`) and each
+# parenthesis two, so the deepest chain holding the deepest function needs
+# about 700 frames, inside Python's default recursion limit of 1,000.
+MAX_INCLUDE_DEPTH = 100
 
 _INFINITY = float("inf")
 
@@ -145,7 +151,7 @@ class _Parser:
         filename: str,
         builder: _Builder,
         diags: list[Diagnostic],
-        include_stack: tuple[str, ...],
+        include_stack: tuple[str, ...],  # real paths of the files being read, root first
         table: BlockTable | None = None,
     ) -> None:
         self.filename = filename
@@ -251,13 +257,16 @@ class _Parser:
         base = os.path.dirname(self.filename)
         target = os.path.normpath(os.path.join(base, path_tok.text))
         # Files are compared by real path, so a file reached through a symbolic
-        # link is one file; the stack is resolved only here, not for every model.
+        # link is one file.
         key = os.path.realpath(target)
-        if key in map(os.path.realpath, self.include_stack):
+        if key in self.include_stack:
             self.error("P006", f"include cycle through {target!r}", path_tok.span)
             return
         if key in self.builder.included:
             return  # already spliced in: its declarations are in the model once
+        if len(self.include_stack) >= MAX_INCLUDE_DEPTH:
+            self.error("P009", f"include nesting deeper than {MAX_INCLUDE_DEPTH} files", path_tok.span)
+            return
         try:
             text = Path(target).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
@@ -265,7 +274,7 @@ class _Parser:
             self.error("P007", f"cannot read include {target!r}: {reason}", path_tok.span)
             return
         self.builder.included.add(key)
-        _parse_source(text, target, self.builder, self.diags, self.include_stack + (target,))
+        _parse_source(text, target, self.builder, self.diags, self.include_stack + (key,))
 
     def parse_block(self, kind: str) -> None:
         keyword = self.tokens[self.pos]
@@ -739,7 +748,8 @@ def parse(text: str, filename: str = "<string>", table: BlockTable | None = None
     """
     builder = _Builder(table)
     diags: list[Diagnostic] = []
-    stack = (filename,) if filename != "<string>" else ()
+    # The root heads the include stack; "<string>" is no real path, so no include matches it.
+    stack = (filename if filename == "<string>" else os.path.realpath(filename),)
     _parse_source(text, filename, builder, diags, stack)
     return builder.build(), diags
 

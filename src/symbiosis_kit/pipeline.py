@@ -131,9 +131,22 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+# CPython's default cap on the digits int() converts. The decoder's own
+# message for a longer integer differs between Python versions and advises
+# a call (`sys.set_int_max_str_digits`) no CLI user can make, so such an
+# integer gets this one.
+_MAX_INT_DIGITS = 4300
+
+
+def _parse_int(text: str) -> int:
+    if len(text) - text.startswith("-") > _MAX_INT_DIGITS:
+        raise ValueError(f"integer with more than {_MAX_INT_DIGITS} digits")
+    return int(text)
+
+
 # One decoder for every line: json.loads builds a new one per call whenever
 # it is given a hook such as parse_constant.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_parse_int)
 
 
 def _decode(line: str) -> object:

@@ -7,7 +7,6 @@ same bytes, which is what makes golden-file testing workable.
 from __future__ import annotations
 
 import html
-import json
 
 from .expr import format_number, to_text
 from .model import MetricDef, Model
@@ -114,6 +113,8 @@ def result_json_obj(result: EvaluationResult, model: Model) -> dict:
 
 
 def render_json(results: list[EvaluationResult], model: Model) -> str:
+    from .payload import dumps
+
     if not results:
         raise ValueError("no results to report")
     payload: dict = {"report": "measurement", "metrics": []}
@@ -127,7 +128,7 @@ def render_json(results: list[EvaluationResult], model: Model) -> str:
             "results": [result_json_obj(result, model) for result in group],
         }
         payload["metrics"].append(entry)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dumps(payload)
 
 
 # -- SVG ----------------------------------------------------------------------

@@ -691,7 +691,14 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _parse_int(text: str) -> int:
+    # README: an integer of more than 4,300 digits gets one message on every Python.
+    if len(text.lstrip("-")) > 4300:
+        raise ValueError("integer with more than 4300 digits")
+    return int(text)
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_int=_parse_int)
 
 
 def _decode(line: str) -> object:
@@ -1770,3 +1777,11 @@ def validate_as_written(model: Model) -> list[Diagnostic]:
     checker.check_answer_goal_membership()
     checker.check_reciprocal_links()
     return sorted(checker.out, key=sort_key)
+
+
+# -- indented JSON payloads ---------------------------------------------------------
+
+
+def payload_as_stdlib(obj) -> str:
+    """The text `payload.dumps` must return: the standard library's own indented, key-sorted JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -692,6 +692,31 @@ def test_function_at_the_depth_limit_round_trips(corpus, tmp_path, capsys):
     assert "ME1.1.1.1.1 2014-01: FAILED" in out  # 201 x completed leaves the [0, 100] domain
 
 
+# -- long include chains and long log integers --------------------------------------
+
+
+def test_check_of_a_thousand_file_include_chain_is_one_p009_not_a_traceback(tmp_path):
+    for i in range(1000):
+        (tmp_path / f"f{i}.sym").write_text(f'include "f{i + 1}.sym"\n' if i < 999 else "", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "symbiosis_kit", "check", str(tmp_path / "f0.sym")],
+        capture_output=True, text=True, env=_module_env(), timeout=60,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert [line.split()[0] for line in done.stdout.splitlines()] == ["P009"]
+    assert done.stdout.startswith(f"P009 error {tmp_path / 'f99.sym'}:1:9 - include nesting deeper than 100 files")
+
+
+def test_a_log_integer_beyond_the_digit_limit_is_one_fixed_i001(corpus, tmp_path, capsys):
+    log = tmp_path / "long.jsonl"
+    log.write_text(f'{{"timestamp": "2014-01-15", "base": "bm_sections_total", "value": {"9" * 5000}}}\n', encoding="utf-8")
+    argv = ["--measurements", str(log), "--metric", "ME1.1.1.1.1", "--period", "2014-01"]
+    assert cli.main(["eval", str(corpus / "jpmorgan.sym"), *argv]) == 0
+    _, err = capsys.readouterr()
+    assert err.splitlines()[0] == f"I001 error {log}:1:1 - malformed log line: integer with more than 4300 digits"
+
+
 # -- top level --------------------------------------------------------------------
 
 

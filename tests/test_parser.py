@@ -34,6 +34,7 @@ from symbiosis_kit.impact import diff
 from symbiosis_kit.lexer import TokenKind, tokenize
 from symbiosis_kit.parser import (
     MAX_EXPR_DEPTH,
+    MAX_INCLUDE_DEPTH,
     ExpressionSyntaxError,
     _Builder,
     _Parser,
@@ -336,6 +337,31 @@ def test_an_include_cycle_through_a_spliced_file_is_still_p006(tmp_path):
         ("P006", f"include cycle through {str(tmp_path / 'b.sym')!r}", str(tmp_path / "c.sym")),
     ]
     assert model.duplicate_decls == ()
+
+
+def _include_chain(root, length: int, last: str) -> None:
+    """Files f0.sym .. f<length-1>.sym, each including the next; the last holds `last`."""
+    _write_files(root, {f"f{i}.sym": f'include "f{i + 1}.sym"\n' for i in range(length - 1)})
+    _write_files(root, {f"f{length - 1}.sym": last})
+
+
+def test_the_deepest_include_chain_holds_the_deepest_function(tmp_path):
+    depth = "(" * MAX_EXPR_DEPTH + "b" + ")" * MAX_EXPR_DEPTH
+    _include_chain(tmp_path, MAX_INCLUDE_DEPTH, f"metric M {{ function: {depth} }}\n")
+    model, diags = parse_file(str(tmp_path / "f0.sym"))
+    assert diags == []
+    assert len(model.included) == MAX_INCLUDE_DEPTH - 1
+    assert model.metrics["M"].function == parse_expression("b")
+
+
+def test_an_include_one_file_too_deep_is_p009_at_its_path_and_skipped(tmp_path):
+    _include_chain(tmp_path, MAX_INCLUDE_DEPTH + 1, "objective Deep { }\n")
+    model, diags = parse_file(str(tmp_path / "f0.sym"))
+    last = str(tmp_path / f"f{MAX_INCLUDE_DEPTH - 1}.sym")
+    assert [(d.code, d.message, d.span) for d in diags] == [
+        ("P009", f"include nesting deeper than {MAX_INCLUDE_DEPTH} files", SourceSpan(last, 1, 9, len(f'"f{MAX_INCLUDE_DEPTH}.sym"'))),
+    ]
+    assert "Deep" not in model.objectives
 
 
 def test_unreadable_include_is_p007(tmp_path):

@@ -166,6 +166,23 @@ def test_bad_lines_become_diagnostics(model, line, code, fragment):
     assert fragment in diag.message
 
 
+@pytest.mark.parametrize(
+    "line, fast",
+    [
+        ('{"timestamp": "2014-01-05", "base": "tot", "value": 1e-400}', True),
+        ('{"timestamp": "2014-01-05", "base": "tot", "value":  1e-400}', False),  # decoded in full
+    ],
+    ids=["fast-path", "slow-path"],
+)
+def test_a_log_value_below_the_smallest_double_reads_as_zero(model, line, fast):
+    # As in any JSON reader; a log value is never printed back, so unlike a
+    # model literal it is not rejected.
+    assert (pipeline._SHAPES.fullmatch(line) is not None) == fast
+    log = ingest_lines([line], "log", model)
+    assert log.diagnostics == ()
+    assert [(entry.base, entry.value) for entry in log.records] == [("tot", 0.0)]
+
+
 def test_bad_lines_do_not_block_good_ones(model):
     log = ingest_lines(["garbage", dline("2014-01-05", "tot", 1)], "log", model)
     assert len(log.records) == 1

@@ -20,16 +20,17 @@ _HEAVY = ("xml.sax", "http.client", "email", "ssl", "urllib.request")
 _EVALUATION = ("pipeline", "periods", "report", "formulation", "evaluator")
 
 
-def _probe(code: str):
-    """Run `code` in a fresh interpreter; it prints one JSON value, returned here."""
+def _probe(code: str, imports: str = "json, sys"):
+    """Run `code` after `import <imports>` in a fresh interpreter; it prints one JSON value, returned here."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", f"import {imports}\n" + code], env=env, capture_output=True, text=True, check=True
     ).stdout
     return json.loads(out)
 
 
-_LOADED = "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+# The modules loaded since `before`, listed before `json` is imported to print them.
+_LOADED = "loaded = sorted(set(sys.modules) - before)\nimport json\nprint(json.dumps(loaded))\n"
 
 
 def _package_modules(loaded: list[str]) -> set[str]:
@@ -75,6 +76,20 @@ def test_loading_a_model_builds_no_dataclasses(corpus):
         "build_graph(model)\n" + _LOADED
     )
     assert [name for name in _CLASS_MACHINERY if name in loaded] == []
+
+
+def test_loading_a_model_imports_no_json(corpus):
+    """Only a payload needs `json`, and its writer is imported by the function that writes it."""
+    loaded = _probe(
+        "before = set(sys.modules)\n"
+        "from symbiosis_kit import parse_file, validate, build_graph\n"
+        f"model, diags = parse_file({str(corpus / 'jpmorgan.sym')!r})\n"
+        "validate(model)\n"
+        "build_graph(model)\n" + _LOADED,
+        imports="sys",
+    )
+    assert "symbiosis_kit.graph" in loaded
+    assert [name for name in loaded if name == "json" or name.startswith(("json.", "symbiosis_kit.payload"))] == []
 
 
 def test_importing_the_cli_builds_no_dataclasses():
