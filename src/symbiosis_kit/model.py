@@ -276,6 +276,10 @@ class _ModelFields(NamedTuple):
     included: tuple[str, ...] = ()
 
 
+class UnresolvedTarget(ValueError):
+    """An action target that names no stakeholders; its text is the target's V002 message."""
+
+
 class Model(_ModelFields):
     """All declarations of one measurement program, keyed by identifier.
 
@@ -301,6 +305,29 @@ class Model(_ModelFields):
 
     def span_of(self, kind: str, node_id: str) -> SourceSpan | None:
         return self.spans.get((kind, node_id))
+
+    def misreference(self, field: str, target: str, kind: str) -> str | None:
+        """V002's text for a `field` naming `target` when it is not a node of `kind`; else None."""
+        actual = self.kinds.get(target)
+        if actual is None:
+            return f"{field} references undeclared id {target!r}"
+        if actual != kind:
+            return f"{field} references {target!r} which is a {actual}, not a {kind}"
+        return None
+
+    def stakeholders_of(self, target: ActionTarget) -> tuple[str, ...]:
+        """The stakeholder an action target names, or the `OWNERS` of the node its
+        `owner_of` names; UnresolvedTarget, with V002's text, when it reaches neither."""
+        if not target.is_owner:
+            if problem := self.misreference("action", target.ref, KIND_STAKEHOLDER):
+                raise UnresolvedTarget(problem)
+            return (target.ref,)
+        kind = self.kinds.get(target.ref)
+        if kind is None:
+            raise UnresolvedTarget(f"action owner_of references undeclared id {target.ref!r}")
+        if kind not in OWNERS:
+            raise UnresolvedTarget(f"owner_of target {target.ref!r} must be an objective, goal or metric (got {kind})")
+        return getattr(self.collection(kind)[target.ref], OWNERS[kind])
 
 
 class Field(NamedTuple):

@@ -120,14 +120,13 @@ def period_contains(key: str, date: dt.date) -> bool:
 
 def period_range(first: str, last: str) -> list[str]:
     """All periods from `first` through `last`, inclusive. Same granularity only."""
-    g_first = granularity_of(first)
-    g_last = granularity_of(last)
-    if g_first is not g_last:
+    start, end = period(first), period(last)
+    if start.granularity is not end.granularity:
         raise PeriodError(
             f"period range endpoints differ in granularity: {first!r} is "
-            f"{g_first.value}, {last!r} is {g_last.value}"
+            f"{start.granularity.value}, {last!r} is {end.granularity.value}"
         )
-    if period(first).first > period(last).first:
+    if start.first > end.first:
         raise PeriodError(f"period range start {first!r} is after end {last!r}")
     keys = [first]
     while keys[-1] != last:
@@ -143,10 +142,9 @@ def subperiod_windows(key: str, granularity: Granularity) -> tuple[tuple[str, dt
     overlaps `key`, in order, its days clipped to those of `key`. A period
     that straddles the boundary (ISO weeks do this) is included when any of
     its days fall inside `key`. Cached and shared, so immutable."""
-    own = granularity_of(key)
+    own, first, last = period(key)
     if granularity.ordinal > own.ordinal:
         raise PeriodError(f"{granularity.value} is coarser than the period {key!r} itself")
-    _, first, last = period(key)
     if granularity is own:
         return ((key, first, last),)
     subkeys = period_range(period_of(first, granularity), period_of(last, granularity))

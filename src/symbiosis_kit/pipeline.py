@@ -43,9 +43,7 @@ from .diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from .evaluator import EvaluationError, SumOverflow
 from .graph import TraceabilityGraph, objective_ancestors_ordered
 from .model import (
-    OWNERS,
     ActionKind,
-    ActionTarget,
     Aggregation,
     BaseMeasurementDef,
     InterpretationBand,
@@ -584,29 +582,14 @@ class ActionDirective(NamedTuple):
         }
 
 
-class UnresolvedTarget(Exception):
-    pass
-
-
-def _stakeholders(model: Model, target: ActionTarget) -> tuple[str, ...]:
-    """The stakeholders an action target names; raises UnresolvedTarget when it names none."""
-    if target.is_owner:
-        kind = model.kind_of(target.ref)
-        if kind not in OWNERS:
-            raise UnresolvedTarget(f"owner_of({target.ref}) does not name an objective, goal or metric")
-        return getattr(model.collection(kind)[target.ref], OWNERS[kind])
-    if target.ref not in model.stakeholders:
-        raise UnresolvedTarget(f"action target {target.ref!r} is not a stakeholder")
-    return (target.ref,)
-
-
 def route_result(result: EvaluationResult, model: Model) -> list[ActionDirective]:
     """The directives one result sends, whether it classified or failed.
 
     A classified result expands its band's actions, ordered LOG < NOTIFY <
-    ESCALATE and stable within a kind (band declaration order). A failed
-    evaluation is itself a finding: it goes to the metric's own
-    stakeholders at NOTIFY level.
+    ESCALATE and stable within a kind (band declaration order), each to the
+    stakeholders `Model.stakeholders_of` gives (UnresolvedTarget, with the
+    target's V002 text, on an invalid model). A failed evaluation is itself
+    a finding: it goes to the metric's own stakeholders at NOTIFY level.
     """
     band = result.band
     if band is None:
@@ -629,7 +612,7 @@ def route_result(result: EvaluationResult, model: Model) -> list[ActionDirective
     )
     directives = (
         ActionDirective(
-            action.kind, _stakeholders(model, action.target), result.metric_id, result.period, band.label, message
+            action.kind, model.stakeholders_of(action.target), result.metric_id, result.period, band.label, message
         )
         for action in band.actions
     )

@@ -72,8 +72,6 @@ def _grouped(results: list[EvaluationResult]) -> list[tuple[str, list[Evaluation
 
 
 def render_text(results: list[EvaluationResult], model: Model) -> str:
-    if not results:
-        raise ValueError("no results to report")
     out: list[str] = ["measurement report", ""]
     for metric_id, group in _grouped(results):
         metric = model.metrics.get(metric_id)
@@ -115,8 +113,6 @@ def result_json_obj(result: EvaluationResult, model: Model) -> dict:
 def render_json(results: list[EvaluationResult], model: Model) -> str:
     from .payload import dumps
 
-    if not results:
-        raise ValueError("no results to report")
     payload: dict = {"report": "measurement", "metrics": []}
     for metric_id, group in _grouped(results):
         metric = model.metrics.get(metric_id)
@@ -224,8 +220,6 @@ def _svg_chart(
 
 
 def render_svg(results: list[EvaluationResult], model: Model) -> str:
-    if not results:
-        raise ValueError("no results to report")
     grouped = _grouped(results)
     total_h = len(grouped) * (_CHART_H + _CHART_GAP)
     parts: list[str] = [
@@ -262,4 +256,6 @@ def generate_report(results: list[EvaluationResult], model: Model, format: str) 
     render = _RENDERERS.get(format)
     if render is None:
         raise UnknownFormat(f"unknown report format {format!r} (choose from {', '.join(FORMATS)})")
+    if not results:
+        raise ValueError("no results to report")
     return render(results, model).encode("utf-8")

@@ -22,7 +22,8 @@ is V010 when its value is empty, and every id a row with a `target` names
 must be a node of that kind. Only the conditional rules are written out
 here: a positive priority and its justification, a `count` base's `where`
 and a `direct` base's `aggregation`, the schedule's periods, the scope's
-facets, the objectives a step spawns, and the targets of band actions.
+facets, the objectives a step spawns, and the targets of band actions,
+which `Model.stakeholders_of` resolves for V002 and the router alike.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .model import (
     FIELDS,
     KIND_BASE,
     KIND_OBJECTIVE,
-    OWNERS,
     REFERENCED,
     BusinessObjective,
     Interval,
@@ -41,6 +41,7 @@ from .model import (
     Model,
     QuestionStatus,
     SourceMode,
+    UnresolvedTarget,
 )
 
 # The codes whose findings are warnings; the findings of every other code are errors.
@@ -86,17 +87,8 @@ class _Checker:
 
     def ref(self, node_id: str, field: str, target: str, expected_kind: str) -> None:
         """Emit V002 when a non-empty `target` is not a node of `expected_kind`."""
-        if not target:
-            return
-        actual = self.model.kind_of(target)
-        if actual is None:
-            self.emit("V002", node_id, f"{field} references undeclared id {target!r}")
-        elif actual != expected_kind:
-            self.emit(
-                "V002",
-                node_id,
-                f"{field} references {target!r} which is a {actual}, not a {expected_kind}",
-            )
+        if problem := target and self.model.misreference(field, target, expected_kind):
+            self.emit("V002", node_id, problem)
 
     def check_references(self) -> None:
         model = self.model
@@ -132,25 +124,11 @@ class _Checker:
         for m_id, metric in model.metrics.items():
             for band in metric.bands:
                 for action in band.actions:
-                    target = action.target
-                    if not target.ref:
-                        continue
-                    if target.is_owner:
-                        owner_kind = model.kind_of(target.ref)
-                        if owner_kind is None:
-                            self.emit(
-                                "V002",
-                                m_id,
-                                f"action owner_of references undeclared id {target.ref!r}",
-                            )
-                        elif owner_kind not in OWNERS:
-                            self.emit(
-                                "V002",
-                                m_id,
-                                f"owner_of target {target.ref!r} must be an objective, goal or metric (got {owner_kind})",
-                            )
-                    else:
-                        self.ref(m_id, "action", target.ref, "stakeholder")
+                    if action.target.ref:
+                        try:
+                            model.stakeholders_of(action.target)
+                        except UnresolvedTarget as exc:
+                            self.emit("V002", m_id, str(exc))
 
     # -- V003 ---------------------------------------------------------------
 

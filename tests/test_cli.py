@@ -448,6 +448,14 @@ def test_report_of_year_zero_is_a_usage_error_without_a_traceback(corpus, capsys
     assert err == "error: invalid quarter '0000-Q1': year 0 is out of range\n"
 
 
+def test_report_names_an_impossible_month_before_comparing_granularities(corpus, capsys):
+    """An endpoint that is no period is reported as such, not given a granularity."""
+    assert cli.main(_q1_args(corpus) + ["--from", "2014-13", "--to", "2014-Q1"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: invalid month '2014-13': month must be in 1..12\n"
+
+
 def test_report_refuses_a_range_of_more_than_twenty_thousand_keys(corpus, capsys):
     log = str(corpus / "logs" / "jpmorgan_2014-09.jsonl")
     argv = ["report", str(corpus / "jpmorgan.sym"), "--measurements", log, "--from", "2014-09", "--to", "9999-12"]

@@ -21,6 +21,7 @@ from symbiosis_kit.model import (
     Granularity,
     ReportingSchedule,
     SourceMode,
+    UnresolvedTarget,
 )
 from symbiosis_kit.parser import parse
 from symbiosis_kit.periods import PeriodError
@@ -28,7 +29,6 @@ from symbiosis_kit.pipeline import (
     DirectEntry,
     EvaluationResult,
     MeasurementLog,
-    UnresolvedTarget,
     aggregate,
     evaluate_period,
     ingest,
@@ -409,7 +409,7 @@ def test_owner_of_a_question_is_an_unresolved_target(jpmorgan):
     )
     with pytest.raises(UnresolvedTarget) as exc:
         route_result(result, jpmorgan)
-    assert str(exc.value) == "owner_of(Q1.1.1.1.1) does not name an objective, goal or metric"
+    assert str(exc.value) == "owner_of target 'Q1.1.1.1.1' must be an objective, goal or metric (got question)"
 
 
 def test_owner_of_goal_and_metric_resolve(model):
@@ -432,27 +432,64 @@ metric M3 {
     assert [d.stakeholders for d in directives] == [("o",), ("s",)]
 
 
-@pytest.mark.parametrize("kind", NODE_KINDS)
-def test_the_validator_and_the_router_agree_on_owner_of(jpmorgan, kind):
-    """V002 flags an owner_of target exactly when routing cannot resolve it."""
-    target = min(jpmorgan.collection(kind))
-    metric = jpmorgan.metrics["ME1.1.1.1.1"]
-    owner_of = Action(ActionKind.ESCALATE, ActionTarget(target, is_owner=True))
-    band = metric.bands[0]._replace(actions=(owner_of,))
-    changed = jpmorgan._replace(
-        metrics={**jpmorgan.metrics, metric.id: metric._replace(bands=(band, *metric.bands[1:]))}
-    )
-    flagged = any(d.code == "V002" and repr(target) in d.message for d in validate(changed))
+def _v002_and_routing(model, target):
+    """The V002 messages of `model` with one band's actions replaced by an action at
+    `target`, and the UnresolvedTarget that routing the band raises, or None."""
+    metric = model.metrics["ME1.1.1.1.1"]
+    band = metric.bands[0]._replace(actions=(Action(ActionKind.ESCALATE, target),))
+    changed = model._replace(metrics={**model.metrics, metric.id: metric._replace(bands=(band, *metric.bands[1:]))})
+    v002 = [d.message for d in validate(changed) if d.code == "V002"]
     result = EvaluationResult(
         metric_id=metric.id, period="2014-09", bindings=(), value=10.0,
         failure=None, band=band, affected_objectives=(),
     )
     try:
         route_result(result, changed)
-        unresolved = False
-    except UnresolvedTarget:
-        unresolved = True
-    assert flagged == unresolved == (kind not in OWNERS)
+    except UnresolvedTarget as exc:
+        return v002, exc
+    return v002, None
+
+
+# Every node kind, and an id that is no node.
+_TARGET_KINDS = [*NODE_KINDS, pytest.param(None, id="undeclared")]
+
+
+def _assert_one_text(jpmorgan, kind, is_owner):
+    target = ActionTarget(min(jpmorgan.collection(kind)) if kind else "NOPE", is_owner)
+    v002, exc = _v002_and_routing(jpmorgan, target)
+    assert v002 == ([] if exc is None else [str(exc)])
+    assert (exc is None) == (kind in OWNERS if is_owner else kind == "stakeholder")
+
+
+@pytest.mark.parametrize("kind", _TARGET_KINDS)
+def test_the_validator_and_the_router_agree_on_owner_of(jpmorgan, kind):
+    """V002 flags an owner_of target exactly when routing cannot resolve it, in the router's words."""
+    _assert_one_text(jpmorgan, kind, is_owner=True)
+
+
+@pytest.mark.parametrize("kind", _TARGET_KINDS)
+def test_the_validator_and_the_router_agree_on_plain_targets(jpmorgan, kind):
+    """V002 flags a plain target exactly when routing cannot resolve it, in the router's words."""
+    _assert_one_text(jpmorgan, kind, is_owner=False)
+
+
+@pytest.mark.parametrize(
+    ("target", "text"),
+    [
+        (ActionTarget("NOPE"), "action references undeclared id 'NOPE'"),
+        (ActionTarget("Q1.1.1.1.1"), "action references 'Q1.1.1.1.1' which is a question, not a stakeholder"),
+        (ActionTarget("NOPE", is_owner=True), "action owner_of references undeclared id 'NOPE'"),
+        (
+            ActionTarget("Q1.1.1.1.1", is_owner=True),
+            "owner_of target 'Q1.1.1.1.1' must be an objective, goal or metric (got question)",
+        ),
+    ],
+    ids=["plain-undeclared", "plain-wrong-kind", "owner_of-undeclared", "owner_of-wrong-kind"],
+)
+def test_an_unresolved_target_has_one_text(jpmorgan, target, text):
+    v002, exc = _v002_and_routing(jpmorgan, target)
+    assert v002 == [text]
+    assert str(exc) == text
 
 
 def test_result_json_shape(model, graph):
