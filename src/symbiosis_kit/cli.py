@@ -6,6 +6,9 @@ Every failure ends through `_Io.fail`, which writes its note and raises
 `_Exit`; `main` is the one place that turns that into the exit code.
 `_evaluate` is the one evaluation path: `eval` is `report` over one period,
 and each only renders the results it returns.
+`COMMANDS` is the one command table. A command line that starts with a
+command's name is parsed by that command's parser alone; the full tree of
+`build_parser()` is built only for top-level help and usage errors.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn
 
 from .diagnostics import Diagnostic, has_errors, render_all, to_json
 from .expr import format_number
@@ -256,67 +259,89 @@ def _cmd_fmt(args: argparse.Namespace, io: _Io) -> None:
     io.note(f"formatted {args.model}")
 
 
+class Command(NamedTuple):
+    """One command: its help line, its function and its arguments after `--out` and `--quiet`."""
+
+    help: str
+    func: Callable[[argparse.Namespace, _Io], None]
+    args: tuple[tuple[tuple[str, ...], dict[str, Any]], ...]
+
+
+def _arg(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, kwargs
+
+
+_SHARED = (
+    _arg("--out", help="write the payload to this file instead of stdout"),
+    _arg("--quiet", action="store_true", help="suppress notes and diagnostics"),
+)
+
+COMMANDS = {
+    "check": Command("parse and validate model files", _cmd_check, (
+        _arg("models", nargs="+", metavar="model"),
+        _arg("--strict", action="store_true", help="treat warnings as errors"),
+        _arg("--format", choices=("text", "json"), default="text"),
+    )),
+    "render": Command("print natural-language formulations", _cmd_render, (
+        _arg("model"),
+        _arg("--id", help="render a single objective or goal"),
+    )),
+    "graph": Command("emit the traceability graph", _cmd_graph, (
+        _arg("model"),
+        _arg("--format", choices=("dot", "json"), default="dot"),
+    )),
+    "eval": Command("evaluate metrics for one period", _cmd_eval, (
+        _arg("model"),
+        _arg("--measurements", nargs="+", required=True, metavar="log"),
+        _arg("--metric", required=True, help="metric id or 'all'"),
+        _arg("--period", required=True, help="period key, e.g. 2014-09 or 2014-Q3"),
+        _arg("--format", choices=("text", "json"), default="text"),
+    )),
+    "report": Command("evaluate a period range and report", _cmd_report, (
+        _arg("model"),
+        _arg("--measurements", nargs="+", required=True, metavar="log"),
+        _arg("--metric", default="all", help="metric id or 'all' (default)"),
+        _arg("--from", required=True, dest="from", metavar="period"),
+        _arg("--to", required=True, metavar="period"),
+        _arg("--format", choices=("text", "json", "svg"), default="text"),
+    )),
+    "impact": Command("diff two model versions with impact sets", _cmd_impact, (
+        _arg("old"), _arg("new"),
+        _arg("--json", action="store_true", help="emit JSON instead of text"),
+    )),
+    "fmt": Command("rewrite a model in canonical form", _cmd_fmt, (_arg("model"),)),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`parser` with the arguments of command `name`, dispatching to its function."""
+    for flags, kwargs in _SHARED + COMMANDS[name].args:
+        parser.add_argument(*flags, **kwargs)
+    parser.set_defaults(command=name, func=COMMANDS[name].func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree: every command as a sub-parser, for top-level help and errors."""
     parser = argparse.ArgumentParser(
         prog="symbiosis",
         description="Model, validate, evaluate and report on security measurement programs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the payload to this file instead of stdout")
-    common.add_argument("--quiet", action="store_true", help="suppress notes and diagnostics")
-
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("check", parents=[common], help="parse and validate model files")
-    p.add_argument("models", nargs="+", metavar="model")
-    p.add_argument("--strict", action="store_true", help="treat warnings as errors")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("render", parents=[common], help="print natural-language formulations")
-    p.add_argument("model")
-    p.add_argument("--id", help="render a single objective or goal")
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("graph", parents=[common], help="emit the traceability graph")
-    p.add_argument("model")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate metrics for one period")
-    p.add_argument("model")
-    p.add_argument("--measurements", nargs="+", required=True, metavar="log")
-    p.add_argument("--metric", required=True, help="metric id or 'all'")
-    p.add_argument("--period", required=True, help="period key, e.g. 2014-09 or 2014-Q3")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("report", parents=[common], help="evaluate a period range and report")
-    p.add_argument("model")
-    p.add_argument("--measurements", nargs="+", required=True, metavar="log")
-    p.add_argument("--metric", default="all", help="metric id or 'all' (default)")
-    p.add_argument("--from", required=True, dest="from", metavar="period")
-    p.add_argument("--to", required=True, metavar="period")
-    p.add_argument("--format", choices=("text", "json", "svg"), default="text")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("impact", parents=[common], help="diff two model versions with impact sets")
-    p.add_argument("old")
-    p.add_argument("new")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.set_defaults(func=_cmd_impact)
-
-    p = sub.add_parser("fmt", parents=[common], help="rewrite a model in canonical form")
-    p.add_argument("model")
-    p.set_defaults(func=_cmd_fmt)
-
+    for name, command in COMMANDS.items():
+        _fill(sub.add_parser(name, help=command.help), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args, extra = None, argv
+        if argv and argv[0] in COMMANDS:
+            args, extra = _fill(argparse.ArgumentParser(prog=f"symbiosis {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+        if args is None or extra:
+            parser = build_parser()
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and EXIT_USAGE
     if not args.command:

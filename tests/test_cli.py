@@ -1,5 +1,8 @@
 """End-to-end CLI behavior: exit codes, payload routing, --out/--quiet."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,8 +10,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbiosis_kit import cli
 
@@ -736,6 +742,157 @@ def test_no_command_is_usage(capsys):
     assert cli.main([]) == 2
     _, err = capsys.readouterr()
     assert "usage:" in err
+
+
+# -- dispatch ---------------------------------------------------------------------
+# A command line that starts with a command's name is parsed by that command's
+# parser alone; `build_parser()`, the full tree, answers every other one. The
+# tree is the reference: `main` must print its bytes and exit with its code
+# wherever it refuses or answers with help, and dispatch its namespace wherever
+# it accepts. `{M}`, `{L}` and `{O}` stand for a model, a log and an output path.
+
+_VALID = {
+    "check": ["check", "{M}"],
+    "render": ["render", "{M}"],
+    "graph": ["graph", "{M}"],
+    "eval": ["eval", "{M}", "--measurements", "{L}", "--metric", "all", "--period", "2014-09"],
+    "report": ["report", "{M}", "--measurements", "{L}", "--from", "2014-09", "--to", "2014-09"],
+    "impact": ["impact", "{M}", "{M}"],
+    "fmt": ["fmt", "{M}", "--out", "{O}"],
+}
+
+DISPATCH_TABLE = [
+    [], ["-h"], ["bogus"], ["chec"], ["--quiet", "check", "{M}"],
+    *([name, "-h"] for name in _VALID),
+    *([name] for name in _VALID),
+    *(argv + extra for argv in _VALID.values() for extra in ([], ["--format", "pdf"], ["--bogus"], ["extra"])),
+    _VALID["eval"][:-2],
+    _VALID["report"][:-2],
+    ["check", "{M}", "--form", "json"],
+    ["graph", "{M}", "--out={O}"],
+    ["check", "--format", "json", "--strict", "{M}"],
+    ["eval", "--period", "2014-09", "{M}", "--metric", "all", "--measurements", "{L}"],
+    ["report", "--to", "2014-09", "--format", "json", "{M}", "--from", "2014-09", "--measurements", "{L}"],
+    ["impact", "--json", "{M}", "--quiet", "{M}"],
+    ["check", "--", "{M}"],
+]
+
+
+def _placed(argv: list[str], root: Path) -> list[str]:
+    """`argv` with its placeholders replaced by paths under `root`, where it writes a clean model and an empty log."""
+    (root / "model.sym").write_text(CLEAN_MODEL, encoding="utf-8")
+    (root / "log.jsonl").write_text("", encoding="utf-8")
+    paths = {"M": root / "model.sym", "L": root / "log.jsonl", "O": root / "out"}
+    return [arg.format(**paths) for arg in argv]
+
+
+def _capture(call) -> tuple[object, bytes, bytes]:
+    """`call()`, with the bytes it wrote to stdout (payloads go to its buffer) and to stderr."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = call()
+    out.flush()
+    err.flush()
+    return result, out.buffer.getvalue(), err.buffer.getvalue()
+
+
+def _tree(argv: list[str]) -> tuple[argparse.Namespace | None, int, bytes, bytes]:
+    """What the full tree makes of `argv`: the namespace it accepts (None when it
+    refuses, answers with help or names no command), the exit code, stdout and stderr."""
+    parser = cli.build_parser()
+
+    def parse():
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return None, int(exc.code or 0)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return None, 2
+        return args, 0
+
+    (args, code), out, err = _capture(parse)
+    return args, code, out, err
+
+
+@contextlib.contextmanager
+def _recording():
+    """The command table with each function wrapped to record the namespace it runs with."""
+    seen = []
+
+    def recorded(func):
+        def run(args, plumbing):
+            seen.append(args)
+            func(args, plumbing)
+
+        return run
+
+    table = {name: command._replace(func=recorded(command.func)) for name, command in cli.COMMANDS.items()}
+    with mock.patch.dict(cli.COMMANDS, table):
+        yield seen
+
+
+def _assert_dispatch_agrees_with_the_tree(argv: list[str]) -> None:
+    with _recording() as seen:
+        args, code, out, err = _tree(argv)
+        got = _capture(lambda: cli.main(argv))
+    if args is None:
+        assert got == (code, out, err)
+        assert seen == []
+    else:
+        assert seen == [args]
+        assert got[0] in (0, 1, 2)
+    assert b"Traceback" not in got[2]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_TABLE, ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_agrees_with_the_full_tree(tmp_path, argv):
+    _assert_dispatch_agrees_with_the_tree(_placed(argv, tmp_path))
+
+
+def _table_tokens() -> list[str]:
+    specs = [spec for command in cli.COMMANDS.values() for spec in cli._SHARED + command.args]
+    options = [flag for flags, _ in specs for flag in flags if flag.startswith("-")]
+    choices = [choice for _, kwargs in specs for choice in kwargs.get("choices", ())]
+    return sorted({*cli.COMMANDS, *options, *choices})
+
+
+_TOKENS = _table_tokens() + [
+    "{M}", "{L}", "{O}", "--out={O}", "all", "2014-09", "2014-Q3", "2014",
+    "-h", "--", "-", "-x", "--form", "--bogus", "bogus", "",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    argv=st.one_of(
+        st.lists(st.sampled_from(_TOKENS), max_size=8),
+        st.tuples(st.sampled_from(list(cli.COMMANDS)), st.lists(st.sampled_from(_TOKENS), max_size=8)).map(
+            lambda drawn: [drawn[0], *drawn[1]]
+        ),
+    )
+)
+def test_any_command_line_exits_0_1_or_2_without_a_traceback_as_the_tree_says(tmp_path_factory, argv):
+    _assert_dispatch_agrees_with_the_tree(_placed(argv, tmp_path_factory.mktemp("argv")))
+
+
+def test_a_command_builds_one_parser_and_no_sub_parsers(clean_sym):
+    real = argparse.ArgumentParser
+    with (
+        mock.patch.object(real, "add_subparsers", autospec=True, side_effect=real.add_subparsers) as add_subparsers,
+        mock.patch.object(real, "__init__", autospec=True, side_effect=real.__init__) as made,
+    ):
+        assert _capture(lambda: cli.main(["check", str(clean_sym)]))[0] == 0
+    assert (made.call_count, add_subparsers.call_count) == (1, 0)
+
+
+def test_top_level_help_lists_the_seven_commands_in_order():
+    real = argparse.ArgumentParser
+    with mock.patch.object(real, "add_subparsers", autospec=True, side_effect=real.add_subparsers) as add_subparsers:
+        code, out, _ = _capture(lambda: cli.main(["--help"]))
+    assert (code, add_subparsers.call_count) == (0, 1)
+    listed = re.findall(r"^    (\w+) ", out.decode(), re.MULTILINE)
+    assert listed == ["check", "render", "graph", "eval", "report", "impact", "fmt"]
 
 
 def _module_env() -> dict[str, str]:
