@@ -14,13 +14,15 @@ matches wins (the most frequent come first):
 7. any other character (P001, skipped)
 8. the end of the input, after the last blanks (becomes the EOF token)
 
-Blanks are skipped without counting lines. A token holds its file's
-`Source` and its character offset; its `span` (line and column) is built
-only when something asks for it, which is a diagnostic or a declaration.
-The `Source` then bisects a table of line-start offsets, built in one scan
-of the whole text on the first span asked for. Every declaration asks for
-its id's span, so a file that declares anything is scanned to its last
-block anyway; a file whose spans are never asked for is never scanned.
+Blanks are skipped without counting lines. A token is its kind, its text,
+its character offset and its length; the parser, which holds the file's
+`Source`, builds a token's span (line and column) only when a diagnostic
+or a declaration asks for it. The `Source` then bisects a table of
+line-start offsets, built in one scan of the whole text on the first span
+asked for. Every declaration asks for its id's span, so a file that
+declares anything is scanned to its last block anyway; a file whose spans
+are never asked for is never scanned. A NUMBER's value is read from its
+text by `parse_number` where the parser reads the number.
 """
 
 from __future__ import annotations
@@ -85,18 +87,12 @@ class Source:
 class Token(NamedTuple):
     kind: TokenKind
     text: str
-    source: Source
     offset: int  # characters from the start of the source
     length: int  # characters of source the token covers
-    value: float | None = None  # NUMBER only
-
-    @property
-    def span(self) -> SourceSpan:
-        return self.source.span(self.offset, self.length)
 
 
 _PUNCT = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
-_KIND_OF_GROUP = {"date": TokenKind.DATE, "arrow": TokenKind.ARROW}
+_KIND_OF_GROUP = {"number": TokenKind.NUMBER, "date": TokenKind.DATE, "arrow": TokenKind.ARROW}
 
 # Dots inside identifiers must be followed by an alphanumeric, so that
 # "org.*" lexes as IDENT(org) DOT STAR while "BO1.1" stays one identifier.
@@ -151,33 +147,30 @@ def tokenize(text: str, filename: str = "<string>") -> tuple[list[Token], list[D
     # seen to raise a long-running process's peak RSS by 1 MB.
     names: dict[str, str] = {}
     # A member read through its Enum class costs several times a local read.
-    ident, string, number = TokenKind.IDENT, TokenKind.STRING, TokenKind.NUMBER
+    ident, string = TokenKind.IDENT, TokenKind.STRING
     for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
         start, end = m.span(group)
         if group == "ident":
             name = text[start:end]
-            append(_new(Token, (ident, names.setdefault(name, name), source, start, end - start, None)))
+            append(_new(Token, (ident, names.setdefault(name, name), start, end - start)))
         elif group == "punct":
             lexeme = text[start]
-            append(_new(Token, (_PUNCT[lexeme], lexeme, source, start, 1, None)))
+            append(_new(Token, (_PUNCT[lexeme], lexeme, start, 1)))
         elif group == "string":
             body = m["body"]
             if "\\" in body:
                 body = _ESCAPE_RE.sub(_unescape, body)
-            token = _new(Token, (string, body, source, start, end - start, None))
             if m["closed"] is None:
-                diags.append(Diagnostic("P002", Severity.ERROR, "unterminated string literal", token.span))
-            append(token)
-        elif group == "number":
-            lexeme = text[start:end]
-            append(_new(Token, (number, lexeme, source, start, end - start, parse_number(lexeme))))
+                span = source.span(start, end - start)
+                diags.append(Diagnostic("P002", Severity.ERROR, "unterminated string literal", span))
+            append(_new(Token, (string, body, start, end - start)))
         elif group in _KIND_OF_GROUP:
-            append(_new(Token, (_KIND_OF_GROUP[group], text[start:end], source, start, end - start, None)))
+            append(_new(Token, (_KIND_OF_GROUP[group], text[start:end], start, end - start)))
         elif group == "other":
             message = f"unexpected character {text[start]!r}"
             diags.append(Diagnostic("P001", Severity.ERROR, message, source.span(start, 1)))
         else:
-            append(_new(Token, (TokenKind.EOF, "", source, start, 1, None)))
+            append(_new(Token, (TokenKind.EOF, "", start, 1)))
             break
     return tokens, diags

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import expr as _expr
 from .diagnostics import Diagnostic, Severity, SourceSpan
-from .lexer import BLANKS, Source, Token, TokenKind, tokenize
+from .lexer import BLANKS, Source, Token, TokenKind, _new, parse_number, tokenize
 from .model import (
     Action,
     ActionKind,
@@ -140,21 +140,23 @@ class _Builder:
 class _Parser:
     """Reads one file's tokens into the builder.
 
-    `pos` is the index of the next unread token; it never passes the EOF
-    token. The readers index `tokens` directly; one that reads several
-    tokens keeps the position in a local and stores it back when it is done.
+    A token holds its kind, text, offset and length; the file's `Source`
+    gives every span and the text of each recorded block. `pos` is the index
+    of the next unread token; it never passes the EOF token. The readers
+    index `tokens` directly; one that reads several tokens keeps the
+    position in a local and stores it back when it is done.
     """
 
     def __init__(
         self,
         tokens: list[Token],
-        filename: str,
+        source: Source,
         builder: _Builder,
         diags: list[Diagnostic],
         include_stack: tuple[str, ...],  # real paths of the files being read, root first
         table: BlockTable | None = None,
     ) -> None:
-        self.filename = filename
+        self.source = source
         self.builder = builder
         self.diags = diags
         self.include_stack = include_stack
@@ -163,12 +165,13 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def error(self, code: str, message: str, span: SourceSpan) -> None:
+    def error(self, code: str, message: str, tok: Token) -> None:
+        span = self.source.span(tok.offset, tok.length)
         self.diags.append(Diagnostic(code, Severity.ERROR, message, span))
 
     def expected(self, tok: Token, what: str) -> None:
         """Report P001 at `tok`, which is not `what`. Returns None for the reader."""
-        self.error("P001", f"expected {what}, found {_shown(tok)!r}", tok.span)
+        self.error("P001", f"expected {what}, found {_shown(tok)!r}", tok)
 
     def read_tokens(self, *wanted: tuple[TokenKind, str]) -> list[Token] | None:
         """The next tokens, if their kinds are those of `wanted` in order.
@@ -241,7 +244,7 @@ class _Parser:
                     self.parse_block(tok.text)
                     continue
                 if tokens[self.pos + 1].kind is _IDENT and tokens[self.pos + 2].kind is _LBRACE:
-                    self.error("P003", f"unknown block kind {tok.text!r}", tok.span)
+                    self.error("P003", f"unknown block kind {tok.text!r}", tok)
                     self.pos += 2
                     self.skip_block()
                     continue
@@ -254,24 +257,24 @@ class _Parser:
         if path_tok.kind is not _STRING:
             return self.expected(path_tok, "a quoted file path")
         self.pos += 1
-        base = os.path.dirname(self.filename)
+        base = os.path.dirname(self.source.name)
         target = os.path.normpath(os.path.join(base, path_tok.text))
         # Files are compared by real path, so a file reached through a symbolic
         # link is one file.
         key = os.path.realpath(target)
         if key in self.include_stack:
-            self.error("P006", f"include cycle through {target!r}", path_tok.span)
+            self.error("P006", f"include cycle through {target!r}", path_tok)
             return
         if key in self.builder.included:
             return  # already spliced in: its declarations are in the model once
         if len(self.include_stack) >= MAX_INCLUDE_DEPTH:
-            self.error("P009", f"include nesting deeper than {MAX_INCLUDE_DEPTH} files", path_tok.span)
+            self.error("P009", f"include nesting deeper than {MAX_INCLUDE_DEPTH} files", path_tok)
             return
         try:
             text = Path(target).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
-            self.error("P007", f"cannot read include {target!r}: {reason}", path_tok.span)
+            self.error("P007", f"cannot read include {target!r}: {reason}", path_tok)
             return
         self.builder.included.add(key)
         _parse_source(text, target, self.builder, self.diags, self.include_stack + (key,))
@@ -308,11 +311,11 @@ class _Parser:
             self.pos = i + 1
             duplicate = name in seen and name not in _REPEATED_NAMES
             if duplicate:
-                self.error("P004", f"duplicate field {name!r} in {kind} block", name_tok.span)
+                self.error("P004", f"duplicate field {name!r} in {kind} block", name_tok)
             seen.add(name)
             entry = readers.get(name)
             if entry is None:
-                self.error("P001", f"unknown field {name!r} in {kind} block", name_tok.span)
+                self.error("P001", f"unknown field {name!r} in {kind} block", name_tok)
                 value = None
             else:
                 read, attribute = entry
@@ -334,10 +337,10 @@ class _Parser:
         # A repeated field's items were gathered in a list.
         values = {attribute: tuple(v) if type(v) is list else v for attribute, v in fields.items()}
         node = NODE_TYPES[kind](id=id_tok.text, **values)
-        self.builder.add(kind, id_tok.text, node, id_tok.span)
+        self.builder.add(kind, id_tok.text, node, self.source.span(id_tok.offset, id_tok.length))
         if self.table is not None and len(self.diags) == errors:
             start = keyword.offset
-            text = keyword.source.text[start : tokens[i - 1].offset + 1]
+            text = self.source.text[start : tokens[i - 1].offset + 1]
             self.table[text] = (kind, node, id_tok.offset - start, id_tok.length)
 
     # -- value readers -----------------------------------------------------
@@ -386,21 +389,22 @@ class _Parser:
     def number(self, tok: Token) -> float | None:
         """The value of NUMBER token `tok`; every reader of a number asks here.
 
-        A literal beyond the float range (309 digits or more, or `1e309`)
-        lexes to infinity, and one with a nonzero digit below it (`1e-400`)
-        to zero: either is P001, and None. The message shows a literal
-        whole when that is no longer than showing its ends.
+        A literal beyond the float range (`2` followed by 308 zeros, or
+        `1e309`) reads as infinity, and one with a nonzero digit below it
+        (`1e-400`) as zero: either is P001, and None. The message shows a
+        literal whole when that is no longer than showing its ends.
         """
         text = tok.text
-        if tok.value == _INFINITY:
+        value = parse_number(text)
+        if value == _INFINITY:
             size = "large"
-        elif tok.value == 0.0 and text.upper().partition("E")[0].strip("0."):
+        elif value == 0.0 and text.upper().partition("E")[0].strip("0."):
             size = "small"
         else:
-            return tok.value
+            return value
         if len(text) > 19:
             text = f"{text[:8]}...{text[-8:]} ({len(text)} characters)"
-        return self.error("P001", f"number too {size}: {text}", tok.span)
+        return self.error("P001", f"number too {size}: {text}", tok)
 
     def parse_value_int(self) -> int | None:
         tok = self.tokens[self.pos]
@@ -411,8 +415,10 @@ class _Parser:
         if value is None:
             return None
         if value != int(value):
-            return self.error("P001", f"expected an integer, found {tok.text!r}", tok.span)
-        return int(value)
+            return self.error("P001", f"expected an integer, found {tok.text!r}", tok)
+        # Digits alone are read exactly. The range check above leaves at most 309
+        # of them once leading zeros go, which keeps `int` under its digit limit.
+        return int(tok.text.lstrip("0") or "0") if tok.text.isdigit() else int(value)
 
     def parse_value_date(self) -> _dt.date | None:
         tok = self.tokens[self.pos]
@@ -422,7 +428,7 @@ class _Parser:
         try:
             return _dt.date.fromisoformat(tok.text)
         except ValueError:
-            return self.error("P001", f"invalid date {tok.text!r}", tok.span)
+            return self.error("P001", f"invalid date {tok.text!r}", tok)
 
     def read_word(self, enum: type, what: str = "", unknown: str = ""):
         """An identifier that is the value of a member of `enum`; returns the member.
@@ -439,7 +445,7 @@ class _Parser:
             if tok.text in words:
                 return words[tok.text]
             if unknown:
-                return self.error("P001", f"{unknown} {tok.text!r}", tok.span)
+                return self.error("P001", f"{unknown} {tok.text!r}", tok)
         *rest, last = map(repr, words)
         return self.expected(tok, what or f"{', '.join(rest)} or {last}")
 
@@ -478,7 +484,7 @@ class _Parser:
                 i += 1
             else:
                 self.pos = i
-                return self.error("P001", "expected '*' or '{facets}' after '.'", after.span)
+                return self.error("P001", "expected '*' or '{facets}' after '.'", after)
         description: str | None = None
         if tokens[i].kind is _STRING:
             description = tokens[i].text
@@ -500,7 +506,7 @@ class _Parser:
         return ReportingSchedule(collection, reporting)
 
     def malformed_interval(self, tok: Token, what: str) -> None:
-        self.error("P005", f"malformed interval: expected {what}, found {_shown(tok)!r}", tok.span)
+        self.error("P005", f"malformed interval: expected {what}, found {_shown(tok)!r}", tok)
 
     def parse_signed_number(self, what: str) -> float | None:
         tokens = self.tokens
@@ -541,7 +547,7 @@ class _Parser:
         self.pos += 1
         interval = Interval(lo, hi, open_tok.kind is _LBRACK, close_tok.kind is _RBRACK)
         if interval.is_empty():
-            return self.error("P005", f"empty interval {interval.notation()}", open_tok.span)
+            return self.error("P005", f"empty interval {interval.notation()}", open_tok)
         return interval
 
     def parse_value_band(self) -> InterpretationBand | None:
@@ -610,7 +616,7 @@ class _Parser:
     # limit is crossed, long before Python's recursion limit.
 
     def too_deep(self, tok: Token) -> None:
-        self.error("P008", f"metric function nests deeper than {MAX_EXPR_DEPTH} levels", tok.span)
+        self.error("P008", f"metric function nests deeper than {MAX_EXPR_DEPTH} levels", tok)
 
     def parse_expr_binary(self, min_prec: int, above: int, parens: int) -> tuple[_expr.Expr, int] | None:
         parsed = self.parse_expr_unary(above, parens)
@@ -658,7 +664,7 @@ class _Parser:
                 return self.expected(self.tokens[self.pos], "')'")
             self.pos += 1
             return inner
-        self.error("P001", f"expected an expression, found {_shown(tok)!r}", tok.span)
+        self.error("P001", f"expected an expression, found {_shown(tok)!r}", tok)
         return None
 
 
@@ -694,7 +700,7 @@ def _parse_source(text: str, filename: str, builder: _Builder, diags: list[Diagn
     diags.extend(lex_diags)
     # A block holding a lexer diagnostic is not recorded: its reuse would drop the diagnostic.
     table = None if lex_diags else builder.table
-    _Parser(tokens, filename, builder, diags, stack, table).parse_model()
+    _Parser(tokens, Source(filename, text), builder, diags, stack, table).parse_model()
 
 
 def _reuse_blocks(text: str, filename: str, builder: _Builder) -> bool:
@@ -735,8 +741,8 @@ def _parse_run(text: str, start: int, stop: int, source: Source, builder: _Build
     tokens, diags = tokenize(run, source.name)
     if diags:
         return False
-    tokens = [token._replace(source=source, offset=token.offset + start) for token in tokens]
-    _Parser(tokens, source.name, builder, diags, (), builder.table).parse_model()
+    tokens = [_new(Token, (kind, lexeme, offset + start, length)) for kind, lexeme, offset, length in tokens]
+    _Parser(tokens, source, builder, diags, (), builder.table).parse_model()
     return not diags
 
 
@@ -762,7 +768,7 @@ def parse_file(path: str | Path, table: BlockTable | None = None) -> tuple[Model
 def parse_expression(text: str) -> _expr.Expr:
     """Parse a standalone metric function. Raises ExpressionSyntaxError on bad input."""
     tokens, diags = tokenize(text, "<expression>")
-    parser = _Parser(tokens, "<expression>", _Builder(), diags, ())
+    parser = _Parser(tokens, Source("<expression>", text), _Builder(), diags, ())
     result = parser.parse_value_expr()
     if diags or result is None:
         message = diags[0].message if diags else "empty expression"

@@ -49,6 +49,7 @@ _ENTRIES = (
             "golden/jpmorgan_graph.json",
             "golden/jpmorgan_graph.dot",
             "golden/jpmorgan_eval_2014-Q4.txt",
+            "golden/jpmorgan_eval_2014-Q4.json",
             "golden/jpmorgan_report_2014-Q4.txt",
             # impact of this model (old) against a copy that edits one filter of base bm_took (new)
             "golden/jpmorgan_base_edit_impact.txt",

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from symbiosis_kit.diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from symbiosis_kit import expr as _expr
-from symbiosis_kit.lexer import Token, TokenKind, parse_number, tokenize
+from symbiosis_kit.lexer import Source, Token, TokenKind, parse_number, tokenize
 from symbiosis_kit.model import (
     KIND_BASE,
     KIND_GOAL,
@@ -546,6 +546,16 @@ def _token(kind: TokenKind, text: str, span: SourceSpan, value: float | None = N
     return CharToken(kind, text, span, value)
 
 
+def char_tokens(tokens: list[Token], text: str, filename: str) -> list[CharToken]:
+    """The package's tokens of `text`, each with the span and number value the character loop gives it."""
+    source = Source(filename, text)
+    number = TokenKind.NUMBER
+    return [
+        _token(t.kind, t.text, source.span(t.offset, t.length), parse_number(t.text) if t.kind is number else None)
+        for t in tokens
+    ]
+
+
 def tokenize_by_characters(text: str, filename: str = "<string>") -> tuple[list[CharToken], list[Diagnostic]]:
     """Total: any input yields a token list (ending in EOF) plus diagnostics."""
     tokens: list[CharToken] = []
@@ -832,6 +842,7 @@ class _Parser:
         self.diags = diags
         self.include_stack = include_stack
         tokens, lex_diags = tokenize(text, filename)
+        tokens = char_tokens(tokens, text, filename)
         # The position never passes the EOF token, so _LOOKAHEAD more copies
         # of it keep every peek in range.
         self.tokens = tokens + [tokens[-1]] * _LOOKAHEAD
@@ -840,10 +851,10 @@ class _Parser:
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
+    def peek(self, offset: int = 0) -> CharToken:
         return self.tokens[self.pos + offset]
 
-    def advance(self) -> Token:
+    def advance(self) -> CharToken:
         tok = self.tokens[self.pos]
         if tok.kind is not TokenKind.EOF:
             self.pos += 1
@@ -855,7 +866,7 @@ class _Parser:
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diags.append(Diagnostic(code, Severity.ERROR, message, span))
 
-    def expect(self, kind: TokenKind, what: str) -> Token | None:
+    def expect(self, kind: TokenKind, what: str) -> CharToken | None:
         tok = self.peek()
         if tok.kind is kind:
             return self.advance()
@@ -1028,7 +1039,7 @@ class _Parser:
         (KIND_METRIC, "stakeholders"): "ident_list",
     }
 
-    def parse_field_value(self, kind: str, name: str, name_tok: Token):
+    def parse_field_value(self, kind: str, name: str, name_tok: CharToken):
         value_kind = self._SCHEMA.get((kind, name))
         if value_kind is None:
             self.error("P001", f"unknown field {name!r} in {kind} block", name_tok.span)
@@ -1078,7 +1089,7 @@ class _Parser:
             items.append(tok.text)
         return tuple(items)
 
-    def out_of_range(self, tok: Token) -> bool:
+    def out_of_range(self, tok: CharToken) -> bool:
         text = tok.text
         if math.isinf(tok.value):
             size = "large"
@@ -1098,7 +1109,7 @@ class _Parser:
         if tok.value != int(tok.value):
             self.error("P001", f"expected an integer, found {tok.text!r}", tok.span)
             return None
-        return int(tok.value)
+        return int(tok.text.lstrip("0") or "0") if tok.text.isdigit() else int(tok.value)
 
     def parse_value_date(self) -> dt.date | None:
         tok = self.expect(TokenKind.DATE, "a date (YYYY-MM-DD)")
@@ -1320,7 +1331,7 @@ class _Parser:
     # and `parens` the open parentheses, so P008 stops the descent where a
     # limit is crossed, long before Python's recursion limit.
 
-    def too_deep(self, tok: Token) -> None:
+    def too_deep(self, tok: CharToken) -> None:
         self.error("P008", f"metric function nests deeper than {MAX_EXPR_DEPTH} levels", tok.span)
 
     def parse_expr_binary(self, min_prec: int, above: int, parens: int) -> tuple[_expr.Expr, int] | None:

@@ -90,12 +90,19 @@ def test_heartland_impact_goldens(monkeypatch, tmp_path, flags, ext):
     assert _regen(monkeypatch, tmp_path, argv) == _golden(f"heartland_impact.{ext}")
 
 
+JPMORGAN_Q4_EVAL = ["eval", "corpus/jpmorgan.sym", "--measurements", *JPMORGAN_LOGS, "--metric", "all", "--period", "2014-Q4"]
+
+
 def test_jpmorgan_2014_q4_eval_golden_warns_of_the_months_without_logs(monkeypatch, tmp_path):
-    argv = ["eval", "corpus/jpmorgan.sym", "--measurements", *JPMORGAN_LOGS, "--metric", "all", "--period", "2014-Q4"]
-    got = _regen(monkeypatch, tmp_path, argv)
+    got = _regen(monkeypatch, tmp_path, JPMORGAN_Q4_EVAL)
     assert got == _golden("jpmorgan_eval_2014-Q4.txt")
     assert got.count(b"  warning: collection period 2014-10 inside 2014-Q4 has no records") == 6
     assert got.count(b"  warning: collection period 2014-12 inside 2014-Q4 has no records") == 6
+
+
+def test_jpmorgan_2014_q4_eval_json_golden(monkeypatch, tmp_path):
+    got = _regen(monkeypatch, tmp_path, JPMORGAN_Q4_EVAL + ["--format", "json"])
+    assert got == _golden("jpmorgan_eval_2014-Q4.json")
 
 
 def test_jpmorgan_2014_q4_report_golden_notes_the_months_without_logs(monkeypatch, tmp_path):

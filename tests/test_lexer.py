@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS_ROOT
 from modelgen import program_model
-from oracles import tokenize_by_characters
+from oracles import char_tokens, tokenize_by_characters
 from symbiosis_kit.diagnostics import SourceSpan
-from symbiosis_kit.lexer import TokenKind, tokenize
+from symbiosis_kit.lexer import Source, TokenKind, tokenize
 from symbiosis_kit.parser import parse
 from symbiosis_kit.serializer import serialize
 
@@ -115,24 +115,25 @@ def test_crlf_treated_as_whitespace():
     tokens, diags = tokenize("a\r\nb")
     assert not diags
     assert [t.text for t in tokens[:-1]] == ["a", "b"]
-    assert tokens[1].span.line == 2
+    assert char_tokens(tokens, "a\r\nb", "<string>")[1].span.line == 2
 
 
 def test_spans_are_one_based():
-    tokens, _ = tokenize("ab cd")
+    tokens = char_tokens(tokenize("ab cd")[0], "ab cd", "<string>")
     assert (tokens[0].span.line, tokens[0].span.col) == (1, 1)
     assert (tokens[1].span.line, tokens[1].span.col) == (1, 4)
 
 
 def test_number_value_parsed():
-    tokens, _ = tokenize("12.5")
+    tokens = char_tokens(tokenize("12.5")[0], "12.5", "<string>")
     assert tokens[0].value == 12.5
 
 
 def test_number_takes_an_exponent():
-    tokens, diags = tokenize("1e-05 2E+16 5e-324 1.5e3 1e 3e+")
+    text = "1e-05 2E+16 5e-324 1.5e3 1e 3e+"
+    tokens, diags = tokenize(text)
     assert not diags
-    assert [(t.kind.name, t.text, t.value) for t in tokens[:-1]] == [
+    assert [(t.kind.name, t.text, t.value) for t in char_tokens(tokens, text, "<string>")[:-1]] == [
         ("NUMBER", "1e-05", 1e-05),
         ("NUMBER", "2E+16", 2e16),
         ("NUMBER", "5e-324", 5e-324),
@@ -154,7 +155,7 @@ def test_string_ends_at_its_line_even_after_a_backslash():
         ("P001", 6, 1),
     ]
     assert tokens[5].text == "a"  # the lone backslash is dropped
-    role = next(t for t in tokens if t.text == "role")
+    role = next(t for t in char_tokens(tokens, text, "bs.sym") if t.text == "role")
     assert (role.span.line, role.span.col) == (4, 3)
 
 
@@ -165,7 +166,7 @@ def _fields(tokens):
 def _assert_same_as_character_loop(text: str, filename: str) -> None:
     tokens, diags = tokenize(text, filename)
     expected_tokens, expected_diags = tokenize_by_characters(text, filename)
-    assert _fields(tokens) == _fields(expected_tokens)
+    assert _fields(char_tokens(tokens, text, filename)) == _fields(expected_tokens)
     assert diags == expected_diags
 
 
@@ -265,7 +266,8 @@ def test_spans_asked_in_any_order_match_the_character_loop(order):
     indices = list(range(len(tokens)))[::-1]
     if order == "shuffled":
         random.Random(3).shuffle(indices)
-    assert {i: tokens[i].span for i in indices} == dict(enumerate(expected))
+    source = Source("p.sym", text)
+    assert {i: source.span(tokens[i].offset, tokens[i].length) for i in indices} == dict(enumerate(expected))
 
 
 @pytest.mark.parametrize(
@@ -273,6 +275,6 @@ def test_spans_asked_in_any_order_match_the_character_loop(order):
     [("", 1, 1), ("a", 1, 2), ("a\r", 1, 3), ("a\r\n", 2, 1), ("a # c", 1, 6), ("\r\n\r\n  ", 3, 3), ("x\n# c\r\n", 3, 1)],
 )
 def test_eof_token_span(text, line, col):
-    eof = tokenize(text, "e.sym")[0][-1]
+    eof = char_tokens(tokenize(text, "e.sym")[0], text, "e.sym")[-1]
     assert eof.kind is TokenKind.EOF
     assert eof.span == SourceSpan("e.sym", line, col, 1)

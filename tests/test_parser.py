@@ -31,7 +31,7 @@ from symbiosis_kit.model import (
     StrategyStep,
 )
 from symbiosis_kit.impact import diff
-from symbiosis_kit.lexer import TokenKind, tokenize
+from symbiosis_kit.lexer import Source, TokenKind, tokenize
 from symbiosis_kit.parser import (
     MAX_EXPR_DEPTH,
     MAX_INCLUDE_DEPTH,
@@ -50,7 +50,7 @@ def codes(diags):
 
 
 def test_lookahead_at_and_past_the_end_reads_eof():
-    parser = _Parser(tokenize("a")[0], "<string>", _Builder(), [], ())
+    parser = _Parser(tokenize("a")[0], Source("<string>", "a"), _Builder(), [], ())
     assert [t.kind for t in parser.tokens] == [TokenKind.IDENT] + [TokenKind.EOF] * 3
     parser.parse_model()
     assert parser.pos == 1  # the position stays on EOF
@@ -118,7 +118,7 @@ def test_backwards_interval_is_p005():
     assert codes(diags) == ["P005"]
 
 
-# A number literal of 309 or more digits is beyond the float range.
+# A literal of 400 nines is beyond the float range.
 _HUGE = "9" * 400
 
 # The four fields that read a number, each with a huge literal.
@@ -208,6 +208,28 @@ def test_the_largest_literal_below_the_float_range_parses():
     model, diags = parse(f"metric M {{ domain: [0, {digits}] function: {digits} }}")
     assert not diags
     assert model.metrics["M"].domain.hi == float(digits)
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [
+        (str(2**53 + 1), 2**53 + 1),
+        ("1" + "0" * 307 + "1", 10**308 + 1),
+        ("0" * 5000 + "1", 1),
+        ("0" * 5000, 0),
+        ("3.0", 3),
+        ("1e3", 1000),
+    ],
+    ids=["2**53+1", "309 digits", "leading zeros", "zeros alone", "point", "exponent"],
+)
+def test_an_integer_literal_is_read_and_formatted_exactly(literal, value):
+    src = f"objective B {{ priority: {literal} }}"
+    model, diags = parse(src)
+    assert not diags
+    assert model.objectives["B"].priority == value
+    assert f"priority: {value}\n" in serialize(model)
+    assert parse(serialize(model))[0].objectives == model.objectives
+    _assert_same_as_token_by_token(src)
 
 
 def test_single_point_closed_interval_is_fine():
