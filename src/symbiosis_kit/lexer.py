@@ -21,8 +21,10 @@ or a declaration asks for it. The `Source` then bisects a table of
 line-start offsets, built in one scan of the whole text on the first span
 asked for. Every declaration asks for its id's span, so a file that
 declares anything is scanned to its last block anyway; a file whose spans
-are never asked for is never scanned. A NUMBER's value is read from its
-text by `parse_number` where the parser reads the number.
+are never asked for is never scanned. The parser hands `tokenize` that same
+`Source` for its P001/P002 spans, so no text is scanned twice. A NUMBER's
+value is read from its text by `parse_number` where the parser reads the
+number.
 """
 
 from __future__ import annotations
@@ -135,9 +137,16 @@ def parse_number(text: str) -> float:
     return 0.0 if value == 0.0 else value  # normalize -0.0
 
 
-def tokenize(text: str, filename: str = "<string>") -> tuple[list[Token], list[Diagnostic]]:
-    """Total: any input yields a token list (ending in EOF) plus diagnostics."""
-    source = Source(filename, text)
+def tokenize(
+    text: str, filename: str = "<string>", source: Source | None = None
+) -> tuple[list[Token], list[Diagnostic]]:
+    """Total: any input yields a token list (ending in EOF) plus diagnostics.
+
+    `source`, when given, is the caller's `Source(filename, text)`; the
+    diagnostics' spans then come from its line table.
+    """
+    if source is None:
+        source = Source(filename, text)
     tokens: list[Token] = []
     append = tokens.append
     diags: list[Diagnostic] = []

@@ -694,22 +694,23 @@ _BLANKS_RE = re.compile(BLANKS)
 
 def _parse_source(text: str, filename: str, builder: _Builder, diags: list[Diagnostic], stack: tuple[str, ...]) -> None:
     """Parse one file's text into the builder, from recorded blocks where the load reuses them."""
-    if builder.reuse and _reuse_blocks(text, filename, builder):
+    source = Source(filename, text)  # one line table for every span in the file
+    if builder.reuse and _reuse_blocks(source, builder):
         return
-    tokens, lex_diags = tokenize(text, filename)
+    tokens, lex_diags = tokenize(text, filename, source)
     diags.extend(lex_diags)
     # A block holding a lexer diagnostic is not recorded: its reuse would drop the diagnostic.
     table = None if lex_diags else builder.table
-    _Parser(tokens, Source(filename, text), builder, diags, stack, table).parse_model()
+    _Parser(tokens, source, builder, diags, stack, table).parse_model()
 
 
-def _reuse_blocks(text: str, filename: str, builder: _Builder) -> bool:
-    """Add `text`'s declarations from recorded blocks and the runs parsed between them.
+def _reuse_blocks(source: Source, builder: _Builder) -> bool:
+    """Add the file's declarations from recorded blocks and the runs parsed between them.
 
     Returns False, with nothing added, when no piece is a recorded block or
     a run holds an `include` or gives a diagnostic.
     """
-    source = Source(filename, text)
+    text = source.text
     mark = len(builder.declarations)
     run_start = region_start = 0
     for match in _CLOSING_LINE_RE.finditer(text):
@@ -767,8 +768,9 @@ def parse_file(path: str | Path, table: BlockTable | None = None) -> tuple[Model
 
 def parse_expression(text: str) -> _expr.Expr:
     """Parse a standalone metric function. Raises ExpressionSyntaxError on bad input."""
-    tokens, diags = tokenize(text, "<expression>")
-    parser = _Parser(tokens, Source("<expression>", text), _Builder(), diags, ())
+    source = Source("<expression>", text)
+    tokens, diags = tokenize(text, source.name, source)
+    parser = _Parser(tokens, source, _Builder(), diags, ())
     result = parser.parse_value_expr()
     if diags or result is None:
         message = diags[0].message if diags else "empty expression"

@@ -12,17 +12,20 @@ Cost model: each log is read once at ingest. Identical lines are tallied
 first, and each distinct line text is classified once: a line in one of the
 two shapes exactly as json.dumps writes them costs one regex match, with
 its date parsed once per distinct date string and its fields decoded once
-per distinct text; every other line is decoded in full. Raw events are kept
+per distinct text; every other line is decoded in full. Those date and
+fields caches, and the raw-event tally, belong to one ingest_many call and
+serve all of its files, so a date or fields text repeated across monthly
+logs is decoded once per command, not once per file. Raw events are kept
 as counts per (date, fields), never as one record per line. One more pass
-over the lines gives line numbers only where they are kept: to each DIRECT
-entry and to each rejected line, which gets its own diagnostic. The first
-aggregation over a log builds its MeasurementStore from the DIRECT entries
-and the tally, and each COUNT filter set is matched once against each
-distinct set of event fields. After that a COUNT binding for any period or
-density sub-period costs two bisects, O(log n) in the log's distinct
-dates, and a DIRECT binding costs time proportional to the base's entries
-inside the period. Period bounds and density windows come from the periods
-module's per-key cache.
+over each file's lines gives line numbers only where they are kept: to
+each DIRECT entry and to each rejected line, which gets its own diagnostic.
+The first aggregation over a log builds its MeasurementStore from the
+DIRECT entries and the tally, and each COUNT filter set is matched once
+against each distinct set of event fields. After that a COUNT binding for
+any period or density sub-period costs two bisects, O(log n) in the log's
+distinct dates, and a DIRECT binding costs time proportional to the base's
+entries inside the period. Period bounds and density windows come from the
+periods module's per-key cache.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ Event = tuple[dt.date, FieldSet]  # a raw event's date and sorted fields
 
 class _LogFields(NamedTuple):
     records: tuple[DirectEntry, ...]
-    events: Counter[Event]
+    events: dict[Event, int]
     diagnostics: tuple[Diagnostic, ...]
 
 
@@ -78,8 +81,9 @@ class MeasurementLog(_LogFields):
     """What ingest accepted, and its diagnostics.
 
     `records` holds the DIRECT entries in ingest order (file order, then
-    line); `events` counts the raw events per (date, fields). `store`
-    indexes both by date on first use and lives as long as the log does.
+    line); `events` maps each raw event's (date, fields) to how many lines
+    logged it, and holds no zero counts. `store` indexes both by date on
+    first use and lives as long as the log does.
     """
 
     @cached_property
@@ -278,7 +282,21 @@ def _classify_line(
     return _decode_line(stripped, model)
 
 
-def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLog:
+class _IngestState(NamedTuple):
+    """What the files of one ingest share: date and `fields` caches, and one tally."""
+
+    dates: Callable[[str], dt.date | None]
+    field_sets: Callable[[str], FieldSet | None]
+    events: dict[Event, int]
+
+
+def _new_state() -> _IngestState:
+    return _IngestState(cache(_date_or_none), cache(_decoded_field_set), {})
+
+
+def ingest_lines(
+    lines: list[str], filename: str, model: Model, state: _IngestState | None = None
+) -> MeasurementLog:
     """The raw-event tally, DIRECT entries and I-diagnostics of one log's lines.
 
     Identical lines are tallied first and each distinct text is classified
@@ -287,18 +305,22 @@ def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLo
     set objects. A raw event only adds its lines' count to the tally. One
     pass over the lines then gives each DIRECT entry its line number and
     each rejected line its own diagnostic.
+
+    Without a `state` the caches and the tally are this call's own. With
+    one (as `ingest_many` passes for every file), dates and `fields` texts
+    already decoded for an earlier file are not decoded again, and the
+    events are added to the state's tally, which the returned log holds;
+    its records and diagnostics are still this file's alone.
     """
-    events: Counter[Event] = Counter()
+    dates, field_sets, events = _new_state() if state is None else state
     numbered: dict[str, Classified] = {}  # DIRECT and rejected line texts
-    dates = cache(_date_or_none)
-    field_sets = cache(_decoded_field_set)
     for text, count in Counter(lines).items():
         classified = _classify_line(text, model, dates, field_sets)
         if classified is None:
             continue
         kind, item = classified
         if kind is _EVENT:
-            events[item] += count
+            events[item] = events.get(item, 0) + count
         else:
             numbered[text] = classified
     records: list[DirectEntry] = []
@@ -315,12 +337,8 @@ def ingest_lines(lines: list[str], filename: str, model: Model) -> MeasurementLo
     return MeasurementLog(tuple(records), events, tuple(sorted(diags, key=sort_key)))
 
 
-def ingest(path: str, model: Model) -> MeasurementLog:
-    """Ingest one UTF-8 log file; raises OSError or UnicodeDecodeError when unreadable.
-
-    A byte order mark at the start of the file is dropped, so the first line
-    reads like every other.
-    """
+def _read_lines(path: str) -> list[str]:
+    """A log file's lines, read as `ingest` documents."""
     with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
@@ -332,20 +350,34 @@ def ingest(path: str, model: Model) -> MeasurementLog:
     lines = text.split("\n")
     if not lines[-1]:  # the text ends with a line end (or is empty), which starts no line
         lines.pop()
-    return ingest_lines(lines, path, model)
+    return lines
+
+
+def ingest(path: str, model: Model) -> MeasurementLog:
+    """Ingest one UTF-8 log file; raises OSError or UnicodeDecodeError when unreadable.
+
+    A byte order mark at the start of the file is dropped, so the first line
+    reads like every other.
+    """
+    return ingest_lines(_read_lines(path), path, model)
 
 
 def ingest_many(paths: list[str], model: Model) -> MeasurementLog:
-    """Logs ingested in the order given: DIRECT entries concatenated, event tallies added."""
+    """Logs ingested in the order given: DIRECT entries concatenated, raw events in one tally.
+
+    Each file goes through `ingest_lines` once, and all of them share one
+    ingest state: a date string or `fields` text is decoded once per call,
+    however many files repeat it, and every file's events go straight into
+    one tally.
+    """
+    state = _new_state()
     records: list[DirectEntry] = []
-    events: Counter[Event] = Counter()
     diags: list[Diagnostic] = []
     for path in paths:
-        log = ingest(path, model)
+        log = ingest_lines(_read_lines(path), path, model, state)
         records.extend(log.records)
-        events.update(log.events)
         diags.extend(log.diagnostics)
-    return MeasurementLog(tuple(records), events, tuple(sorted(diags, key=sort_key)))
+    return MeasurementLog(tuple(records), state.events, tuple(sorted(diags, key=sort_key)))
 
 
 # -- aggregation --------------------------------------------------------------
@@ -361,7 +393,7 @@ class MeasurementStore:
     Every query is then two bisects over one base's dates.
     """
 
-    def __init__(self, records: tuple[DirectEntry, ...], events: Counter[Event]) -> None:
+    def __init__(self, records: tuple[DirectEntry, ...], events: dict[Event, int]) -> None:
         by_base: dict[str, list[tuple[dt.date, int, int, float]]] = {}
         for seq, entry in enumerate(records):
             by_base.setdefault(entry.base, []).append((entry.timestamp, entry.line, -seq, entry.value))

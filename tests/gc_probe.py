@@ -1,9 +1,10 @@
-"""Garbage-collection probe for the benchmark's model-heavy rounds.
+"""Garbage-collection probe for the benchmark's rounds.
 
-    python3 tests/gc_probe.py --seed 89 --rounds 3
+    python3 tests/gc_probe.py --seed 89 --rounds 3 [--workload logs-heavy]
 
 Run from the root of a checkout; it needs only the standard library. It
-builds the model-heavy workload with `bench/workloads.py` and runs
+builds one workload (model-heavy unless `--workload` names another) with
+`bench/workloads.py` and runs
 `Runner.round` from `bench/run.py` as the benchmark does, with the
 reference loop (`calibrate`) wrapped: before each loop it reads the
 generation-2 counter, `gc.get_count()[2]`, and while the loop runs a
@@ -14,7 +15,8 @@ A full collection inside a loop makes that loop slower, which scales the
 commands on both sides of it down, so a change that moves the collections
 between loops moves the scaled times of commands it does not touch. On
 model-heavy, a full collection runs in the loop after `impact`, `eval` and
-`report` only (counters 7, 7, 9, 8 and 8 from the second round on).
+`report` only (counters 7, 7, 9, 8 and 8 from the second round on). On
+logs-heavy and program-wide the counters stay lower and no loop runs one.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import run  # noqa: E402  (bench/run.py)
 import workloads  # noqa: E402  (bench/workloads.py)
 
 
-def probe(seed: int, rounds: int) -> list[str]:
-    """Run `rounds` model-heavy rounds; one `op:counter/full` line per round."""
+def probe(seed: int, rounds: int, workload_name: str = "model-heavy") -> list[str]:
+    """Run `rounds` rounds of a workload; one `op:counter/full` line per round."""
     from symbiosis_kit import cli
 
     work = os.path.join(ROOT, ".bench_work", f"gc-probe-{os.getpid()}")
@@ -60,7 +62,7 @@ def probe(seed: int, rounds: int) -> list[str]:
     lines = []
     run.calibrate = probed
     try:
-        workload = workloads.model_heavy(ROOT, work, seed, run._refmt(cli, work))
+        workload = workloads.WORKLOADS[workload_name](ROOT, work, seed, run._refmt(cli, work))
         runner = run.Runner(cli, workload, work)
         for _ in range(rounds):
             readings.clear()
@@ -80,8 +82,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--workload", choices=list(workloads.WORKLOADS), default="model-heavy")
     args = parser.parse_args(argv)
-    for index, line in enumerate(probe(args.seed, args.rounds), 1):
+    for index, line in enumerate(probe(args.seed, args.rounds, args.workload), 1):
         print(f"round {index}: {line}")
     return 0
 

@@ -6,12 +6,16 @@ lines, CRLF endings, repeated bad lines and spacing json.dumps never writes,
 its tally, DIRECT entries and diagnostics must equal what
 `oracles.ingest_lines_by_decoding` gives line by line, and a log split into
 several files must give the rescanning oracle's SUM and LATEST bindings.
+`ingest_many` shares its date and `fields` caches and one tally across its
+files: what it gives must equal the oracle's per-file results put together,
+and a date or `fields` text repeated across files is decoded once.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 
 from oracles import direct_entries, event_tally, ingest_lines_by_decoding, scan_aggregate
 from symbiosis_kit import pipeline
+from symbiosis_kit.diagnostics import sort_key
 from symbiosis_kit.model import Granularity, MetricDef, ReportingSchedule
 from symbiosis_kit.parser import parse
 from symbiosis_kit.pipeline import aggregate, ingest_lines, ingest_many
@@ -89,6 +94,17 @@ METRIC = MetricDef(
 )
 
 
+def _write_files(directory: Path, lines: list[str], cuts: list[int], newlines: list[str]) -> list[str]:
+    """`lines` cut at `cuts` into files, the i-th ending its lines with newlines[i]."""
+    cuts = sorted({min(cut, len(lines)) for cut in cuts})
+    paths = []
+    for i, (a, b) in enumerate(zip([0, *cuts], [*cuts, len(lines)])):
+        path = directory / f"log{i}.jsonl"
+        path.write_bytes("".join(line + newlines[i] for line in lines[a:b]).encode("utf-8"))
+        paths.append(str(path))
+    return paths
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _logs,
@@ -96,13 +112,7 @@ METRIC = MetricDef(
     st.sampled_from(["\n", "\r\n"]),
 )
 def test_split_log_gives_the_oracle_bindings(tmp_path_factory, lines, cuts, newline):
-    cuts = sorted({min(cut, len(lines)) for cut in cuts})
-    directory = tmp_path_factory.mktemp("logs")
-    paths = []
-    for i, (a, b) in enumerate(zip([0, *cuts], [*cuts, len(lines)])):
-        path = Path(directory) / f"log{i}.jsonl"
-        path.write_bytes("".join(line + newline for line in lines[a:b]).encode("utf-8"))
-        paths.append(str(path))
+    paths = _write_files(tmp_path_factory.mktemp("logs"), lines, cuts, [newline] * 4)
     log = ingest_many(paths, MODEL)
     # Reading turns CR and CRLF into "\n", so a line ending in "\r" comes back as two.
     records = tuple(
@@ -112,6 +122,63 @@ def test_split_log_gives_the_oracle_bindings(tmp_path_factory, lines, cuts, newl
     )
     for period in ("2014-01", "2014-02", "2014-Q1", "2014-01-05"):
         assert aggregate(log, METRIC, period, MODEL) == scan_aggregate(records, METRIC, period, MODEL)
+
+
+# Event lines drawn from a few dates (one impossible) and `fields` objects
+# (one with a non-string value), so that files repeat each other's texts.
+_shared_event = st.builds(
+    lambda day, fields: json.dumps({"timestamp": day, "fields": fields}),
+    st.sampled_from(["2014-01-05", "2014-02-01", "2014-02-30"]),
+    st.sampled_from([{"kind": "x"}, {"kind": "x", "status": "ok"}, {"status": "y"}, {"kind": 1}, {}]),
+)
+_shared_logs = st.lists(_shared_event | _decorated | _blank, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=60)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _shared_logs,
+    st.lists(st.integers(0, 60), max_size=3),
+    st.lists(st.sampled_from(["\n", "\r\n"]), min_size=4, max_size=4),
+)
+def test_many_files_give_the_per_file_oracle_put_together(tmp_path_factory, lines, cuts, newlines):
+    paths = _write_files(tmp_path_factory.mktemp("logs"), lines, cuts, newlines)
+    log = ingest_many(paths, MODEL)
+    # Reading turns CR and CRLF into "\n", so a line ending in "\r" comes back as two.
+    oracles = [ingest_lines_by_decoding(Path(path).read_text("utf-8").split("\n"), path, MODEL) for path in paths]
+    events = Counter()
+    for oracle in oracles:
+        events.update(event_tally(oracle.records))
+    assert log.events == events
+    assert [_entry_key(e) for e in log.records] == [
+        _entry_key(e) for oracle in oracles for e in direct_entries(oracle.records)
+    ]
+    assert log.diagnostics == tuple(sorted((d for oracle in oracles for d in oracle.diagnostics), key=sort_key))
+
+
+def test_many_files_decode_each_date_and_fields_text_once(tmp_path):
+    paths = []
+    for month in ("01", "02", "03"):
+        path = tmp_path / f"2014-{month}.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"timestamp": day, "fields": {"kind": kind}}) + "\n"
+                for day in ("2014-01-05", "2014-01-06")
+                for kind in ("x", "y")
+            ),
+            "utf-8",
+        )
+        paths.append(str(path))
+    with mock.patch.object(pipeline, "_decoded_field_set", wraps=pipeline._decoded_field_set) as field_sets, \
+            mock.patch.object(pipeline, "_date_or_none", wraps=pipeline._date_or_none) as dates:
+        log = ingest_many(paths, MODEL)
+    assert field_sets.call_count == 2
+    assert dates.call_count == 2
+    assert log.events == {
+        (dt.date(2014, 1, day), (("kind", kind),)): 3 for day in (5, 6) for kind in ("x", "y")
+    }
+    assert not log.records and not log.diagnostics
 
 
 def test_repeated_event_line_is_classified_once_and_tallied():

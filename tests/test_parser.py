@@ -3,6 +3,7 @@
 import datetime as dt
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from symbiosis_kit.model import (
     SourceMode,
     StrategyStep,
 )
+from symbiosis_kit import lexer
 from symbiosis_kit.impact import diff
 from symbiosis_kit.lexer import Source, TokenKind, tokenize
 from symbiosis_kit.parser import (
@@ -55,6 +57,15 @@ def test_lookahead_at_and_past_the_end_reads_eof():
     parser.parse_model()
     assert parser.pos == 1  # the position stays on EOF
     assert [t.kind for t in parser.tokens[parser.pos :]] == [TokenKind.EOF] * 3
+
+
+def test_a_file_with_a_lexer_diagnostic_is_scanned_for_newlines_once():
+    text = 'objective A { purpose: "p }\nobjective B { }\n'
+    with mock.patch.object(lexer, "_NEWLINE_RE", wraps=lexer._NEWLINE_RE) as newline:
+        _, diags = parse(text, "a.sym")
+    assert "P002" in codes(diags)
+    # the lexer's P002 span and the parser's spans read one line table
+    assert newline.finditer.call_count == 1
 
 
 def test_full_block_parse():
