@@ -11,14 +11,14 @@ tuples: the closure edges (REFINES, MEASURES, ASKS, ANSWERS) in both
 directions, each node's DEPENDS_ON/AFFECTS neighbours either way, and the
 metrics that use each base, so impact analysis never scans the model.
 Every closure query (ancestors, descendants, objective_ancestors_ordered,
-and the orphan sets of impact analysis) is one breadth-first `reach` over
-that adjacency, so a query costs time linear in the edges it reaches, and
-cyclic DEPENDS_ON/AFFECTS links, which are outside the closure, never
-cause non-termination.
+and the walk inside a removed subtree that finds impact analysis's
+orphans) is one breadth-first `reach` over that adjacency, so a query costs
+time linear in the edges it reaches, and cyclic DEPENDS_ON/AFFECTS links,
+which are outside the closure, never cause non-termination.
 """
 
 from collections import defaultdict, deque
-from collections.abc import Iterable, Set as AbstractSet
+from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple
 
@@ -119,20 +119,16 @@ def build_graph(model: Model) -> TraceabilityGraph:
     return TraceabilityGraph(model.kinds, ordered, *adjacency)
 
 
-def reach(
-    adjacency: dict[str, tuple[str, ...]],
-    starts: Iterable[str],
-    avoid: AbstractSet[str] = frozenset(),
-) -> list[str]:
+def reach(adjacency: dict[str, tuple[str, ...]], starts: Iterable[str]) -> list[str]:
     """Nodes reachable from `starts`, in breadth-first order.
 
     Neighbours are visited in the order the adjacency lists them (sorted,
-    as build_graph stores them). Nodes in `avoid` are never entered, and
-    the starts themselves are not listed. Each node and edge reached is
-    visited once, so a cycle ends the walk instead of looping.
+    as build_graph stores them). The starts themselves are not listed. Each
+    node and edge reached is visited once, so a cycle ends the walk instead
+    of looping.
     """
     queue = deque(starts)
-    seen = set(queue) | avoid
+    seen = set(queue)
     found: list[str] = []
     while queue:
         for nxt in adjacency.get(queue.popleft(), ()):

@@ -7,16 +7,19 @@ answers edges) need review and its objective ancestors are upstream. A base
 is outside the closure, so a base change puts the metrics that use it under
 review and their objective ancestors upstream. `related` lists the node's
 depends_on/affects neighbours. For a removal, the orphans are the removed
-node's descendants that no surviving top-level objective (one with no
-closure edge up) reaches once the removed node is gone: one downward walk
-from the surviving roots that never enters the removed node finds every
-node that keeps a derivation path, and the descendants it misses are
-orphaned. Descendants it reaches merely need review.
+node's descendants that no surviving top-level objective reaches once the
+removed node is gone. `impact` runs only on a model without errors, whose
+closure is acyclic (V003) and where every closure node but a top-level
+objective has a parent (V010, V002). So a descendant keeps a derivation
+path exactly when some descendant with a parent outside the removed subtree
+reaches it: the first node of the subtree on any path down from a surviving
+objective has such a parent. One walk down from those nodes, inside the
+subtree, finds every descendant that merely needs review; the rest are
+orphans. A removal costs time in its own subtree, not in the whole graph.
 """
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from typing import NamedTuple
 
@@ -117,12 +120,9 @@ def impact(model: Model, change: Change, graph: TraceabilityGraph | None = None)
 
     orphans: set[str] = set()
     if change.kind is ChangeKind.REMOVED:
-        # a root objective has no parent, so it is never in `down`
-        surviving = [
-            n for n, kind in graph.nodes.items()
-            if kind == KIND_OBJECTIVE and n not in graph.closure_up and n != node_id
-        ]
-        orphans = down - set(reach(graph.closure_down, surviving, avoid={node_id}))
+        inside = down | {node_id}
+        kept = {n for n in down if not inside.issuperset(graph.closure_up.get(n, ()))}
+        orphans = down - kept - set(reach(graph.closure_down, kept))
 
     review = down - orphans
     upstream = {n for n in up if graph.nodes.get(n) == KIND_OBJECTIVE}
@@ -151,6 +151,8 @@ def analyze(old: Model, new: Model) -> list[ImpactReport]:
 
 
 def _fmt_value(value: object) -> str:
+    import json
+
     return json.dumps(value, sort_keys=True)
 
 

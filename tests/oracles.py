@@ -269,14 +269,8 @@ def scan_density_warnings(
 # -- orphans after node removal --------------------------------------------------
 
 
-def orphans_after_removal(model: Model, removed: str) -> set[str]:
-    """Recompute downstream orphans from scratch.
-
-    Builds its own ancestor edges straight from node fields (refines, measures,
-    question goal, metric answers), finds the removed node's descendants, and
-    keeps those that cannot reach any surviving top-level objective once the
-    removed node is gone.
-    """
+def _closure_links(model: Model) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Parent and child sets built straight from node fields (refines, measures, question goal, metric answers)."""
     up: dict[str, set[str]] = defaultdict(set)
     down: dict[str, set[str]] = defaultdict(set)
 
@@ -296,14 +290,40 @@ def orphans_after_removal(model: Model, removed: str) -> set[str]:
     for metric in model.metrics.values():
         for q_id in metric.answers:
             link(metric.id, q_id)
+    return up, down
 
+
+def _descendants(down: dict[str, set[str]], node_id: str) -> set[str]:
     descendants: set[str] = set()
-    stack = [removed]
+    stack = [node_id]
     while stack:
         for child in down[stack.pop()]:
-            if child != removed and child not in descendants:
+            if child != node_id and child not in descendants:
                 descendants.add(child)
                 stack.append(child)
+    return descendants
+
+
+def derived_from(model: Model, node_id: str) -> set[str]:
+    """What a change to node_id puts under review downstream, recomputed from node fields.
+
+    A node's descendants over the closure edges; for a base, which is outside
+    the closure, the metrics that use it.
+    """
+    if node_id in model.bases:
+        return {m.id for m in model.metrics.values() if node_id in m.uses}
+    return _descendants(_closure_links(model)[1], node_id)
+
+
+def orphans_after_removal(model: Model, removed: str) -> set[str]:
+    """Recompute downstream orphans from scratch.
+
+    Builds its own ancestor edges straight from node fields, finds the removed
+    node's descendants, and keeps those that cannot reach any surviving
+    top-level objective once the removed node is gone.
+    """
+    up, down = _closure_links(model)
+    descendants = _descendants(down, removed)
 
     roots = {i for i, bo in model.objectives.items() if bo.refines is None} - {removed}
 

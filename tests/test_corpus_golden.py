@@ -6,6 +6,9 @@ the file columns inside diagnostics match what the goldens were frozen with.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,31 @@ def test_jpmorgan_base_edit_impact_goldens(monkeypatch, tmp_path, flags, ext):
     edited.write_text(text.replace(ATTENDED, ABSENT), encoding="utf-8")
     argv = ["impact", "corpus/jpmorgan.sym", str(edited), *flags]
     assert _regen(monkeypatch, tmp_path, argv) == _golden(f"jpmorgan_base_edit_impact.{ext}")
+
+
+def _run_under_hash_seed(seed: str, argv: list[str]) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(CORPUS_ROOT.parent / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "symbiosis_kit", *argv],
+        cwd=CORPUS_ROOT.parent, env=env, capture_output=True, timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["impact", "corpus/jpmorgan.sym", "corpus/anthem.sym", "--json"],
+        ["report", "corpus/jpmorgan.sym", "--measurements", *JPMORGAN_Q_LOGS,
+         "--from", "2014-Q1", "--to", "2014-Q3", "--format", "json"],
+    ],
+    ids=["impact", "report"],
+)
+def test_outputs_do_not_depend_on_the_hash_seed(argv):
+    """Set and dict orders vary with PYTHONHASHSEED; no output may follow them."""
+    runs = [_run_under_hash_seed(seed, argv) for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    if argv[0] == "report":
+        assert runs[0][1] == _golden("jpmorgan_report_2014.json")

@@ -2,13 +2,14 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelgen import program_model, random_model
-from oracles import diff_by_canonical
+from oracles import derived_from, diff_by_canonical, orphans_after_removal
 from symbiosis_kit.graph import UnknownNode, build_graph
 from symbiosis_kit.impact import (
     Change,
@@ -191,6 +192,109 @@ def test_impact_sets_are_always_disjoint(jpmorgan):
                 assert not (union & s), f"{node_id} {change_kind}: overlapping sets"
                 union |= s
             assert node_id not in union
+
+
+# -- removals of many nodes ------------------------------------------------------
+
+
+def _without(model, removed: set[str]):
+    """`model` with every node whose id is in `removed` dropped."""
+    return model._replace(
+        **{
+            COLLECTIONS[kind]: {i: n for i, n in model.collection(kind).items() if i not in removed}
+            for kind in NODE_KINDS
+        }
+    )
+
+
+def _subtree(model, top: str) -> set[str]:
+    """`top`, its descendants, and the bases their metrics use."""
+    removed = {top} | derived_from(model, top)
+    return removed | {b for m_id in removed & model.metrics.keys() for b in model.metrics[m_id].uses}
+
+
+def _blocks_in_file_order(model) -> list[str]:
+    """A program_model's blocks as its generator writes them: each objective, then its leaf's blocks."""
+    numbered = [node_id for node_id in model.kinds if re.search(r"\d", node_id)]
+    rank = {kind: r for r, kind in enumerate(NODE_KINDS)}
+    return sorted(numbered, key=lambda i: (int(re.search(r"\d+", i).group()), rank[model.kinds[i]], i))
+
+
+def _share_parents(rng, model):
+    """`model` with some goals measuring a second objective and some metrics answering a second question,
+    so that removals leave descendants that keep a derivation path."""
+    objectives, questions = sorted(model.objectives), sorted(model.questions)
+    share = rng.random() / 2
+    goals = {
+        i: g._replace(measures=(*g.measures, rng.choice(objectives))) if rng.random() < share else g
+        for i, g in model.goals.items()
+    }
+    metrics = {
+        i: m._replace(answers=(*m.answers, rng.choice(questions))) if rng.random() < share else m
+        for i, m in model.metrics.items()
+    }
+    return model._replace(goals=goals, metrics=metrics)
+
+
+class _Counted(dict):
+    """An adjacency table that counts the lookups made in it."""
+
+    def __init__(self, table: dict, calls: list[int]) -> None:
+        super().__init__(table)
+        self.calls = calls
+
+    def get(self, key, default=None):
+        self.calls[0] += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("objectives", [255, 1023])
+def test_a_quarter_removal_costs_lookups_linear_in_nodes_plus_output(objectives):
+    """Each removal walks only its own subtree, not the whole graph."""
+    old = program_model(random.Random(objectives), objectives)
+    new = _without(old, _subtree(old, "BO4"))
+    calls = [0]
+    graph = build_graph(old)
+    graph = graph._replace(closure_up=_Counted(graph.closure_up, calls), closure_down=_Counted(graph.closure_down, calls))
+    removed = [c for c in diff(old, new) if c.kind is ChangeKind.REMOVED]
+    assert len(removed) > objectives // 4
+    entries = 0
+    for change in removed:
+        report = impact(old, change, graph)
+        entries += sum(map(len, (report.downstream_orphans, report.downstream_review, report.upstream_review, report.related)))
+    assert calls[0] <= 2 * (len(graph.nodes) + entries)
+
+
+def _assert_removals_match_the_oracle(old, new) -> int:
+    removals = 0
+    for report in analyze(old, new):
+        if report.change.kind is ChangeKind.REMOVED:
+            node_id = report.change.node_id
+            orphans = orphans_after_removal(old, node_id)
+            assert set(report.downstream_orphans) == orphans, node_id
+            assert set(report.downstream_review) == derived_from(old, node_id) - orphans, node_id
+            removals += 1
+    return removals
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([15, 31, 63]), st.booleans())
+def test_removals_of_subtrees_and_include_files_match_the_oracle(seed, objectives, as_file):
+    """A dropped subtree, or a contiguous run of blocks as one include file would hold."""
+    rng = random.Random(seed)
+    old = _share_parents(rng, program_model(rng, objectives))
+    if as_file:
+        blocks = _blocks_in_file_order(old)
+        start = rng.randrange(len(blocks))
+        removed = set(blocks[start : start + rng.randint(1, len(blocks) // 4)])
+    else:
+        removed = _subtree(old, rng.choice(_blocks_in_file_order(old)))
+    assert _assert_removals_match_the_oracle(old, _without(old, removed)) == len(removed)
+
+
+def test_removals_between_the_corpus_models_match_the_oracle(jpmorgan, anthem):
+    assert _assert_removals_match_the_oracle(jpmorgan, anthem) > 0
+    assert _assert_removals_match_the_oracle(anthem, jpmorgan) > 0
 
 
 # -- analyze -------------------------------------------------------------------

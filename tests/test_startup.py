@@ -92,6 +92,13 @@ def test_loading_a_model_imports_no_json(corpus):
     assert [name for name in loaded if name == "json" or name.startswith(("json.", "symbiosis_kit.payload"))] == []
 
 
+def test_importing_the_cli_imports_no_json():
+    """`check`, `graph`, `fmt` and `render` without `--json` never need it; a payload writer imports it."""
+    loaded = _probe("before = set(sys.modules)\nimport symbiosis_kit.cli\n" + _LOADED, imports="sys")
+    assert "symbiosis_kit.cli" in loaded
+    assert [name for name in loaded if name == "json" or name.startswith("json.")] == []
+
+
 def test_importing_the_cli_builds_no_dataclasses():
     loaded = _probe("before = set(sys.modules)\nimport symbiosis_kit.cli\n" + _LOADED)
     assert [name for name in _CLASS_MACHINERY if name in loaded] == []
