@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 model errors or runtime failure, 2 usage or I/O
 failure. Diagnostics and notes go to stderr; payloads go to stdout or --out.
 Every failure ends through `_Io.fail`, which writes its note and raises
 `_Exit`; `main` is the one place that turns that into the exit code.
-`_evaluate` is the one evaluation path: `eval` is `report` over one period,
-and each only renders the results it returns.
+Evaluation is one library call, `pipeline.evaluate_metrics`: `eval` is
+`report` over one period, and `_evaluate` only loads, selects and notes.
 `COMMANDS` is the one command table. A command line that starts with a
 command's name is parsed by that command's parser alone; the full tree of
 `build_parser()` is built only for top-level help and usage errors.
@@ -67,8 +67,11 @@ class _Io:
             self.write(self.out_path, raw)
             return
         try:
-            sys.stdout.buffer.write(raw)
-            sys.stdout.buffer.flush()
+            if hasattr(sys.stdout, "buffer"):
+                sys.stdout.buffer.write(raw)
+            else:  # a text stream, as under contextlib.redirect_stdout(io.StringIO())
+                sys.stdout.write(raw.decode("utf-8"))
+            sys.stdout.flush()
         except OSError as exc:
             _to_devnull(1)
             self.fail(f"error: cannot write to stdout: {exc}", EXIT_USAGE)
@@ -169,11 +172,8 @@ def _ingest(paths: list[str], model: Model, io: _Io) -> pipeline.MeasurementLog:
 def _eval_text(result: pipeline.EvaluationResult, model: Model) -> list[str]:
     from . import pipeline
 
-    lines = []
-    if result.ok:
-        lines.append(f"{result.metric_id} {result.period}: value {result.value} band '{result.band.label}'")
-    else:
-        lines.append(f"{result.metric_id} {result.period}: FAILED ({result.failure})")
+    outcome = f"value {result.value} band '{result.band.label}'" if result.ok else f"FAILED ({result.failure})"
+    lines = [f"{result.metric_id} {result.period}: {outcome}"]
     bound = ", ".join(f"{name}={format_number(value)}" for name, value in result.bindings)
     lines.append(f"  bindings: {bound or 'none'}")
     lines.append(f"  affected objectives: {', '.join(result.affected_objectives) or 'none'}")
@@ -196,7 +196,7 @@ def _select_metrics(model: Model, metric: str, io: _Io) -> list[str]:
 
 def _evaluate(args: argparse.Namespace, io: _Io, first: str, last: str) -> tuple[Model, list[pipeline.EvaluationResult]]:
     """Each selected metric over `first`..`last`: a bad key or range fails with exit 2, and a
-    metric that `evaluate_period` refuses for these periods (its schedule) is skipped with a note."""
+    metric that `pipeline.evaluate_metrics` skips for these periods (its schedule) gets a note."""
     from . import periods, pipeline
 
     model = _require_clean(args.model, io)
@@ -206,13 +206,9 @@ def _evaluate(args: argparse.Namespace, io: _Io, first: str, last: str) -> tuple
     except periods.PeriodError as exc:
         io.fail(f"error: {exc}", EXIT_USAGE)
     metric_ids = _select_metrics(model, args.metric, io)
-    graph = build_graph(model)
-    results = []
-    for metric_id in metric_ids:
-        try:
-            results.extend([pipeline.evaluate_period(model, graph, log, metric_id, key) for key in keys])
-        except periods.PeriodError as exc:
-            io.note(f"note: skipping {metric_id}: {exc}")
+    results, skipped = pipeline.evaluate_metrics(model, build_graph(model), log, metric_ids, keys)
+    for metric_id, exc in skipped:
+        io.note(f"note: skipping {metric_id}: {exc}")
     if not results:
         io.fail("error: no results")
     return model, results

@@ -7,25 +7,28 @@ Logs are JSON Lines. Two record shapes:
 
 The first feeds DIRECT base measurements, the second raw events counted by
 COUNT bases. Bad lines become I-diagnostics; good lines still flow.
+`evaluate_metrics` evaluates metrics over period keys, skipping a metric
+whose schedule refuses a key; `route_result` routes each result's actions.
 
 Cost model: each log is read once at ingest. Identical lines are tallied
 first, and each distinct line text is classified once: a line in one of the
 two shapes exactly as json.dumps writes them costs one regex match, with
 its date parsed once per distinct date string and its fields decoded once
-per distinct text; every other line is decoded in full. Those date and
-fields caches, and the raw-event tally, belong to one ingest_many call and
-serve all of its files, so a date or fields text repeated across monthly
-logs is decoded once per command, not once per file. Raw events are kept
-as counts per (date, fields), never as one record per line. One more pass
-over each file's lines gives line numbers only where they are kept: to
-each DIRECT entry and to each rejected line, which gets its own diagnostic.
-The first aggregation over a log builds its MeasurementStore from the
-DIRECT entries and the tally, and each COUNT filter set is matched once
-against each distinct set of event fields. After that a COUNT binding for
-any period or density sub-period costs two bisects, O(log n) in the log's
-distinct dates, and a DIRECT binding costs time proportional to the base's
-entries inside the period. Period bounds and density windows come from the
-periods module's per-key cache.
+per distinct text; every other line is decoded in full. A DIRECT line's
+base is checked (I002) once per distinct line text, after every I001 and
+I003 check. Those date and fields caches, and the raw-event tally, belong
+to one ingest_many call and serve all of its files, so a date or fields
+text repeated across monthly logs is decoded once per command, not once per
+file. Raw events are kept as counts per (date, fields), never as one record
+per line. One more pass over each file's lines gives line numbers only
+where they are kept: to each DIRECT entry and to each rejected line, which
+gets its own diagnostic. The first aggregation over a log builds its
+MeasurementStore from the DIRECT entries and the tally, and each COUNT
+filter set is matched once against each distinct set of event fields. After
+that a COUNT binding for any period or density sub-period costs two
+bisects, O(log n) in the log's distinct dates, and a DIRECT binding costs
+time proportional to the base's entries inside the period. Period bounds
+and density windows come from the periods module's per-key cache.
 """
 
 from __future__ import annotations
@@ -175,7 +178,7 @@ def _rejected(message: str, code: str = "I001") -> Classified:
     return _REJECTED, (message, code)
 
 
-def _decode_line(line: str, model: Model) -> Classified:
+def _decode_line(line: str) -> Classified:
     """One stripped, non-blank log line decoded in full and classified."""
     try:
         obj = _decode(line)
@@ -205,14 +208,6 @@ def _decode_line(line: str, model: Model) -> Classified:
     number = _finite_number(obj.get("value"))
     if number is None:
         return _rejected("malformed log line: 'value' must be a finite number")
-    base_def = model.bases.get(base_id)
-    if base_def is None:
-        return _rejected(f"unknown base measurement {base_id!r}", code="I002")
-    if base_def.mode is not SourceMode.DIRECT:
-        return _rejected(
-            f"base measurement {base_id!r} is not DIRECT mode and cannot take reported values",
-            code="I002",
-        )
     return _DIRECT, (timestamp, base_id, number)
 
 
@@ -254,7 +249,6 @@ def _json_number(text: str, fraction_or_exponent: str) -> float | None:
 
 def _classify_line(
     text: str,
-    model: Model,
     dates: Callable[[str], dt.date | None],
     field_sets: Callable[[str], FieldSet | None],
 ) -> Classified | None:
@@ -275,11 +269,9 @@ def _classify_line(
             fields = field_sets(fields_text)
             if fields is not None:
                 return _EVENT, (timestamp, fields)
-        elif (base := model.bases.get(base_id)) is not None and base.mode is SourceMode.DIRECT:
-            value = _json_number(number, fraction)
-            if value is not None:
-                return _DIRECT, (timestamp, base_id, value)
-    return _decode_line(stripped, model)
+        elif (value := _json_number(number, fraction)) is not None:
+            return _DIRECT, (timestamp, base_id, value)
+    return _decode_line(stripped)
 
 
 class _IngestState(NamedTuple):
@@ -315,14 +307,19 @@ def ingest_lines(
     dates, field_sets, events = _new_state() if state is None else state
     numbered: dict[str, Classified] = {}  # DIRECT and rejected line texts
     for text, count in Counter(lines).items():
-        classified = _classify_line(text, model, dates, field_sets)
+        classified = _classify_line(text, dates, field_sets)
         if classified is None:
             continue
         kind, item = classified
         if kind is _EVENT:
             events[item] = events.get(item, 0) + count
-        else:
-            numbered[text] = classified
+            continue
+        if kind is _DIRECT and (base := model.bases.get(item[1])) is None:
+            classified = _rejected(f"unknown base measurement {item[1]!r}", "I002")
+        elif kind is _DIRECT and base.mode is not SourceMode.DIRECT:
+            message = f"base measurement {item[1]!r} is not DIRECT mode and cannot take reported values"
+            classified = _rejected(message, "I002")
+        numbered[text] = classified
     records: list[DirectEntry] = []
     diags: list[Diagnostic] = []
     for line_no, text in enumerate(lines, start=1):
@@ -590,6 +587,22 @@ def evaluate_period(
         affected_objectives=affected,
         density_warnings=density,
     )
+
+
+def evaluate_metrics(
+    model: Model, graph: TraceabilityGraph, log: MeasurementLog, metric_ids: list[str], keys: list[str]
+) -> tuple[list[EvaluationResult], list[tuple[str, periods.PeriodError]]]:
+    """Each metric over each period key, metric by metric, both in the order given. A metric
+    that `evaluate_period` refuses for any key (its schedule) gives no results, only a
+    (metric id, PeriodError) pair in the skipped list."""
+    results: list[EvaluationResult] = []
+    skipped: list[tuple[str, periods.PeriodError]] = []
+    for metric_id in metric_ids:
+        try:
+            results.extend([evaluate_period(model, graph, log, metric_id, key) for key in keys])
+        except periods.PeriodError as exc:  # kept without the traceback, whose frames would hold this call's locals
+            skipped.append((metric_id, exc.with_traceback(None)))
+    return results, skipped
 
 
 # -- action routing -----------------------------------------------------------

@@ -59,7 +59,8 @@ from symbiosis_kit.model import (
 )
 from symbiosis_kit.impact import Change, ChangeKind, FieldChange
 from symbiosis_kit.parser import _Builder
-from symbiosis_kit.pipeline import DirectEntry
+from symbiosis_kit.periods import PeriodError
+from symbiosis_kit.pipeline import DirectEntry, evaluate_period
 from symbiosis_kit.validator import band_partition_problems
 
 # -- band coverage sweep --------------------------------------------------------
@@ -264,6 +265,33 @@ def scan_density_warnings(
                 f"collection period {subkey} inside {period_key} has no records for metric {metric.id}"
             )
     return tuple(warnings)
+
+
+# -- evaluation by an explicit loop ----------------------------------------------
+
+
+def evaluate_by_loop(model: Model, graph, log, metric_ids: list[str], keys: list[str]) -> tuple[list, list]:
+    """Every metric over every key, one `evaluate_period` call at a time.
+
+    A metric refused on some key keeps none of the results of its earlier
+    keys and adds one (metric id, PeriodError) pair to the skipped list.
+    """
+    results: list = []
+    skipped: list[tuple[str, PeriodError]] = []
+    for metric_id in metric_ids:
+        own = []
+        refusal: PeriodError | None = None
+        for key in keys:
+            try:
+                own.append(evaluate_period(model, graph, log, metric_id, key))
+            except PeriodError as exc:
+                refusal = exc
+                break
+        if refusal is None:
+            results.extend(own)
+        else:
+            skipped.append((metric_id, refusal))
+    return results, skipped
 
 
 # -- orphans after node removal --------------------------------------------------

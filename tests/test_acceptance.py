@@ -35,7 +35,7 @@ from symbiosis_kit.model import (
     canonical_dump,
 )
 from symbiosis_kit.parser import parse, parse_file
-from symbiosis_kit.pipeline import evaluate_period, ingest_lines, ingest_many, route_result
+from symbiosis_kit.pipeline import evaluate_metrics, evaluate_period, ingest_lines, ingest_many, route_result
 from symbiosis_kit.report import generate_report
 from symbiosis_kit.serializer import serialize
 from symbiosis_kit.validator import band_partition_problems, validate
@@ -289,13 +289,9 @@ def test_criterion_9_report_determinism(corpus, jpmorgan_logs):
     def run() -> dict[str, bytes]:
         model, diags = parse_file(corpus / "jpmorgan.sym")
         assert not diags and not validate(model)
-        graph = build_graph(model)
         log = ingest_many(months_01_09, model)
-        results = [
-            evaluate_period(model, graph, log, metric_id, quarter)
-            for metric_id in sorted(model.metrics)
-            for quarter in quarters
-        ]
+        results, skipped = evaluate_metrics(model, build_graph(model), log, sorted(model.metrics), quarters)
+        assert not skipped
         return {
             fmt: generate_report(results, model, fmt) for fmt in ("json", "svg")
         }

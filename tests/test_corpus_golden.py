@@ -6,6 +6,8 @@ the file columns inside diagnostics match what the goldens were frozen with.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -114,6 +116,25 @@ def test_jpmorgan_2014_q4_report_golden_notes_the_months_without_logs(monkeypatc
     assert got == _golden("jpmorgan_report_2014-Q4.txt")
     assert got.count(b"  note 2014-Q4: collection period 2014-10 inside 2014-Q4 has no records") == 6
     assert got.count(b"  note 2014-Q4: collection period 2014-12 inside 2014-Q4 has no records") == 6
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["check", "corpus/jpmorgan.sym"], "jpmorgan_check.txt"),
+        (JPMORGAN_Q4_EVAL + ["--format", "json"], "jpmorgan_eval_2014-Q4.json"),
+        (["report", "corpus/jpmorgan.sym", "--measurements", *JPMORGAN_Q_LOGS,
+          "--from", "2014-Q1", "--to", "2014-Q3", "--format", "svg"], "jpmorgan_report_2014.svg"),
+    ],
+    ids=["check", "eval", "report"],
+)
+def test_payloads_reach_a_stdout_without_a_byte_buffer(monkeypatch, argv, golden):
+    """An `io.StringIO` put in place by `redirect_stdout` has no `buffer`: the payload is written as text."""
+    monkeypatch.chdir(CORPUS_ROOT.parent)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv + ["--quiet"])
+    assert code == 0
+    assert out.getvalue().encode("utf-8") == _golden(golden)
 
 
 @pytest.mark.parametrize("flags,ext", [([], "txt"), (["--json"], "json")])

@@ -2,7 +2,7 @@
 with the fields V010 requires, the node kinds V002 checks references against,
 the traceability edges each field makes and the words a word-valued field accepts.
 The README's CLI block lists every command of the CLI's command table with
-its options and their choices."""
+its options and their choices, and its Library example runs."""
 
 import re
 
@@ -87,3 +87,15 @@ def test_readme_cli_block_lists_each_commands_options_and_choices(name):
     for flags, kwargs in specs:
         if "choices" in kwargs:
             assert f"{flags[0]} {'|'.join(kwargs['choices'])}" in line
+
+
+def test_readme_library_example_runs(monkeypatch):
+    """The ```python block under "## Library" runs from the repository root and reports every metric."""
+    section = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    monkeypatch.chdir(CORPUS_ROOT.parent)
+    scope: dict = {}
+    exec(code, scope)
+    assert scope["diags"] == [] and scope["skipped"] == []
+    assert sorted(result.metric_id for result in scope["results"]) == sorted(scope["model"].metrics)
+    assert scope["text"].startswith("measurement report\n")

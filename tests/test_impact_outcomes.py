@@ -21,8 +21,8 @@ from symbiosis_kit.graph import build_graph
 from symbiosis_kit.impact import analyze
 from symbiosis_kit.model import COLLECTIONS, FIELDS, NODE_KINDS, NODE_TYPES
 from symbiosis_kit.parser import parse_file
-from symbiosis_kit.periods import PeriodError, period_range
-from symbiosis_kit.pipeline import evaluate_period, ingest_many
+from symbiosis_kit.periods import period_range
+from symbiosis_kit.pipeline import evaluate_metrics, ingest_many
 from symbiosis_kit.validator import validate
 
 JPMORGAN, _ = parse_file(CORPUS_ROOT / "jpmorgan.sym")
@@ -35,20 +35,15 @@ BASE_EDIT = ("base", "bm_took", "filters", (("event", "new_hire_training"), ("at
 
 
 def _outcomes(model) -> dict[str, list[object]]:
-    """Per metric, what each month's evaluation gives, density warnings aside."""
-    graph = build_graph(model)
-    log = ingest_many(LOGS, model)
-    outcomes: dict[str, list[object]] = {}
-    for metric_id in sorted(model.metrics):
-        outcomes[metric_id] = []
-        for month in MONTHS:
-            try:
-                r = evaluate_period(model, graph, log, metric_id, month)
-            except PeriodError as exc:
-                outcomes[metric_id].append(str(exc))
-                continue
-            band = r.band.label if r.band else None
-            outcomes[metric_id].append((r.value, band, r.failure, r.affected_objectives))
+    """Per metric, what each month's evaluation gives, density warnings aside;
+    a metric whose schedule refuses the months gives the refusal for each."""
+    metric_ids = sorted(model.metrics)
+    results, skipped = evaluate_metrics(model, build_graph(model), ingest_many(LOGS, model), metric_ids, MONTHS)
+    outcomes: dict[str, list[object]] = {metric_id: [str(exc)] * len(MONTHS) for metric_id, exc in skipped}
+    for r in results:
+        band = r.band.label if r.band else None
+        outcomes.setdefault(r.metric_id, []).append((r.value, band, r.failure, r.affected_objectives))
+    assert sorted(outcomes) == metric_ids and all(len(months) == len(MONTHS) for months in outcomes.values())
     return outcomes
 
 

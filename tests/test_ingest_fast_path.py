@@ -142,8 +142,30 @@ def _assert_same_as_decoding(lines: list[str]) -> None:
     assert fast.diagnostics == slow.diagnostics
 
 
+# For an unknown base and a count base, a non-finite value, an invalid date and
+# a valid line, each in json.dumps' shape and in a compact one. Only the valid
+# lines get I002: the value (I001) and the date (I003) are checked first.
+_BAD_BASE_LINES = [
+    template.format(date=date, base=base, value=value)
+    for base in ("nope", "ev")
+    for template in (
+        '{{"timestamp": "{date}", "base": "{base}", "value": {value}}}',
+        '{{"timestamp":"{date}","base":"{base}","value":{value}}}',
+    )
+    for date, value in (("2014-01-05", "1e400"), ("2014-02-30", "1"), ("2014-01-05", "1"))
+]
+
+
+def test_a_bad_base_is_reported_only_after_the_value_and_the_date():
+    log = ingest_lines(_BAD_BASE_LINES, "log", MODEL)
+    codes = {d.span.line: d.code for d in log.diagnostics}
+    assert [codes[line] for line in range(1, len(_BAD_BASE_LINES) + 1)] == ["I001", "I003", "I002"] * 4
+    assert not log.records and not log.events
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_lines, max_size=6))
+@example(_BAD_BASE_LINES)
 @example(
     [
         '{"timestamp": "2014-01-05", "base": "tot", "value": -0}',

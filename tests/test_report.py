@@ -7,7 +7,7 @@ import pytest
 
 from symbiosis_kit.graph import build_graph
 from symbiosis_kit.parser import parse
-from symbiosis_kit.pipeline import evaluate_period, ingest_lines
+from symbiosis_kit.pipeline import evaluate_metrics, ingest_lines
 from symbiosis_kit.report import (
     FORMATS,
     UnknownFormat,
@@ -61,10 +61,10 @@ def results(model):
         "log",
         model,
     )
-    return [
-        evaluate_period(model, graph, log, "M", period)
-        for period in ("2014-01", "2014-02", "2014-03")  # March has no data
-    ]
+    months = ["2014-01", "2014-02", "2014-03"]  # March has no data
+    results, skipped = evaluate_metrics(model, graph, log, ["M"], months)
+    assert not skipped
+    return results
 
 
 def test_band_palette_positions(model):
