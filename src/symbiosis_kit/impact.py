@@ -1,21 +1,21 @@
 """Structural diffs between model versions and change-impact sets.
 
 Every impact set is read from the traceability graph of the version a
-change applies to; the model is read only to build a graph when none is
-given. A node's descendants over the closure (refines / measures / asks /
-answers edges) need review and its objective ancestors are upstream. A base
-is outside the closure, so a base change puts the metrics that use it under
-review and their objective ancestors upstream. `related` lists the node's
-depends_on/affects neighbours. For a removal, the orphans are the removed
-node's descendants that no surviving top-level objective reaches once the
-removed node is gone. `impact` runs only on a model without errors, whose
-closure is acyclic (V003) and where every closure node but a top-level
-objective has a parent (V010, V002). So a descendant keeps a derivation
-path exactly when some descendant with a parent outside the removed subtree
-reaches it: the first node of the subtree on any path down from a surviving
-objective has such a parent. One walk down from those nodes, inside the
-subtree, finds every descendant that merely needs review; the rest are
-orphans. A removal costs time in its own subtree, not in the whole graph.
+change applies to. A node's descendants over the closure (refines /
+measures / asks / answers edges) need review and its objective ancestors
+are upstream. A base is outside the closure, so a base change puts the
+metrics that use it under review and their objective ancestors upstream.
+`related` lists the node's depends_on/affects neighbours. For a removal,
+the orphans are the removed node's descendants that no surviving top-level
+objective reaches once the removed node is gone. `impact` runs only on a
+model without errors, whose closure is acyclic (V003) and where every
+closure node but a top-level objective has a parent (V010, V002). So a
+descendant keeps a derivation path exactly when some descendant with a
+parent outside the removed subtree reaches it: the first node of the
+subtree on any path down from a surviving objective has such a parent. One
+walk down from those nodes, inside the subtree, finds every descendant that
+merely needs review; the rest are orphans. A removal costs time in its own
+subtree, not in the whole graph.
 """
 
 from __future__ import annotations
@@ -103,14 +103,12 @@ class ImpactReport(NamedTuple):
         }
 
 
-def impact(model: Model, change: Change, graph: TraceabilityGraph | None = None) -> ImpactReport:
-    """Impact of one change against the model version it applies to.
+def impact(graph: TraceabilityGraph, change: Change) -> ImpactReport:
+    """Impact of one change, read from the graph of the model version it applies to.
 
     REMOVED and MODIFIED apply to the old model; ADDED to the new one.
     """
     node_id = change.node_id
-    if graph is None:
-        graph = build_graph(model)
 
     down = descendants(graph, node_id)
     up = ancestors(graph, node_id)
@@ -141,13 +139,10 @@ def analyze(old: Model, new: Model) -> list[ImpactReport]:
     """Diff two versions and compute the impact of every change."""
     old_graph = build_graph(old)
     new_graph = build_graph(new)
-    reports: list[ImpactReport] = []
-    for change in diff(old, new):
-        if change.kind is ChangeKind.ADDED:
-            reports.append(impact(new, change, new_graph))
-        else:
-            reports.append(impact(old, change, old_graph))
-    return reports
+    return [
+        impact(new_graph if change.kind is ChangeKind.ADDED else old_graph, change)
+        for change in diff(old, new)
+    ]
 
 
 def _fmt_value(value: object) -> str:

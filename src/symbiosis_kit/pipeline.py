@@ -22,9 +22,10 @@ text repeated across monthly logs is decoded once per command, not once per
 file. Raw events are kept as counts per (date, fields), never as one record
 per line. One more pass over each file's lines gives line numbers only
 where they are kept: to each DIRECT entry and to each rejected line, which
-gets its own diagnostic. The first aggregation over a log builds its
-MeasurementStore from the DIRECT entries and the tally, and each COUNT
-filter set is matched once against each distinct set of event fields. After
+gets its own diagnostic. The MeasurementLog answers aggregation's two
+date queries itself: its `direct` indexes the DIRECT entries by base on
+first use, and its `count` matches each COUNT filter set once against each
+distinct set of event fields; both indexes live as long as the log. After
 that a COUNT binding for any period or density sub-period costs two
 bisects, O(log n) in the log's distinct dates, and a DIRECT binding costs
 time proportional to the base's entries inside the period. Period bounds
@@ -72,6 +73,7 @@ class DirectEntry(NamedTuple):
 
 FieldSet = tuple[tuple[str, str], ...]
 Event = tuple[dt.date, FieldSet]  # a raw event's date and sorted fields
+Indexed = tuple[dt.date, int, int, float]  # a DIRECT entry's date, line, -ingest sequence, value
 
 
 class _LogFields(NamedTuple):
@@ -81,17 +83,52 @@ class _LogFields(NamedTuple):
 
 
 class MeasurementLog(_LogFields):
-    """What ingest accepted, and its diagnostics.
+    """What ingest accepted, and its diagnostics, answering aggregation's date queries.
 
     `records` holds the DIRECT entries in ingest order (file order, then
     line); `events` maps each raw event's (date, fields) to how many lines
-    logged it, and holds no zero counts. `store` indexes both by date on
-    first use and lives as long as the log does.
+    logged it, and holds no zero counts. The first `direct` query groups the
+    DIRECT entries by base, sorted by (date, line, later ingest first); the
+    first `count` query for a filter set matches each distinct field set
+    against it once and keeps the hits as sorted dates plus prefix sums.
+    Every query is then two bisects over one index's dates. Both indexes
+    live as long as the log does.
     """
 
     @cached_property
-    def store(self) -> MeasurementStore:
-        return MeasurementStore(self.records, self.events)
+    def _direct(self) -> dict[str, tuple[list[dt.date], list[Indexed]]]:
+        by_base: dict[str, list[Indexed]] = {}
+        for seq, entry in enumerate(self.records):
+            by_base.setdefault(entry.base, []).append((entry.timestamp, entry.line, -seq, entry.value))
+        for entries in by_base.values():
+            entries.sort()
+        return {base_id: ([entry[0] for entry in entries], entries) for base_id, entries in by_base.items()}
+
+    @cached_property
+    def _counts(self) -> dict[FieldSet, tuple[list[dt.date], list[int]]]:
+        return {}
+
+    def count(self, filters: FieldSet, first: dt.date, last: dt.date) -> int:
+        """Raw events dated first..last whose fields match every filter."""
+        index = self._counts.get(filters)
+        if index is None:
+            matches: dict[FieldSet, bool] = {}
+            hits: Counter[dt.date] = Counter()
+            for (day, fields), n in self.events.items():
+                match = matches.get(fields)
+                if match is None:
+                    match = matches[fields] = all(pair in fields for pair in filters)
+                if match:
+                    hits[day] += n
+            dates = sorted(hits)
+            index = self._counts[filters] = (dates, [0, *accumulate(hits[d] for d in dates)])
+        dates, prefix = index
+        return prefix[bisect_right(dates, last)] - prefix[bisect_left(dates, first)]
+
+    def direct(self, base_id: str, first: dt.date, last: dt.date) -> list[Indexed]:
+        """The base's entries dated first..last, sorted."""
+        dates, entries = self._direct.get(base_id, ([], []))
+        return entries[bisect_left(dates, first) : bisect_right(dates, last)]
 
 
 def _bad_line(filename: str, line_no: int, message: str, code: str = "I001") -> Diagnostic:
@@ -301,8 +338,9 @@ def ingest_lines(
     Without a `state` the caches and the tally are this call's own. With
     one (as `ingest_many` passes for every file), dates and `fields` texts
     already decoded for an earlier file are not decoded again, and the
-    events are added to the state's tally, which the returned log holds;
-    its records and diagnostics are still this file's alone.
+    events are added to the state's tally, and the returned log's `events`
+    is that command-wide tally, not this file's; its records and
+    diagnostics are still this file's alone.
     """
     dates, field_sets, events = _new_state() if state is None else state
     numbered: dict[str, Classified] = {}  # DIRECT and rejected line texts
@@ -335,7 +373,11 @@ def ingest_lines(
 
 
 def _read_lines(path: str) -> list[str]:
-    """A log file's lines, read as `ingest` documents."""
+    """A UTF-8 log file's lines; raises OSError or UnicodeDecodeError when unreadable.
+
+    A byte order mark at the start of the file is dropped, so the first line
+    reads like every other.
+    """
     with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
@@ -350,22 +392,13 @@ def _read_lines(path: str) -> list[str]:
     return lines
 
 
-def ingest(path: str, model: Model) -> MeasurementLog:
-    """Ingest one UTF-8 log file; raises OSError or UnicodeDecodeError when unreadable.
-
-    A byte order mark at the start of the file is dropped, so the first line
-    reads like every other.
-    """
-    return ingest_lines(_read_lines(path), path, model)
-
-
 def ingest_many(paths: list[str], model: Model) -> MeasurementLog:
     """Logs ingested in the order given: DIRECT entries concatenated, raw events in one tally.
 
     Each file goes through `ingest_lines` once, and all of them share one
     ingest state: a date string or `fields` text is decoded once per call,
     however many files repeat it, and every file's events go straight into
-    one tally.
+    one tally. One log file is `ingest_many([path], model)`.
     """
     state = _new_state()
     records: list[DirectEntry] = []
@@ -380,55 +413,9 @@ def ingest_many(paths: list[str], model: Model) -> MeasurementLog:
 # -- aggregation --------------------------------------------------------------
 
 
-class MeasurementStore:
-    """Date-indexed view of one log's DIRECT entries and raw-event tally.
-
-    Built in one pass over the DIRECT entries, grouped by base and sorted
-    by (date, line, later ingest first); the event tally is kept as it is.
-    The first query for a COUNT filter set matches each distinct field set
-    against it once and keeps the hits as sorted dates plus prefix sums.
-    Every query is then two bisects over one base's dates.
-    """
-
-    def __init__(self, records: tuple[DirectEntry, ...], events: dict[Event, int]) -> None:
-        by_base: dict[str, list[tuple[dt.date, int, int, float]]] = {}
-        for seq, entry in enumerate(records):
-            by_base.setdefault(entry.base, []).append((entry.timestamp, entry.line, -seq, entry.value))
-        self._events = events
-        self._direct: dict[str, tuple[list[dt.date], list[tuple[dt.date, int, int, float]]]] = {}
-        for base_id, entries in by_base.items():
-            entries.sort()
-            self._direct[base_id] = ([entry[0] for entry in entries], entries)
-        self._counts: dict[FieldSet, tuple[list[dt.date], list[int]]] = {}
-
-    def count(self, filters: FieldSet, first: dt.date, last: dt.date) -> int:
-        """Raw events dated first..last whose fields match every filter."""
-        index = self._counts.get(filters)
-        if index is None:
-            matches: dict[FieldSet, bool] = {}
-            hits: Counter[dt.date] = Counter()
-            for (day, fields), n in self._events.items():
-                match = matches.get(fields)
-                if match is None:
-                    match = matches[fields] = all(pair in fields for pair in filters)
-                if match:
-                    hits[day] += n
-            dates = sorted(hits)
-            index = self._counts[filters] = (dates, [0, *accumulate(hits[d] for d in dates)])
-        dates, prefix = index
-        return prefix[bisect_right(dates, last)] - prefix[bisect_left(dates, first)]
-
-    def direct(
-        self, base_id: str, first: dt.date, last: dt.date
-    ) -> list[tuple[dt.date, int, int, float]]:
-        """(date, line, -ingest sequence, value) of the base's entries dated first..last, sorted."""
-        dates, entries = self._direct.get(base_id, ([], []))
-        return entries[bisect_left(dates, first) : bisect_right(dates, last)]
-
-
 def _aggregate_base(
     base: BaseMeasurementDef,
-    store: MeasurementStore,
+    log: MeasurementLog,
     first: dt.date,
     last: dt.date,
 ) -> float | None:
@@ -437,8 +424,8 @@ def _aggregate_base(
     Raises SumOverflow when a SUM of finite values leaves the float range.
     """
     if base.mode is SourceMode.COUNT:
-        return float(store.count(base.filters, first, last))
-    entries = store.direct(base.id, first, last)
+        return float(log.count(base.filters, first, last))
+    entries = log.direct(base.id, first, last)
     if not entries:
         return None
     if base.aggregation is Aggregation.SUM:
@@ -470,7 +457,7 @@ def aggregate(
         base = model.bases.get(base_id)
         if base is None:
             continue  # validation reports V002; don't crash mid-pipeline
-        value = _aggregate_base(base, log.store, first, last)
+        value = _aggregate_base(base, log, first, last)
         if value is not None:
             bindings[base_id] = value
     return bindings
@@ -529,13 +516,12 @@ def _density_warnings(
     if len(windows) == 1:  # the period is its own collection period
         return ()
     base_defs = [model.bases[b] for b in metric.uses if b in model.bases]
-    store = log.store
     warnings: list[str] = []
     for subkey, first, last in windows:
         if not any(
-            store.count(base.filters, first, last)
+            log.count(base.filters, first, last)
             if base.mode is SourceMode.COUNT
-            else store.direct(base.id, first, last)
+            else log.direct(base.id, first, last)
             for base in base_defs
         ):
             warnings.append(

@@ -268,13 +268,13 @@ def test_criterion_8_impact_orphan_oracle(jpmorgan):
         graph = build_graph(model)
         for node_id in sorted(graph.nodes):
             change = Change(ChangeKind.REMOVED, graph.nodes[node_id], node_id)
-            report = impact(model, change, graph)
+            report = impact(graph, change)
             assert set(report.downstream_orphans) == orphans_after_removal(model, node_id), (
                 i,
                 node_id,
             )
 
-    report = impact(jpmorgan, Change(ChangeKind.REMOVED, "objective", "BO1.1.1"))
+    report = impact(build_graph(jpmorgan), Change(ChangeKind.REMOVED, "objective", "BO1.1.1"))
     expected = {"MG1.1.1.1"}
     expected |= {f"Q1.1.1.1.{n}" for n in range(1, 7)}
     expected |= {f"ME1.1.1.1.{n}" for n in range(1, 7)}

@@ -75,7 +75,7 @@ def test_unvalidated_models_do_not_raise_or_hang():
             ancestors(graph, node_id)
             descendants(graph, node_id)
             objective_ancestors_ordered(graph, node_id)
-            impact(model, Change(ChangeKind.REMOVED, graph.nodes[node_id], node_id), graph)
+            impact(graph, Change(ChangeKind.REMOVED, graph.nodes[node_id], node_id))
     model, _ = parse("objective A { refines: B }\nobjective B { refines: A }")
     graph = build_graph(model)
     assert ancestors(graph, "A") == {"B"}

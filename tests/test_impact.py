@@ -136,7 +136,7 @@ def test_nodes_that_differ_only_in_python_types_are_not_modified():
 
 
 def test_removal_splits_orphans_from_review(diamond):
-    report = impact(diamond, Change(ChangeKind.REMOVED, "objective", "A"))
+    report = impact(build_graph(diamond), Change(ChangeKind.REMOVED, "objective", "A"))
     assert report.downstream_orphans == ("MGo", "Mo", "Qo")
     assert report.downstream_review == ("MGd", "Md", "Qd")
     assert report.upstream_review == ("BO1",)
@@ -144,27 +144,27 @@ def test_removal_splits_orphans_from_review(diamond):
 
 
 def test_goal_removal_orphans_its_whole_subtree(diamond):
-    report = impact(diamond, Change(ChangeKind.REMOVED, "goal", "MGo"))
+    report = impact(build_graph(diamond), Change(ChangeKind.REMOVED, "goal", "MGo"))
     assert report.downstream_orphans == ("Mo", "Qo")
     assert report.downstream_review == ()
     assert report.upstream_review == ("A", "BO1")  # objectives only
 
 
 def test_modification_never_orphans(diamond):
-    report = impact(diamond, Change(ChangeKind.MODIFIED, "goal", "MGo"))
+    report = impact(build_graph(diamond), Change(ChangeKind.MODIFIED, "goal", "MGo"))
     assert report.downstream_orphans == ()
     assert report.downstream_review == ("Mo", "Qo")
 
 
 def test_related_captures_dependency_neighbors(diamond):
-    report = impact(diamond, Change(ChangeKind.MODIFIED, "objective", "BO1"))
+    report = impact(build_graph(diamond), Change(ChangeKind.MODIFIED, "objective", "BO1"))
     assert report.related == ("BO2",)
     assert "BO2" not in report.downstream_review
 
 
 @pytest.mark.parametrize("change_kind", [ChangeKind.MODIFIED, ChangeKind.REMOVED])
 def test_base_change_reviews_the_metrics_that_use_it(jpmorgan, change_kind):
-    report = impact(jpmorgan, Change(change_kind, "base", "bm_took"))
+    report = impact(build_graph(jpmorgan), Change(change_kind, "base", "bm_took"))
     assert report.downstream_orphans == ()  # the metric keeps its derivation path
     assert report.downstream_review == ("ME1.1.1.1.1",)
     assert report.upstream_review == ("BO1", "BO1.1", "BO1.1.1")
@@ -173,14 +173,14 @@ def test_base_change_reviews_the_metrics_that_use_it(jpmorgan, change_kind):
 
 def test_unknown_node_raises(diamond):
     with pytest.raises(UnknownNode):
-        impact(diamond, Change(ChangeKind.REMOVED, "objective", "NOPE"))
+        impact(build_graph(diamond), Change(ChangeKind.REMOVED, "objective", "NOPE"))
 
 
 def test_impact_sets_are_always_disjoint(jpmorgan):
     graph = build_graph(jpmorgan)
     for node_id, kind in sorted(graph.nodes.items()):
         for change_kind in ChangeKind:
-            report = impact(jpmorgan, Change(change_kind, kind, node_id), graph)
+            report = impact(graph, Change(change_kind, kind, node_id))
             sets = [
                 set(report.downstream_orphans),
                 set(report.downstream_review),
@@ -260,7 +260,7 @@ def test_a_quarter_removal_costs_lookups_linear_in_nodes_plus_output(objectives)
     assert len(removed) > objectives // 4
     entries = 0
     for change in removed:
-        report = impact(old, change, graph)
+        report = impact(graph, change)
         entries += sum(map(len, (report.downstream_orphans, report.downstream_review, report.upstream_review, report.related)))
     assert calls[0] <= 2 * (len(graph.nodes) + entries)
 
@@ -328,7 +328,7 @@ def test_render_text(diamond):
     assert "MODIFIED question Qo" in text
     assert '  text: "?" -> "!"' in text
 
-    removal = render_text([impact(diamond, Change(ChangeKind.REMOVED, "objective", "A"))])
+    removal = render_text([impact(build_graph(diamond), Change(ChangeKind.REMOVED, "objective", "A"))])
     assert removal.startswith("REMOVED objective A\n")
     assert "  downstream orphans: MGo, Mo, Qo" in removal
     assert "  downstream review: MGd, Md, Qd" in removal
@@ -341,7 +341,7 @@ def test_render_text_no_changes():
 
 def test_render_json_shape(diamond):
     payload = json.loads(
-        render_json([impact(diamond, Change(ChangeKind.REMOVED, "objective", "A"))])
+        render_json([impact(build_graph(diamond), Change(ChangeKind.REMOVED, "objective", "A"))])
     )
     (entry,) = payload["changes"]
     assert entry["change"] == {

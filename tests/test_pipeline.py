@@ -3,7 +3,6 @@
 import datetime as dt
 import json
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +30,8 @@ from symbiosis_kit.pipeline import (
     MeasurementLog,
     aggregate,
     evaluate_period,
-    ingest,
     ingest_lines,
+    ingest_many,
     route_result,
 )
 from symbiosis_kit.validator import validate
@@ -193,7 +192,7 @@ def test_bad_lines_do_not_block_good_ones(model):
 def test_ingest_reads_files(model, tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text(dline("2014-01-05", "tot", 2) + "\n", encoding="utf-8")
-    log = ingest(str(path), model)
+    log = ingest_many([str(path)], model)
     assert len(log.records) == 1
     assert not log.diagnostics
 
@@ -205,9 +204,9 @@ def test_ingest_drops_a_byte_order_mark_at_the_start_of_a_file(model, tmp_path):
     marked = tmp_path / "marked.jsonl"
     marked.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
-    log = ingest(str(marked), model)
+    log = ingest_many([str(marked)], model)
     assert not log.diagnostics
-    unmarked = ingest(str(plain), model)
+    unmarked = ingest_many([str(plain)], model)
     assert (log.records, log.events) == (unmarked.records, unmarked.events)
     assert accepted_lines(lines, log) == [1, 2]
     assert [record.line for record in log.records] == [1]
@@ -225,7 +224,7 @@ def test_ingest_ends_lines_only_at_newlines(model, tmp_path):
     ]
     path = tmp_path / "x.jsonl"
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
-    log = ingest(str(path), model)
+    log = ingest_many([str(path)], model)
     assert accepted_lines(lines, log) == [1, 2]
     assert log.events == {(dt.date(2014, 1, 5), (("kind", "x"), ("note", "a\u2028b"))): 1}
     assert [(record.line, record.value) for record in log.records] == [(2, 2.0)]
@@ -237,8 +236,7 @@ def test_ingest_ends_lines_only_at_newlines(model, tmp_path):
 def test_ingest_reads_the_lines_splitlines_gives_for_plain_text(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("log") / "x.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(pipeline, "ingest_lines", lambda lines, filename, model: lines):
-        lines = ingest(str(path), None)
+    lines = pipeline._read_lines(str(path))
     assert lines == text.replace("\r\n", "\n").replace("\r", "\n").splitlines()
 
 

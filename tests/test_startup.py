@@ -105,12 +105,13 @@ def test_importing_the_cli_builds_no_dataclasses():
 
 
 # The public names as they were when every module was imported eagerly, plus
-# the library's evaluation calls `ingest_many` and `evaluate_metrics`.
+# the library's evaluation calls `ingest_many` and `evaluate_metrics`, less
+# the one-file `ingest` (one file is `ingest_many([path], model)`).
 _PUBLIC = {
     "ActionDirective", "Change", "ChangeKind", "Diagnostic", "EvaluationError", "EvaluationResult",
     "ImpactReport", "MissingBinding", "Model", "Severity", "SourceSpan", "TraceabilityGraph",
     "aggregate", "analyze", "ancestors", "build_graph", "canonical_dump", "classify", "descendants",
-    "diff", "evaluate", "evaluate_metrics", "evaluate_period", "generate_report", "impact", "ingest",
+    "diff", "evaluate", "evaluate_metrics", "evaluate_period", "generate_report", "impact",
     "ingest_many", "parse",
     "parse_expression", "parse_file", "render_formulation", "route_result",
     "serialize", "validate", "__version__",
