@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn
 
@@ -77,9 +78,25 @@ class _Io:
             self.fail(f"error: cannot write to stdout: {exc}", EXIT_USAGE)
 
     def write(self, path: str, raw: bytes) -> None:
+        """Write `raw` to `path`. An existing regular file is replaced by a temporary
+        file written beside it, so a failed write leaves the file as it was."""
+        target = os.path.realpath(path)
         try:
-            with open(path, "wb") as handle:
-                handle.write(raw)
+            if not os.path.isfile(target):  # a new file, or a device or FIFO such as /dev/stdout
+                with open(path, "wb") as handle:
+                    handle.write(raw)
+                return
+            import tempfile
+
+            fd, temp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=os.path.dirname(target))
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(raw)
+                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+                os.replace(temp, target)
+            except BaseException:
+                os.unlink(temp)
+                raise
         except OSError as exc:
             self.fail(f"error: cannot write {path!r}: {exc}", EXIT_USAGE)
 
@@ -243,14 +260,18 @@ def _cmd_impact(args: argparse.Namespace, io: _Io) -> None:
 def _cmd_fmt(args: argparse.Namespace, io: _Io) -> None:
     """Canonical text of the whole model: to --out, or back into a one-file model."""
     model = _require_clean(args.model, io, "has errors; refusing to rewrite it")
+    if model.included:
+        # The flat text written over any of the model's own files would lose its includes.
+        if not io.out_path:
+            io.fail(
+                f"error: {args.model} includes {', '.join(model.included)}; "
+                "refusing to rewrite it in place with their declarations (use --out)"
+            )
+        if os.path.realpath(io.out_path) in (os.path.realpath(args.model), *model.included):
+            io.fail(f"error: {io.out_path} is a file of {args.model}, which has includes; refusing to overwrite it")
     if io.out_path:
         io.payload(serialize(model))
         return
-    if model.included:
-        io.fail(
-            f"error: {args.model} includes {', '.join(model.included)}; "
-            "refusing to rewrite it in place with their declarations (use --out)"
-        )
     io.write(args.model, serialize(model).encode("utf-8"))
     io.note(f"formatted {args.model}")
 

@@ -142,9 +142,9 @@ class _Parser:
 
     A token holds its kind, text, offset and length; the file's `Source`
     gives every span and the text of each recorded block. `pos` is the index
-    of the next unread token; it never passes the EOF token. The readers
-    index `tokens` directly; one that reads several tokens keeps the
-    position in a local and stores it back when it is done.
+    of the next unread token; it never passes the EOF token. A reader that
+    expects one kind of token reads it with `take`, which reports P001 when
+    the token is of another kind; the other readers index `tokens` directly.
     """
 
     def __init__(
@@ -173,21 +173,17 @@ class _Parser:
         """Report P001 at `tok`, which is not `what`. Returns None for the reader."""
         self.error("P001", f"expected {what}, found {_shown(tok)!r}", tok)
 
-    def read_tokens(self, *wanted: tuple[TokenKind, str]) -> list[Token] | None:
-        """The next tokens, if their kinds are those of `wanted` in order.
+    def take(self, kind: TokenKind, what: str) -> Token | None:
+        """Read and return the next token if it is of `kind`.
 
-        `wanted` holds (kind, what) pairs. At the first token of another
-        kind, this reports P001 `expected <what>` and stops on that token.
+        Otherwise report P001 `expected <what>` at it, leave `pos` on it and
+        return None.
         """
-        tokens = self.tokens
-        i = self.pos
-        for kind, what in wanted:
-            if tokens[i].kind is not kind:
-                self.pos = i
-                return self.expected(tokens[i], what)
-            i += 1
-        self.pos = i
-        return tokens[i - len(wanted) : i]
+        tok = self.tokens[self.pos]
+        if tok.kind is kind:
+            self.pos += 1
+            return tok
+        return self.expected(tok, what)
 
     # -- recovery ----------------------------------------------------------
 
@@ -253,10 +249,9 @@ class _Parser:
 
     def parse_include(self) -> None:
         self.pos += 1  # include
-        path_tok = self.tokens[self.pos]
-        if path_tok.kind is not _STRING:
-            return self.expected(path_tok, "a quoted file path")
-        self.pos += 1
+        path_tok = self.take(_STRING, "a quoted file path")
+        if path_tok is None:
+            return
         base = os.path.dirname(self.source.name)
         target = os.path.normpath(os.path.join(base, path_tok.text))
         # Files are compared by real path, so a file reached through a symbolic
@@ -283,10 +278,9 @@ class _Parser:
         keyword = self.tokens[self.pos]
         errors = len(self.diags)
         self.pos += 1
-        head = self.read_tokens((_IDENT, f"an identifier after {kind!r}"), (_LBRACE, "'{'"))
-        if head is None:
+        id_tok = self.take(_IDENT, f"an identifier after {kind!r}")
+        if id_tok is None or self.take(_LBRACE, "'{'") is None:
             return self.skip_block()
-        id_tok = head[0]
         tokens = self.tokens
         i = self.pos
         readers = _READERS[kind]
@@ -329,55 +323,42 @@ class _Parser:
                 fields.setdefault(attribute, []).append(value)
             else:
                 fields[attribute] = value
-        if tokens[i].kind is _RBRACE:
-            i += 1
-        else:
-            self.expected(tokens[i], "'}'")
         self.pos = i
+        self.take(_RBRACE, "'}'")
         # A repeated field's items were gathered in a list.
         values = {attribute: tuple(v) if type(v) is list else v for attribute, v in fields.items()}
         node = NODE_TYPES[kind](id=id_tok.text, **values)
         self.builder.add(kind, id_tok.text, node, self.source.span(id_tok.offset, id_tok.length))
         if self.table is not None and len(self.diags) == errors:
             start = keyword.offset
-            text = self.source.text[start : tokens[i - 1].offset + 1]
+            text = self.source.text[start : tokens[self.pos - 1].offset + 1]
             self.table[text] = (kind, node, id_tok.offset - start, id_tok.length)
 
     # -- value readers -----------------------------------------------------
     # A reader starts at `pos` and leaves it after what it read. It returns
     # the value, or None after a diagnostic, with `pos` where reading stopped.
+    # Each token of one expected kind is read by `take`.
 
     def parse_value_str(self) -> str | None:
-        tok = self.tokens[self.pos]
-        if tok.kind is not _STRING:
-            return self.expected(tok, "a quoted string")
-        self.pos += 1
-        return tok.text
+        tok = self.take(_STRING, "a quoted string")
+        return None if tok is None else tok.text
 
     def parse_value_ident(self) -> str | None:
-        tok = self.tokens[self.pos]
-        if tok.kind is not _IDENT:
-            return self.expected(tok, "an identifier")
-        self.pos += 1
-        return tok.text
+        tok = self.take(_IDENT, "an identifier")
+        return None if tok is None else tok.text
 
     def read_list(self, kind: TokenKind, what: str) -> tuple[str, ...] | None:
         """`a, b, c`: one or more tokens of `kind` separated by commas."""
-        tokens = self.tokens
-        i = self.pos
-        tok = tokens[i]
-        if tok.kind is not kind:
-            return self.expected(tok, what)
+        tok = self.take(kind, what)
+        if tok is None:
+            return None
         items = [tok.text]
-        while tokens[i + 1].kind is _COMMA:
-            tok = tokens[i + 2]
-            if tok.kind is not kind:
-                self.pos = i + 2
-                self.expected(tok, what + " after ','")
-                return tuple(items)
+        while self.tokens[self.pos].kind is _COMMA:
+            self.pos += 1
+            tok = self.take(kind, what + " after ','")
+            if tok is None:
+                break
             items.append(tok.text)
-            i += 2
-        self.pos = i + 1
         return tuple(items)
 
     def parse_value_ident_list(self) -> tuple[str, ...] | None:
@@ -407,11 +388,8 @@ class _Parser:
         return self.error("P001", f"number too {size}: {text}", tok)
 
     def parse_value_int(self) -> int | None:
-        tok = self.tokens[self.pos]
-        if tok.kind is not _NUMBER:
-            return self.expected(tok, "a number")
-        self.pos += 1
-        value = self.number(tok)
+        tok = self.take(_NUMBER, "a number")
+        value = None if tok is None else self.number(tok)
         if value is None:
             return None
         if value != int(value):
@@ -421,10 +399,9 @@ class _Parser:
         return int(tok.text.lstrip("0") or "0") if tok.text.isdigit() else int(value)
 
     def parse_value_date(self) -> _dt.date | None:
-        tok = self.tokens[self.pos]
-        if tok.kind is not _DATE:
-            return self.expected(tok, "a date (YYYY-MM-DD)")
-        self.pos += 1
+        tok = self.take(_DATE, "a date (YYYY-MM-DD)")
+        if tok is None:
+            return None
         try:
             return _dt.date.fromisoformat(tok.text)
         except ValueError:
@@ -452,54 +429,45 @@ class _Parser:
     def parse_value_filters(self) -> tuple[tuple[str, str], ...] | None:
         pairs: list[tuple[str, str]] = []
         while True:
-            pair = self.read_tokens((_IDENT, "a record field name"), (_EQUALS, "'='"), (_STRING, "a quoted value"))
-            if pair is None:
+            if (
+                (name := self.take(_IDENT, "a record field name")) is None
+                or self.take(_EQUALS, "'='") is None
+                or (value := self.take(_STRING, "a quoted value")) is None
+            ):
                 return tuple(pairs) if pairs else None
-            pairs.append((pair[0].text, pair[2].text))
+            pairs.append((name.text, value.text))
             if self.tokens[self.pos].kind is not _COMMA:
                 return tuple(pairs)
             self.pos += 1
 
     def parse_value_scope(self) -> ScopeRef | None:
+        tok = self.take(_IDENT, "a universe identifier")
+        if tok is None:
+            return None
         tokens = self.tokens
-        i = self.pos
-        tok = tokens[i]
-        if tok.kind is not _IDENT:
-            return self.expected(tok, "a universe identifier")
-        i += 1
         selection: tuple[str, ...] | None = None
-        if tokens[i].kind is _DOT:
-            i += 1
-            after = tokens[i]
+        if tokens[self.pos].kind is _DOT:
+            self.pos += 1
+            after = tokens[self.pos]
             if after.kind is _STAR:
-                i += 1
+                self.pos += 1
             elif after.kind is _LBRACE:
-                self.pos = i + 1
+                self.pos += 1
                 selection = self.parse_value_ident_list()
-                if selection is None:
+                if selection is None or self.take(_RBRACE, "'}' closing the facet list") is None:
                     return None
-                i = self.pos
-                if tokens[i].kind is not _RBRACE:
-                    return self.expected(tokens[i], "'}' closing the facet list")
-                i += 1
             else:
-                self.pos = i
                 return self.error("P001", "expected '*' or '{facets}' after '.'", after)
         description: str | None = None
-        if tokens[i].kind is _STRING:
-            description = tokens[i].text
-            i += 1
-        self.pos = i
+        if tokens[self.pos].kind is _STRING:
+            description = tokens[self.pos].text
+            self.pos += 1
         return ScopeRef(universe=tok.text, selection=selection, description=description)
 
     def parse_value_schedule(self) -> ReportingSchedule | None:
         collection = self.read_word(Granularity, "a collection period", "unknown period")
-        if collection is None:
+        if collection is None or self.take(_SLASH, "'/' between collection and reporting periods") is None:
             return None
-        tok = self.tokens[self.pos]
-        if tok.kind is not _SLASH:
-            return self.expected(tok, "'/' between collection and reporting periods")
-        self.pos += 1
         reporting = self.read_word(Granularity, "a reporting period", "unknown period")
         if reporting is None:
             return None
@@ -552,14 +520,10 @@ class _Parser:
 
     def parse_value_band(self) -> InterpretationBand | None:
         interval = self.parse_value_interval()
-        if interval is None:
+        if interval is None or self.take(_ARROW, "'->' after the band interval") is None:
             return None
-        head = self.read_tokens(
-            (_ARROW, "'->' after the band interval"),
-            (_IDENT, "a band label"),
-            (_LBRACE, "'{' opening the action list"),
-        )
-        if head is None:
+        label = self.take(_IDENT, "a band label")
+        if label is None or self.take(_LBRACE, "'{' opening the action list") is None:
             return None
         tokens = self.tokens
         actions: list[Action] = []
@@ -572,34 +536,27 @@ class _Parser:
             if target is None:
                 break
             actions.append(Action(action, target))
-        if tokens[self.pos].kind is _RBRACE:
-            self.pos += 1
-        else:
-            self.expected(tokens[self.pos], "'}' closing the action list")
-        return InterpretationBand(interval=interval, label=head[1].text, actions=tuple(actions))
+        self.take(_RBRACE, "'}' closing the action list")
+        return InterpretationBand(interval=interval, label=label.text, actions=tuple(actions))
 
     def parse_action_target(self) -> ActionTarget | None:
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        if tok.kind is not _IDENT:
-            return self.expected(tok, "a stakeholder id or owner_of(node)")
-        self.pos += 1
-        if tok.text != "owner_of" or tokens[self.pos].kind is not _LPAREN:
+        tok = self.take(_IDENT, "a stakeholder id or owner_of(node)")
+        if tok is None:
+            return None
+        if tok.text != "owner_of" or self.tokens[self.pos].kind is not _LPAREN:
             return ActionTarget(ref=tok.text, is_owner=False)
         self.pos += 1
-        ref = self.read_tokens((_IDENT, "a node id inside owner_of(...)"), (_RPAREN, "')'"))
-        if ref is None:
+        ref = self.take(_IDENT, "a node id inside owner_of(...)")
+        if ref is None or self.take(_RPAREN, "')'") is None:
             return None
-        return ActionTarget(ref=ref[0].text, is_owner=True)
+        return ActionTarget(ref=ref.text, is_owner=True)
 
     def parse_value_step(self) -> StrategyStep | None:
-        tokens = self.tokens
-        text = tokens[self.pos]
-        if text.kind is not _STRING:
-            return self.expected(text, "the step text")
-        self.pos += 1
+        text = self.take(_STRING, "the step text")
+        if text is None:
+            return None
         spawns: tuple[str, ...] = ()
-        if tokens[self.pos].kind is _ARROW:
+        if self.tokens[self.pos].kind is _ARROW:
             self.pos += 1
             spawns = self.parse_value_ident_list()
             if spawns is None:
@@ -658,11 +615,8 @@ class _Parser:
                 return self.too_deep(tok)
             self.pos += 1
             inner = self.parse_expr_binary(0, above, parens + 1)
-            if inner is None:
+            if inner is None or self.take(_RPAREN, "')'") is None:
                 return None
-            if self.tokens[self.pos].kind is not _RPAREN:
-                return self.expected(self.tokens[self.pos], "')'")
-            self.pos += 1
             return inner
         self.error("P001", f"expected an expression, found {_shown(tok)!r}", tok)
         return None

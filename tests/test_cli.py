@@ -608,6 +608,11 @@ def test_fmt_in_place_refuses_a_model_with_includes(tmp_path, capsys):
     assert out == ""
     real = os.path.realpath(tmp_path)
     assert f"{root} includes {real}/b.sym, {real}/empty.sym; refusing" in err
+    # --out onto the root or an included file would flatten away the includes
+    for own in ("a.sym", "b.sym"):
+        assert cli.main(["fmt", str(root), "--out", str(tmp_path / own)]) == 1
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert f"{tmp_path / own} is a file of {root}, which has includes; refusing" in capsys.readouterr().err
     # --out still writes the whole model, flattened
     target = tmp_path / "flat.sym"
     assert cli.main(["fmt", str(root), "--out", str(target)]) == 0
@@ -630,6 +635,52 @@ metric M1 {
   schedule: monthly / monthly stakeholders: s
 }
 """
+
+
+def test_fmt_out_may_name_the_model_itself_when_it_has_no_includes(clean_sym):
+    assert cli.main(["fmt", str(clean_sym), "--out", str(clean_sym)]) == 0
+    assert clean_sym.read_text(encoding="utf-8").startswith("# .sym model (canonical form)\n")
+
+
+# A child that may write no file beyond 4,096 bytes, with the signal for a
+# larger one ignored so that the write fails with EFBIG instead.
+_FMT_UNDER_A_SIZE_LIMIT = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from symbiosis_kit import cli
+sys.exit(cli.main(["fmt", sys.argv[1]]))
+"""
+
+
+def test_a_failed_fmt_in_place_leaves_the_model_as_it_was(corpus, tmp_path):
+    pytest.importorskip("resource")
+    model = tmp_path / "j.sym"
+    shutil.copyfile(corpus / "jpmorgan.sym", model)
+    before = model.read_bytes()
+    assert len(before) > 4096
+    env = dict(_module_env(), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _FMT_UNDER_A_SIZE_LIMIT, str(model)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"cannot write {str(model)!r}: [Errno 27]" in done.stderr
+    assert model.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["j.sym"]
+
+
+def test_fmt_in_place_keeps_the_mode_bits_and_a_symlink(tmp_path):
+    pytest.importorskip("resource")
+    model = tmp_path / "m.sym"
+    model.write_text(CLEAN_MODEL, encoding="utf-8")
+    model.chmod(0o640)
+    link = tmp_path / "link.sym"
+    link.symlink_to("m.sym")
+    assert cli.main(["fmt", str(link), "--quiet"]) == 0
+    assert link.is_symlink() and os.readlink(link) == "m.sym"
+    assert model.read_text(encoding="utf-8").startswith("# .sym model (canonical form)\n")
+    assert model.stat().st_mode & 0o7777 == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.sym", "m.sym"]
 
 
 def test_fmt_writes_numbers_with_an_exponent_that_check_reads(tmp_path, capsys):

@@ -655,6 +655,14 @@ _RECOVERY = [
     'goal G { criteria: "a", "b", c criteria: viewpoint: o, p related: }',
     "question Q { status: closed status: open goal: text: 1 }",
     'widget W { } objective { } objective X y: 1 } stakeholder S name "n" } include x',
+    "metric M { created: x modified: 2014 reviewed: }",
+    "objective BO1 { priority: x priority: }",
+    'base B { where: a "x" where: = "y" where: a = b }',
+    "include",
+    'stakeholder S { name: "n"',
+    "metric M { band: [0, 1] -> ok { notify owner_of(M notify owner_of() } }",
+    "metric M { band: [0, 1] -> { } band: [0, 1] ok }",
+    "strategy S { step: }",
 ]
 
 
