@@ -14,17 +14,17 @@ matches wins (the most frequent come first):
 7. any other character (P001, skipped)
 8. the end of the input, after the last blanks (becomes the EOF token)
 
-Blanks are skipped without counting lines. A token is its kind, its text,
-its character offset and its length; the parser, which holds the file's
-`Source`, builds a token's span (line and column) only when a diagnostic
-or a declaration asks for it. The `Source` then bisects a table of
-line-start offsets, built in one scan of the whole text on the first span
-asked for. Every declaration asks for its id's span, so a file that
-declares anything is scanned to its last block anyway; a file whose spans
-are never asked for is never scanned. The parser hands `tokenize` that same
+Blanks are skipped without counting lines. A file's tokens are parallel
+lists of kinds, texts and character offsets (`Tokens`), read by index, so
+lexing allocates no object per token; a `Token` tuple is built only for a
+diagnostic's span or a test. The parser, which holds the file's `Source`,
+builds a span (line and column) only when a diagnostic or a declaration
+asks for it. The `Source` then bisects a table of line-start offsets, built
+in one scan of the whole text on the first span asked for. Every
+declaration asks for its id's span, so a file that declares anything is
+scanned to its last block anyway. The parser hands `tokenize` that same
 `Source` for its P001/P002 spans, so no text is scanned twice. A NUMBER's
-value is read from its text by `parse_number` where the parser reads the
-number.
+value is read from its text by `parse_number` where the parser reads it.
 """
 
 from __future__ import annotations
@@ -93,6 +93,30 @@ class Token(NamedTuple):
     length: int  # characters of source the token covers
 
 
+class Tokens:
+    """One file's tokens as parallel lists; `len()` is the token count.
+
+    Token `i` has kind `kinds[i]`, text `texts[i]` and character offset
+    `offsets[i]`. It covers `len(texts[i])` characters unless `lengths`
+    holds its index: a string's length counts its quotes and escapes, and
+    EOF covers one character. `kinds` ends in two more EOF kinds, so the
+    parser reads two kinds past any token but EOF without a bounds check.
+    """
+
+    __slots__ = ("kinds", "texts", "offsets", "lengths")
+
+    def __init__(self) -> None:
+        self.kinds, self.texts, self.offsets, self.lengths = [], [], [], {}
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, index: int) -> Token:
+        """Token `index` (0 <= index < len) as one tuple, for a diagnostic or a test."""
+        text = self.texts[index]
+        return Token(self.kinds[index], text, self.offsets[index], self.lengths.get(index, len(text)))
+
+
 _PUNCT = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
 _KIND_OF_GROUP = {"number": TokenKind.NUMBER, "date": TokenKind.DATE, "arrow": TokenKind.ARROW}
 
@@ -123,11 +147,6 @@ _TOKEN_RE = re.compile(
 _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 
-# Builds a Token from a tuple of all its fields. It skips the argument
-# handling of the constructor NamedTuple generates, which costs as much again.
-_new = tuple.__new__
-
-
 def _unescape(match: re.Match) -> str:
     return _ESCAPES.get(match[1], match[1])  # an unknown escape keeps the character
 
@@ -137,18 +156,17 @@ def parse_number(text: str) -> float:
     return 0.0 if value == 0.0 else value  # normalize -0.0
 
 
-def tokenize(
-    text: str, filename: str = "<string>", source: Source | None = None
-) -> tuple[list[Token], list[Diagnostic]]:
-    """Total: any input yields a token list (ending in EOF) plus diagnostics.
+def tokenize(text: str, filename: str = "<string>", source: Source | None = None) -> tuple[Tokens, list[Diagnostic]]:
+    """Total: any input yields its tokens (ending in EOF) plus diagnostics.
 
     `source`, when given, is the caller's `Source(filename, text)`; the
     diagnostics' spans then come from its line table.
     """
     if source is None:
         source = Source(filename, text)
-    tokens: list[Token] = []
-    append = tokens.append
+    tokens = Tokens()
+    kinds, offsets, lengths = tokens.kinds, tokens.offsets, tokens.lengths
+    add_kind, add_text, add_offset = kinds.append, tokens.texts.append, offsets.append
     diags: list[Diagnostic] = []
     # Identifiers repeat (field names, ids and references to them), so the
     # tokens of one file share one string per name. The table is local:
@@ -159,27 +177,37 @@ def tokenize(
     ident, string = TokenKind.IDENT, TokenKind.STRING
     for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
-        start, end = m.span(group)
+        start = m.start(group)
         if group == "ident":
-            name = text[start:end]
-            append(_new(Token, (ident, names.setdefault(name, name), start, end - start)))
+            name = m[group]
+            add_kind(ident)
+            add_text(names.setdefault(name, name))
         elif group == "punct":
             lexeme = text[start]
-            append(_new(Token, (_PUNCT[lexeme], lexeme, start, 1)))
+            add_kind(_PUNCT[lexeme])
+            add_text(lexeme)
         elif group == "string":
             body = m["body"]
             if "\\" in body:
                 body = _ESCAPE_RE.sub(_unescape, body)
+            length = lengths[len(offsets)] = m.end(group) - start
             if m["closed"] is None:
-                span = source.span(start, end - start)
+                span = source.span(start, length)
                 diags.append(Diagnostic("P002", Severity.ERROR, "unterminated string literal", span))
-            append(_new(Token, (string, body, start, end - start)))
+            add_kind(string)
+            add_text(body)
         elif group in _KIND_OF_GROUP:
-            append(_new(Token, (_KIND_OF_GROUP[group], text[start:end], start, end - start)))
+            add_kind(_KIND_OF_GROUP[group])
+            add_text(m[group])
         elif group == "other":
             message = f"unexpected character {text[start]!r}"
             diags.append(Diagnostic("P001", Severity.ERROR, message, source.span(start, 1)))
+            continue
         else:
-            append(_new(Token, (TokenKind.EOF, "", start, 1)))
+            lengths[len(offsets)] = 1
+            kinds += [TokenKind.EOF] * 3  # EOF, then the parser's two kinds of lookahead
+            add_text("")
+            add_offset(start)
             break
+        add_offset(start)
     return tokens, diags

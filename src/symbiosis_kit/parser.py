@@ -2,7 +2,9 @@
 
 Parsing is total: any input produces a (possibly partial) model plus a list of
 coded diagnostics (P001-P009). With zero error diagnostics the model is fully
-populated; reference resolution is the validator's job.
+populated; reference resolution is the validator's job. Tokens are read by
+index from the lexer's parallel lists (`lexer.Tokens`); a `Token` tuple is
+built only for the span of a diagnostic.
 
 A load given a block table records each block that parsed with no diagnostic,
 keyed by its exact source text from the kind keyword through its closing `}`.
@@ -24,7 +26,7 @@ from pathlib import Path
 
 from . import expr as _expr
 from .diagnostics import Diagnostic, Severity, SourceSpan
-from .lexer import BLANKS, Source, Token, TokenKind, _new, parse_number, tokenize
+from .lexer import BLANKS, Source, TokenKind, Tokens, parse_number, tokenize
 from .model import (
     Action,
     ActionKind,
@@ -41,10 +43,6 @@ from .model import (
     NODE_TYPES,
     WORD_KINDS,
 )
-
-# Copies of the EOF token after the real one: reads up to this many tokens
-# past any token that is not EOF stay inside the token list.
-_LOOKAHEAD = 2
 
 # Token kinds as module constants. Reading a member through its Enum class
 # costs several times a global lookup, and the parser compares kinds on
@@ -85,11 +83,6 @@ _PRECEDENCE = {TokenKind.PLUS: 1, TokenKind.MINUS: 1, TokenKind.STAR: 2, TokenKi
 
 # The words each enum read by `read_word` accepts, mapped to its members.
 _WORDS = {enum: {m.value: m for m in enum} for enum in (Granularity, ActionKind, *WORD_KINDS.values())}
-
-
-def _shown(tok: Token) -> str:
-    """How a diagnostic names the token it found."""
-    return tok.text or tok.kind.value
 
 
 class ExpressionSyntaxError(ValueError):
@@ -140,16 +133,16 @@ class _Builder:
 class _Parser:
     """Reads one file's tokens into the builder.
 
-    A token holds its kind, text, offset and length; the file's `Source`
-    gives every span and the text of each recorded block. `pos` is the index
-    of the next unread token; it never passes the EOF token. A reader that
-    expects one kind of token reads it with `take`, which reports P001 when
-    the token is of another kind; the other readers index `tokens` directly.
+    A token is an index into `kinds`, `texts` and `offsets`; the `Source`
+    gives every span and each recorded block's text. `pos` is the index of
+    the next unread token; it never passes the EOF token. `take` reads the
+    index of a token of one expected kind, or reports P001 at a token of
+    another; the other readers index the lists directly.
     """
 
     def __init__(
         self,
-        tokens: list[Token],
+        tokens: Tokens,
         source: Source,
         builder: _Builder,
         diags: list[Diagnostic],
@@ -161,41 +154,44 @@ class _Parser:
         self.diags = diags
         self.include_stack = include_stack
         self.table = table  # where each block that parses with no diagnostic is recorded
-        tokens.extend([tokens[-1]] * _LOOKAHEAD)
         self.tokens = tokens
+        self.kinds, self.texts, self.offsets = tokens.kinds, tokens.texts, tokens.offsets
         self.pos = 0
 
-    def error(self, code: str, message: str, tok: Token) -> None:
-        span = self.source.span(tok.offset, tok.length)
-        self.diags.append(Diagnostic(code, Severity.ERROR, message, span))
+    def error(self, code: str, message: str, index: int) -> None:
+        tok = self.tokens[index]  # the one place a Token is built
+        self.diags.append(Diagnostic(code, Severity.ERROR, message, self.source.span(tok.offset, tok.length)))
 
-    def expected(self, tok: Token, what: str) -> None:
-        """Report P001 at `tok`, which is not `what`. Returns None for the reader."""
-        self.error("P001", f"expected {what}, found {_shown(tok)!r}", tok)
+    def shown(self, index: int) -> str:
+        """How a diagnostic names the token it found."""
+        return self.texts[index] or self.kinds[index].value
 
-    def take(self, kind: TokenKind, what: str) -> Token | None:
-        """Read and return the next token if it is of `kind`.
+    def expected(self, index: int, what: str) -> None:
+        """Report P001 at token `index`, which is not `what`. Returns None for the reader."""
+        self.error("P001", f"expected {what}, found {self.shown(index)!r}", index)
+
+    def take(self, kind: TokenKind, what: str) -> int | None:
+        """Read the next token and return its index if it is of `kind`.
 
         Otherwise report P001 `expected <what>` at it, leave `pos` on it and
         return None.
         """
-        tok = self.tokens[self.pos]
-        if tok.kind is kind:
-            self.pos += 1
-            return tok
-        return self.expected(tok, what)
+        index = self.pos
+        if self.kinds[index] is kind:
+            self.pos = index + 1
+            return index
+        return self.expected(index, what)
 
     # -- recovery ----------------------------------------------------------
 
     def skip_block(self) -> None:
         """Skip tokens through a balanced { ... } group, or to the next block."""
-        tokens = self.tokens
+        kinds, texts = self.kinds, self.texts
         i = self.pos
         depth = 0
         while True:
-            tok = tokens[i]
-            kind = tok.kind
-            if kind is _EOF or (depth == 0 and kind is _IDENT and tok.text in NODE_TYPES):
+            kind = kinds[i]
+            if kind is _EOF or (depth == 0 and kind is _IDENT and texts[i] in NODE_TYPES):
                 break
             i += 1
             if kind is _LBRACE:
@@ -208,14 +204,14 @@ class _Parser:
 
     def skip_to_field_boundary(self) -> None:
         """Skip a malformed field value: stop before `name :` at depth 0 or `}`."""
-        tokens = self.tokens
+        kinds = self.kinds
         i = self.pos
         depth = 0
         while True:
-            kind = tokens[i].kind
+            kind = kinds[i]
             if kind is _EOF:
                 break
-            if depth == 0 and (kind is _RBRACE or (kind is _IDENT and tokens[i + 1].kind is _COLON)):
+            if depth == 0 and (kind is _RBRACE or (kind is _IDENT and kinds[i + 1] is _COLON)):
                 break
             if kind is _LBRACE:
                 depth += 1
@@ -227,24 +223,26 @@ class _Parser:
     # -- model structure ---------------------------------------------------
 
     def parse_model(self) -> None:
-        tokens = self.tokens
+        kinds, texts = self.kinds, self.texts
         while True:
-            tok = tokens[self.pos]
-            if tok.kind is _EOF:
+            i = self.pos
+            kind = kinds[i]
+            if kind is _EOF:
                 return
-            if tok.kind is _IDENT:
-                if tok.text == "include":
+            if kind is _IDENT:
+                word = texts[i]
+                if word == "include":
                     self.parse_include()
                     continue
-                if tok.text in NODE_TYPES:
-                    self.parse_block(tok.text)
+                if word in NODE_TYPES:
+                    self.parse_block(word)
                     continue
-                if tokens[self.pos + 1].kind is _IDENT and tokens[self.pos + 2].kind is _LBRACE:
-                    self.error("P003", f"unknown block kind {tok.text!r}", tok)
+                if kinds[i + 1] is _IDENT and kinds[i + 2] is _LBRACE:
+                    self.error("P003", f"unknown block kind {word!r}", i)
                     self.pos += 2
                     self.skip_block()
                     continue
-            self.expected(tok, "a block declaration")
+            self.expected(i, "a block declaration")
             self.pos += 1
 
     def parse_include(self) -> None:
@@ -253,7 +251,7 @@ class _Parser:
         if path_tok is None:
             return
         base = os.path.dirname(self.source.name)
-        target = os.path.normpath(os.path.join(base, path_tok.text))
+        target = os.path.normpath(os.path.join(base, self.texts[path_tok]))
         # Files are compared by real path, so a file reached through a symbolic
         # link is one file.
         key = os.path.realpath(target)
@@ -275,30 +273,30 @@ class _Parser:
         _parse_source(text, target, self.builder, self.diags, self.include_stack + (key,))
 
     def parse_block(self, kind: str) -> None:
-        keyword = self.tokens[self.pos]
+        kinds, texts, offsets = self.kinds, self.texts, self.offsets
+        start = offsets[self.pos]  # of the kind keyword
         errors = len(self.diags)
         self.pos += 1
         id_tok = self.take(_IDENT, f"an identifier after {kind!r}")
         if id_tok is None or self.take(_LBRACE, "'{'") is None:
             return self.skip_block()
-        tokens = self.tokens
         i = self.pos
         readers = _READERS[kind]
         fields: dict[str, object] = {}
         seen: set[str] = set()
         while True:
-            name_tok = tokens[i]
-            if name_tok.kind is not _IDENT:
-                if name_tok.kind is _RBRACE or name_tok.kind is _EOF:
+            if kinds[i] is not _IDENT:
+                if kinds[i] is _RBRACE or kinds[i] is _EOF:
                     break
-                self.expected(name_tok, "a field name")
+                self.expected(i, "a field name")
                 i += 1
                 continue
-            name = name_tok.text
+            name_tok = i
+            name = texts[i]
             i += 1
-            if tokens[i].kind is not _COLON:
+            if kinds[i] is not _COLON:
                 self.pos = i
-                self.expected(tokens[i], f"':' after field {name!r}")
+                self.expected(i, f"':' after field {name!r}")
                 self.skip_to_field_boundary()
                 i = self.pos
                 continue
@@ -327,12 +325,12 @@ class _Parser:
         self.take(_RBRACE, "'}'")
         # A repeated field's items were gathered in a list.
         values = {attribute: tuple(v) if type(v) is list else v for attribute, v in fields.items()}
-        node = NODE_TYPES[kind](id=id_tok.text, **values)
-        self.builder.add(kind, id_tok.text, node, self.source.span(id_tok.offset, id_tok.length))
+        node_id = texts[id_tok]
+        node = NODE_TYPES[kind](id=node_id, **values)
+        self.builder.add(kind, node_id, node, self.source.span(offsets[id_tok], len(node_id)))
         if self.table is not None and len(self.diags) == errors:
-            start = keyword.offset
-            text = self.source.text[start : tokens[self.pos - 1].offset + 1]
-            self.table[text] = (kind, node, id_tok.offset - start, id_tok.length)
+            text = self.source.text[start : offsets[self.pos - 1] + 1]
+            self.table[text] = (kind, node, offsets[id_tok] - start, len(node_id))
 
     # -- value readers -----------------------------------------------------
     # A reader starts at `pos` and leaves it after what it read. It returns
@@ -341,24 +339,25 @@ class _Parser:
 
     def parse_value_str(self) -> str | None:
         tok = self.take(_STRING, "a quoted string")
-        return None if tok is None else tok.text
+        return None if tok is None else self.texts[tok]
 
     def parse_value_ident(self) -> str | None:
         tok = self.take(_IDENT, "an identifier")
-        return None if tok is None else tok.text
+        return None if tok is None else self.texts[tok]
 
     def read_list(self, kind: TokenKind, what: str) -> tuple[str, ...] | None:
         """`a, b, c`: one or more tokens of `kind` separated by commas."""
         tok = self.take(kind, what)
         if tok is None:
             return None
-        items = [tok.text]
-        while self.tokens[self.pos].kind is _COMMA:
+        texts = self.texts
+        items = [texts[tok]]
+        while self.kinds[self.pos] is _COMMA:
             self.pos += 1
             tok = self.take(kind, what + " after ','")
             if tok is None:
                 break
-            items.append(tok.text)
+            items.append(texts[tok])
         return tuple(items)
 
     def parse_value_ident_list(self) -> tuple[str, ...] | None:
@@ -367,7 +366,7 @@ class _Parser:
     def parse_value_str_list(self) -> tuple[str, ...] | None:
         return self.read_list(_STRING, "a quoted string")
 
-    def number(self, tok: Token) -> float | None:
+    def number(self, tok: int) -> float | None:
         """The value of NUMBER token `tok`; every reader of a number asks here.
 
         A literal beyond the float range (`2` followed by 308 zeros, or
@@ -375,7 +374,7 @@ class _Parser:
         (`1e-400`) as zero: either is P001, and None. The message shows a
         literal whole when that is no longer than showing its ends.
         """
-        text = tok.text
+        text = self.texts[tok]
         value = parse_number(text)
         if value == _INFINITY:
             size = "large"
@@ -392,20 +391,21 @@ class _Parser:
         value = None if tok is None else self.number(tok)
         if value is None:
             return None
+        text = self.texts[tok]
         if value != int(value):
-            return self.error("P001", f"expected an integer, found {tok.text!r}", tok)
+            return self.error("P001", f"expected an integer, found {text!r}", tok)
         # Digits alone are read exactly. The range check above leaves at most 309
         # of them once leading zeros go, which keeps `int` under its digit limit.
-        return int(tok.text.lstrip("0") or "0") if tok.text.isdigit() else int(value)
+        return int(text.lstrip("0") or "0") if text.isdigit() else int(value)
 
     def parse_value_date(self) -> _dt.date | None:
         tok = self.take(_DATE, "a date (YYYY-MM-DD)")
         if tok is None:
             return None
         try:
-            return _dt.date.fromisoformat(tok.text)
+            return _dt.date.fromisoformat(self.texts[tok])
         except ValueError:
-            return self.error("P001", f"invalid date {tok.text!r}", tok)
+            return self.error("P001", f"invalid date {self.texts[tok]!r}", tok)
 
     def read_word(self, enum: type, what: str = "", unknown: str = ""):
         """An identifier that is the value of a member of `enum`; returns the member.
@@ -415,14 +415,15 @@ class _Parser:
         Without `what` and `unknown`, both are P001 `expected 'a' or 'b',
         found ...`, listing the enum's words.
         """
-        tok = self.tokens[self.pos]
+        tok = self.pos
         words = _WORDS[enum]
-        if tok.kind is _IDENT:
+        if self.kinds[tok] is _IDENT:
             self.pos += 1
-            if tok.text in words:
-                return words[tok.text]
+            word = self.texts[tok]
+            if word in words:
+                return words[word]
             if unknown:
-                return self.error("P001", f"{unknown} {tok.text!r}", tok)
+                return self.error("P001", f"{unknown} {word!r}", tok)
         *rest, last = map(repr, words)
         return self.expected(tok, what or f"{', '.join(rest)} or {last}")
 
@@ -435,8 +436,8 @@ class _Parser:
                 or (value := self.take(_STRING, "a quoted value")) is None
             ):
                 return tuple(pairs) if pairs else None
-            pairs.append((name.text, value.text))
-            if self.tokens[self.pos].kind is not _COMMA:
+            pairs.append((self.texts[name], self.texts[value]))
+            if self.kinds[self.pos] is not _COMMA:
                 return tuple(pairs)
             self.pos += 1
 
@@ -444,14 +445,14 @@ class _Parser:
         tok = self.take(_IDENT, "a universe identifier")
         if tok is None:
             return None
-        tokens = self.tokens
+        kinds, texts = self.kinds, self.texts
         selection: tuple[str, ...] | None = None
-        if tokens[self.pos].kind is _DOT:
+        if kinds[self.pos] is _DOT:
             self.pos += 1
-            after = tokens[self.pos]
-            if after.kind is _STAR:
+            after = self.pos
+            if kinds[after] is _STAR:
                 self.pos += 1
-            elif after.kind is _LBRACE:
+            elif kinds[after] is _LBRACE:
                 self.pos += 1
                 selection = self.parse_value_ident_list()
                 if selection is None or self.take(_RBRACE, "'}' closing the facet list") is None:
@@ -459,10 +460,10 @@ class _Parser:
             else:
                 return self.error("P001", "expected '*' or '{facets}' after '.'", after)
         description: str | None = None
-        if tokens[self.pos].kind is _STRING:
-            description = tokens[self.pos].text
+        if kinds[self.pos] is _STRING:
+            description = texts[self.pos]
             self.pos += 1
-        return ScopeRef(universe=tok.text, selection=selection, description=description)
+        return ScopeRef(universe=texts[tok], selection=selection, description=description)
 
     def parse_value_schedule(self) -> ReportingSchedule | None:
         collection = self.read_word(Granularity, "a collection period", "unknown period")
@@ -473,21 +474,19 @@ class _Parser:
             return None
         return ReportingSchedule(collection, reporting)
 
-    def malformed_interval(self, tok: Token, what: str) -> None:
-        self.error("P005", f"malformed interval: expected {what}, found {_shown(tok)!r}", tok)
+    def malformed_interval(self, tok: int, what: str) -> None:
+        self.error("P005", f"malformed interval: expected {what}, found {self.shown(tok)!r}", tok)
 
     def parse_signed_number(self, what: str) -> float | None:
-        tokens = self.tokens
         i = self.pos
-        negative = tokens[i].kind is _MINUS
+        negative = self.kinds[i] is _MINUS
         if negative:
             i += 1
-        tok = tokens[i]
         self.pos = i
-        if tok.kind is not _NUMBER:
-            return self.malformed_interval(tok, what)
+        if self.kinds[i] is not _NUMBER:
+            return self.malformed_interval(i, what)
         self.pos = i + 1
-        value = self.number(tok)
+        value = self.number(i)
         if value is None:
             return None
         if negative:
@@ -495,25 +494,26 @@ class _Parser:
         return 0.0 if value == 0 else value
 
     def parse_value_interval(self) -> Interval | None:
-        tokens = self.tokens
-        open_tok = tokens[self.pos]
-        if open_tok.kind is not _LBRACK and open_tok.kind is not _LPAREN:
+        kinds = self.kinds
+        open_tok = self.pos
+        opening = kinds[open_tok]
+        if opening is not _LBRACK and opening is not _LPAREN:
             return self.malformed_interval(open_tok, "'[' or '('")
         self.pos += 1
         lo = self.parse_signed_number("a lower endpoint")
         if lo is None:
             return None
-        if tokens[self.pos].kind is not _COMMA:
-            return self.malformed_interval(tokens[self.pos], "','")
+        if kinds[self.pos] is not _COMMA:
+            return self.malformed_interval(self.pos, "','")
         self.pos += 1
         hi = self.parse_signed_number("an upper endpoint")
         if hi is None:
             return None
-        close_tok = tokens[self.pos]
-        if close_tok.kind is not _RBRACK and close_tok.kind is not _RPAREN:
-            return self.malformed_interval(close_tok, "']' or ')'")
+        closing = kinds[self.pos]
+        if closing is not _RBRACK and closing is not _RPAREN:
+            return self.malformed_interval(self.pos, "']' or ')'")
         self.pos += 1
-        interval = Interval(lo, hi, open_tok.kind is _LBRACK, close_tok.kind is _RBRACK)
+        interval = Interval(lo, hi, opening is _LBRACK, closing is _RBRACK)
         if interval.is_empty():
             return self.error("P005", f"empty interval {interval.notation()}", open_tok)
         return interval
@@ -525,9 +525,9 @@ class _Parser:
         label = self.take(_IDENT, "a band label")
         if label is None or self.take(_LBRACE, "'{' opening the action list") is None:
             return None
-        tokens = self.tokens
+        kinds = self.kinds
         actions: list[Action] = []
-        while tokens[self.pos].kind is not _RBRACE and tokens[self.pos].kind is not _EOF:
+        while kinds[self.pos] is not _RBRACE and kinds[self.pos] is not _EOF:
             action = self.read_word(ActionKind, "an action (log, notify or escalate)", "unknown action")
             if action is None:
                 self.skip_to_field_boundary()
@@ -537,31 +537,32 @@ class _Parser:
                 break
             actions.append(Action(action, target))
         self.take(_RBRACE, "'}' closing the action list")
-        return InterpretationBand(interval=interval, label=label.text, actions=tuple(actions))
+        return InterpretationBand(interval=interval, label=self.texts[label], actions=tuple(actions))
 
     def parse_action_target(self) -> ActionTarget | None:
         tok = self.take(_IDENT, "a stakeholder id or owner_of(node)")
         if tok is None:
             return None
-        if tok.text != "owner_of" or self.tokens[self.pos].kind is not _LPAREN:
-            return ActionTarget(ref=tok.text, is_owner=False)
+        word = self.texts[tok]
+        if word != "owner_of" or self.kinds[self.pos] is not _LPAREN:
+            return ActionTarget(ref=word, is_owner=False)
         self.pos += 1
         ref = self.take(_IDENT, "a node id inside owner_of(...)")
         if ref is None or self.take(_RPAREN, "')'") is None:
             return None
-        return ActionTarget(ref=ref.text, is_owner=True)
+        return ActionTarget(ref=self.texts[ref], is_owner=True)
 
     def parse_value_step(self) -> StrategyStep | None:
         text = self.take(_STRING, "the step text")
         if text is None:
             return None
         spawns: tuple[str, ...] = ()
-        if self.tokens[self.pos].kind is _ARROW:
+        if self.kinds[self.pos] is _ARROW:
             self.pos += 1
             spawns = self.parse_value_ident_list()
             if spawns is None:
                 return None
-        return StrategyStep(text=text.text, spawns=spawns)
+        return StrategyStep(text=self.texts[text], spawns=spawns)
 
     def parse_value_expr(self) -> _expr.Expr | None:
         parsed = self.parse_expr_binary(0, 0, 0)
@@ -572,7 +573,7 @@ class _Parser:
     # and `parens` the open parentheses, so P008 stops the descent where a
     # limit is crossed, long before Python's recursion limit.
 
-    def too_deep(self, tok: Token) -> None:
+    def too_deep(self, tok: int) -> None:
         self.error("P008", f"metric function nests deeper than {MAX_EXPR_DEPTH} levels", tok)
 
     def parse_expr_binary(self, min_prec: int, above: int, parens: int) -> tuple[_expr.Expr, int] | None:
@@ -580,25 +581,25 @@ class _Parser:
         if parsed is None:
             return None
         left, depth = parsed
-        tokens = self.tokens
+        kinds = self.kinds
         while True:
-            op = tokens[self.pos]
-            prec = _PRECEDENCE.get(op.kind)
+            op = self.pos
+            prec = _PRECEDENCE.get(kinds[op])
             if prec is None or prec < min_prec:
                 return left, depth
             self.pos += 1
             right = self.parse_expr_binary(prec + 1, above + 1, parens)
             if right is None:
                 return None
-            left, depth = _expr.BinOp(op.text, left, right[0]), 1 + max(depth, right[1])
+            left, depth = _expr.BinOp(self.texts[op], left, right[0]), 1 + max(depth, right[1])
             if above + depth > MAX_EXPR_DEPTH:
                 return self.too_deep(op)
 
     def parse_expr_unary(self, above: int, parens: int) -> tuple[_expr.Expr, int] | None:
-        tok = self.tokens[self.pos]
+        tok = self.pos
         if above > MAX_EXPR_DEPTH:
             return self.too_deep(tok)
-        kind = tok.kind
+        kind = self.kinds[tok]
         if kind is _MINUS:
             self.pos += 1
             operand = self.parse_expr_unary(above + 1, parens)
@@ -609,7 +610,7 @@ class _Parser:
             return (_expr.Num(value), 0) if value is not None else None
         if kind is _IDENT:
             self.pos += 1
-            return _expr.Var(tok.text), 0
+            return _expr.Var(self.texts[tok]), 0
         if kind is _LPAREN:
             if parens == MAX_EXPR_DEPTH:
                 return self.too_deep(tok)
@@ -618,7 +619,7 @@ class _Parser:
             if inner is None or self.take(_RPAREN, "')'") is None:
                 return None
             return inner
-        self.error("P001", f"expected an expression, found {_shown(tok)!r}", tok)
+        self.error("P001", f"expected an expression, found {self.shown(tok)!r}", tok)
         return None
 
 
@@ -696,7 +697,7 @@ def _parse_run(text: str, start: int, stop: int, source: Source, builder: _Build
     tokens, diags = tokenize(run, source.name)
     if diags:
         return False
-    tokens = [_new(Token, (kind, lexeme, offset + start, length)) for kind, lexeme, offset, length in tokens]
+    tokens.offsets = [offset + start for offset in tokens.offsets]
     _Parser(tokens, source, builder, diags, (), builder.table).parse_model()
     return not diags
 
@@ -729,7 +730,6 @@ def parse_expression(text: str) -> _expr.Expr:
     if diags or result is None:
         message = diags[0].message if diags else "empty expression"
         raise ExpressionSyntaxError(message)
-    trailing = parser.tokens[parser.pos]
-    if trailing.kind is not TokenKind.EOF:
-        raise ExpressionSyntaxError(f"unexpected trailing input {trailing.text!r}")
+    if parser.kinds[parser.pos] is not _EOF:
+        raise ExpressionSyntaxError(f"unexpected trailing input {parser.texts[parser.pos]!r}")
     return result

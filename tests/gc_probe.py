@@ -9,14 +9,19 @@ builds one workload (model-heavy unless `--workload` names another) with
 reference loop (`calibrate`) wrapped: before each loop it reads the
 generation-2 counter, `gc.get_count()[2]`, and while the loop runs a
 `gc.callbacks` hook counts the generation-2 (full) collections. Each round
-prints one line of `op:counter/full`, for the loop after each command.
+prints one line of `op:counter/full` per loop: `start` for the loop that
+opens the round, before the first command, then one for the loop after
+each command.
 
 A full collection inside a loop makes that loop slower, which scales the
 commands on both sides of it down, so a change that moves the collections
-between loops moves the scaled times of commands it does not touch. On
-model-heavy, a full collection runs in the loop after `impact`, `eval` and
-`report` only (counters 7, 7, 9, 8 and 8 from the second round on). On
-logs-heavy and program-wide the counters stay lower and no loop runs one.
+between loops moves the scaled times of commands it does not touch. The
+`start` loop runs on what the previous round left, and scales the first
+command of each round. With `--seed 89`, no loop of any workload runs a
+full collection. While the lexer built one tuple per token, from the second
+round on, the loops after `impact`, `eval` and `report` on model-heavy ran
+one, and so did the `start` loop on program-wide (counter 8), which scales
+`eval`, that workload's first command.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import workloads  # noqa: E402  (bench/workloads.py)
 
 
 def probe(seed: int, rounds: int, workload_name: str = "model-heavy") -> list[str]:
-    """Run `rounds` rounds of a workload; one `op:counter/full` line per round."""
+    """Run `rounds` rounds of a workload; per round, one line of `op:counter/full` per loop."""
     from symbiosis_kit import cli
 
     work = os.path.join(ROOT, ".bench_work", f"gc-probe-{os.getpid()}")
@@ -67,9 +72,9 @@ def probe(seed: int, rounds: int, workload_name: str = "model-heavy") -> list[st
         for _ in range(rounds):
             readings.clear()
             runner.round()
-            # The first loop runs before the first command.
-            after = readings[1:]
-            lines.append(" ".join(f"{op.argv[0]}:{c}/{f}" for op, (c, f) in zip(workload.ops, after)))
+            # The first loop runs before the first command; each other loop, after a command.
+            names = ["start"] + [op.argv[0] for op in workload.ops]
+            lines.append(" ".join(f"{name}:{c}/{f}" for name, (c, f) in zip(names, readings)))
         for problem in runner.problems:
             print(f"check failed: {problem}", file=sys.stderr)
     finally:

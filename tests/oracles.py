@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from symbiosis_kit.diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from symbiosis_kit import expr as _expr
-from symbiosis_kit.lexer import Source, Token, TokenKind, parse_number, tokenize
+from symbiosis_kit.lexer import Source, Token, TokenKind, Tokens, parse_number, tokenize
 from symbiosis_kit.model import (
     KIND_BASE,
     KIND_GOAL,
@@ -594,13 +594,18 @@ def _token(kind: TokenKind, text: str, span: SourceSpan, value: float | None = N
     return CharToken(kind, text, span, value)
 
 
-def char_tokens(tokens: list[Token], text: str, filename: str) -> list[CharToken]:
+def token_list(tokens: Tokens) -> list[Token]:
+    """The package's tokens of one file, each built into a `Token`."""
+    return [tokens[index] for index in range(len(tokens))]
+
+
+def char_tokens(tokens: Tokens, text: str, filename: str) -> list[CharToken]:
     """The package's tokens of `text`, each with the span and number value the character loop gives it."""
     source = Source(filename, text)
     number = TokenKind.NUMBER
     return [
         _token(t.kind, t.text, source.span(t.offset, t.length), parse_number(t.text) if t.kind is number else None)
-        for t in tokens
+        for t in token_list(tokens)
     ]
 
 

@@ -1,6 +1,7 @@
 """Tokenizer behavior, especially the dotted-identifier / punctuation split."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from corpus import CORPUS_ROOT
 from modelgen import program_model
-from oracles import char_tokens, tokenize_by_characters
+from oracles import char_tokens, token_list, tokenize_by_characters
 from symbiosis_kit.diagnostics import SourceSpan
 from symbiosis_kit.lexer import Source, TokenKind, tokenize
 from symbiosis_kit.parser import parse
@@ -18,13 +19,13 @@ from symbiosis_kit.serializer import serialize
 def kinds(text: str) -> list[TokenKind]:
     tokens, diags = tokenize(text)
     assert not diags
-    return [t.kind for t in tokens[:-1]]  # strip EOF
+    return [t.kind for t in token_list(tokens)[:-1]]  # strip EOF
 
 
 def texts(text: str) -> list[str]:
     tokens, diags = tokenize(text)
     assert not diags
-    return [t.text for t in tokens[:-1]]
+    return [t.text for t in token_list(tokens)[:-1]]
 
 
 def test_dotted_identifier_stays_single():
@@ -108,13 +109,13 @@ def test_hash_inside_string_is_not_a_comment():
 def test_unexpected_character_is_p001_and_skipped():
     tokens, diags = tokenize("a @ b")
     assert [d.code for d in diags] == ["P001"]
-    assert [t.text for t in tokens[:-1]] == ["a", "b"]
+    assert [t.text for t in token_list(tokens)[:-1]] == ["a", "b"]
 
 
 def test_crlf_treated_as_whitespace():
     tokens, diags = tokenize("a\r\nb")
     assert not diags
-    assert [t.text for t in tokens[:-1]] == ["a", "b"]
+    assert [t.text for t in token_list(tokens)[:-1]] == ["a", "b"]
     assert char_tokens(tokens, "a\r\nb", "<string>")[1].span.line == 2
 
 
@@ -199,7 +200,7 @@ def test_tokenize_matches_the_character_loop(text):
 
 def test_non_ascii_digits_are_p001_not_numbers():
     tokens, diags = tokenize("\u0663 1\u0663")  # Arabic-Indic three
-    assert [(t.kind, t.text) for t in tokens[:-1]] == [(TokenKind.NUMBER, "1")]
+    assert [(t.kind, t.text) for t in token_list(tokens)[:-1]] == [(TokenKind.NUMBER, "1")]
     assert [(d.code, d.message, d.span.col) for d in diags] == [
         ("P001", "unexpected character '\u0663'", 1),
         ("P001", "unexpected character '\u0663'", 4),
@@ -208,7 +209,7 @@ def test_non_ascii_digits_are_p001_not_numbers():
 
 def test_non_ascii_date_is_not_a_date():
     tokens, diags = tokenize("\u0662\u0660\u0661\u0664-\u0660\u0669-\u0660\u0663")
-    assert [t.kind for t in tokens[:-1]] == [TokenKind.MINUS, TokenKind.MINUS]
+    assert [t.kind for t in token_list(tokens)[:-1]] == [TokenKind.MINUS, TokenKind.MINUS]
     assert [d.code for d in diags] == ["P001"] * 8
 
 
@@ -278,3 +279,48 @@ def test_eof_token_span(text, line, col):
     eof = char_tokens(tokenize(text, "e.sym")[0], text, "e.sym")[-1]
     assert eof.kind is TokenKind.EOF
     assert eof.span == SourceSpan("e.sym", line, col, 1)
+
+
+# -- the token lists, each token built into a Token, against the character loop --
+# The loop's tokens hold spans. Their offsets are found here from the text's
+# own line starts, so this check reads no `Source`.
+
+
+def _assert_tokens_are_the_character_loops(text: str) -> None:
+    tokens, _ = tokenize(text, "t.sym")
+    expected, _ = tokenize_by_characters(text, "t.sym")
+    starts = [0, *accumulate(len(line) + 1 for line in text.split("\n"))]
+    assert len(tokens) == len(expected)
+    assert [(t.kind, t.text, t.offset, t.length) for t in token_list(tokens)] == [
+        (e.kind, e.text, starts[e.span.line - 1] + e.span.col - 1, e.span.length) for e in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "  # only a comment",
+        r'"a\"b\\c\nd" "\q" "open',  # escapes, an unknown escape, an unclosed string at EOF
+        '"open\r\nb "two\n',  # unclosed strings ending at a CR LF and at an LF
+        "a @ \u0663 b\x0b\u00e9 -> 2014-09-03 1e-05 org.* BO1.1",  # P001 characters among tokens
+    ],
+    ids=["empty", "comment", "escapes", "unclosed", "p001"],
+)
+def test_token_lists_match_the_character_loop(text):
+    _assert_tokens_are_the_character_loops(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_DENSE)
+def test_token_lists_match_the_character_loop_on_dense_text(text):
+    _assert_tokens_are_the_character_loops(text)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS_ROOT.glob("*.sym")), ids=lambda p: p.name)
+def test_token_lists_match_the_character_loop_on_the_corpus(path):
+    _assert_tokens_are_the_character_loops(path.read_text(encoding="utf-8"))
+
+
+def test_token_lists_match_the_character_loop_on_a_511_objective_program():
+    _assert_tokens_are_the_character_loops(serialize(program_model(random.Random(1))).replace("\n", "\r\n"))

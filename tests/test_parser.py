@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from corpus import CORPUS_ROOT
 from modelgen import program_model
 import oracles
-from oracles import diff_by_canonical, parse_token_by_token
+from oracles import diff_by_canonical, parse_token_by_token, token_list
 from symbiosis_kit.diagnostics import SourceSpan
 from symbiosis_kit.expr import BinOp, Neg, Num, Var
 from symbiosis_kit.model import (
@@ -53,10 +53,10 @@ def codes(diags):
 
 def test_lookahead_at_and_past_the_end_reads_eof():
     parser = _Parser(tokenize("a")[0], Source("<string>", "a"), _Builder(), [], ())
-    assert [t.kind for t in parser.tokens] == [TokenKind.IDENT] + [TokenKind.EOF] * 3
+    assert parser.kinds == [TokenKind.IDENT] + [TokenKind.EOF] * 3
     parser.parse_model()
     assert parser.pos == 1  # the position stays on EOF
-    assert [t.kind for t in parser.tokens[parser.pos :]] == [TokenKind.EOF] * 3
+    assert parser.kinds[parser.pos :] == [TokenKind.EOF] * 3
 
 
 def test_a_file_with_a_lexer_diagnostic_is_scanned_for_newlines_once():
@@ -679,7 +679,7 @@ def test_parse_matches_the_token_by_token_parser_on_the_corpus(path):
 # Programs of every block and field kind, with their tokens, to be cut up
 # token by token.
 _PROGRAMS = [
-    (text, tokenize(text)[0][:-1])
+    (text, token_list(tokenize(text)[0])[:-1])
     for text in (serialize(program_model(random.Random(seed), objectives=15)) for seed in range(3))
 ]
 
