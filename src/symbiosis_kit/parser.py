@@ -283,6 +283,7 @@ class _Parser:
         i = self.pos
         readers = _READERS[kind]
         fields: dict[str, object] = {}
+        repeated: dict[str, list] = {}  # a repeated field's items, by attribute
         seen: set[str] = set()
         while True:
             if kinds[i] is not _IDENT:
@@ -301,7 +302,8 @@ class _Parser:
                 i = self.pos
                 continue
             self.pos = i + 1
-            duplicate = name in seen and name not in _REPEATED_NAMES
+            repeats = name in _REPEATED_NAMES
+            duplicate = not repeats and name in seen
             if duplicate:
                 self.error("P004", f"duplicate field {name!r} in {kind} block", name_tok)
             seen.add(name)
@@ -317,16 +319,16 @@ class _Parser:
             i = self.pos
             if duplicate or value is None:
                 continue
-            if name in _REPEATED_NAMES:
-                fields.setdefault(attribute, []).append(value)
+            if repeats:
+                repeated.setdefault(attribute, []).append(value)
             else:
                 fields[attribute] = value
         self.pos = i
         self.take(_RBRACE, "'}'")
-        # A repeated field's items were gathered in a list.
-        values = {attribute: tuple(v) if type(v) is list else v for attribute, v in fields.items()}
+        for attribute, items in repeated.items():
+            fields[attribute] = tuple(items)
         node_id = texts[id_tok]
-        node = NODE_TYPES[kind](id=node_id, **values)
+        node = NODE_TYPES[kind](id=node_id, **fields)
         self.builder.add(kind, node_id, node, self.source.span(offsets[id_tok], len(node_id)))
         if self.table is not None and len(self.diags) == errors:
             text = self.source.text[start : offsets[self.pos - 1] + 1]

@@ -24,6 +24,10 @@ here: a positive priority and its justification, a `count` base's `where`
 and a `direct` base's `aggregation`, the schedule's periods, the scope's
 facets, the objectives a step spawns, and the targets of band actions,
 which `Model.stakeholders_of` resolves for V002 and the router alike.
+
+V008 depends only on a metric's effective domain and its bands' labels and
+intervals, so one `validate` call works out the problems of each distinct
+band scheme once: metrics written from one template share their scheme.
 """
 
 from __future__ import annotations
@@ -85,20 +89,17 @@ class _Checker:
 
     # -- V002 ---------------------------------------------------------------
 
-    def ref(self, node_id: str, field: str, target: str, expected_kind: str) -> None:
-        """Emit V002 when a non-empty `target` is not a node of `expected_kind`."""
-        if problem := target and self.model.misreference(field, target, expected_kind):
-            self.emit("V002", node_id, problem)
-
     def check_references(self) -> None:
         model = self.model
+        kinds = model.kinds
         for kind, fields in _REFERENCES.items():
             for node_id, node in model.collection(kind).items():
                 for f in fields:
                     value = getattr(node, f.attribute)
                     if value:
                         for target in REFERENCED[f.value_kind](value):
-                            self.ref(node_id, f.name, target, f.target)
+                            if target and kinds.get(target) != f.target:
+                                self.emit("V002", node_id, model.misreference(f.name, target, f.target))
         for bo_id, bo in model.objectives.items():
             universe = model.universes.get(bo.scope.universe) if bo.scope is not None else None
             if universe is None:
@@ -211,10 +212,15 @@ class _Checker:
     # -- V008 ---------------------------------------------------------------
 
     def check_bands(self) -> None:
+        problems_of: dict[tuple, list[str]] = {}  # by band scheme: metrics from one template share one
         for m_id, metric in self.model.metrics.items():
             if not metric.bands:
                 continue
-            for problem in band_partition_problems(metric):
+            scheme = (metric.effective_domain(), tuple((band.label, band.interval) for band in metric.bands))
+            problems = problems_of.get(scheme)
+            if problems is None:
+                problems = problems_of[scheme] = band_partition_problems(metric)
+            for problem in problems:
                 self.emit("V008", m_id, problem)
 
     # -- V009 ---------------------------------------------------------------

@@ -271,6 +271,19 @@ def test_spans_asked_in_any_order_match_the_character_loop(order):
     assert {i: source.span(tokens[i].offset, tokens[i].length) for i in indices} == dict(enumerate(expected))
 
 
+@settings(max_examples=500, deadline=None)
+@given(_DENSE, st.lists(st.tuples(st.integers(0, 40), st.integers(0, 8)), max_size=12))
+def test_spans_asked_in_forward_runs_with_jumps_back_match_the_character_loop(text, runs):
+    """Each (start, count) asks for the spans of `count` tokens from `start` on, in order."""
+    tokens = tokenize(text, "r.sym")[0]
+    expected = [t.span for t in tokenize_by_characters(text, "r.sym")[0]]
+    source = Source("r.sym", text)
+    for start, count in runs:
+        first = start % len(tokens)
+        for i in range(first, min(first + count, len(tokens))):
+            assert source.span(tokens[i].offset, tokens[i].length) == expected[i]
+
+
 @pytest.mark.parametrize(
     "text, line, col",
     [("", 1, 1), ("a", 1, 2), ("a\r", 1, 3), ("a\r\n", 2, 1), ("a # c", 1, 6), ("\r\n\r\n  ", 3, 3), ("x\n# c\r\n", 3, 1)],
@@ -304,8 +317,17 @@ def _assert_tokens_are_the_character_loops(text: str) -> None:
         r'"a\"b\\c\nd" "\q" "open',  # escapes, an unknown escape, an unclosed string at EOF
         '"open\r\nb "two\n',  # unclosed strings ending at a CR LF and at an LF
         "a @ \u0663 b\x0b\u00e9 -> 2014-09-03 1e-05 org.* BO1.1",  # P001 characters among tokens
+        # An identifier and a `:` directly after it are one match; a `:` after a blank,
+        # a comment or a string is a match of its own.
+        "x.y: 1",
+        "a :",
+        "a#c\n:",
+        '"s":',
+        "# only",
+        "a# c\n# d\nb:",
     ],
-    ids=["empty", "comment", "escapes", "unclosed", "p001"],
+    ids=["empty", "comment", "escapes", "unclosed", "p001", "dotted-colon", "blank-colon", "comment-colon",
+         "string-colon", "only-comment", "comments-between"],
 )
 def test_token_lists_match_the_character_loop(text):
     _assert_tokens_are_the_character_loops(text)

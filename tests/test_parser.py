@@ -68,6 +68,16 @@ def test_a_file_with_a_lexer_diagnostic_is_scanned_for_newlines_once():
     assert newline.finditer.call_count == 1
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_clean_file_is_never_scanned_for_a_line_table(eol):
+    text = serialize(program_model(random.Random(2), objectives=15)).replace("\n", eol)
+    with mock.patch.object(lexer, "_NEWLINE_RE", wraps=lexer._NEWLINE_RE) as newline:
+        model, diags = parse(text, "p.sym")
+    assert not diags and len(model.spans) > 50
+    # declarations ask for their spans in the order of the text, so the line cursor serves them all
+    assert newline.finditer.call_count == 0
+
+
 def test_full_block_parse():
     model, diags = parse(
         """

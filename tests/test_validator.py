@@ -8,7 +8,7 @@ import pytest
 from modelgen import random_model
 from oracles import validate_as_written
 from symbiosis_kit.diagnostics import Severity, render_all, sort_key, to_json
-from symbiosis_kit.model import FIELDS, NODE_TYPES
+from symbiosis_kit.model import DEFAULT_DOMAIN, FIELDS, NODE_TYPES
 from symbiosis_kit.parser import parse, parse_file
 from symbiosis_kit.serializer import serialize
 from symbiosis_kit.validator import band_partition_problems, validate
@@ -398,6 +398,40 @@ def test_validate_matches_the_validator_as_written_on_random_models():
     assert codes.count(" references undeclared id ") > 1000
     assert codes.count(", not a ") > 5000
     assert codes.count("is missing required field") > 5000
+    # Metrics that share a band scheme, or differ from one only in a band label
+    # or only in the domain: the validator works each scheme out once, the
+    # validator as written once per metric.
+    rng = random.Random(4242)
+    codes = ""
+    for _ in range(60):
+        model = _with_shared_band_schemes(rng, random_model(rng, max_nodes=30))
+        codes += _assert_same_findings(parse(serialize(model))[0])
+    assert codes.count(" is not covered by any band") > 300
+    assert codes.count(" overlap on ") > 100
+
+
+def _with_shared_band_schemes(rng: random.Random, model):
+    """`model` plus, for each metric with bands, a copy with the same bands and
+    domain, one with another label on one band, one with no domain where it
+    has the default [0, 100] and that domain written out otherwise, and one
+    with a wider domain."""
+    metrics = dict(model.metrics)
+    for m_id, metric in model.metrics.items():
+        if not metric.bands:
+            continue
+        bands = list(metric.bands)
+        i = rng.randrange(len(bands))
+        bands[i] = bands[i]._replace(label=bands[i].label + "x")
+        domain = metric.effective_domain()
+        copies = {
+            "same": metric,
+            "label": metric._replace(bands=tuple(bands)),
+            "default": metric._replace(domain=None if metric.domain == DEFAULT_DOMAIN else DEFAULT_DOMAIN),
+            "wider": metric._replace(domain=domain._replace(hi=domain.hi + 1)),
+        }
+        for suffix, copy in copies.items():
+            metrics[f"{m_id}_{suffix}"] = copy._replace(id=f"{m_id}_{suffix}")
+    return model._replace(metrics=metrics)
 
 
 @pytest.mark.parametrize(
