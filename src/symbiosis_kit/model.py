@@ -132,20 +132,29 @@ class BaseMeasurementDef(NamedTuple):
 
 
 class Interval(NamedTuple):
-    """Numeric interval with independent endpoint closedness."""
+    """Numeric interval with independent endpoint closedness.
+
+    Its endpoints are cuts, `start()` and `end()`: the cut `(v, False)` lies
+    just before `v` and `(v, True)` just after it, so cuts compare as tuples
+    in the order of the line. `between` builds the interval between two cuts.
+    """
 
     lo: float
     hi: float
     lo_closed: bool = True
     hi_closed: bool = True
 
+    def start(self) -> tuple[float, bool]:
+        return (self.lo, not self.lo_closed)
+
+    def end(self) -> tuple[float, bool]:
+        return (self.hi, self.hi_closed)
+
     def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
+        return self.start() >= self.end()
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:
             return False
         if x == self.lo and not self.lo_closed:
             return False
@@ -154,20 +163,17 @@ class Interval(NamedTuple):
         return True
 
     def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo or (self.lo == other.lo and not self.lo_closed):
-            lo, lo_closed = self.lo, self.lo_closed
-        else:
-            lo, lo_closed = other.lo, other.lo_closed
-        if self.hi < other.hi or (self.hi == other.hi and not self.hi_closed):
-            hi, hi_closed = self.hi, self.hi_closed
-        else:
-            hi, hi_closed = other.hi, other.hi_closed
-        return Interval(lo, hi, lo_closed, hi_closed)
+        return between(max(self.start(), other.start()), min(self.end(), other.end()))
 
     def notation(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{_expr.format_number(self.lo)}, {_expr.format_number(self.hi)}{right}"
+
+
+def between(start: tuple[float, bool], end: tuple[float, bool]) -> Interval:
+    """The interval from cut `start` to cut `end`."""
+    return Interval(start[0], end[0], not start[1], end[1])
 
 
 DEFAULT_DOMAIN = Interval(0.0, 100.0, True, True)
@@ -237,9 +243,7 @@ class MetricDef(NamedTuple):
 
     def bands_by_position(self) -> tuple[InterpretationBand, ...]:
         """Bands ordered by interval position (ascending lower endpoint)."""
-        return tuple(
-            sorted(self.bands, key=lambda b: (b.interval.lo, not b.interval.lo_closed))
-        )
+        return tuple(sorted(self.bands, key=lambda b: b.interval.start()))
 
 
 # Node class by kind, in the fixed serialization / iteration order of kinds.

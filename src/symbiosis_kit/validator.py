@@ -25,9 +25,10 @@ and a `direct` base's `aggregation`, the schedule's periods, the scope's
 facets, the objectives a step spawns, and the targets of band actions,
 which `Model.stakeholders_of` resolves for V002 and the router alike.
 
-V008 depends only on a metric's effective domain and its bands' labels and
-intervals, so one `validate` call works out the problems of each distinct
-band scheme once: metrics written from one template share their scheme.
+V008 walks cuts (`Interval.start` and `end`) along the effective domain.
+It depends only on that domain and its bands' labels and intervals, so one
+`validate` call works out the problems of each distinct band scheme once:
+metrics written from one template share their scheme.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .model import (
     QuestionStatus,
     SourceMode,
     UnresolvedTarget,
+    between,
 )
 
 # The codes whose findings are warnings; the findings of every other code are errors.
@@ -353,31 +355,15 @@ def band_partition_problems(metric: MetricDef) -> list[str]:
                     f"bands {clipped[i][0]!r} and {clipped[j][0]!r} overlap on {overlap.notation()}"
                 )
 
-    # Gap walk. Frontier (value, inclusive): everything before `value` is
-    # covered; `inclusive` means the point `value` itself still needs covering.
-    def behind(a: tuple[float, bool], b: tuple[float, bool]) -> bool:
-        return a[0] < b[0] or (a[0] == b[0] and a[1] and not b[1])
-
-    frontier: tuple[float, bool] = (domain.lo, domain.lo_closed)
-    for _, part in sorted(clipped, key=lambda c: (c[1].lo, not c[1].lo_closed)):
-        starts_in_time = part.lo < frontier[0] or (
-            part.lo == frontier[0] and (part.lo_closed or not frontier[1])
-        )
-        if not starts_in_time:
-            gap = Interval(frontier[0], part.lo, frontier[1], not part.lo_closed)
-            if not gap.is_empty():
-                problems.append(f"gap {gap.notation()} is not covered by any band")
-            frontier = (part.lo, not part.lo_closed)
-        candidate = (part.hi, not part.hi_closed)
-        if behind(frontier, candidate):
-            frontier = candidate
-    end_uncovered = frontier[0] < domain.hi or (
-        frontier[0] == domain.hi and frontier[1] and domain.hi_closed
-    )
-    if end_uncovered:
-        gap = Interval(frontier[0], domain.hi, frontier[1], domain.hi_closed)
-        if not gap.is_empty():
-            problems.append(f"gap {gap.notation()} is not covered by any band")
+    # Gap walk over the parts in order of their start: `covered` is the cut
+    # up to which the domain is covered.
+    covered = domain.start()
+    for part in sorted((part for _, part in clipped), key=Interval.start):
+        if part.start() > covered:
+            problems.append(f"gap {between(covered, part.start()).notation()} is not covered by any band")
+        covered = max(covered, part.end())
+    if domain.end() > covered:
+        problems.append(f"gap {between(covered, domain.end()).notation()} is not covered by any band")
     return problems
 
 

@@ -4,8 +4,9 @@ Everything here recomputes results from first principles (plain datetime
 arithmetic, exhaustive sweeps, fresh BFS over edges rebuilt from node fields,
 a character-at-a-time tokenizer, a parser that reads one token per method
 call, a diff of hand-written canonical dicts, an ingest that decodes every
-log line in full, a validator that names every field by hand) so a bug in
-the package cannot hide in its own oracle.
+log line in full, a validator that names every field by hand, a band
+partition that compares endpoints one rule at a time) so a bug in the
+package cannot hide in its own oracle.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from symbiosis_kit.impact import Change, ChangeKind, FieldChange
 from symbiosis_kit.parser import _Builder
 from symbiosis_kit.periods import PeriodError
 from symbiosis_kit.pipeline import DirectEntry, evaluate_period
-from symbiosis_kit.validator import band_partition_problems
 
 # -- band coverage sweep --------------------------------------------------------
 # Works in integer micro-units (1 unit == 1e-6 of the metric's value scale) so
@@ -90,6 +90,82 @@ def sweep_band_defects(
         diff[end - domain_lo_u + 1] -= 1
     coverage = list(accumulate(diff[: n + 1]))
     return any(c == 0 for c in coverage), any(c > 1 for c in coverage)
+
+
+# -- band partition, endpoint by endpoint ---------------------------------------
+# V008's overlap and gap walk as the package had it before intervals compared
+# cuts: every endpoint rule is written out by hand, the gap walk keeps a
+# frontier whose flag is the opposite of a cut's, and each gap is checked for
+# emptiness. `Interval.is_empty` and `Interval.intersect` are copied as
+# functions, so a fault in the package's versions cannot hide here.
+
+
+def _is_empty_as_written(iv: Interval) -> bool:
+    if iv.lo > iv.hi:
+        return True
+    return iv.lo == iv.hi and not (iv.lo_closed and iv.hi_closed)
+
+
+def _intersect_as_written(a: Interval, other: Interval) -> Interval:
+    if a.lo > other.lo or (a.lo == other.lo and not a.lo_closed):
+        lo, lo_closed = a.lo, a.lo_closed
+    else:
+        lo, lo_closed = other.lo, other.lo_closed
+    if a.hi < other.hi or (a.hi == other.hi and not a.hi_closed):
+        hi, hi_closed = a.hi, a.hi_closed
+    else:
+        hi, hi_closed = other.hi, other.hi_closed
+    return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def band_partition_problems_by_frontier(metric: MetricDef) -> list[str]:
+    """Describe every overlap and gap of the metric's bands over its domain.
+
+    Empty list == the bands exactly partition the effective domain. Band mass
+    outside the domain is ignored (classification rejects such values upfront).
+    """
+    domain = metric.effective_domain()
+    clipped: list[tuple[str, Interval]] = []
+    for band in metric.bands:
+        part = _intersect_as_written(band.interval, domain)
+        if not _is_empty_as_written(part):
+            clipped.append((band.label, part))
+
+    problems: list[str] = []
+    for i in range(len(clipped)):
+        for j in range(i + 1, len(clipped)):
+            overlap = _intersect_as_written(clipped[i][1], clipped[j][1])
+            if not _is_empty_as_written(overlap):
+                problems.append(
+                    f"bands {clipped[i][0]!r} and {clipped[j][0]!r} overlap on {overlap.notation()}"
+                )
+
+    # Gap walk. Frontier (value, inclusive): everything before `value` is
+    # covered; `inclusive` means the point `value` itself still needs covering.
+    def behind(a: tuple[float, bool], b: tuple[float, bool]) -> bool:
+        return a[0] < b[0] or (a[0] == b[0] and a[1] and not b[1])
+
+    frontier: tuple[float, bool] = (domain.lo, domain.lo_closed)
+    for _, part in sorted(clipped, key=lambda c: (c[1].lo, not c[1].lo_closed)):
+        starts_in_time = part.lo < frontier[0] or (
+            part.lo == frontier[0] and (part.lo_closed or not frontier[1])
+        )
+        if not starts_in_time:
+            gap = Interval(frontier[0], part.lo, frontier[1], not part.lo_closed)
+            if not _is_empty_as_written(gap):
+                problems.append(f"gap {gap.notation()} is not covered by any band")
+            frontier = (part.lo, not part.lo_closed)
+        candidate = (part.hi, not part.hi_closed)
+        if behind(frontier, candidate):
+            frontier = candidate
+    end_uncovered = frontier[0] < domain.hi or (
+        frontier[0] == domain.hi and frontier[1] and domain.hi_closed
+    )
+    if end_uncovered:
+        gap = Interval(frontier[0], domain.hi, frontier[1], domain.hi_closed)
+        if not _is_empty_as_written(gap):
+            problems.append(f"gap {gap.notation()} is not covered by any band")
+    return problems
 
 
 # -- log records, one per accepted line -------------------------------------------
@@ -1458,8 +1534,8 @@ def parse_token_by_token(text: str, filename: str = "<string>") -> tuple[Model, 
 # every required field (V010) and every reference (V002) of every block kind
 # is named by hand, and each rule walks its collections in sorted order. Kept
 # as written (`_Checker` is `_CheckerAsWritten`, `validate` is
-# `validate_as_written`); V008 calls the package's `band_partition_problems`,
-# which the band sweep above checks on its own.
+# `validate_as_written`); V008 calls `band_partition_problems_by_frontier`
+# above.
 
 _E = Severity.ERROR
 _W = Severity.WARNING
@@ -1684,7 +1760,7 @@ class _CheckerAsWritten:
         for m_id, metric in sorted(self.model.metrics.items()):
             if not metric.bands:
                 continue
-            for problem in band_partition_problems(metric):
+            for problem in band_partition_problems_by_frontier(metric):
                 self.emit("V008", _E, m_id, problem)
 
     # -- V009 ---------------------------------------------------------------

@@ -94,6 +94,12 @@ def test_classify_checks_the_domain_of_a_value_it_did_not_evaluate(jpmorgan):
     assert str(exc.value) == "value 1000000000.0 falls outside the metric domain [0, 100]"
 
 
+def test_classify_rejects_nan_as_outside_the_domain(jpmorgan):
+    with pytest.raises(OutOfDomain) as exc:
+        classify(jpmorgan.metrics["ME1.1.1.1.1"], float("nan"))
+    assert str(exc.value) == "value nan falls outside the metric domain [0, 100]"
+
+
 def test_non_finite_result_from_overflow():
     model, _ = parse("metric M { function: x * x }")
     with pytest.raises(NonFiniteResult):

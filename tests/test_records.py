@@ -11,7 +11,7 @@ import pytest
 
 from modelgen import program_model, random_dag_model, random_model
 from symbiosis_kit.diagnostics import Diagnostic, Severity
-from symbiosis_kit.model import NODE_KINDS, NODE_TYPES, Model
+from symbiosis_kit.model import NODE_KINDS, NODE_TYPES, Interval, Model
 from symbiosis_kit.parser import parse, parse_file
 from symbiosis_kit.serializer import serialize
 
@@ -75,3 +75,38 @@ def test_a_replaced_model_is_a_model_with_its_own_kinds(jpmorgan):
     assert type(emptied) is Model
     assert "ME1.1.1.1.1" not in emptied.kinds
     assert emptied.kinds.items() < jpmorgan.kinds.items()
+
+
+# Every interval with integer endpoints in [-2, 2], sampled at every half step
+# of [-3, 3]: a non-empty one contains one of the samples, and its samples
+# tell its endpoints and their closedness apart. `contains` compares the
+# endpoints by hand, so it checks the cut-based methods.
+_HALF_STEPS = [k / 2 for k in range(-6, 7)]
+_INTERVALS = [
+    Interval(lo, hi, lo_closed, hi_closed)
+    for lo in range(-2, 3)
+    for hi in range(-2, 3)
+    for lo_closed in (True, False)
+    for hi_closed in (True, False)
+]
+
+
+def _points(interval: Interval) -> frozenset[float]:
+    return frozenset(x for x in _HALF_STEPS if interval.contains(x))
+
+
+def test_an_intervals_cuts_bound_the_points_it_contains():
+    for interval in _INTERVALS:
+        for x in _HALF_STEPS:
+            # The point x lies between the cuts (x, False) and (x, True).
+            inside = interval.start() <= (x, False) and (x, True) <= interval.end()
+            assert interval.contains(x) == inside, (interval, x)
+        assert interval.is_empty() == (not _points(interval)), interval
+        assert not interval.contains(float("nan")), interval
+
+
+def test_an_intersection_contains_the_points_both_intervals_contain():
+    points = {interval: _points(interval) for interval in _INTERVALS}
+    for a in _INTERVALS:
+        for b in _INTERVALS:
+            assert _points(a.intersect(b)) == points[a] & points[b], (a, b)

@@ -4,11 +4,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelgen import random_model
-from oracles import validate_as_written
+from oracles import band_partition_problems_by_frontier, validate_as_written
 from symbiosis_kit.diagnostics import Severity, render_all, sort_key, to_json
-from symbiosis_kit.model import DEFAULT_DOMAIN, FIELDS, NODE_TYPES
+from symbiosis_kit.model import DEFAULT_DOMAIN, FIELDS, NODE_TYPES, InterpretationBand, Interval, MetricDef
 from symbiosis_kit.parser import parse, parse_file
 from symbiosis_kit.serializer import serialize
 from symbiosis_kit.validator import band_partition_problems, validate
@@ -204,7 +206,7 @@ def test_v008_gap_after_nested_bands():
         "band: (20, 100] -> c { log t } }"
     )
     problems = band_partition_problems(model.metrics["M"])
-    # nested band overlaps but must not drag the frontier backwards
+    # nested band overlaps but must not move the covered cut backwards
     assert any("overlap on [5, 10]" in p for p in problems)
     assert not any("gap" in p for p in problems)
 
@@ -216,6 +218,21 @@ def test_v008_clean_partition_with_open_edges():
         "band: (90, 100] -> high { log t } }"
     )
     assert only(check(src), "V008") == []
+
+
+# Endpoints from a few values so bands tie with each other and with the
+# domains' ends; a band may be inverted (lo > hi) or lie outside its domain.
+_ENDPOINTS = st.sampled_from([-5.0, 0.0, 2.5, 5.0, 10.0, 50.0, 60.0, 100.0, 120.0])
+_INTERVALS = st.builds(Interval, _ENDPOINTS, _ENDPOINTS, st.booleans(), st.booleans())
+_DOMAINS = st.sampled_from([None, Interval(0.0, 100.0), Interval(0.0, 10.0, False, True)])
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_INTERVALS, max_size=6), _DOMAINS)
+def test_v008_matches_the_frontier_walk_on_random_band_schemes(intervals, domain):
+    bands = tuple(InterpretationBand(iv, f"b{i}") for i, iv in enumerate(intervals))
+    metric = MetricDef("M", bands=bands, domain=domain)
+    assert band_partition_problems(metric) == band_partition_problems_by_frontier(metric)
 
 
 # -- V009 -----------------------------------------------------------------
