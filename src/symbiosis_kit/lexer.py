@@ -19,22 +19,18 @@ that matches wins (the most frequent come first):
 Blanks are skipped without counting lines. A file's tokens are parallel
 lists of kinds, texts and character offsets (`Tokens`), read by index, so
 lexing allocates no object per token; a `Token` tuple is built only for a
-diagnostic's span or a test. The parser, which holds the file's `Source`,
-builds a span (line and column) only when a diagnostic or a declaration
-asks for it. The `Source` counts the newlines from the last offset asked
-for to the next, as declarations ask in the order of the text, so a clean
-file is scanned for newlines once, in pieces. A span behind that cursor
-(the parser's, after a lexer diagnostic) makes the `Source` build a table
-of line-start offsets in one scan and bisect it from then on. The parser
-hands `tokenize` that same `Source` for its P001/P002 spans, so no text is
-scanned twice. A NUMBER's value is read from its text by `parse_number`
-where the parser reads it.
+diagnostic's span or a test. A span (line and column) is built only when a
+diagnostic or a declaration asks for it, by a `Source`: `tokenize` holds
+one for its P001/P002 spans, and the parser another for its own. Each asks
+in the order of the text, so its `Source` counts the newlines from the last
+offset asked for to the next and reads a file's newlines once, in pieces;
+no `Source` builds a table of line starts. A NUMBER's value is read from
+its text by `parse_number` where the parser reads it.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from enum import Enum
 from typing import NamedTuple
 
@@ -64,42 +60,34 @@ class TokenKind(Enum):
     EOF = "end of input"
 
 
-_NEWLINE_RE = re.compile("\n")
-
-
 class Source:
     """One file's name and text, which maps character offsets to spans.
 
-    Spans asked for in the order of their offsets count the newlines from
-    the last offset asked for (a line cursor), so each character is read at
-    most twice. The first span behind the cursor builds a table of the
-    offsets at which lines start, in one scan of the text, and every span
-    from then on bisects it.
+    A span counts the newlines from the last offset asked for (a line
+    cursor). Its callers ask in the order of the text, so each character is
+    read at most twice. A span behind the cursor's line counts the newlines
+    back to it instead, so spans come out right in any order.
     """
 
-    __slots__ = ("name", "text", "_line_starts", "_cursor", "_line", "_line_start")
+    __slots__ = ("name", "text", "_cursor", "_line", "_line_start")
 
     def __init__(self, name: str, text: str) -> None:
         self.name = name
         self.text = text
-        self._line_starts: list[int] | None = None
         self._cursor = self._line_start = 0  # the last offset asked for; where its line starts
         self._line = 1
 
     def span(self, offset: int, length: int) -> SourceSpan:
-        starts = self._line_starts
-        if starts is None:
-            cursor = self._cursor
-            if offset >= cursor:
-                text = self.text
-                if newlines := text.count("\n", cursor, offset):
-                    self._line += newlines
-                    self._line_start = text.rfind("\n", cursor, offset) + 1
-                self._cursor = offset
-                return SourceSpan(self.name, self._line, offset - self._line_start + 1, length)
-            starts = self._line_starts = [0, *map(re.Match.end, _NEWLINE_RE.finditer(self.text))]
-        line = bisect_right(starts, offset)
-        return SourceSpan(self.name, line, offset - starts[line - 1] + 1, length)
+        text, cursor = self.text, self._cursor
+        if offset >= cursor:
+            if newlines := text.count("\n", cursor, offset):
+                self._line += newlines
+                self._line_start = text.rfind("\n", cursor, offset) + 1
+        elif offset < self._line_start:
+            self._line -= text.count("\n", offset, self._line_start)
+            self._line_start = text.rfind("\n", 0, offset) + 1
+        self._cursor = offset
+        return SourceSpan(self.name, self._line, offset - self._line_start + 1, length)
 
 
 class Token(NamedTuple):
@@ -180,14 +168,13 @@ def parse_number(text: str) -> float:
     return 0.0 if value == 0.0 else value  # normalize -0.0
 
 
-def tokenize(text: str, filename: str = "<string>", source: Source | None = None) -> tuple[Tokens, list[Diagnostic]]:
+def tokenize(text: str, filename: str = "<string>") -> tuple[Tokens, list[Diagnostic]]:
     """Total: any input yields its tokens (ending in EOF) plus diagnostics.
 
-    `source`, when given, is the caller's `Source(filename, text)`; the
-    diagnostics' spans then come from it.
+    The diagnostics' spans come from the lexer's own `Source`, asked in the
+    order of the text.
     """
-    if source is None:
-        source = Source(filename, text)
+    source = Source(filename, text)
     tokens = Tokens()
     kinds, offsets, lengths = tokens.kinds, tokens.offsets, tokens.lengths
     add_kind, add_text, add_offset = kinds.append, tokens.texts.append, offsets.append

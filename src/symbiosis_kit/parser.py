@@ -280,6 +280,8 @@ class _Parser:
         id_tok = self.take(_IDENT, f"an identifier after {kind!r}")
         if id_tok is None or self.take(_LBRACE, "'{'") is None:
             return self.skip_block()
+        node_id = texts[id_tok]
+        span = self.source.span(offsets[id_tok], len(node_id))  # before any field's diagnostic
         i = self.pos
         readers = _READERS[kind]
         fields: dict[str, object] = {}
@@ -327,9 +329,8 @@ class _Parser:
         self.take(_RBRACE, "'}'")
         for attribute, items in repeated.items():
             fields[attribute] = tuple(items)
-        node_id = texts[id_tok]
         node = NODE_TYPES[kind](id=node_id, **fields)
-        self.builder.add(kind, node_id, node, self.source.span(offsets[id_tok], len(node_id)))
+        self.builder.add(kind, node_id, node, span)
         if self.table is not None and len(self.diags) == errors:
             text = self.source.text[start : offsets[self.pos - 1] + 1]
             self.table[text] = (kind, node, offsets[id_tok] - start, len(node_id))
@@ -651,14 +652,14 @@ _BLANKS_RE = re.compile(BLANKS)
 
 def _parse_source(text: str, filename: str, builder: _Builder, diags: list[Diagnostic], stack: tuple[str, ...]) -> None:
     """Parse one file's text into the builder, from recorded blocks where the load reuses them."""
-    source = Source(filename, text)  # one line table for every span in the file
-    if builder.reuse and _reuse_blocks(source, builder):
+    # Spans are asked in the order of the text: a full parse after a failed reuse starts a new `Source`.
+    if builder.reuse and _reuse_blocks(Source(filename, text), builder):
         return
-    tokens, lex_diags = tokenize(text, filename, source)
+    tokens, lex_diags = tokenize(text, filename)
     diags.extend(lex_diags)
     # A block holding a lexer diagnostic is not recorded: its reuse would drop the diagnostic.
     table = None if lex_diags else builder.table
-    _Parser(tokens, source, builder, diags, stack, table).parse_model()
+    _Parser(tokens, Source(filename, text), builder, diags, stack, table).parse_model()
 
 
 def _reuse_blocks(source: Source, builder: _Builder) -> bool:
@@ -725,9 +726,8 @@ def parse_file(path: str | Path, table: BlockTable | None = None) -> tuple[Model
 
 def parse_expression(text: str) -> _expr.Expr:
     """Parse a standalone metric function. Raises ExpressionSyntaxError on bad input."""
-    source = Source("<expression>", text)
-    tokens, diags = tokenize(text, source.name, source)
-    parser = _Parser(tokens, source, _Builder(), diags, ())
+    tokens, diags = tokenize(text, "<expression>")
+    parser = _Parser(tokens, Source("<expression>", text), _Builder(), diags, ())
     result = parser.parse_value_expr()
     if diags or result is None:
         message = diags[0].message if diags else "empty expression"

@@ -1,7 +1,9 @@
 """Tokenizer behavior, especially the dotted-identifier / punctuation split."""
 
 import random
+from contextlib import contextmanager
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from modelgen import program_model
 from oracles import char_tokens, token_list, tokenize_by_characters
 from symbiosis_kit.diagnostics import SourceSpan
 from symbiosis_kit.lexer import Source, TokenKind, tokenize
-from symbiosis_kit.parser import parse
+from symbiosis_kit.parser import parse, parse_file
 from symbiosis_kit.serializer import serialize
 
 
@@ -282,6 +284,65 @@ def test_spans_asked_in_forward_runs_with_jumps_back_match_the_character_loop(te
         first = start % len(tokens)
         for i in range(first, min(first + count, len(tokens))):
             assert source.span(tokens[i].offset, tokens[i].length) == expected[i]
+
+
+# -- spans asked in the order of the text ------------------------------------------
+# A `Source` steps back correctly (the two tests above), but the package never
+# asks it to: the lexer and the parser each ask their own `Source` for spans in
+# the order of the text, so no text is walked twice by one of them.
+
+
+@contextmanager
+def _spans_asked_backward():
+    """Record each span asked of a `Source` behind the offset asked of it before."""
+    backward: list[tuple[str, int, int]] = []
+    last: dict[int, tuple[Source, int]] = {}  # holds each `Source`, so that its id is not reused
+    span = Source.span
+
+    def recorded(source: Source, offset: int, length: int):
+        previous = last.get(id(source))
+        if previous is not None and offset < previous[1]:
+            backward.append((source.name, previous[1], offset))
+        last[id(source)] = source, offset
+        return span(source, offset, length)
+
+    with mock.patch.object(Source, "span", recorded):
+        yield backward
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS_ROOT.glob("*.sym")), ids=lambda p: p.name)
+def test_the_corpus_asks_for_spans_in_text_order(path):
+    with _spans_asked_backward() as backward:
+        parse_file(path)
+    assert backward == []
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_lexer_and_parser_diagnostics_ask_for_spans_in_text_order(eol):
+    with _spans_asked_backward() as backward:
+        _, diags = parse(eol.join(_LINES) + eol, "s.sym")
+    assert len(diags) == 4 and backward == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DENSE)
+def test_dense_text_asks_for_spans_in_text_order(text):
+    with _spans_asked_backward() as backward:
+        parse(text, "d.sym")
+    assert backward == []
+
+
+def test_a_full_parse_after_a_failed_block_reuse_asks_for_spans_in_text_order(tmp_path):
+    (tmp_path / "inc.sym").write_text('stakeholder inc {\n  name: "i"\n}\n', encoding="utf-8")
+    old = serialize(program_model(random.Random(4), objectives=15))
+    middle = old.index("\n}\n", len(old) // 2) + 3
+    # Reuse takes the recorded blocks up to the middle, then gives up at the run holding the include.
+    new = old[:middle] + 'include "inc.sym"\n' + old[middle:]
+    table: dict = {}
+    parse(old, str(tmp_path / "old.sym"), table)
+    with _spans_asked_backward() as backward:
+        model, diags = parse(new, str(tmp_path / "new.sym"), table)
+    assert "inc" in model.stakeholders and backward == []
 
 
 @pytest.mark.parametrize(

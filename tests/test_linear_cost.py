@@ -1,4 +1,4 @@
-"""Model stages cost time linear in the model: a gate that counts, not times.
+"""Model and pipeline stages cost time linear in their input: a gate that counts, not times.
 
 The count is of Python-level calls (`sys.setprofile` `call` and `c_call`
 events) made by `parse_file`, `validate`, `build_graph`, `serialize` and
@@ -9,23 +9,35 @@ model for each node multiplies its calls by about four when N doubles; a
 linear one by about two. Ratios are asserted, not counts, because the
 `c_call` events of one program differ between Python versions.
 
+The pipeline is counted the same way on the benchmark's generated programs
+and logs (`bench/gen.py`, compiled in memory): `ingest_many` and
+`evaluate_metrics` when the log lines double, and `evaluate_metrics` and
+`generate_report` when the objectives do.
+
 The profiler does not see work done inside C code (the regex engine, `str`
 methods, `sorted`), nor the steps of a loop that calls nothing per step, so
 a superlinear regex, string scan or bare `for` loop would pass here; a rescan
-that calls a function or resumes a generator per node does not.
+that calls a function or resumes a generator per node does not. The line
+cursor of `lexer.Source` works inside `str.count` and `str.rfind`, so
+`test_spans_read_each_character_a_bounded_number_of_times` counts the
+characters those read instead.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import types
 
 import pytest
 
+from corpus import CORPUS_ROOT
 from modelgen import program_model
 from symbiosis_kit.graph import build_graph
 from symbiosis_kit.impact import analyze
-from symbiosis_kit.parser import parse_file
+from symbiosis_kit.parser import parse, parse_file
+from symbiosis_kit.pipeline import evaluate_metrics, ingest_many
+from symbiosis_kit.report import generate_report
 from symbiosis_kit.serializer import serialize
 from symbiosis_kit.validator import validate
 
@@ -100,3 +112,128 @@ def test_model_stage_calls_grow_linearly_with_the_model(loads, stage):
     small, large = loads[stage]
     assert small > 5_000  # the counter saw the stage's work
     assert large / small <= MAX_RATIO, (stage, small, large)
+
+
+# -- the pipeline, on the benchmark's programs and logs ------------------------------
+
+_GEN = CORPUS_ROOT.parent / "bench" / "gen.py"
+LOG_LINES = 1200
+
+
+def _bench_gen() -> types.ModuleType:
+    """`bench/gen.py`, compiled in memory so that nothing is written under `bench/`."""
+    module = types.ModuleType("bench_gen")
+    module.__file__ = str(_GEN)
+    sys.modules[module.__name__] = module  # `dataclass` looks the module up while the classes are made
+    try:
+        exec(compile(_GEN.read_text(encoding="utf-8"), str(_GEN), "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+# Each counted stage, its input doubled, and the largest ratio allowed. Evaluation reads an
+# index of the records, so twice the log lines add little to it.
+PIPELINE = {
+    "ingest_many by log lines": 2.0,
+    "evaluate_metrics by log lines": 1.3,
+    "evaluate_metrics by objectives": 2.2,
+    "generate_report by objectives": 2.2,
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_loads(tmp_path_factory) -> dict[str, list[int]]:
+    """Calls of each pipeline stage before and after its input doubles."""
+    gen = _bench_gen()
+    out = str(tmp_path_factory.mktemp("pipeline"))
+    calls = {}
+    for objectives, lines in ((OBJECTIVES, LOG_LINES), (OBJECTIVES, 2 * LOG_LINES), (2 * OBJECTIVES + 1, LOG_LINES)):
+        program = gen.program(out, 7, objectives, name=f"program{objectives}")
+        model, diags = parse_file(program.root)
+        assert not diags
+        logs = gen.program_logs(out, 7, lines, name=f"log{lines}")
+        ingest, log = count_calls(ingest_many, logs.files, model)
+        metrics = sorted(model.metrics)
+        evaluate, (results, skipped) = count_calls(evaluate_metrics, model, build_graph(model), log, metrics, gen.MONTHS)
+        assert len(results) == 12 * len(metrics) and not skipped
+        report, payload = count_calls(generate_report, results, model, "json")
+        assert payload
+        calls[objectives, lines] = ingest, evaluate, report
+    n, more_lines, more_objectives = calls.values()
+    return {
+        "ingest_many by log lines": [n[0], more_lines[0]],
+        "evaluate_metrics by log lines": [n[1], more_lines[1]],
+        "evaluate_metrics by objectives": [n[1], more_objectives[1]],
+        "generate_report by objectives": [n[2], more_objectives[2]],
+    }
+
+
+@pytest.mark.parametrize("stage", PIPELINE)
+def test_pipeline_stage_calls_grow_linearly_with_their_input(pipeline_loads, stage):
+    small, large = pipeline_loads[stage]
+    assert small > 5_000  # the counter saw the stage's work
+    assert large / small <= PIPELINE[stage], (stage, small, large)
+
+
+# -- the line cursor, which the profiler does not see ------------------------------------
+
+
+class _TalliedText(str):
+    """A text whose `count` and `rfind` add the characters they read to `read`.
+
+    `count` reads from `start` to `end`, and `rfind` from `end` back to what
+    it finds, or to `start`.
+    """
+
+    read = 0
+
+    def count(self, sub, start=0, end=None):
+        end = len(self) if end is None else end
+        self.read += max(end - start, 0)
+        return super().count(sub, start, end)
+
+    def rfind(self, sub, start=0, end=None):
+        end = len(self) if end is None else end
+        found = super().rfind(sub, start, end)
+        self.read += end - (start if found < 0 else found)
+        return found
+
+
+MAX_READS = 4  # characters read by `count` and `rfind` over the characters of the text
+
+
+def _edited(rng: random.Random, text: str) -> str:
+    """`text` with up to four lines dropped, copied or inserted."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(lines))
+        edit = rng.choice(("drop", "copy", "insert"))
+        if edit == "drop":
+            del lines[at]
+        elif edit == "copy":
+            lines.insert(at, lines[rng.randrange(len(lines))])
+        else:
+            lines.insert(at, rng.choice(('include "inc.sym"', "@", "  rank: 1", "}", '  description: "open')))
+    return "\n".join(lines)
+
+
+def _assert_reads_are_bounded(text: _TalliedText, filename: str, table=None) -> None:
+    parse(text, filename, table)
+    assert len(text) / 2 < text.read <= MAX_READS * len(text), (text.read, len(text))
+
+
+def test_spans_read_each_character_a_bounded_number_of_times(tmp_path):
+    # one line of blocks, each with an unknown field
+    _assert_reads_are_bounded(_TalliedText(" ".join(f"goal G{i} {{ rank: 1 }}" for i in range(3000))), "line.sym")
+    # each block's diagnostic 50 lines below its id
+    comments = "".join(f"  # note {k}\n" for k in range(49))
+    _assert_reads_are_bounded(_TalliedText("".join(f"goal G{i} {{\n{comments}  rank: 1\n}}\n" for i in range(1000))), "deep.sym")
+    # edited programs, loaded with the block table of the unedited one
+    (tmp_path / "inc.sym").write_text('stakeholder inc {\n  name: "i"\n}\n', encoding="utf-8")
+    rng = random.Random(5)
+    for seed in range(20):
+        text = serialize(program_model(random.Random(seed), objectives=63))
+        table: dict = {}
+        parse(text, str(tmp_path / "old.sym"), table)
+        _assert_reads_are_bounded(_TalliedText(_edited(rng, text)), str(tmp_path / "new.sym"), table)

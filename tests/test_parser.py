@@ -3,7 +3,6 @@
 import datetime as dt
 import os
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,6 @@ from symbiosis_kit.model import (
     SourceMode,
     StrategyStep,
 )
-from symbiosis_kit import lexer
 from symbiosis_kit.impact import diff
 from symbiosis_kit.lexer import Source, TokenKind, tokenize
 from symbiosis_kit.parser import (
@@ -57,25 +55,6 @@ def test_lookahead_at_and_past_the_end_reads_eof():
     parser.parse_model()
     assert parser.pos == 1  # the position stays on EOF
     assert parser.kinds[parser.pos :] == [TokenKind.EOF] * 3
-
-
-def test_a_file_with_a_lexer_diagnostic_is_scanned_for_newlines_once():
-    text = 'objective A { purpose: "p }\nobjective B { }\n'
-    with mock.patch.object(lexer, "_NEWLINE_RE", wraps=lexer._NEWLINE_RE) as newline:
-        _, diags = parse(text, "a.sym")
-    assert "P002" in codes(diags)
-    # the lexer's P002 span and the parser's spans read one line table
-    assert newline.finditer.call_count == 1
-
-
-@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
-def test_a_clean_file_is_never_scanned_for_a_line_table(eol):
-    text = serialize(program_model(random.Random(2), objectives=15)).replace("\n", eol)
-    with mock.patch.object(lexer, "_NEWLINE_RE", wraps=lexer._NEWLINE_RE) as newline:
-        model, diags = parse(text, "p.sym")
-    assert not diags and len(model.spans) > 50
-    # declarations ask for their spans in the order of the text, so the line cursor serves them all
-    assert newline.finditer.call_count == 0
 
 
 def test_full_block_parse():
