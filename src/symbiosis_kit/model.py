@@ -154,13 +154,7 @@ class Interval(NamedTuple):
         return self.start() >= self.end()
 
     def contains(self, x: float) -> bool:
-        if not self.lo <= x <= self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self.start() <= (x, False) and (x, True) <= self.end()
 
     def intersect(self, other: "Interval") -> "Interval":
         return between(max(self.start(), other.start()), min(self.end(), other.end()))
@@ -272,11 +266,11 @@ class _ModelFields(NamedTuple):
     questions: dict[str, MeasurementQuestion] = {}
     bases: dict[str, BaseMeasurementDef] = {}
     metrics: dict[str, MetricDef] = {}
-    # Plumbing: declaration spans keyed by (kind, id), re-declarations the
-    # parser dropped (kind, id, span) so the validator can report V001, and
+    # Plumbing: each declaration's span by its id, the re-declarations the
+    # parser dropped as (id, span) so the validator can report V001, and
     # the real paths of the files that include lines spliced in, sorted.
-    spans: dict[tuple[str, str], SourceSpan] = {}
-    duplicate_decls: tuple[tuple[str, str, SourceSpan], ...] = ()
+    spans: dict[str, SourceSpan] = {}
+    duplicate_decls: tuple[tuple[str, SourceSpan], ...] = ()
     included: tuple[str, ...] = ()
 
 
@@ -303,12 +297,6 @@ class Model(_ModelFields):
             for node_id in self.collection(kind):
                 kinds.setdefault(node_id, kind)
         return kinds
-
-    def kind_of(self, node_id: str) -> str | None:
-        return self.kinds.get(node_id)
-
-    def span_of(self, kind: str, node_id: str) -> SourceSpan | None:
-        return self.spans.get((kind, node_id))
 
     def misreference(self, field: str, target: str, kind: str) -> str | None:
         """V002's text for a `field` naming `target` when it is not a node of `kind`; else None."""

@@ -90,8 +90,8 @@ class ExpressionSyntaxError(ValueError):
 
 
 # Source text of a block that parsed with no diagnostic, from its kind keyword
-# through its closing `}` -> (kind, node, id token offset in that text, id length).
-BlockTable = dict[str, tuple[str, object, int, int]]
+# through its closing `}` -> (kind, node, offset of the node's id in that text).
+BlockTable = dict[str, tuple[str, object, int]]
 
 
 class _Builder:
@@ -102,26 +102,25 @@ class _Builder:
     """
 
     def __init__(self, table: BlockTable | None = None) -> None:
-        self.declarations: list[tuple[str, str, object, SourceSpan]] = []
+        self.declarations: list[tuple[str, object, SourceSpan]] = []
         self.included: set[str] = set()  # real paths of the files spliced in by an include
         self.table = table  # records each clean block, when given
         self.reuse = bool(table)  # the load began with blocks to reuse
 
-    def add(self, kind: str, node_id: str, node, span: SourceSpan) -> None:
-        self.declarations.append((kind, node_id, node, span))
+    def add(self, kind: str, node, span: SourceSpan) -> None:
+        self.declarations.append((kind, node, span))
 
     def build(self) -> Model:
         nodes: dict[str, dict] = {kind: {} for kind in NODE_TYPES}
-        spans: dict[tuple[str, str], SourceSpan] = {}
+        spans: dict[str, SourceSpan] = {}
         duplicates = []
-        declared: set[str] = set()
-        for kind, node_id, node, span in self.declarations:
-            if node_id in declared:
-                duplicates.append((kind, node_id, span))
+        for kind, node, span in self.declarations:
+            node_id = node.id
+            if node_id in spans:
+                duplicates.append((node_id, span))
                 continue
-            declared.add(node_id)
             nodes[kind][node_id] = node
-            spans[(kind, node_id)] = span
+            spans[node_id] = span
         return Model(
             **{COLLECTIONS[kind]: collection for kind, collection in nodes.items()},
             spans=spans,
@@ -330,10 +329,10 @@ class _Parser:
         for attribute, items in repeated.items():
             fields[attribute] = tuple(items)
         node = NODE_TYPES[kind](id=node_id, **fields)
-        self.builder.add(kind, node_id, node, span)
+        self.builder.add(kind, node, span)
         if self.table is not None and len(self.diags) == errors:
             text = self.source.text[start : offsets[self.pos - 1] + 1]
-            self.table[text] = (kind, node, offsets[id_tok] - start, len(node_id))
+            self.table[text] = (kind, node, offsets[id_tok] - start)
 
     # -- value readers -----------------------------------------------------
     # A reader starts at `pos` and leaves it after what it read. It returns
@@ -680,8 +679,8 @@ def _reuse_blocks(source: Source, builder: _Builder) -> bool:
             continue
         if not _parse_run(text, run_start, key_start, source, builder):
             break
-        kind, node, offset, length = entry
-        builder.add(kind, node.id, node, source.span(key_start + offset, length))
+        kind, node, offset = entry
+        builder.add(kind, node, source.span(key_start + offset, len(node.id)))
         run_start = end
     else:
         if run_start and _parse_run(text, run_start, len(text), source, builder):

@@ -65,20 +65,14 @@ class _Checker:
 
     def emit(self, code: str, node_id: str | None, message: str) -> None:
         severity = Severity.WARNING if code in _WARNINGS else Severity.ERROR
-        span = None
-        if node_id is not None:
-            owner_kind = self.model.kind_of(node_id)
-            if owner_kind is not None:
-                span = self.model.span_of(owner_kind, node_id)
-        self.out.append(Diagnostic(code, severity, message, span, node_id))
+        self.out.append(Diagnostic(code, severity, message, self.model.spans.get(node_id), node_id))
 
     # -- V001 ---------------------------------------------------------------
 
     def check_duplicates(self) -> None:
-        for kind, node_id, span in self.model.duplicate_decls:
-            first_kind = self.model.kind_of(node_id)
-            first = self.model.span_of(first_kind, node_id) if first_kind else None
-            where = f" (first declared as {first_kind} at {first.location()})" if first else ""
+        for node_id, span in self.model.duplicate_decls:
+            first = self.model.spans.get(node_id)
+            where = f" (first declared as {self.model.kinds[node_id]} at {first.location()})" if first else ""
             self.out.append(
                 Diagnostic(
                     "V001",
@@ -116,7 +110,7 @@ class _Checker:
         for st_id, st in model.strategies.items():
             for step in st.steps:
                 for spawned in step.spawns:
-                    if model.kind_of(spawned) != KIND_OBJECTIVE:
+                    if kinds.get(spawned) != KIND_OBJECTIVE:
                         continue  # a V002 of the `step` row
                     if model.objectives[spawned].refines != st.for_objective:
                         self.emit(

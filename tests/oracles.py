@@ -97,7 +97,19 @@ def sweep_band_defects(
 # cuts: every endpoint rule is written out by hand, the gap walk keeps a
 # frontier whose flag is the opposite of a cut's, and each gap is checked for
 # emptiness. `Interval.is_empty` and `Interval.intersect` are copied as
-# functions, so a fault in the package's versions cannot hide here.
+# functions, so a fault in the package's versions cannot hide here, and so is
+# `Interval.contains`, the points that tests/test_records.py checks them on.
+
+
+def contains_as_written(iv: Interval, x: float) -> bool:
+    """`Interval.contains` as the package had it before it compared cuts."""
+    if not iv.lo <= x <= iv.hi:
+        return False
+    if x == iv.lo and not iv.lo_closed:
+        return False
+    if x == iv.hi and not iv.hi_closed:
+        return False
+    return True
 
 
 def _is_empty_as_written(iv: Interval) -> bool:
@@ -1116,7 +1128,7 @@ class _Parser:
             else:
                 fields[name] = value
         self.expect(TokenKind.RBRACE, "'}'")
-        self.builder.add(kind, id_tok.text, self.assemble(kind, id_tok.text, fields), id_tok.span)
+        self.builder.add(kind, self.assemble(kind, id_tok.text, fields), id_tok.span)
 
     # -- field dispatch ----------------------------------------------------
 
@@ -1549,17 +1561,17 @@ class _CheckerAsWritten:
     def emit(self, code: str, severity: Severity, node_id: str | None, message: str) -> None:
         span = None
         if node_id is not None:
-            owner_kind = self.model.kind_of(node_id)
+            owner_kind = self.model.kinds.get(node_id)
             if owner_kind is not None:
-                span = self.model.span_of(owner_kind, node_id)
+                span = self.model.spans.get(node_id)
         self.out.append(Diagnostic(code, severity, message, span, node_id))
 
     # -- V001 ---------------------------------------------------------------
 
     def check_duplicates(self) -> None:
-        for kind, node_id, span in self.model.duplicate_decls:
-            first_kind = self.model.kind_of(node_id)
-            first = self.model.span_of(first_kind, node_id) if first_kind else None
+        for node_id, span in self.model.duplicate_decls:
+            first_kind = self.model.kinds.get(node_id)
+            first = self.model.spans.get(node_id) if first_kind else None
             where = f" (first declared as {first_kind} at {first.location()})" if first else ""
             self.out.append(
                 Diagnostic(
@@ -1577,7 +1589,7 @@ class _CheckerAsWritten:
         """Check one reference; emit V002 and return False when it does not resolve."""
         if not target:
             return False
-        actual = self.model.kind_of(target)
+        actual = self.model.kinds.get(target)
         if actual is None:
             self.emit("V002", _E, node_id, f"{field} references undeclared id {target!r}")
             return False
@@ -1653,7 +1665,7 @@ class _CheckerAsWritten:
                     if not target.ref:
                         continue
                     if target.is_owner:
-                        owner_kind = model.kind_of(target.ref)
+                        owner_kind = model.kinds.get(target.ref)
                         if owner_kind is None:
                             self.emit(
                                 "V002",

@@ -71,6 +71,14 @@ def test_jpmorgan_against_an_edited_copy(tmp_path):
     _assert_reuse_is_a_full_parse(tmp_path, edited, text)
 
 
+def test_an_id_declared_under_two_kinds_with_another_block_edited(tmp_path):
+    old = 'stakeholder X {\n  name: "x"\n}\ngoal X {\n}\nobjective BO1 {\n  object: "a"\n}\nobjective X {\n}\n'
+    new = old.replace('object: "a"', 'object: "edited"')
+    model, _ = parser.parse(new)
+    assert [(node_id, span.line) for node_id, span in model.duplicate_decls] == [("X", 4), ("X", 9)]
+    _assert_reuse_is_a_full_parse(tmp_path, old, new)
+
+
 # -- random models with one field edited -------------------------------------------
 
 

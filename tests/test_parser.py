@@ -23,6 +23,7 @@ from symbiosis_kit.model import (
     InterpretationBand,
     FIELDS,
     Interval,
+    NODE_KINDS,
     NODE_TYPES,
     QuestionStatus,
     ReportingSchedule,
@@ -43,6 +44,7 @@ from symbiosis_kit.parser import (
     parse_file,
 )
 from symbiosis_kit.serializer import serialize
+from symbiosis_kit.validator import validate
 
 
 def codes(diags):
@@ -199,7 +201,7 @@ def test_a_number_beyond_the_float_range_is_one_p001_and_drops_the_field(field):
     assert field == "priority" or node.method == "m"  # parsing goes on after the field
     reparsed, diags = parse(serialize(model))
     assert not diags
-    assert reparsed.collection(model.kind_of(node.id))[node.id] == node
+    assert reparsed.collection(model.kinds[node.id])[node.id] == node
     _assert_same_as_token_by_token(TOO_LARGE[field])
 
 
@@ -264,7 +266,31 @@ def test_duplicate_ids_first_wins_and_recorded():
     )
     assert not diags  # duplicate ids are a validator concern, not a parse error
     assert model.objectives["BO1"].object == "first"
-    assert [(k, i) for k, i, _ in model.duplicate_decls] == [("objective", "BO1")]
+    assert [i for i, _ in model.duplicate_decls] == ["BO1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(NODE_KINDS), st.sampled_from("abcd")), min_size=1, max_size=12))
+def test_an_id_names_the_node_of_its_first_header_whatever_the_kinds(headers):
+    model, diags = parse("".join(f"{kind} {node_id} {{ }}\n" for kind, node_id in headers))
+    assert not diags
+    first: dict[str, tuple[str, int]] = {}  # id -> (kind, line) of its first header
+    later: list[tuple[str, int]] = []  # (id, line) of every later header, in text order
+    for line, (kind, node_id) in enumerate(headers, 1):
+        if node_id in first:
+            later.append((node_id, line))
+        else:
+            first[node_id] = (kind, line)
+    for node_id, (kind, _) in first.items():
+        assert node_id in model.collection(kind)
+    assert sum(len(model.collection(kind)) for kind in NODE_KINDS) == len(first)
+    assert set(model.spans) == set(model.kinds)
+    assert {i: (s.line, s.col) for i, s in model.spans.items()} == {
+        i: (line, len(kind) + 2) for i, (kind, line) in first.items()
+    }
+    assert [(i, s.line) for i, s in model.duplicate_decls] == later
+    v001 = [(d.node_id, d.span.line) for d in validate(model) if d.code == "V001"]
+    assert sorted(v001) == sorted(later)
 
 
 def test_include_resolves_relative_to_includer(tmp_path):
@@ -312,7 +338,7 @@ def test_a_diamond_include_splices_the_shared_file_once(tmp_path):
     model, diags = parse_file(str(tmp_path / "a.sym"))
     assert not diags
     assert model.duplicate_decls == ()
-    assert model.spans[("stakeholder", "s")] == SourceSpan(str(tmp_path / "d.sym"), 1, 13, 1)
+    assert model.spans["s"] == SourceSpan(str(tmp_path / "d.sym"), 1, 13, 1)
     assert list(model.objectives) == ["B", "C"]
 
 
@@ -337,7 +363,7 @@ def test_a_file_reached_through_a_symbolic_link_is_spliced_once(tmp_path):
     assert not diags
     assert model.duplicate_decls == ()
     assert model.included == (os.path.realpath(tmp_path / "b.sym"),)
-    assert model.spans[("stakeholder", "s")] == SourceSpan(str(tmp_path / "b.sym"), 1, 13, 1)
+    assert model.spans["s"] == SourceSpan(str(tmp_path / "b.sym"), 1, 13, 1)
 
 
 def test_a_symbolic_link_back_to_the_root_file_is_p006(tmp_path):
@@ -415,8 +441,8 @@ def test_a_byte_order_mark_is_dropped_from_models_and_includes(tmp_path):
         ("P001", "unexpected character '@'", SourceSpan(str(part), 1, 1, 1)),
     ]
     assert model.spans == {
-        ("objective", "BO1"): SourceSpan(str(main), 1, 11, 3),
-        ("objective", "BO2"): SourceSpan(str(part), 1, 12, 3),
+        "BO1": SourceSpan(str(main), 1, 11, 3),
+        "BO2": SourceSpan(str(part), 1, 12, 3),
     }
 
 

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from modelgen import program_model, random_dag_model, random_model
+from oracles import contains_as_written
 from symbiosis_kit.diagnostics import Diagnostic, Severity
 from symbiosis_kit.model import NODE_KINDS, NODE_TYPES, Interval, Model
 from symbiosis_kit.parser import parse, parse_file
@@ -79,8 +80,9 @@ def test_a_replaced_model_is_a_model_with_its_own_kinds(jpmorgan):
 
 # Every interval with integer endpoints in [-2, 2], sampled at every half step
 # of [-3, 3]: a non-empty one contains one of the samples, and its samples
-# tell its endpoints and their closedness apart. `contains` compares the
-# endpoints by hand, so it checks the cut-based methods.
+# tell its endpoints and their closedness apart. The points are those the
+# oracle's `contains_as_written` finds by comparing endpoints by hand, so
+# they check the cut-based methods, `Interval.contains` among them.
 _HALF_STEPS = [k / 2 for k in range(-6, 7)]
 _INTERVALS = [
     Interval(lo, hi, lo_closed, hi_closed)
@@ -92,15 +94,13 @@ _INTERVALS = [
 
 
 def _points(interval: Interval) -> frozenset[float]:
-    return frozenset(x for x in _HALF_STEPS if interval.contains(x))
+    return frozenset(x for x in _HALF_STEPS if contains_as_written(interval, x))
 
 
 def test_an_intervals_cuts_bound_the_points_it_contains():
     for interval in _INTERVALS:
-        for x in _HALF_STEPS:
-            # The point x lies between the cuts (x, False) and (x, True).
-            inside = interval.start() <= (x, False) and (x, True) <= interval.end()
-            assert interval.contains(x) == inside, (interval, x)
+        for x in (*_HALF_STEPS, float("nan")):
+            assert interval.contains(x) == contains_as_written(interval, x), (interval, x)
         assert interval.is_empty() == (not _points(interval)), interval
         assert not interval.contains(float("nan")), interval
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from modelgen import random_model
 from oracles import band_partition_problems_by_frontier, validate_as_written
-from symbiosis_kit.diagnostics import Severity, render_all, sort_key, to_json
+from symbiosis_kit.diagnostics import Severity, SourceSpan, render_all, sort_key, to_json
 from symbiosis_kit.model import DEFAULT_DOMAIN, FIELDS, NODE_TYPES, InterpretationBand, Interval, MetricDef
 from symbiosis_kit.parser import parse, parse_file
 from symbiosis_kit.serializer import serialize
@@ -34,6 +34,19 @@ def test_v001_duplicate_identifier_across_kinds():
     assert len(diags) == 1
     assert diags[0].severity is Severity.ERROR
     assert "first declared as objective" in diags[0].message
+
+
+def test_v001_reports_each_later_declaration_across_kinds_and_includes(tmp_path):
+    main, part = tmp_path / "main.sym", tmp_path / "part.sym"
+    main.write_text('stakeholder X { name: "x" }\ninclude "part.sym"\ngoal X { }\n', encoding="utf-8")
+    part.write_text('objective X { }\nstakeholder Y { name: "y" }\n', encoding="utf-8")
+    model, parse_diags = parse_file(str(main))
+    assert not parse_diags
+    message = f"duplicate identifier 'X' (first declared as stakeholder at {main}:1:13)"
+    assert [(d.code, d.span, d.node_id, d.message) for d in only(validate(model), "V001")] == [
+        ("V001", SourceSpan(str(main), 3, 6, 1), "X", message),
+        ("V001", SourceSpan(str(part), 1, 11, 1), "X", message),
+    ]
 
 
 # -- V002 -----------------------------------------------------------------
