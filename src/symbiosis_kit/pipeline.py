@@ -11,25 +11,29 @@ COUNT bases. Bad lines become I-diagnostics; good lines still flow.
 whose schedule refuses a key; `route_result` routes each result's actions.
 
 Cost model: each log is read once at ingest. Identical lines are tallied
-first, and each distinct line text is classified once: a line in one of the
-two shapes exactly as json.dumps writes them costs one regex match, with
-its date parsed once per distinct date string and its fields decoded once
-per distinct text; every other line is decoded in full. A DIRECT line's
-base is checked (I002) once per distinct line text, after every I001 and
-I003 check. Those date and fields caches, and the raw-event tally, belong
-to one ingest_many call and serve all of its files, so a date or fields
-text repeated across monthly logs is decoded once per command, not once per
-file. Raw events are kept as counts per (date, fields), never as one record
-per line. One more pass over each file's lines gives line numbers only
-where they are kept: to each DIRECT entry and to each rejected line, which
-gets its own diagnostic. The MeasurementLog answers aggregation's two
-date queries itself: its `direct` indexes the DIRECT entries by base on
-first use, and its `count` matches each COUNT filter set once against each
-distinct set of event fields; both indexes live as long as the log. After
-that a COUNT binding for any period or density sub-period costs two
-bisects, O(log n) in the log's distinct dates, and a DIRECT binding costs
-time proportional to the base's entries inside the period. Period bounds
-and density windows come from the periods module's per-key cache.
+first, and each distinct line text is classified once. A line in one of the
+two shapes exactly as json.dumps writes them is checked by slicing: its
+`{"timestamp": "` prefix and the `", ` after its 10-character date are
+compared, the date is parsed once per distinct date string, and the text
+after that separator is matched and decoded once per distinct text, so a
+line that repeats another's text after a new date costs two slices and two
+cache lookups. Every other line is decoded in full. A DIRECT line's base is
+checked (I002) once per distinct line text, after every I001 and I003
+check. Those date and remainder caches, and the raw-event tally, belong to
+one ingest_many call and serve all of its files, so a date or remainder
+repeated across monthly logs is decoded once per command, not once per
+file. Raw events are kept as counts per date under each distinct set of
+fields, never as one record per line. One more pass over each file's lines
+gives line numbers only where they are kept: to each DIRECT entry and to
+each rejected line, which gets its own diagnostic. The MeasurementLog
+answers aggregation's two date queries itself: its `direct` indexes the
+DIRECT entries by base on first use, and its `count` tests each distinct
+field set once against a COUNT filter set and adds up the day counts of
+those that match; both indexes live as long as the log. After that a COUNT
+binding for any period or density sub-period costs two bisects, O(log n)
+in the log's distinct dates, and a DIRECT binding costs time proportional
+to the base's entries inside the period. Period bounds and density windows
+come from the periods module's per-key cache.
 """
 
 from __future__ import annotations
@@ -71,14 +75,13 @@ class DirectEntry(NamedTuple):
     line: int  # 1-based line in the log; later lines win LATEST ties
 
 
-FieldSet = tuple[tuple[str, str], ...]
-Event = tuple[dt.date, FieldSet]  # a raw event's date and sorted fields
+FieldSet = tuple[tuple[str, str], ...]  # a raw event's sorted fields
 Indexed = tuple[dt.date, int, int, float]  # a DIRECT entry's date, line, -ingest sequence, value
 
 
 class _LogFields(NamedTuple):
     records: tuple[DirectEntry, ...]
-    events: dict[Event, int]
+    events: dict[FieldSet, dict[dt.date, int]]
     diagnostics: tuple[Diagnostic, ...]
 
 
@@ -86,11 +89,12 @@ class MeasurementLog(_LogFields):
     """What ingest accepted, and its diagnostics, answering aggregation's date queries.
 
     `records` holds the DIRECT entries in ingest order (file order, then
-    line); `events` maps each raw event's (date, fields) to how many lines
-    logged it, and holds no zero counts. The first `direct` query groups the
-    DIRECT entries by base, sorted by (date, line, later ingest first); the
-    first `count` query for a filter set matches each distinct field set
-    against it once and keeps the hits as sorted dates plus prefix sums.
+    line); `events` maps each distinct set of raw-event fields to how many
+    lines logged it on each date, and holds no zero counts. The first
+    `direct` query groups the DIRECT entries by base, sorted by (date, line,
+    later ingest first); the first `count` query for a filter set tests each
+    field set against it once, adds up the day counts of those that match
+    and keeps them as sorted dates plus prefix sums.
     Every query is then two bisects over one index's dates. Both indexes
     live as long as the log does.
     """
@@ -112,14 +116,11 @@ class MeasurementLog(_LogFields):
         """Raw events dated first..last whose fields match every filter."""
         index = self._counts.get(filters)
         if index is None:
-            matches: dict[FieldSet, bool] = {}
-            hits: Counter[dt.date] = Counter()
-            for (day, fields), n in self.events.items():
-                match = matches.get(fields)
-                if match is None:
-                    match = matches[fields] = all(pair in fields for pair in filters)
-                if match:
-                    hits[day] += n
+            hits: dict[dt.date, int] = {}
+            for fields, days in self.events.items():
+                if all(pair in fields for pair in filters):
+                    for day, n in days.items():
+                        hits[day] = hits.get(day, 0) + n
             dates = sorted(hits)
             index = self._counts[filters] = (dates, [0, *accumulate(hits[d] for d in dates)])
         dates, prefix = index
@@ -204,8 +205,8 @@ def _decode(line: str) -> object:
         raise ValueError("JSON nested too deeply") from None
 
 
-# What one line text is, as `_classify_line` tags it: a raw event (its
-# Event), a DIRECT value (date, base, value) or a rejected line (message,
+# What one line text is, as `_classify_line` tags it: a raw event (date,
+# fields), a DIRECT value (date, base, value) or a rejected line (message,
 # I-code).
 _EVENT, _DIRECT, _REJECTED = "event", "direct", "rejected"
 Classified = tuple[str, tuple]
@@ -248,11 +249,14 @@ def _decode_line(line: str) -> Classified:
     return _DIRECT, (timestamp, base_id, number)
 
 
-# The two record shapes exactly as json.dumps writes them, with a base name
-# free of escapes and control characters. Groups: date, base, number, the
-# number's fraction and exponent (empty for an integer), fields object.
-_SHAPES = re.compile(
-    r'\{"timestamp": "([0-9]{4}-[0-9]{2}-[0-9]{2})", '
+# The two record shapes exactly as json.dumps writes them are `_PREFIX`, a
+# 10-character date, `_SEPARATOR` and a remainder that `_REMAINDER` matches,
+# with a base name free of escapes and control characters. A date is taken
+# only as YYYY-MM-DD (`_DATE_RE`), so slicing at fixed offsets accepts what
+# one pattern over the whole line would. Groups: base, number, the number's
+# fraction and exponent (empty for an integer), fields object.
+_PREFIX, _SEPARATOR = '{"timestamp": "', '", '
+_REMAINDER = re.compile(
     r'(?:"base": "([^"\\\x00-\x1f]*)", '
     r'"value": (-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
     r'|"fields": (\{.*\}))\}'
@@ -284,43 +288,63 @@ def _json_number(text: str, fraction_or_exponent: str) -> float | None:
         return None
 
 
+def _remainder(text: str) -> tuple | None:
+    """The text after a line's date and separator, classified on its own.
+
+    A raw event's remainder gives (_EVENT, fields) and a DIRECT value's
+    gives (_DIRECT, base, value). None when the text is not in json.dumps'
+    shape, or its fields or value fail a check.
+    """
+    shape = _REMAINDER.fullmatch(text)
+    if shape is None:
+        return None
+    base_id, number, fraction, fields_text = shape.groups()
+    if fields_text is not None:
+        fields = _decoded_field_set(fields_text)
+        return None if fields is None else (_EVENT, fields)
+    value = _json_number(number, fraction)
+    return None if value is None else (_DIRECT, base_id, value)
+
+
 def _classify_line(
     text: str,
     dates: Callable[[str], dt.date | None],
-    field_sets: Callable[[str], FieldSet | None],
+    remainders: Callable[[str], tuple | None],
 ) -> Classified | None:
     """One log line text classified; None when it is blank.
 
     A line in one of the two shapes json.dumps writes takes the fast path:
-    one regex match, its date from `dates` and its `fields` object from
-    `field_sets`. Every other line, and a fast-path line that fails a
-    check, is decoded in full by `_decode_line`.
+    its prefix and separator compared by slicing, its date from `dates` and
+    the text after the separator from `remainders`. Every other line, and a
+    fast-path line that fails a check, is decoded in full by `_decode_line`.
     """
     stripped = text.strip()
     if not stripped:
         return None
-    shape = _SHAPES.fullmatch(stripped)
-    if shape is not None and (timestamp := dates(shape[1])) is not None:
-        _, base_id, number, fraction, fields_text = shape.groups()
-        if fields_text is not None:
-            fields = field_sets(fields_text)
-            if fields is not None:
-                return _EVENT, (timestamp, fields)
-        elif (value := _json_number(number, fraction)) is not None:
-            return _DIRECT, (timestamp, base_id, value)
+    # _PREFIX is 15 characters, the date 10 and _SEPARATOR 3
+    if (
+        stripped[:15] == _PREFIX
+        and stripped[25:28] == _SEPARATOR
+        and (timestamp := dates(stripped[15:25])) is not None
+        and (rest := remainders(stripped[28:])) is not None
+    ):
+        if rest[0] is _EVENT:
+            return _EVENT, (timestamp, rest[1])
+        return _DIRECT, (timestamp, rest[1], rest[2])
     return _decode_line(stripped)
 
 
 class _IngestState(NamedTuple):
-    """What the files of one ingest share: date and `fields` caches, and one tally."""
+    """What the files of one ingest share: a cache of dates, one of the texts
+    after a line's date, and one tally."""
 
     dates: Callable[[str], dt.date | None]
-    field_sets: Callable[[str], FieldSet | None]
-    events: dict[Event, int]
+    remainders: Callable[[str], tuple | None]
+    events: dict[FieldSet, dict[dt.date, int]]
 
 
 def _new_state() -> _IngestState:
-    return _IngestState(cache(_date_or_none), cache(_decoded_field_set), {})
+    return _IngestState(cache(_date_or_none), cache(_remainder), {})
 
 
 def ingest_lines(
@@ -329,28 +353,34 @@ def ingest_lines(
     """The raw-event tally, DIRECT entries and I-diagnostics of one log's lines.
 
     Identical lines are tallied first and each distinct text is classified
-    once, with dates parsed once per distinct date string and `fields`
-    objects decoded once per distinct text, so events share date and field
-    set objects. A raw event only adds its lines' count to the tally. One
-    pass over the lines then gives each DIRECT entry its line number and
-    each rejected line its own diagnostic.
+    once, with dates parsed once per distinct date string and the text after
+    the date matched and decoded once per distinct text, so events share
+    date and field set objects. A raw event only adds its lines' count to
+    its field set's count for its date. One pass over the lines then gives
+    each DIRECT entry its line number and each rejected line its own
+    diagnostic.
 
     Without a `state` the caches and the tally are this call's own. With
-    one (as `ingest_many` passes for every file), dates and `fields` texts
+    one (as `ingest_many` passes for every file), dates and remainders
     already decoded for an earlier file are not decoded again, and the
     events are added to the state's tally, and the returned log's `events`
     is that command-wide tally, not this file's; its records and
     diagnostics are still this file's alone.
     """
-    dates, field_sets, events = _new_state() if state is None else state
+    dates, remainders, events = _new_state() if state is None else state
     numbered: dict[str, Classified] = {}  # DIRECT and rejected line texts
     for text, count in Counter(lines).items():
-        classified = _classify_line(text, dates, field_sets)
+        classified = _classify_line(text, dates, remainders)
         if classified is None:
             continue
         kind, item = classified
         if kind is _EVENT:
-            events[item] = events.get(item, 0) + count
+            day, fields = item
+            days = events.get(fields)
+            if days is None:
+                events[fields] = {day: count}
+            else:
+                days[day] = days.get(day, 0) + count
             continue
         if kind is _DIRECT and (base := model.bases.get(item[1])) is None:
             classified = _rejected(f"unknown base measurement {item[1]!r}", "I002")
@@ -396,7 +426,7 @@ def ingest_many(paths: list[str], model: Model) -> MeasurementLog:
     """Logs ingested in the order given: DIRECT entries concatenated, raw events in one tally.
 
     Each file goes through `ingest_lines` once, and all of them share one
-    ingest state: a date string or `fields` text is decoded once per call,
+    ingest state: a date string or remainder is decoded once per call,
     however many files repeat it, and every file's events go straight into
     one tally. One log file is `ingest_many([path], model)`.
     """

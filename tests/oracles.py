@@ -4,7 +4,8 @@ Everything here recomputes results from first principles (plain datetime
 arithmetic, exhaustive sweeps, fresh BFS over edges rebuilt from node fields,
 a character-at-a-time tokenizer, a parser that reads one token per method
 call, a diff of hand-written canonical dicts, an ingest that decodes every
-log line in full, a validator that names every field by hand, a band
+log line in full, a line classifier that matches the whole line with one
+pattern, a validator that names every field by hand, a band
 partition that compares endpoints one rule at a time) so a bug in the
 package cannot hide in its own oracle.
 """
@@ -20,7 +21,7 @@ import re
 from collections import Counter, defaultdict
 from itertools import accumulate
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from symbiosis_kit.diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from symbiosis_kit import expr as _expr
@@ -61,7 +62,7 @@ from symbiosis_kit.model import (
 from symbiosis_kit.impact import Change, ChangeKind, FieldChange
 from symbiosis_kit.parser import _Builder
 from symbiosis_kit.periods import PeriodError
-from symbiosis_kit.pipeline import DirectEntry, evaluate_period
+from symbiosis_kit.pipeline import _DIRECT, _EVENT, DirectEntry, _decode_line, _json_number, evaluate_period
 
 # -- band coverage sweep --------------------------------------------------------
 # Works in integer micro-units (1 unit == 1e-6 of the metric's value scale) so
@@ -201,9 +202,13 @@ class DecodedLog(NamedTuple):
     diagnostics: tuple[Diagnostic, ...]
 
 
-def event_tally(records: tuple[MeasurementRecord, ...]) -> Counter:
-    """Raw events counted per (date, fields), as the package keeps them."""
-    return Counter((r.timestamp, r.fields) for r in records if isinstance(r, RawEvent))
+def event_tally(records: tuple[MeasurementRecord, ...]) -> dict[tuple, dict[dt.date, int]]:
+    """Raw events counted per date under each set of fields, as the package keeps them."""
+    tally: defaultdict[tuple, Counter] = defaultdict(Counter)
+    for record in records:
+        if isinstance(record, RawEvent):
+            tally[record.fields][record.timestamp] += 1
+    return {fields: dict(days) for fields, days in tally.items()}
 
 
 def direct_entries(records: tuple[MeasurementRecord, ...]) -> list[DirectEntry]:
@@ -939,6 +944,51 @@ def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> D
                 continue
             records.append(RawEvent(timestamp, tuple(sorted(fields.items())), line_no))
     return DecodedLog(tuple(records), tuple(sorted(diags, key=sort_key)))
+
+
+# -- line classification by one pattern ------------------------------------------
+# `_SHAPES` and `_classify_line` as the package had them before it compared a
+# line's prefix and separator by slicing and matched the text after the date
+# once per distinct text: one pattern matches the whole stripped line, and
+# `field_sets` decodes a `fields` object. The slow path (`_decode_line`) and
+# the number reader (`_json_number`) are the package's own.
+
+# The two record shapes exactly as json.dumps writes them, with a base name
+# free of escapes and control characters. Groups: date, base, number, the
+# number's fraction and exponent (empty for an integer), fields object.
+_SHAPES = re.compile(
+    r'\{"timestamp": "([0-9]{4}-[0-9]{2}-[0-9]{2})", '
+    r'(?:"base": "([^"\\\x00-\x1f]*)", '
+    r'"value": (-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
+    r'|"fields": (\{.*\}))\}'
+)
+
+
+def classify_line_by_one_pattern(
+    text: str,
+    dates: Callable[[str], dt.date | None],
+    field_sets: Callable[[str], tuple[tuple[str, str], ...] | None],
+) -> tuple[str, tuple] | None:
+    """One log line text classified; None when it is blank.
+
+    A line in one of the two shapes json.dumps writes takes the fast path:
+    one regex match, its date from `dates` and its `fields` object from
+    `field_sets`. Every other line, and a fast-path line that fails a
+    check, is decoded in full by `_decode_line`.
+    """
+    stripped = text.strip()
+    if not stripped:
+        return None
+    shape = _SHAPES.fullmatch(stripped)
+    if shape is not None and (timestamp := dates(shape[1])) is not None:
+        _, base_id, number, fraction, fields_text = shape.groups()
+        if fields_text is not None:
+            fields = field_sets(fields_text)
+            if fields is not None:
+                return _EVENT, (timestamp, fields)
+        elif (value := _json_number(number, fraction)) is not None:
+            return _DIRECT, (timestamp, base_id, value)
+    return _decode_line(stripped)
 
 
 # -- parsing one token per method call ----------------------------------------------

@@ -3,19 +3,25 @@
 Lines in the two shapes json.dumps writes, and near-misses of them, must give
 the same DIRECT entries (values compared by repr, so the sign of zero
 counts), the same raw-event tally and the same diagnostics as
-`oracles.ingest_lines_by_decoding`.
+`oracles.ingest_lines_by_decoding`. Each line must also be classified as
+`oracles.classify_line_by_one_pattern`, the whole-line pattern that the
+sliced fast path replaced, classifies it.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import json
+from functools import cache
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import direct_entries, event_tally, ingest_lines_by_decoding
+from oracles import _SHAPES, classify_line_by_one_pattern, direct_entries, event_tally, ingest_lines_by_decoding
+from symbiosis_kit import pipeline
 from symbiosis_kit.parser import parse
-from symbiosis_kit.pipeline import _SHAPES, DirectEntry, ingest_lines
+from symbiosis_kit.pipeline import DirectEntry, ingest_lines
 
 MODEL, _ = parse(
     """
@@ -206,8 +212,14 @@ _identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*", full
     st.dictionaries(st.text(max_size=5), st.text(max_size=5), max_size=3),
 )
 def test_json_dumps_writes_the_fast_shapes(day, base, value, fields):
+    state = pipeline._new_state()
     for obj in ({"timestamp": day, "base": base, "value": value}, {"timestamp": day, "fields": fields}):
-        assert _SHAPES.fullmatch(json.dumps(obj)) is not None
+        line = json.dumps(obj)
+        assert _SHAPES.fullmatch(line) is not None
+        # and the package takes its fast path: it never decodes such a line in full
+        with mock.patch.object(pipeline, "_decode_line", side_effect=AssertionError("decoded in full")):
+            kind, _ = pipeline._classify_line(line, state.dates, state.remainders)
+        assert kind == ("direct" if "base" in obj else "event")
 
 
 def test_events_and_entries_share_dates_and_field_sets():
@@ -217,10 +229,71 @@ def test_events_and_entries_share_dates_and_field_sets():
     ]
     lines.append('{"timestamp": "2014-01-05", "base": "tot", "value": -0}')
     log = ingest_lines(lines, "log", MODEL)
-    (day5, fields5), (day6, fields6) = log.events
-    assert log.events[day5, fields5] == 3 and log.events[day6, fields6] == 1
-    assert fields5 is fields6
-    assert fields5 == (("a", "b"), ("kind", "x"))
+    ((fields, days),) = log.events.items()
+    assert fields == (("a", "b"), ("kind", "x"))
+    (day5, n5), (day6, n6) = days.items()
+    assert (day5, n5, day6, n6) == (dt.date(2014, 1, 5), 3, dt.date(2014, 1, 6), 1)
     (entry,) = log.records
     assert entry.timestamp is day5
     assert repr(entry.value) == "0.0"
+
+
+# -- the sliced fast path against the one-pattern copy --------------------------
+# `_classify_line` compares a line's prefix and separator by slicing and
+# classifies the text after its date through a cache;
+# `oracles.classify_line_by_one_pattern` is the whole-line pattern it
+# replaced. Each list of lines shares one set of fresh caches on each side,
+# so later lines hit what earlier ones put there.
+
+_record_dates = (
+    st.dates().map(str)
+    | st.sampled_from(["2014-02-30", "2014-13-01", "0000-01-01", "2014-1-5", "20140105", "2014W023", ""])
+    | st.text(max_size=12)
+)
+_record_values = (
+    st.sampled_from([-0, -0.0, 0, True, False, None, "9", "x"])
+    | st.floats()
+    | st.integers(10**18, 10**400)
+    | st.integers(-3, 3)
+)
+_record_fields = (
+    st.dictionaries(st.text(max_size=4), st.text(max_size=4) | _record_values, max_size=3)
+    | st.lists(st.text(max_size=3), max_size=2)
+    | st.text(max_size=6)
+)
+_records = st.one_of(
+    st.tuples(_record_dates, st.sampled_from(["tot", "g.1", "nope", "", 'a"b', "a\\b", "\x01"]), _record_values).map(
+        lambda t: {"timestamp": t[0], "base": t[1], "value": t[2]}
+    ),
+    st.tuples(_record_dates, _record_fields).map(lambda t: {"timestamp": t[0], "fields": t[1]}),
+)
+_dumped = st.tuples(_records, st.sampled_from(["", "}", " ", "\t"])).map(lambda t: json.dumps(t[0]) + t[1])
+_pieces = st.sampled_from(
+    [
+        '{"timestamp": "', '", ', '"fields": ', '"base": "', '"value": ', "{", "}", '"', "\\", "\r", " ",
+        "1", "-0", "1.5e3", '"kind": "x"', "2014-01-05", "2014-02-30", "2014-1-05",
+    ]
+)
+_joined = st.lists(_pieces | _record_dates, max_size=12).map("".join)
+
+
+def _classified_by_both(lines: list[str]) -> tuple[str, str]:
+    state = pipeline._new_state()
+    dates, field_sets = cache(pipeline._date_or_none), cache(pipeline._decoded_field_set)
+    fast = [pipeline._classify_line(line, state.dates, state.remainders) for line in lines]
+    slow = [classify_line_by_one_pattern(line, dates, field_sets) for line in lines]
+    return repr(fast), repr(slow)  # repr tells 0.0 from -0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_dumped | _joined, max_size=8))
+@example(
+    [
+        '{"timestamp": "2014-01-05", "base": "tot", "value": -0}',
+        '{"timestamp": "2014-01-06", "base": "tot", "value": -0}',
+    ]
+)
+@example(['{"timestamp": "2014-01-05"; "fields": {}}', '{"timestamp": "2014-01-0",  "fields": {}}'])
+def test_sliced_fast_path_classifies_as_the_one_pattern_copy(lines):
+    fast, slow = _classified_by_both(lines)
+    assert fast == slow

@@ -87,7 +87,7 @@ def test_ingest_never_raises_and_rejects_each_bad_line_once(lines):
     accepted = [n for n in non_blank if n not in rejected]
     direct = [record.line for record in log.records]
     assert direct == sorted(set(direct)) and set(direct) <= set(accepted)
-    assert len(accepted) == len(direct) + sum(log.events.values())
+    assert len(accepted) == len(direct) + sum(n for days in log.events.values() for n in days.values())
     messages = {d.span.line: d.message for d in log.diagnostics}
     for n, line in enumerate(lines, 1):
         error = _json_error(line.strip()) if line.strip() else None

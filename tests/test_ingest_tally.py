@@ -1,12 +1,12 @@
 """The tallying ingest against the oracle that keeps one record per line.
 
 `pipeline.ingest_lines` classifies each distinct line text once and keeps raw
-events as counts per (date, fields). On logs full of repeated lines, blank
-lines, CRLF endings, repeated bad lines and spacing json.dumps never writes,
-its tally, DIRECT entries and diagnostics must equal what
+events as counts per date under each set of fields. On logs full of repeated
+lines, blank lines, CRLF endings, repeated bad lines and spacing json.dumps
+never writes, its tally, DIRECT entries and diagnostics must equal what
 `oracles.ingest_lines_by_decoding` gives line by line, and a log split into
 several files must give the rescanning oracle's SUM and LATEST bindings.
-`ingest_many` shares its date and `fields` caches and one tally across its
+`ingest_many` shares its date and remainder caches and one tally across its
 files: what it gives must equal the oracle's per-file results put together,
 and a date or `fields` text repeated across files is decoded once.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -147,10 +146,7 @@ def test_many_files_give_the_per_file_oracle_put_together(tmp_path_factory, line
     log = ingest_many(paths, MODEL)
     # Reading turns CR and CRLF into "\n", so a line ending in "\r" comes back as two.
     oracles = [ingest_lines_by_decoding(Path(path).read_text("utf-8").split("\n"), path, MODEL) for path in paths]
-    events = Counter()
-    for oracle in oracles:
-        events.update(event_tally(oracle.records))
-    assert log.events == events
+    assert log.events == event_tally(tuple(record for oracle in oracles for record in oracle.records))
     assert [_entry_key(e) for e in log.records] == [
         _entry_key(e) for oracle in oracles for e in direct_entries(oracle.records)
     ]
@@ -175,9 +171,7 @@ def test_many_files_decode_each_date_and_fields_text_once(tmp_path):
         log = ingest_many(paths, MODEL)
     assert field_sets.call_count == 2
     assert dates.call_count == 2
-    assert log.events == {
-        (dt.date(2014, 1, day), (("kind", kind),)): 3 for day in (5, 6) for kind in ("x", "y")
-    }
+    assert log.events == {(("kind", kind),): {dt.date(2014, 1, day): 3 for day in (5, 6)} for kind in ("x", "y")}
     assert not log.records and not log.diagnostics
 
 
@@ -186,7 +180,7 @@ def test_repeated_event_line_is_classified_once_and_tallied():
     with mock.patch.object(pipeline, "_classify_line", wraps=pipeline._classify_line) as classify:
         log = ingest_lines([line] * 50, "log", MODEL)
     assert classify.call_count == 1
-    assert log.events == {(dt.date(2014, 1, 5), (("kind", "x"),)): 50}
+    assert log.events == {(("kind", "x"),): {dt.date(2014, 1, 5): 50}}
     assert not log.records and not log.diagnostics
 
 

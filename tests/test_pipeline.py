@@ -2,12 +2,12 @@
 
 import datetime as dt
 import json
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from symbiosis_kit import pipeline
 from symbiosis_kit.graph import build_graph
 from symbiosis_kit.model import (
@@ -75,7 +75,7 @@ metric M2 {
 """
 
 
-EMPTY = MeasurementLog((), Counter(), ())
+EMPTY = MeasurementLog((), {}, ())
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ def accepted_lines(lines: list[str], log: MeasurementLog) -> list[int]:
     """
     diagnosed = {d.span.line for d in log.diagnostics}
     accepted = [n for n, line in enumerate(lines, 1) if line.strip() and n not in diagnosed]
-    assert len(accepted) == len(log.records) + sum(log.events.values())
+    assert len(accepted) == len(log.records) + sum(n for days in log.events.values() for n in days.values())
     return accepted
 
 
@@ -121,7 +121,7 @@ def test_good_lines_produce_records(model):
     (direct,) = log.records
     assert isinstance(direct, DirectEntry)
     assert (direct.base, direct.value, direct.line) == ("tot", 3.0, 2)
-    assert log.events == {(dt.date(2014, 1, 6), (("kind", "x"),)): 1}
+    assert log.events == {(("kind", "x"),): {dt.date(2014, 1, 6): 1}}
 
 
 @pytest.mark.parametrize(
@@ -176,7 +176,7 @@ def test_bad_lines_become_diagnostics(model, line, code, fragment):
 def test_a_log_value_below_the_smallest_double_reads_as_zero(model, line, fast):
     # As in any JSON reader; a log value is never printed back, so unlike a
     # model literal it is not rejected.
-    assert (pipeline._SHAPES.fullmatch(line) is not None) == fast
+    assert (oracles._SHAPES.fullmatch(line) is not None) == fast
     log = ingest_lines([line], "log", model)
     assert log.diagnostics == ()
     assert [(entry.base, entry.value) for entry in log.records] == [("tot", 0.0)]
@@ -210,7 +210,7 @@ def test_ingest_drops_a_byte_order_mark_at_the_start_of_a_file(model, tmp_path):
     assert (log.records, log.events) == (unmarked.records, unmarked.events)
     assert accepted_lines(lines, log) == [1, 2]
     assert [record.line for record in log.records] == [1]
-    assert log.events == {(dt.date(2014, 1, 6), (("kind", "x"),)): 1}
+    assert log.events == {(("kind", "x"),): {dt.date(2014, 1, 6): 1}}
 
 
 def test_ingest_ends_lines_only_at_newlines(model, tmp_path):
@@ -226,7 +226,7 @@ def test_ingest_ends_lines_only_at_newlines(model, tmp_path):
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
     log = ingest_many([str(path)], model)
     assert accepted_lines(lines, log) == [1, 2]
-    assert log.events == {(dt.date(2014, 1, 5), (("kind", "x"), ("note", "a\u2028b"))): 1}
+    assert log.events == {(("kind", "x"), ("note", "a\u2028b")): {dt.date(2014, 1, 5): 1}}
     assert [(record.line, record.value) for record in log.records] == [(2, 2.0)]
     assert [(d.code, d.span.line) for d in log.diagnostics] == [("I002", 3)]
 

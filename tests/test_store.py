@@ -67,6 +67,7 @@ def _decoded_records(files: list[list[str]]) -> tuple:
 
 _day = st.integers(0, DAYS - 1).map(lambda n: (FIRST_DAY + dt.timedelta(days=n)).isoformat())
 _value = st.one_of(
+    st.integers(0, 3),  # repeated, so the text after a date repeats across files
     st.integers(-10**6, 10**6),
     st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
     st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 1.0]),  # sums that depend on order
@@ -75,15 +76,23 @@ _direct_line = st.builds(
     lambda ts, base, value: json.dumps({"timestamp": ts, "base": base, "value": value}),
     _day, st.sampled_from(["d_sum", "d_latest"]), _value,
 )
-_event_line = st.builds(
-    lambda ts, fields: json.dumps({"timestamp": ts, "fields": fields}),
-    _day,
-    st.dictionaries(
-        st.sampled_from(["kind", "status", "other"]), st.sampled_from(["x", "y", "ok", "no"]),
-        max_size=3,
-    ),
+_fields = st.dictionaries(
+    st.sampled_from(["kind", "status", "other"]), st.sampled_from(["x", "y", "ok", "no"]), max_size=3
 )
-_files = st.lists(st.lists(st.one_of(_direct_line, _event_line), max_size=25), min_size=1, max_size=3)
+# An `id` from a large pool makes nearly every event's field set its own.
+_unique_fields = st.tuples(_fields, st.integers(0, 10**9)).map(lambda t: {**t[0], "id": str(t[1])})
+
+
+def _event_line(fields: st.SearchStrategy[dict]) -> st.SearchStrategy[str]:
+    return st.builds(lambda ts, f: json.dumps({"timestamp": ts, "fields": f}), _day, fields)
+
+
+# Logs with few field sets, and logs where some or all events get an `id`.
+_files = st.sampled_from([_fields, _fields | _unique_fields, _unique_fields]).flatmap(
+    lambda fields: st.lists(
+        st.lists(st.one_of(_direct_line, _event_line(fields)), max_size=25), min_size=1, max_size=3
+    )
+)
 
 
 @st.composite
