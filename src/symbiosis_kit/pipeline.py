@@ -30,10 +30,14 @@ answers aggregation's two date queries itself: its `direct` indexes the
 DIRECT entries by base on first use, and its `count` tests each distinct
 field set once against a COUNT filter set and adds up the day counts of
 those that match; both indexes live as long as the log. After that a COUNT
-binding for any period or density sub-period costs two bisects, O(log n)
-in the log's distinct dates, and a DIRECT binding costs time proportional
-to the base's entries inside the period. Period bounds and density windows
-come from the periods module's per-key cache.
+binding for any period costs two bisects, O(log n) in the log's distinct
+dates, and a DIRECT binding costs time proportional to the base's entries
+inside the period. The density check reads the same indexes through
+`days`: it fetches each base's sorted dates once per result, and a
+collection window costs one bisect per base until a base has records in
+it. `evaluate_metrics` walks a metric's objective chain once per call, on
+its first key, and passes it on to the metric's later keys. Period bounds
+and density windows come from the periods module's per-key cache.
 """
 
 from __future__ import annotations
@@ -95,8 +99,9 @@ class MeasurementLog(_LogFields):
     later ingest first); the first `count` query for a filter set tests each
     field set against it once, adds up the day counts of those that match
     and keeps them as sorted dates plus prefix sums.
-    Every query is then two bisects over one index's dates. Both indexes
-    live as long as the log does.
+    Every query is then two bisects over one index's dates, and `days`
+    hands out an index's dates for the density check to bisect itself.
+    Both indexes live as long as the log does.
     """
 
     @cached_property
@@ -112,8 +117,8 @@ class MeasurementLog(_LogFields):
     def _counts(self) -> dict[FieldSet, tuple[list[dt.date], list[int]]]:
         return {}
 
-    def count(self, filters: FieldSet, first: dt.date, last: dt.date) -> int:
-        """Raw events dated first..last whose fields match every filter."""
+    def _count_index(self, filters: FieldSet) -> tuple[list[dt.date], list[int]]:
+        """The dates with a raw event matching every filter, and prefix sums of their counts."""
         index = self._counts.get(filters)
         if index is None:
             hits: dict[dt.date, int] = {}
@@ -123,13 +128,31 @@ class MeasurementLog(_LogFields):
                         hits[day] = hits.get(day, 0) + n
             dates = sorted(hits)
             index = self._counts[filters] = (dates, [0, *accumulate(hits[d] for d in dates)])
-        dates, prefix = index
+        return index
+
+    def count(self, filters: FieldSet, first: dt.date, last: dt.date) -> int:
+        """Raw events dated first..last whose fields match every filter."""
+        dates, prefix = self._count_index(filters)
         return prefix[bisect_right(dates, last)] - prefix[bisect_left(dates, first)]
 
     def direct(self, base_id: str, first: dt.date, last: dt.date) -> list[Indexed]:
         """The base's entries dated first..last, sorted."""
-        dates, entries = self._direct.get(base_id, ([], []))
+        index = self._direct.get(base_id)
+        if index is None:
+            return []
+        dates, entries = index
         return entries[bisect_left(dates, first) : bisect_right(dates, last)]
+
+    def days(self, base: BaseMeasurementDef) -> list[dt.date]:
+        """The sorted dates on which `base` has a record: a day with a raw event
+        its filters match, or a DIRECT entry (repeated once per entry that day).
+
+        The list is the index's own, shared by every caller: read it, do not change it.
+        """
+        if base.mode is SourceMode.COUNT:
+            return self._count_index(base.filters)[0]
+        index = self._direct.get(base.id)
+        return [] if index is None else index[0]
 
 
 def _bad_line(filename: str, line_no: int, message: str, code: str = "I001") -> Diagnostic:
@@ -535,6 +558,9 @@ def _density_warnings(
     collection period is its own (trivially checked) sub-period. A
     sub-period that straddles the period's edge (an ISO week across a
     month end) is checked only on its days inside the period.
+
+    Each base's dates (`MeasurementLog.days`) are fetched once per call, and
+    a window costs one bisect per base until a base has a date inside it.
     """
     schedule = metric.schedule
     if schedule is None:
@@ -545,15 +571,14 @@ def _density_warnings(
         return ()
     if len(windows) == 1:  # the period is its own collection period
         return ()
-    base_defs = [model.bases[b] for b in metric.uses if b in model.bases]
+    base_days = [log.days(model.bases[b]) for b in metric.uses if b in model.bases]
     warnings: list[str] = []
     for subkey, first, last in windows:
-        if not any(
-            log.count(base.filters, first, last)
-            if base.mode is SourceMode.COUNT
-            else log.direct(base.id, first, last)
-            for base in base_defs
-        ):
+        for days in base_days:
+            i = bisect_left(days, first)
+            if i < len(days) and days[i] <= last:
+                break
+        else:
             warnings.append(
                 f"collection period {subkey} inside {period} has no records for metric {metric.id}"
             )
@@ -566,7 +591,17 @@ def evaluate_period(
     log: MeasurementLog,
     metric_id: str,
     period: str,
+    affected: tuple[str, ...] | None = None,
 ) -> EvaluationResult:
+    """One metric over one period key: its bindings, value or failure, band,
+    affected objectives and density warnings.
+
+    Raises KeyError for an unknown metric, and PeriodError when the metric's
+    schedule does not run at the key's granularity. `affected` is the
+    metric's `objective_ancestors_ordered`, walked here when not given; it
+    belongs to the metric, not to the period, so `evaluate_metrics` passes a
+    metric's first result's on to its later keys.
+    """
     metric = model.metrics.get(metric_id)
     if metric is None:
         raise KeyError(f"unknown metric {metric_id!r}")
@@ -577,7 +612,8 @@ def evaluate_period(
             f"runs on {metric.schedule.notation()}"
         )
 
-    affected = tuple(objective_ancestors_ordered(graph, metric_id))
+    if affected is None:
+        affected = tuple(objective_ancestors_ordered(graph, metric_id))
     density = _density_warnings(metric, log, period, model)
 
     bindings: dict[str, float] = {}
@@ -610,14 +646,22 @@ def evaluate_metrics(
 ) -> tuple[list[EvaluationResult], list[tuple[str, periods.PeriodError]]]:
     """Each metric over each period key, metric by metric, both in the order given. A metric
     that `evaluate_period` refuses for any key (its schedule) gives no results, only a
-    (metric id, PeriodError) pair in the skipped list."""
+    (metric id, PeriodError) pair in the skipped list.
+
+    A metric's objective chain is walked once per call: its first key's
+    `affected_objectives` are passed on to its later keys."""
     results: list[EvaluationResult] = []
     skipped: list[tuple[str, periods.PeriodError]] = []
     for metric_id in metric_ids:
+        own: list[EvaluationResult] = []
         try:
-            results.extend([evaluate_period(model, graph, log, metric_id, key) for key in keys])
+            for key in keys:
+                affected = own[0].affected_objectives if own else None
+                own.append(evaluate_period(model, graph, log, metric_id, key, affected))
         except periods.PeriodError as exc:  # kept without the traceback, whose frames would hold this call's locals
             skipped.append((metric_id, exc.with_traceback(None)))
+        else:
+            results.extend(own)
     return results, skipped
 
 

@@ -6,8 +6,9 @@ a character-at-a-time tokenizer, a parser that reads one token per method
 call, a diff of hand-written canonical dicts, an ingest that decodes every
 log line in full, a line classifier that matches the whole line with one
 pattern, a validator that names every field by hand, a band
-partition that compares endpoints one rule at a time) so a bug in the
-package cannot hide in its own oracle.
+partition that compares endpoints one rule at a time, a string quoted by
+one translate table) so a bug in the package cannot hide in its own
+oracle.
 """
 
 from __future__ import annotations
@@ -1987,3 +1988,13 @@ def validate_as_written(model: Model) -> list[Diagnostic]:
 def payload_as_stdlib(obj) -> str:
     """The text `payload.dumps` must return: the standard library's own indented, key-sorted JSON."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# -- quoting a string by one translate table -----------------------------------------
+
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
+
+
+def quote_by_translate(text: str) -> str:
+    """The quoted form `serializer._quote` must return: every escape in one dict-table translate."""
+    return '"' + text.translate(_STRING_ESCAPES) + '"'

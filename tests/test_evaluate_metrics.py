@@ -2,7 +2,9 @@
 
 Results come metric by metric and key by key, in the order given, and a
 metric that its schedule refuses for any key gives no results and one
-skipped pair, with the error `evaluate_period` raised.
+skipped pair, with the error `evaluate_period` raised. The loop lets
+`evaluate_period` walk each key's objective chain itself, so it checks the
+chain `evaluate_metrics` walks once per metric and passes on.
 """
 
 from __future__ import annotations
@@ -11,16 +13,18 @@ import datetime as dt
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelgen import random_model
 from oracles import evaluate_by_loop
-from symbiosis_kit.graph import build_graph
+from symbiosis_kit import pipeline
+from symbiosis_kit.graph import build_graph, objective_ancestors_ordered
 from symbiosis_kit.model import Granularity, SourceMode
 from symbiosis_kit.parser import parse
 from symbiosis_kit.periods import PeriodError, period_of, period_range
-from symbiosis_kit.pipeline import evaluate_metrics, ingest_lines
+from symbiosis_kit.pipeline import evaluate_metrics, ingest_lines, ingest_many
 
 
 def _log_for(rng: random.Random, model):
@@ -113,3 +117,32 @@ def test_a_skipped_error_holds_no_frames():
     log = ingest_lines([], "log", MIXED)
     _, skipped = evaluate_metrics(MIXED, build_graph(MIXED), log, ["M"], ["2014-Q1"])
     assert [exc.__traceback__ for _, exc in skipped] == [None]
+
+
+@pytest.mark.parametrize("months", [1, 2, 12])
+def test_each_metric_walks_its_objective_chain_once(monkeypatch, jpmorgan, jpmorgan_logs, months):
+    """The chain belongs to the metric, not to the period: one walk per evaluated metric,
+    whatever the number of keys, and every key's result carries the same chain."""
+    walks = []
+
+    def counted(graph, node_id):
+        walks.append(node_id)
+        return objective_ancestors_ordered(graph, node_id)
+
+    monkeypatch.setattr(pipeline, "objective_ancestors_ordered", counted)
+    graph = build_graph(jpmorgan)
+    keys = [f"2014-{month:02}" for month in range(1, months + 1)]
+    metric_ids = sorted(jpmorgan.metrics)
+    results, skipped = evaluate_metrics(jpmorgan, graph, ingest_many(jpmorgan_logs, jpmorgan), metric_ids, keys)
+    assert not skipped and len(results) == len(metric_ids) * months
+    assert walks == metric_ids and len(walks) == 6
+    for result in results:
+        assert result.affected_objectives == tuple(objective_ancestors_ordered(graph, result.metric_id))
+
+
+def test_an_unknown_metric_gives_nothing_without_keys_and_a_key_error_with_them():
+    log = ingest_lines([], "log", MIXED)
+    graph = build_graph(MIXED)
+    assert evaluate_metrics(MIXED, graph, log, ["X"], []) == ([], [])
+    with pytest.raises(KeyError, match="unknown metric 'X'"):
+        evaluate_metrics(MIXED, graph, log, ["X"], ["2014-01"])

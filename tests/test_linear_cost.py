@@ -11,8 +11,10 @@ linear one by about two. Ratios are asserted, not counts, because the
 
 The pipeline is counted the same way on the benchmark's generated programs
 and logs (`bench/gen.py`, compiled in memory): `ingest_many` and
-`evaluate_metrics` when the log lines double, and `evaluate_metrics` and
-`generate_report` when the objectives do.
+`evaluate_metrics` when the log lines double, `evaluate_metrics` and
+`generate_report` when the objectives do, and `evaluate_metrics` and
+`generate_report` when the period keys do (the log's 12 months of 2014,
+then those and the 12 months of 2015, which the log does not reach).
 
 The profiler does not see work done inside C code (the regex engine, `str`
 methods, `sorted`), nor the steps of a loop that calls nothing per step, so
@@ -139,6 +141,8 @@ PIPELINE = {
     "evaluate_metrics by log lines": 1.3,
     "evaluate_metrics by objectives": 2.2,
     "generate_report by objectives": 2.2,
+    "evaluate_metrics by period keys": MAX_RATIO,
+    "generate_report by period keys": MAX_RATIO,
 }
 
 
@@ -160,12 +164,21 @@ def pipeline_loads(tmp_path_factory) -> dict[str, list[int]]:
         report, payload = count_calls(generate_report, results, model, "json")
         assert payload
         calls[objectives, lines] = ingest, evaluate, report
+        if (objectives, lines) == (OBJECTIVES, LOG_LINES):
+            keys = gen.MONTHS + [month.replace("2014", "2015") for month in gen.MONTHS]
+            evaluate, (results, skipped) = count_calls(evaluate_metrics, model, build_graph(model), log, metrics, keys)
+            assert len(results) == 24 * len(metrics) and not skipped
+            report, payload = count_calls(generate_report, results, model, "json")
+            assert payload
+            more_keys = evaluate, report
     n, more_lines, more_objectives = calls.values()
     return {
         "ingest_many by log lines": [n[0], more_lines[0]],
         "evaluate_metrics by log lines": [n[1], more_lines[1]],
         "evaluate_metrics by objectives": [n[1], more_objectives[1]],
         "generate_report by objectives": [n[2], more_objectives[2]],
+        "evaluate_metrics by period keys": [n[1], more_keys[0]],
+        "generate_report by period keys": [n[2], more_keys[1]],
     }
 
 

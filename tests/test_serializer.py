@@ -1,10 +1,14 @@
 """Canonical serializer: fixpoint and determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import quote_by_translate, token_list
+from symbiosis_kit.lexer import TokenKind, tokenize
 from symbiosis_kit.model import Model, Stakeholder, canonical_dump
 from symbiosis_kit.parser import parse
-from symbiosis_kit.serializer import serialize
+from symbiosis_kit.serializer import _quote, serialize
 
 
 def roundtrip(text: str) -> str:
@@ -92,6 +96,21 @@ def test_every_escape_and_other_text_is_quoted_as_written():
     reparsed, diags = parse(out)
     assert not diags
     assert reparsed.stakeholders["S"].name == text
+
+
+# Text weighted toward the five characters `_quote` escapes, runs of them
+# included, and toward the letters that follow a backslash in an escape.
+_QUOTED_TEXT = st.text(st.sampled_from(list('\\"\n\t\rntr')) | st.characters(), max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_QUOTED_TEXT)
+def test_quote_matches_the_translate_table_and_lexes_back(text):
+    quoted = _quote(text)
+    assert quoted == quote_by_translate(text)
+    tokens, diags = tokenize(quoted)
+    assert not diags
+    assert [(t.kind, t.text) for t in token_list(tokens)] == [(TokenKind.STRING, text), (TokenKind.EOF, "")]
 
 
 # Numbers that `fmt` prints with an exponent, and what it prints.

@@ -6,16 +6,20 @@ import datetime as dt
 import json
 import random
 import tempfile
+from bisect import bisect_left
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbiosis_kit.graph import build_graph
+from symbiosis_kit.graph import build_graph, objective_ancestors_ordered
 from symbiosis_kit.model import (
     Aggregation,
     BaseMeasurementDef,
+    BusinessObjective,
     Granularity,
+    MeasurementGoal,
+    MeasurementQuestion,
     MetricDef,
     Model,
     ReportingSchedule,
@@ -24,7 +28,14 @@ from symbiosis_kit.model import (
 from symbiosis_kit import periods
 from symbiosis_kit.parser import parse
 from symbiosis_kit.periods import period_of
-from symbiosis_kit.pipeline import _density_warnings, aggregate, evaluate_period, ingest_lines, ingest_many
+from symbiosis_kit.pipeline import (
+    _density_warnings,
+    aggregate,
+    evaluate_metrics,
+    evaluate_period,
+    ingest_lines,
+    ingest_many,
+)
 
 from oracles import ingest_lines_by_decoding, scan_aggregate, scan_density_warnings
 
@@ -37,6 +48,10 @@ BASES = {
     "d_sum": BaseMeasurementDef("d_sum", "d", SourceMode.DIRECT, (), Aggregation.SUM),
     "d_latest": BaseMeasurementDef("d_latest", "d", SourceMode.DIRECT, (), Aggregation.LATEST),
 }
+# A metric that answers Q1 affects BO2, which MG1 measures, and BO1, which BO2 refines.
+OBJECTIVES = {"BO1": BusinessObjective("BO1"), "BO2": BusinessObjective("BO2", refines="BO1")}
+GOALS = {"MG1": MeasurementGoal("MG1", measures=("BO2",))}
+QUESTIONS = {"Q1": MeasurementQuestion("Q1", goal="MG1")}
 GRANULARITIES = sorted(Granularity, key=lambda g: g.ordinal)
 FIRST_DAY = dt.date(2014, 8, 25)  # ISO weeks, months, quarters and a year all straddle this span
 DAYS = 140
@@ -97,28 +112,85 @@ _files = st.sampled_from([_fields, _fields | _unique_fields, _unique_fields]).fl
 
 @st.composite
 def _query(draw):
-    """A period key of any granularity, with a collection granularity at or below it."""
+    """A metric that answers Q1 or nothing, whose collection granularity is at or below its
+    reporting one, and one to four period keys at either of the two."""
     reporting = draw(st.sampled_from(GRANULARITIES))
     collection = draw(st.sampled_from(GRANULARITIES[: reporting.ordinal + 1]))
-    day = FIRST_DAY + dt.timedelta(days=draw(st.integers(-10, DAYS + 10)))
+    days = draw(st.lists(st.integers(-10, DAYS + 10), min_size=1, max_size=4))
+    keys = [
+        period_of(FIRST_DAY + dt.timedelta(days=day), draw(st.sampled_from([reporting, collection])))
+        for day in days
+    ]
     uses = tuple(draw(st.lists(st.sampled_from(sorted(BASES)), min_size=1, max_size=3, unique=True)))
-    return period_of(day, reporting), _metric(uses, collection, reporting)
+    answers = draw(st.sampled_from([(), ("Q1",)]))
+    return keys, _metric(uses, collection, reporting)._replace(answers=answers)
 
 
 @settings(max_examples=150, deadline=None)
 @given(files=_files, queries=st.lists(_query(), min_size=1, max_size=4))
 def test_store_matches_rescanning_oracle(files, queries):
+    """Each key on its own through `aggregate` and `evaluate_period`, and all of a
+    metric's keys at once through `evaluate_metrics`, which walks the metric's
+    objective chain on its first key only."""
     with tempfile.TemporaryDirectory() as directory:
         log = ingest_many(_write_logs(directory, files), Model(bases=BASES))
     assert not log.diagnostics
     records = _decoded_records(files)
-    for key, metric in queries:
-        model = Model(bases=BASES, metrics={"M": metric})
-        expected = scan_aggregate(records, metric, key, model)
-        assert aggregate(log, metric, key, model) == expected
-        result = evaluate_period(model, build_graph(model), log, "M", key)
-        assert dict(result.bindings) == expected
-        assert result.density_warnings == scan_density_warnings(records, metric, key, model)
+    for keys, metric in queries:
+        model = Model(objectives=OBJECTIVES, goals=GOALS, questions=QUESTIONS, bases=BASES, metrics={"M": metric})
+        graph = build_graph(model)
+        chain = tuple(objective_ancestors_ordered(graph, "M"))
+        assert chain == (("BO2", "BO1") if metric.answers else ())
+        results, skipped = evaluate_metrics(model, graph, log, ["M"], keys)
+        assert not skipped
+        assert [result.period for result in results] == keys
+        for key, result in zip(keys, results):
+            expected = scan_aggregate(records, metric, key, model)
+            assert aggregate(log, metric, key, model) == expected
+            assert dict(result.bindings) == expected
+            assert result.density_warnings == scan_density_warnings(records, metric, key, model)
+            assert result.affected_objectives == chain
+            assert evaluate_period(model, graph, log, "M", key) == result
+
+
+# Bases the logs above never name: filters no event matches, and a DIRECT
+# base with no entry.
+UNSEEN = {
+    "c_none": BaseMeasurementDef("c_none", "d", SourceMode.COUNT, (("kind", "none"),)),
+    "d_absent": BaseMeasurementDef("d_absent", "d", SourceMode.DIRECT, (), Aggregation.SUM),
+}
+# Windows inside the logs' days, around them and far outside them.
+_window_day = st.one_of(
+    st.integers(-30, DAYS + 30).map(lambda n: FIRST_DAY + dt.timedelta(days=n)),
+    st.sampled_from([dt.date.min, dt.date(2000, 1, 1), dt.date(2030, 1, 1), dt.date.max]),
+)
+_window = st.tuples(_window_day, _window_day).map(sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    files=_files,
+    windows=st.lists(_window, min_size=1, max_size=6),
+    days_first=st.booleans(),
+)
+def test_one_bisect_on_days_finds_what_count_and_direct_find(files, windows, days_first):
+    """A base has a record in first..last exactly when the first of its days at or
+    after `first` is at most `last`, whichever query builds the index."""
+    with tempfile.TemporaryDirectory() as directory:
+        log = ingest_many(_write_logs(directory, files), Model(bases=BASES))
+    for base in [*BASES.values(), *UNSEEN.values()]:
+        if days_first:
+            log.days(base)
+        for first, last in windows:
+            if base.mode is SourceMode.COUNT:
+                expected = log.count(base.filters, first, last) > 0
+            else:
+                expected = bool(log.direct(base.id, first, last))
+            days = log.days(base)
+            assert days == sorted(days)
+            i = bisect_left(days, first)
+            assert (i < len(days) and days[i] <= last) == expected, (base.id, first, last)
+    assert log.days(UNSEEN["c_none"]) == log.days(UNSEEN["d_absent"]) == []
 
 
 def test_sum_adds_in_ingest_order_across_files(tmp_path):
