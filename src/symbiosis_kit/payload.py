@@ -4,11 +4,24 @@
 followed by a newline: the text of every JSON payload the package prints
 (reports, `eval`, diagnostics, the graph, impact and `canonical_dump`).
 CPython's C encoder cannot indent, so `json.dumps` with `indent` runs its
-pure-Python encoder, a chain of generators over every container. Here one
-recursive function appends strings to one list, which is joined once, and
-each scalar inside a container is written in the same step as its key or
-separator. The payloads hold only `str` keys; a key of any other type raises
-`TypeError`, where `json.dumps` would convert it.
+pure-Python encoder, a chain of generators over every container. Here two
+mutually recursive functions append strings to one list, which is joined
+once, and each scalar inside a container is written in the same step as its
+key or separator; a `str` is written before any other type is looked up.
+A dict's keys are sorted, not its items, and its values read by key; a dict
+subclass is read through its `items()`, as json reads it. The payloads hold
+only `str` keys; a key of any other type raises `TypeError`, where
+`json.dumps` would convert it.
+
+Each call keeps two memos, dropped when it returns. One holds the
+`,<newline>"key": ` text of each key at each depth, so a key is encoded
+once per depth. The other holds the text of each non-empty tuple at each
+depth, keyed by the tuple's identity, so a tuple met again is one append:
+all of one metric's results share one `affected_objectives` tuple, and a
+directive's stakeholders may be a model's own tuple. Identity is a safe key
+because every tuple of the payload is alive for the whole call; a value key
+is not, as `(1,)`, `(True,)` and `(1.0,)` are equal but are written `[1]`,
+`[true]` and `[1.0]`. Lists are written afresh each time.
 """
 
 from json.encoder import encode_basestring_ascii as _string
@@ -40,43 +53,59 @@ def dumps(obj) -> str:
     subclasses of each; anything else raises `TypeError`.
     """
     chunks: list[str] = []
-    _write(obj, chunks, "\n")
+    _write(obj, chunks, "\n", {}, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write(value, chunks: list[str], newline: str) -> None:
-    """Append the JSON text of `value`; `newline` ends the line it starts on."""
+def _write(value, chunks: list[str], newline: str, labels: dict, tuples: dict) -> None:
+    """Append the JSON text of `value`; `newline` ends the line it starts on.
+
+    `labels` maps the newline of each depth to the `,<newline>"key": ` text
+    of each key met there, and `tuples` maps (identity, newline) of each
+    tuple written so far to its text.
+    """
     if isinstance(value, dict):
         if not value:
             chunks.append("{}")
             return
+        if type(value) is not dict:  # json reads a subclass through its items()
+            value = dict(value.items())
         inner = newline + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            scalar = _SCALARS.get(type(item))
-            if scalar is None:
-                chunks.append(f"{separator}{_string(key)}: ")
-                _write(item, chunks, inner)
+        here = labels.get(inner)
+        if here is None:
+            here = labels[inner] = {}
+        first = len(chunks)
+        for key in sorted(value):
+            item = value[key]
+            label = here.get(key)
+            if label is None:
+                label = here[key] = "," + inner + _string(key) + ": "
+            if type(item) is str:
+                chunks.append(label + _string(item))
             else:
-                chunks.append(f"{separator}{_string(key)}: {scalar(item)}")
-            separator = "," + inner
+                scalar = _SCALARS.get(type(item))
+                if scalar is None:
+                    chunks.append(label)
+                    _write(item, chunks, inner, labels, tuples)
+                else:
+                    chunks.append(label + scalar(item))
+        chunks[first] = "{" + chunks[first][1:]  # the first key follows the brace, not a comma
         chunks.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             chunks.append("[]")
             return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            scalar = _SCALARS.get(type(item))
-            if scalar is None:
-                chunks.append(separator)
-                _write(item, chunks, inner)
-            else:
-                chunks.append(separator + scalar(item))
-            separator = "," + inner
-        chunks.append(newline + "]")
+        if isinstance(value, tuple):
+            shared = (id(value), newline)
+            text = tuples.get(shared)
+            if text is None:
+                own: list[str] = []
+                _write_items(value, own, newline, labels, tuples)
+                text = tuples[shared] = "".join(own)
+            chunks.append(text)
+        else:
+            _write_items(value, chunks, newline, labels, tuples)
     else:
         scalar = _SCALARS.get(type(value))
         if scalar is None:  # a subclass, tested in json's order, or no JSON type
@@ -85,3 +114,21 @@ def _write(value, chunks: list[str], newline: str) -> None:
                 raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
             scalar = _SCALARS[base]
         chunks.append(scalar(value))
+
+
+def _write_items(value, chunks: list[str], newline: str, labels: dict, tuples: dict) -> None:
+    """Append the JSON text of the non-empty list or tuple `value`."""
+    inner = newline + "  "
+    separator, comma = "[" + inner, "," + inner
+    for item in value:
+        if type(item) is str:
+            chunks.append(separator + _string(item))
+        else:
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                chunks.append(separator)
+                _write(item, chunks, inner, labels, tuples)
+            else:
+                chunks.append(separator + scalar(item))
+        separator = comma
+    chunks.append(newline + "]")

@@ -534,15 +534,17 @@ class EvaluationResult(NamedTuple):
         return self.failure is None
 
     def to_json_obj(self) -> dict:
+        """The result's JSON object. Its tuples are handed over, not copied: `json.dumps`
+        writes a tuple as a list, and `payload.dumps` writes a shared one once."""
         return {
             "metric": self.metric_id,
             "period": self.period,
-            "bindings": {name: value for name, value in self.bindings},
+            "bindings": dict(self.bindings),
             "value": self.value,
             "failure": self.failure,
             "band": self.band.label if self.band else None,
-            "affected_objectives": list(self.affected_objectives),
-            "density_warnings": list(self.density_warnings),
+            "affected_objectives": self.affected_objectives,
+            "density_warnings": self.density_warnings,
         }
 
 
@@ -629,16 +631,7 @@ def evaluate_period(
         value = None
         band = None
         failure = str(exc)
-    return EvaluationResult(
-        metric_id=metric_id,
-        period=period,
-        bindings=tuple(sorted(bindings.items())),
-        value=value,
-        failure=failure,
-        band=band,
-        affected_objectives=affected,
-        density_warnings=density,
-    )
+    return EvaluationResult(metric_id, period, tuple(sorted(bindings.items())), value, failure, band, affected, density)
 
 
 def evaluate_metrics(
@@ -677,9 +670,10 @@ class ActionDirective(NamedTuple):
     message: str
 
     def to_json_obj(self) -> dict:
+        """The directive's JSON object, its stakeholders tuple handed over, not copied."""
         return {
             "action": self.kind.value,
-            "stakeholders": list(self.stakeholders),
+            "stakeholders": self.stakeholders,
             "metric": self.metric_id,
             "period": self.period,
             "band": self.band_label,
@@ -690,11 +684,13 @@ class ActionDirective(NamedTuple):
 def route_result(result: EvaluationResult, model: Model) -> list[ActionDirective]:
     """The directives one result sends, whether it classified or failed.
 
-    A classified result expands its band's actions, ordered LOG < NOTIFY <
-    ESCALATE and stable within a kind (band declaration order), each to the
-    stakeholders `Model.stakeholders_of` gives (UnresolvedTarget, with the
-    target's V002 text, on an invalid model). A failed evaluation is itself
-    a finding: it goes to the metric's own stakeholders at NOTIFY level.
+    A classified result expands its band's actions, each to the stakeholders
+    `Model.stakeholders_of` gives. Targets are resolved in band declaration
+    order, so on an invalid model the first unresolved one raises its
+    UnresolvedTarget, with the target's V002 text. The directives are then
+    ordered LOG < NOTIFY < ESCALATE, stable within a kind; a one-action band
+    needs no sort. A failed evaluation is itself a finding: it goes to the
+    metric's own stakeholders at NOTIFY level.
     """
     band = result.band
     if band is None:
@@ -715,10 +711,12 @@ def route_result(result: EvaluationResult, model: Model) -> list[ActionDirective
         f"metric {result.metric_id} period {result.period}: value {result.value} "
         f"in band '{band.label}'; affected objectives: {affected}"
     )
-    directives = (
+    directives = [
         ActionDirective(
             action.kind, model.stakeholders_of(action.target), result.metric_id, result.period, band.label, message
         )
         for action in band.actions
-    )
-    return sorted(directives, key=lambda d: d.kind.urgency)  # stable: declaration order within kind
+    ]
+    if len(directives) > 1:
+        directives.sort(key=lambda d: d.kind.urgency)  # stable: declaration order within kind
+    return directives

@@ -4,7 +4,8 @@ Results come metric by metric and key by key, in the order given, and a
 metric that its schedule refuses for any key gives no results and one
 skipped pair, with the error `evaluate_period` raised. The loop lets
 `evaluate_period` walk each key's objective chain itself, so it checks the
-chain `evaluate_metrics` walks once per metric and passes on.
+chain `evaluate_metrics` walks once per metric and passes on; every result
+of a metric holds that one chain object, which its JSON object hands over.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from symbiosis_kit.graph import build_graph, objective_ancestors_ordered
 from symbiosis_kit.model import Granularity, SourceMode
 from symbiosis_kit.parser import parse
 from symbiosis_kit.periods import PeriodError, period_of, period_range
-from symbiosis_kit.pipeline import evaluate_metrics, ingest_lines, ingest_many
+from symbiosis_kit.pipeline import evaluate_metrics, ingest_lines, ingest_many, route_result
+from symbiosis_kit.report import result_json_obj
 
 
 def _log_for(rng: random.Random, model):
@@ -146,3 +148,23 @@ def test_an_unknown_metric_gives_nothing_without_keys_and_a_key_error_with_them(
     assert evaluate_metrics(MIXED, graph, log, ["X"], []) == ([], [])
     with pytest.raises(KeyError, match="unknown metric 'X'"):
         evaluate_metrics(MIXED, graph, log, ["X"], ["2014-01"])
+
+
+def test_one_metrics_results_share_one_chain_and_their_json_hands_it_over(jpmorgan, jpmorgan_logs):
+    """`payload.dumps` writes a tuple it has met before as one append, so a report writes
+    each metric's chain once per depth only while every result of the metric holds the
+    same `affected_objectives` object and its JSON object holds that object uncopied."""
+    keys = [f"2014-{month:02}" for month in range(1, 13)]
+    log = ingest_many(jpmorgan_logs, jpmorgan)
+    results, skipped = evaluate_metrics(jpmorgan, build_graph(jpmorgan), log, sorted(jpmorgan.metrics), keys)
+    assert not skipped
+    chains: dict[str, tuple[str, ...]] = {}
+    for result in results:
+        chain = chains.setdefault(result.metric_id, result.affected_objectives)
+        assert result.affected_objectives is chain
+        obj = result_json_obj(result, jpmorgan)
+        assert obj["affected_objectives"] is chain
+        assert obj["density_warnings"] is result.density_warnings
+        for directive in route_result(result, jpmorgan):
+            assert directive.to_json_obj()["stakeholders"] is directive.stakeholders
+    assert len(chains) == 6 and all(chains.values())

@@ -18,9 +18,14 @@ then those and the 12 months of 2015, which the log does not reach).
 
 The profiler does not see work done inside C code (the regex engine, `str`
 methods, `sorted`), nor the steps of a loop that calls nothing per step, so
-a superlinear regex, string scan or bare `for` loop would pass here; a rescan
-that calls a function or resumes a generator per node does not. The line
-cursor of `lexer.Source` works inside `str.count` and `str.rfind`, so
+a superlinear regex, string scan or bare `for` loop would pass the call
+count; a rescan that calls a function or resumes a generator per node does
+not. `generate_report` is therefore counted a second time, by line events
+(`sys.settrace`, which fires once per line run and so once per step of a
+bare loop), on both its axes and with the same bounds: its JSON writer keeps
+memos that a lookup by scanning would make quadratic. Work inside C code is
+unseen by either count. The line cursor of `lexer.Source` works inside
+`str.count` and `str.rfind`, so
 `test_spans_read_each_character_a_bounded_number_of_times` counts the
 characters those read instead.
 """
@@ -62,6 +67,24 @@ def count_calls(fn, *args) -> tuple[int, object]:
     finally:
         sys.setprofile(None)
     return calls, result
+
+
+def count_lines(fn, *args) -> tuple[int, object]:
+    """The Python lines `fn(*args)` runs (`sys.settrace` `line` events), with its result."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+    return lines, result
 
 
 LOADING = ["parse_file", "validate"]
@@ -143,6 +166,8 @@ PIPELINE = {
     "generate_report by objectives": 2.2,
     "evaluate_metrics by period keys": MAX_RATIO,
     "generate_report by period keys": MAX_RATIO,
+    "generate_report lines by objectives": 2.2,
+    "generate_report lines by period keys": MAX_RATIO,
 }
 
 
@@ -162,15 +187,17 @@ def pipeline_loads(tmp_path_factory) -> dict[str, list[int]]:
         evaluate, (results, skipped) = count_calls(evaluate_metrics, model, build_graph(model), log, metrics, gen.MONTHS)
         assert len(results) == 12 * len(metrics) and not skipped
         report, payload = count_calls(generate_report, results, model, "json")
-        assert payload
-        calls[objectives, lines] = ingest, evaluate, report
+        report_lines, same = count_lines(generate_report, results, model, "json")
+        assert payload and same == payload
+        calls[objectives, lines] = ingest, evaluate, report, report_lines
         if (objectives, lines) == (OBJECTIVES, LOG_LINES):
             keys = gen.MONTHS + [month.replace("2014", "2015") for month in gen.MONTHS]
             evaluate, (results, skipped) = count_calls(evaluate_metrics, model, build_graph(model), log, metrics, keys)
             assert len(results) == 24 * len(metrics) and not skipped
             report, payload = count_calls(generate_report, results, model, "json")
-            assert payload
-            more_keys = evaluate, report
+            report_lines, same = count_lines(generate_report, results, model, "json")
+            assert payload and same == payload
+            more_keys = evaluate, report, report_lines
     n, more_lines, more_objectives = calls.values()
     return {
         "ingest_many by log lines": [n[0], more_lines[0]],
@@ -179,6 +206,8 @@ def pipeline_loads(tmp_path_factory) -> dict[str, list[int]]:
         "generate_report by objectives": [n[2], more_objectives[2]],
         "evaluate_metrics by period keys": [n[1], more_keys[0]],
         "generate_report by period keys": [n[2], more_keys[1]],
+        "generate_report lines by objectives": [n[3], more_objectives[3]],
+        "generate_report lines by period keys": [n[3], more_keys[2]],
     }
 
 

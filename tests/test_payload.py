@@ -1,8 +1,10 @@
 """`payload.dumps` writes the bytes the standard library's indented JSON
 encoder writes (`oracles.payload_as_stdlib`), for every value a payload can
-hold and for subclasses of each container and scalar type."""
+hold and for subclasses of each container and scalar type, and for payloads
+that place one tuple object at several positions and depths."""
 
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -81,3 +83,51 @@ def test_a_value_json_cannot_write_is_a_type_error(value):
 def test_a_key_that_is_not_a_string_is_a_type_error():
     with pytest.raises(TypeError):
         dumps({1: "one"})
+
+
+# -- the memo of shared tuples ----------------------------------------------------------
+
+
+class _Entry(NamedTuple):
+    name: str
+    items: list
+
+
+# Equal tuples that json writes differently, beside equal ones it writes alike.
+_LOOK_ALIKES = ((1,), (True,), (1.0,), (0.0,), (-0.0,), ("a",), (_Str("a"),))
+
+
+@st.composite
+def _sharing_payloads(draw):
+    """A payload in which each of a few tuple objects sits at several positions and depths.
+
+    The look-alikes sit side by side at one depth, and one drawn tuple at depths 1
+    and 3, so a memo keyed by value, or keyed without the depth, writes something
+    else; the rest of the payload places the shared tuples at random.
+    """
+    shared = [
+        *_LOOK_ALIKES,
+        draw(st.tuples(st.dictionaries(_strings, _values, max_size=3), st.lists(_values, max_size=3))),
+        draw(st.lists(_values, min_size=1, max_size=3).map(tuple)),
+        _Entry(draw(_strings), draw(st.lists(_values, max_size=3))),
+    ]
+    tree = draw(
+        st.recursive(
+            st.sampled_from(shared) | _scalars,
+            lambda children: (
+                st.lists(children, max_size=4)
+                | st.lists(children, max_size=4).map(tuple)
+                | st.dictionaries(_strings, children, max_size=4)
+                | st.dictionaries(_strings, children, max_size=4).map(_Dict)
+            ),
+            max_leaves=24,
+        )
+    )
+    one = draw(st.sampled_from(shared))
+    return {"look-alikes": list(draw(st.permutations(_LOOK_ALIKES))), "one": one, "deep": [[one, tree]], "tree": tree}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sharing_payloads())
+def test_a_shared_tuple_is_written_as_the_standard_library_writes_it_at_each_place(value):
+    assert dumps(value) == payload_as_stdlib(value)

@@ -501,3 +501,23 @@ def test_result_json_shape(model, graph):
     assert obj["band"] == "high"
     assert obj["bindings"] == {"ev": 1.0, "tot": 2.0}
     json.dumps(obj)  # must be serializable as-is
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [(ActionKind.LOG, ActionKind.ESCALATE), (ActionKind.ESCALATE, ActionKind.LOG)],
+    ids=["less-urgent-first", "more-urgent-first"],
+)
+def test_routing_resolves_targets_in_declaration_order(jpmorgan, kinds):
+    """Of two unresolved targets, the one declared first raises, whatever the urgencies:
+    targets are resolved before the directives are sorted."""
+    metric = jpmorgan.metrics["ME1.1.1.1.1"]
+    actions = (Action(kinds[0], ActionTarget("NOPE_FIRST")), Action(kinds[1], ActionTarget("NOPE_SECOND")))
+    band = metric.bands[0]._replace(actions=actions)
+    changed = jpmorgan._replace(metrics={**jpmorgan.metrics, metric.id: metric._replace(bands=(band, *metric.bands[1:]))})
+    v002 = [d.message for d in validate(changed) if d.code == "V002"]
+    assert v002 == ["action references undeclared id 'NOPE_FIRST'", "action references undeclared id 'NOPE_SECOND'"]
+    result = EvaluationResult(metric.id, "2014-09", (), 10.0, None, band, ())
+    with pytest.raises(UnresolvedTarget) as exc:
+        route_result(result, changed)
+    assert str(exc.value) == v002[0]
