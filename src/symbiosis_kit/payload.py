@@ -4,24 +4,17 @@
 followed by a newline: the text of every JSON payload the package prints
 (reports, `eval`, diagnostics, the graph, impact and `canonical_dump`).
 CPython's C encoder cannot indent, so `json.dumps` with `indent` runs its
-pure-Python encoder, a chain of generators over every container. Here two
-mutually recursive functions append strings to one list, which is joined
-once, and each scalar inside a container is written in the same step as its
-key or separator; a `str` is written before any other type is looked up.
-A dict's keys are sorted, not its items, and its values read by key; a dict
-subclass is read through its `items()`, as json reads it. The payloads hold
-only `str` keys; a key of any other type raises `TypeError`, where
-`json.dumps` would convert it.
+pure-Python encoder, a chain of generators over every container. Here one
+recursive function appends strings to one list, which is joined once, and
+each scalar inside a container is written in the same step as its key or
+separator; a `str` is written before any other type is looked up. A dict's
+keys are sorted, not its items, and its values read by key; a dict subclass
+is read through its `items()`, as json reads it. The payloads hold only
+`str` keys; a key of any other type raises `TypeError`, where `json.dumps`
+would convert it.
 
-Each call keeps two memos, dropped when it returns. One holds the
-`,<newline>"key": ` text of each key at each depth, so a key is encoded
-once per depth. The other holds the text of each non-empty tuple at each
-depth, keyed by the tuple's identity, so a tuple met again is one append:
-all of one metric's results share one `affected_objectives` tuple, and a
-directive's stakeholders may be a model's own tuple. Identity is a safe key
-because every tuple of the payload is alive for the whole call; a value key
-is not, as `(1,)`, `(True,)` and `(1.0,)` are equal but are written `[1]`,
-`[true]` and `[1.0]`. Lists are written afresh each time.
+Each call keeps one memo, dropped when it returns: the `,<newline>"key": `
+text of each key at each depth, so a key is encoded once per depth.
 """
 
 from json.encoder import encode_basestring_ascii as _string
@@ -53,17 +46,16 @@ def dumps(obj) -> str:
     subclasses of each; anything else raises `TypeError`.
     """
     chunks: list[str] = []
-    _write(obj, chunks, "\n", {}, {})
+    _write(obj, chunks, "\n", {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write(value, chunks: list[str], newline: str, labels: dict, tuples: dict) -> None:
+def _write(value, chunks: list[str], newline: str, labels: dict) -> None:
     """Append the JSON text of `value`; `newline` ends the line it starts on.
 
     `labels` maps the newline of each depth to the `,<newline>"key": ` text
-    of each key met there, and `tuples` maps (identity, newline) of each
-    tuple written so far to its text.
+    of each key met there.
     """
     if isinstance(value, dict):
         if not value:
@@ -87,7 +79,7 @@ def _write(value, chunks: list[str], newline: str, labels: dict, tuples: dict) -
                 scalar = _SCALARS.get(type(item))
                 if scalar is None:
                     chunks.append(label)
-                    _write(item, chunks, inner, labels, tuples)
+                    _write(item, chunks, inner, labels)
                 else:
                     chunks.append(label + scalar(item))
         chunks[first] = "{" + chunks[first][1:]  # the first key follows the brace, not a comma
@@ -96,16 +88,20 @@ def _write(value, chunks: list[str], newline: str, labels: dict, tuples: dict) -
         if not value:
             chunks.append("[]")
             return
-        if isinstance(value, tuple):
-            shared = (id(value), newline)
-            text = tuples.get(shared)
-            if text is None:
-                own: list[str] = []
-                _write_items(value, own, newline, labels, tuples)
-                text = tuples[shared] = "".join(own)
-            chunks.append(text)
-        else:
-            _write_items(value, chunks, newline, labels, tuples)
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            if type(item) is str:
+                chunks.append(separator + _string(item))
+            else:
+                scalar = _SCALARS.get(type(item))
+                if scalar is None:
+                    chunks.append(separator)
+                    _write(item, chunks, inner, labels)
+                else:
+                    chunks.append(separator + scalar(item))
+            separator = comma
+        chunks.append(newline + "]")
     else:
         scalar = _SCALARS.get(type(value))
         if scalar is None:  # a subclass, tested in json's order, or no JSON type
@@ -114,21 +110,3 @@ def _write(value, chunks: list[str], newline: str, labels: dict, tuples: dict) -
                 raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
             scalar = _SCALARS[base]
         chunks.append(scalar(value))
-
-
-def _write_items(value, chunks: list[str], newline: str, labels: dict, tuples: dict) -> None:
-    """Append the JSON text of the non-empty list or tuple `value`."""
-    inner = newline + "  "
-    separator, comma = "[" + inner, "," + inner
-    for item in value:
-        if type(item) is str:
-            chunks.append(separator + _string(item))
-        else:
-            scalar = _SCALARS.get(type(item))
-            if scalar is None:
-                chunks.append(separator)
-                _write(item, chunks, inner, labels, tuples)
-            else:
-                chunks.append(separator + scalar(item))
-        separator = comma
-    chunks.append(newline + "]")

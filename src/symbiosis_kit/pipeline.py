@@ -535,7 +535,7 @@ class EvaluationResult(NamedTuple):
 
     def to_json_obj(self) -> dict:
         """The result's JSON object. Its tuples are handed over, not copied: `json.dumps`
-        writes a tuple as a list, and `payload.dumps` writes a shared one once."""
+        writes a tuple as a list."""
         return {
             "metric": self.metric_id,
             "period": self.period,

@@ -151,9 +151,9 @@ def test_an_unknown_metric_gives_nothing_without_keys_and_a_key_error_with_them(
 
 
 def test_one_metrics_results_share_one_chain_and_their_json_hands_it_over(jpmorgan, jpmorgan_logs):
-    """`payload.dumps` writes a tuple it has met before as one append, so a report writes
-    each metric's chain once per depth only while every result of the metric holds the
-    same `affected_objectives` object and its JSON object holds that object uncopied."""
+    """Every result of a metric holds the same `affected_objectives` object, and its JSON
+    object, like a directive's stakeholders, holds its tuple uncopied, so a report copies
+    no chain before writing it."""
     keys = [f"2014-{month:02}" for month in range(1, 13)]
     log = ingest_many(jpmorgan_logs, jpmorgan)
     results, skipped = evaluate_metrics(jpmorgan, build_graph(jpmorgan), log, sorted(jpmorgan.metrics), keys)

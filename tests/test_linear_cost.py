@@ -1,33 +1,36 @@
 """Model and pipeline stages cost time linear in their input: a gate that counts, not times.
 
-The count is of Python-level calls (`sys.setprofile` `call` and `c_call`
-events) made by `parse_file`, `validate`, `build_graph`, `serialize` and
-`impact.analyze` on generated programs of N and 2N objectives. `analyze`
-is counted twice: against the program with one metric's description edited,
-and against it with one leaf objective removed. A rule that rescans the
-model for each node multiplies its calls by about four when N doubles; a
-linear one by about two. Ratios are asserted, not counts, because the
-`c_call` events of one program differ between Python versions.
+Every stage below is counted twice, in two runs, and each count's ratio is
+asserted against the same bound. The first count is of Python-level calls
+(`sys.setprofile` `call` and `c_call` events). The second is of line events
+(`sys.settrace`, which fires once per line run and so once per step of a
+bare loop); its run gets copies of the stage's model and log without what
+their cached properties keep, so it also counts building the model's
+`kinds` and the log's date indexes again.
 
-The pipeline is counted the same way on the benchmark's generated programs
-and logs (`bench/gen.py`, compiled in memory): `ingest_many` and
+The model stages are `parse_file`, `validate`, `build_graph`, `serialize`
+and `impact.analyze`, on generated programs of N and 2N objectives.
+`analyze` is counted three times: against the program with one metric's
+description edited, with one leaf objective removed, and with the last
+quarter of its objectives (all leaves) removed, so that the removals grow
+with the program. A rule that rescans the model for each node multiplies
+its counts by about four when N doubles; a linear one by about two.
+
+The pipeline stages are counted on the benchmark's generated programs and
+logs (`bench/gen.py`, compiled in memory): `ingest_many` and
 `evaluate_metrics` when the log lines double, `evaluate_metrics` and
 `generate_report` when the objectives do, and `evaluate_metrics` and
 `generate_report` when the period keys do (the log's 12 months of 2014,
 then those and the 12 months of 2015, which the log does not reach).
 
-The profiler does not see work done inside C code (the regex engine, `str`
-methods, `sorted`), nor the steps of a loop that calls nothing per step, so
-a superlinear regex, string scan or bare `for` loop would pass the call
-count; a rescan that calls a function or resumes a generator per node does
-not. `generate_report` is therefore counted a second time, by line events
-(`sys.settrace`, which fires once per line run and so once per step of a
-bare loop), on both its axes and with the same bounds: its JSON writer keeps
-memos that a lookup by scanning would make quadratic. Work inside C code is
-unseen by either count. The line cursor of `lexer.Source` works inside
-`str.count` and `str.rfind`, so
-`test_spans_read_each_character_a_bounded_number_of_times` counts the
-characters those read instead.
+Ratios are asserted, not counts, because the events of one program differ
+between Python versions. The profiler does not see the steps of a loop that
+calls nothing per step, so a rescan written as a bare `for` or a
+comprehension passes the call count and fails the line count. Work inside C
+code (the regex engine, `str` methods, `sorted`, `json`) is unseen by
+either count. The line cursor of `lexer.Source` works inside `str.count`
+and `str.rfind`, so `test_spans_read_each_character_a_bounded_number_of_times`
+counts the characters those read instead.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from corpus import CORPUS_ROOT
 from modelgen import program_model
 from symbiosis_kit.graph import build_graph
 from symbiosis_kit.impact import analyze
+from symbiosis_kit.model import Model
 from symbiosis_kit.parser import parse, parse_file
-from symbiosis_kit.pipeline import evaluate_metrics, ingest_many
+from symbiosis_kit.pipeline import MeasurementLog, evaluate_metrics, ingest_many
 from symbiosis_kit.report import generate_report
 from symbiosis_kit.serializer import serialize
 from symbiosis_kit.validator import validate
@@ -87,8 +91,23 @@ def count_lines(fn, *args) -> tuple[int, object]:
     return lines, result
 
 
+def fresh(arg):
+    """A model or log copied without what its cached properties keep (a model's `kinds`,
+    a log's date indexes), so that a run builds them again; any other `arg` itself."""
+    return arg._replace() if isinstance(arg, (Model, MeasurementLog)) else arg
+
+
+def count_both(fn, *args) -> tuple[tuple[int, int], object]:
+    """The calls of `fn(*args)` and the line events of `fn` on the `fresh` copies of
+    `args`, counted in two runs, with the result of the first."""
+    calls, result = count_calls(fn, *args)
+    lines, same = count_lines(fn, *map(fresh, args))
+    assert same == result
+    return (calls, lines), result
+
+
 LOADING = ["parse_file", "validate"]
-STAGES = ["build_graph", "serialize", "analyze_edit", "analyze_removal"]
+STAGES = ["build_graph", "serialize", "analyze_edit", "analyze_removal", "analyze_pruned"]
 
 
 def edited(model):
@@ -102,26 +121,36 @@ def removed(model, objectives: int):
     return model._replace(objectives={k: v for k, v in model.objectives.items() if k != f"BO{objectives}"})
 
 
+def pruned(model, objectives: int):
+    """`model` without its last quarter of objectives, all leaves of the refines tree, so
+    that the removals grow with the model."""
+    kept = objectives - objectives // 4
+    return model._replace(objectives={k: v for k, v in model.objectives.items() if int(k[2:]) <= kept})
+
+
 @pytest.fixture(scope="module")
 def loads(tmp_path_factory) -> dict[str, list[int]]:
-    """Calls of each stage at N and 2N objectives."""
-    counts: dict[str, list[int]] = {stage: [] for stage in LOADING + STAGES}
+    """Calls of each stage at N and 2N objectives, and under "<stage> lines" its line events."""
+    counts: dict[str, list[int]] = {key: [] for stage in LOADING + STAGES for key in (stage, f"{stage} lines")}
     for objectives in (OBJECTIVES, 2 * OBJECTIVES + 1):
         path = tmp_path_factory.mktemp("linear") / f"program{objectives}.sym"
         path.write_text(serialize(program_model(random.Random(7), objectives=objectives)), encoding="utf-8")
-        calls, (model, diags) = count_calls(parse_file, path)
+        both, (model, diags) = count_both(parse_file, path)
         assert not diags
-        counts["parse_file"].append(calls)
+        measured = {"parse_file": both}
         for stage, fn, args in (
             ("validate", validate, (model,)),
             ("build_graph", build_graph, (model,)),
             ("serialize", serialize, (model,)),
             ("analyze_edit", analyze, (model, edited(model))),
             ("analyze_removal", analyze, (model, removed(model, objectives))),
+            ("analyze_pruned", analyze, (model, pruned(model, objectives))),
         ):
-            calls, result = count_calls(fn, *args)
+            measured[stage], result = count_both(fn, *args)
             assert result
+        for stage, (calls, lines) in measured.items():
             counts[stage].append(calls)
+            counts[f"{stage} lines"].append(lines)
     return counts
 
 
@@ -136,6 +165,13 @@ def test_model_loading_calls_grow_linearly_with_the_model(loads, stage):
 def test_model_stage_calls_grow_linearly_with_the_model(loads, stage):
     small, large = loads[stage]
     assert small > 5_000  # the counter saw the stage's work
+    assert large / small <= MAX_RATIO, (stage, small, large)
+
+
+@pytest.mark.parametrize("stage", LOADING + STAGES)
+def test_model_stage_line_events_grow_linearly_with_the_model(loads, stage):
+    small, large = loads[f"{stage} lines"]
+    assert small > 10_000  # the tracer saw the stage's work
     assert large / small <= MAX_RATIO, (stage, small, large)
 
 
@@ -157,8 +193,9 @@ def _bench_gen() -> types.ModuleType:
     return module
 
 
-# Each counted stage, its input doubled, and the largest ratio allowed. Evaluation reads an
-# index of the records, so twice the log lines add little to it.
+# Each counted stage, its input doubled, and the largest ratio allowed; "<stage> lines" is
+# its line events. Evaluation reads an index of the records, so twice the log lines add
+# little to it.
 PIPELINE = {
     "ingest_many by log lines": 2.0,
     "evaluate_metrics by log lines": 1.3,
@@ -166,49 +203,54 @@ PIPELINE = {
     "generate_report by objectives": 2.2,
     "evaluate_metrics by period keys": MAX_RATIO,
     "generate_report by period keys": MAX_RATIO,
+    "ingest_many lines by log lines": 2.0,
+    "evaluate_metrics lines by log lines": 1.3,
+    "evaluate_metrics lines by objectives": 2.2,
     "generate_report lines by objectives": 2.2,
+    "evaluate_metrics lines by period keys": MAX_RATIO,
     "generate_report lines by period keys": MAX_RATIO,
 }
 
 
 @pytest.fixture(scope="module")
 def pipeline_loads(tmp_path_factory) -> dict[str, list[int]]:
-    """Calls of each pipeline stage before and after its input doubles."""
+    """Calls and line events of each pipeline stage before and after its input doubles."""
     gen = _bench_gen()
     out = str(tmp_path_factory.mktemp("pipeline"))
-    calls = {}
+    counts = {}
     for objectives, lines in ((OBJECTIVES, LOG_LINES), (OBJECTIVES, 2 * LOG_LINES), (2 * OBJECTIVES + 1, LOG_LINES)):
         program = gen.program(out, 7, objectives, name=f"program{objectives}")
         model, diags = parse_file(program.root)
         assert not diags
         logs = gen.program_logs(out, 7, lines, name=f"log{lines}")
-        ingest, log = count_calls(ingest_many, logs.files, model)
+        ingest, log = count_both(ingest_many, logs.files, model)
         metrics = sorted(model.metrics)
-        evaluate, (results, skipped) = count_calls(evaluate_metrics, model, build_graph(model), log, metrics, gen.MONTHS)
+        evaluate, (results, skipped) = count_both(evaluate_metrics, model, build_graph(model), log, metrics, gen.MONTHS)
         assert len(results) == 12 * len(metrics) and not skipped
-        report, payload = count_calls(generate_report, results, model, "json")
-        report_lines, same = count_lines(generate_report, results, model, "json")
-        assert payload and same == payload
-        calls[objectives, lines] = ingest, evaluate, report, report_lines
+        report, payload = count_both(generate_report, results, model, "json")
+        assert payload
+        counts[objectives, lines] = {"ingest_many": ingest, "evaluate_metrics": evaluate, "generate_report": report}
         if (objectives, lines) == (OBJECTIVES, LOG_LINES):
             keys = gen.MONTHS + [month.replace("2014", "2015") for month in gen.MONTHS]
-            evaluate, (results, skipped) = count_calls(evaluate_metrics, model, build_graph(model), log, metrics, keys)
+            evaluate, (results, skipped) = count_both(evaluate_metrics, model, build_graph(model), log, metrics, keys)
             assert len(results) == 24 * len(metrics) and not skipped
-            report, payload = count_calls(generate_report, results, model, "json")
-            report_lines, same = count_lines(generate_report, results, model, "json")
-            assert payload and same == payload
-            more_keys = evaluate, report, report_lines
-    n, more_lines, more_objectives = calls.values()
-    return {
-        "ingest_many by log lines": [n[0], more_lines[0]],
-        "evaluate_metrics by log lines": [n[1], more_lines[1]],
-        "evaluate_metrics by objectives": [n[1], more_objectives[1]],
-        "generate_report by objectives": [n[2], more_objectives[2]],
-        "evaluate_metrics by period keys": [n[1], more_keys[0]],
-        "generate_report by period keys": [n[2], more_keys[1]],
-        "generate_report lines by objectives": [n[3], more_objectives[3]],
-        "generate_report lines by period keys": [n[3], more_keys[2]],
-    }
+            report, payload = count_both(generate_report, results, model, "json")
+            assert payload
+            more_keys = {"evaluate_metrics": evaluate, "generate_report": report}
+    n, more_lines, more_objectives = counts.values()
+    stages = {}
+    for function, axis, doubled in (
+        ("ingest_many", "log lines", more_lines),
+        ("evaluate_metrics", "log lines", more_lines),
+        ("evaluate_metrics", "objectives", more_objectives),
+        ("generate_report", "objectives", more_objectives),
+        ("evaluate_metrics", "period keys", more_keys),
+        ("generate_report", "period keys", more_keys),
+    ):
+        small, large = n[function], doubled[function]
+        stages[f"{function} by {axis}"] = [small[0], large[0]]
+        stages[f"{function} lines by {axis}"] = [small[1], large[1]]
+    return stages
 
 
 @pytest.mark.parametrize("stage", PIPELINE)

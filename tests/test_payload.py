@@ -85,7 +85,7 @@ def test_a_key_that_is_not_a_string_is_a_type_error():
         dumps({1: "one"})
 
 
-# -- the memo of shared tuples ----------------------------------------------------------
+# -- tuples shared across positions and depths ------------------------------------------
 
 
 class _Entry(NamedTuple):
@@ -102,8 +102,8 @@ def _sharing_payloads(draw):
     """A payload in which each of a few tuple objects sits at several positions and depths.
 
     The look-alikes sit side by side at one depth, and one drawn tuple at depths 1
-    and 3, so a memo keyed by value, or keyed without the depth, writes something
-    else; the rest of the payload places the shared tuples at random.
+    and 3, so a writer that keeps what it wrote by value, or without the depth, writes
+    something else; the rest of the payload places the shared tuples at random.
     """
     shared = [
         *_LOOK_ALIKES,
