@@ -5,11 +5,16 @@ gives the EdgeKind of the edge from a node to each id the field names (a
 child objective REFINES its parent, a question ASKS its goal, a strategy is
 STRATEGY_OF its objective).
 
-build_graph expects a model that passed validation with zero errors and
-does not check it again. One pass over the edges stores sorted neighbour
-tuples: the closure edges (REFINES, MEASURES, ASKS, ANSWERS) in both
-directions, each node's DEPENDS_ON/AFFECTS neighbours either way, and the
-metrics that use each base, so impact analysis never scans the model.
+build_graph expects a model that passed validation with zero errors,
+does not check it again, and returns at once. Each table of the graph is
+built from the edge rows it needs the first time it is read, then kept on
+that graph object: the closure edges (REFINES, MEASURES, ASKS, ANSWERS) as
+sorted neighbour tuples up (`closure_up`) and down (`closure_down`), each
+node's DEPENDS_ON/AFFECTS neighbours either way (`related`), the metrics
+that use each base (`used_by`), and every edge, sorted (`edges`). `eval`
+and `report` read only `closure_up`; `impact` reads the four neighbour
+tables, so it never scans the model and never sorts the edges; `graph`
+reads `edges`.
 Every closure query (ancestors, descendants, objective_ancestors_ordered,
 and the walk inside a removed subtree that finds impact analysis's
 orphans) is one breadth-first `reach` over that adjacency, so a query costs
@@ -18,8 +23,9 @@ which are outside the closure, never cause non-termination.
 """
 
 from collections import defaultdict, deque
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 from .model import FIELDS, REFERENCED, Model
@@ -45,12 +51,16 @@ CLOSURE_KINDS = frozenset(
 _RELATED_KINDS = frozenset({EdgeKind.DEPENDS_ON, EdgeKind.AFFECTS})  # impact's `related`
 
 
-# Each node kind's edge rows of the field table: (attribute, the ids its
-# value names, the kind of edge to each of them).
+# The edge rows of the field table by edge kind: (node kind, attribute, the
+# ids its value names).
 _EDGE_ROWS = {
-    kind: rows
-    for kind, fields in FIELDS.items()
-    if (rows := tuple((f.attribute, REFERENCED[f.value_kind], EdgeKind(f.edge)) for f in fields if f.edge))
+    edge_kind: [
+        (kind, f.attribute, REFERENCED[f.value_kind])
+        for kind, fields in FIELDS.items()
+        for f in fields
+        if f.edge == edge_kind.value
+    ]
+    for edge_kind in EdgeKind
 }
 
 
@@ -66,16 +76,62 @@ class UnknownNode(LookupError):
         self.node_id = node_id
 
 
-class TraceabilityGraph(NamedTuple):
-    nodes: dict[str, str]  # id -> kind
-    edges: tuple[Edge, ...]
-    # closure edges (CLOSURE_KINDS) by node, neighbours sorted: src -> dsts and dst -> srcs
-    closure_up: dict[str, tuple[str, ...]]
-    closure_down: dict[str, tuple[str, ...]]
-    # DEPENDS_ON/AFFECTS neighbours in either direction, never the node itself
-    related: dict[str, tuple[str, ...]]
-    # base -> the metrics that use it (USES edges reversed)
-    used_by: dict[str, tuple[str, ...]]
+def _links(model: Model, kinds: Collection[EdgeKind]) -> list[tuple[str, str]]:
+    """(src, dst) of each edge of `kinds`, one per id a field names, repeats
+    kept, in the same order on every run."""
+    return [
+        (src, dst)
+        for edge_kind, rows in _EDGE_ROWS.items()
+        if edge_kind in kinds
+        for kind, attribute, named in rows
+        for src, node in model.collection(kind).items()
+        if (value := getattr(node, attribute))
+        for dst in named(value)
+    ]
+
+
+def _table(links: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """src -> its distinct dsts, sorted."""
+    table = defaultdict(set)
+    for src, dst in links:
+        table[src].add(dst)
+    return {src: tuple(sorted(dsts)) for src, dsts in table.items()}
+
+
+class TraceabilityGraph:
+    """The graph of one model: its nodes, and each table built from the
+    model's edge rows the first time it is read, then kept."""
+
+    def __init__(self, model: Model) -> None:
+        self._model = model
+        self.nodes: dict[str, str] = model.kinds  # id -> kind
+
+    @cached_property
+    def closure_up(self) -> dict[str, tuple[str, ...]]:
+        """Closure edges (CLOSURE_KINDS) by node: src -> dsts, sorted."""
+        return _table(_links(self._model, CLOSURE_KINDS))
+
+    @cached_property
+    def closure_down(self) -> dict[str, tuple[str, ...]]:
+        """Closure edges reversed: dst -> srcs, sorted."""
+        return _table((dst, src) for src, dsts in self.closure_up.items() for dst in dsts)
+
+    @cached_property
+    def related(self) -> dict[str, tuple[str, ...]]:
+        """DEPENDS_ON/AFFECTS neighbours in either direction, never the node itself."""
+        links = [link for link in _links(self._model, _RELATED_KINDS) if link[0] != link[1]]
+        return _table([*links, *((dst, src) for src, dst in links)])
+
+    @cached_property
+    def used_by(self) -> dict[str, tuple[str, ...]]:
+        """Base -> the metrics that use it (USES edges reversed)."""
+        return _table((dst, src) for src, dst in _links(self._model, (EdgeKind.USES,)))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge, one per id a field names, sorted by (kind, src, dst)."""
+        edges = (Edge(kind, src, dst) for kind in EdgeKind for src, dst in _links(self._model, (kind,)))
+        return tuple(sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)))
 
     def edges_from(self, node_id: str, kinds: frozenset[EdgeKind] | None = None) -> list[Edge]:
         return [
@@ -86,37 +142,17 @@ class TraceabilityGraph(NamedTuple):
 
 
 def build_graph(model: Model) -> TraceabilityGraph:
-    """Build the graph of a model that passed validation with zero errors.
+    """The graph of a model that passed validation with zero errors.
 
-    The validator owns every check on the model (V001 unique ids, V002
+    It returns at once: each table is built on its first read. The
+    validator owns every check on the model (V001 unique ids, V002
     resolved references, V003 acyclic refines); this function repeats none
-    of them. On an unvalidated model it still returns: a dangling reference
-    becomes an edge to an id that is not a node, an empty one (a `for` or
-    `goal` left unset) makes no edge, and a refines cycle is a cycle the
-    walk below never re-enters.
+    of them. On an unvalidated model it still returns, and so does every
+    table: a dangling reference becomes an edge to an id that is not a node,
+    an empty one (a `for` or `goal` left unset) makes no edge, and a refines
+    cycle is a cycle the walks below never re-enter.
     """
-    edges = [
-        Edge(edge_kind, src, dst)
-        for kind, rows in _EDGE_ROWS.items()
-        for src, node in model.collection(kind).items()
-        for attribute, named, edge_kind in rows
-        if (value := getattr(node, attribute))
-        for dst in named(value)
-    ]
-    up, down, related, used_by = (defaultdict(set) for _ in range(4))
-    for edge in edges:
-        src, dst = edge.src, edge.dst
-        if edge.kind in CLOSURE_KINDS:
-            up[src].add(dst)
-            down[dst].add(src)
-        elif edge.kind is EdgeKind.USES:
-            used_by[dst].add(src)
-        elif edge.kind in _RELATED_KINDS and src != dst:
-            related[src].add(dst)
-            related[dst].add(src)
-    ordered = tuple(sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)))
-    adjacency = ({n: tuple(sorted(ns)) for n, ns in table.items()} for table in (up, down, related, used_by))
-    return TraceabilityGraph(model.kinds, ordered, *adjacency)
+    return TraceabilityGraph(model)
 
 
 def reach(adjacency: dict[str, tuple[str, ...]], starts: Iterable[str]) -> list[str]:

@@ -377,8 +377,8 @@ def _row(
 # identifier or list cannot. The validator reports a required field left
 # empty (V010) and an id named by a field with a target that is not a node of
 # that kind (V002): a scope names a universe, and a step the objectives it
-# spawns. `build_graph` makes an edge of the row's `edge` kind from the node
-# to each id a row with an edge names.
+# spawns. The traceability graph makes an edge of the row's `edge` kind from
+# the node to each id a row with an edge names.
 FIELDS: dict[str, tuple[Field, ...]] = {
     KIND_UNIVERSE: (_row("facets", "ident_list", required=True),),
     KIND_STAKEHOLDER: (_row("name", "str", always=True, required=True), _row("role", "str")),

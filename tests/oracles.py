@@ -7,7 +7,8 @@ call, a diff of hand-written canonical dicts, an ingest that decodes every
 log line in full, a line classifier that matches the whole line with one
 pattern, a validator that names every field by hand, a band
 partition that compares endpoints one rule at a time, a string quoted by
-one translate table) so a bug in the package cannot hide in its own
+one translate table, a traceability graph whose tables are all built in one
+call) so a bug in the package cannot hide in its own
 oracle.
 """
 
@@ -28,6 +29,7 @@ from symbiosis_kit.diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from symbiosis_kit import expr as _expr
 from symbiosis_kit.lexer import Source, Token, TokenKind, Tokens, parse_number, tokenize
 from symbiosis_kit.model import (
+    FIELDS,
     KIND_BASE,
     KIND_GOAL,
     KIND_METRIC,
@@ -52,6 +54,7 @@ from symbiosis_kit.model import (
     MetricDef,
     Model,
     QuestionStatus,
+    REFERENCED,
     ReportingSchedule,
     ScopeRef,
     ScopeUniverse,
@@ -60,6 +63,7 @@ from symbiosis_kit.model import (
     Strategy,
     StrategyStep,
 )
+from symbiosis_kit.graph import CLOSURE_KINDS, Edge, EdgeKind
 from symbiosis_kit.impact import Change, ChangeKind, FieldChange
 from symbiosis_kit.parser import _Builder
 from symbiosis_kit.periods import PeriodError
@@ -496,6 +500,51 @@ def related_by_scan(model: Model, node_id: str) -> set[str]:
 def users_by_scan(model: Model, base_id: str) -> set[str]:
     """The metrics whose `uses` names the base."""
     return {metric_id for metric_id, metric in model.metrics.items() if base_id in metric.uses}
+
+
+# -- the traceability graph, built at once --------------------------------------
+# How `build_graph` built every table before it built each on first read: one
+# pass over the model's edge rows makes every edge, and one pass over the
+# edges fills all four neighbour tables.
+
+
+class EagerGraph(NamedTuple):
+    nodes: dict[str, str]
+    edges: tuple[Edge, ...]
+    closure_up: dict[str, tuple[str, ...]]
+    closure_down: dict[str, tuple[str, ...]]
+    related: dict[str, tuple[str, ...]]
+    used_by: dict[str, tuple[str, ...]]
+
+
+def graph_built_at_once(model: Model) -> EagerGraph:
+    """Every table of the traceability graph of `model`, built in one call."""
+    edge_rows = {
+        kind: [(f.attribute, REFERENCED[f.value_kind], EdgeKind(f.edge)) for f in fields if f.edge]
+        for kind, fields in FIELDS.items()
+    }
+    edges = [
+        Edge(edge_kind, src, dst)
+        for kind, rows in edge_rows.items()
+        for src, node in model.collection(kind).items()
+        for attribute, named, edge_kind in rows
+        if (value := getattr(node, attribute))
+        for dst in named(value)
+    ]
+    up, down, related, used_by = (defaultdict(set) for _ in range(4))
+    for edge in edges:
+        src, dst = edge.src, edge.dst
+        if edge.kind in CLOSURE_KINDS:
+            up[src].add(dst)
+            down[dst].add(src)
+        elif edge.kind is EdgeKind.USES:
+            used_by[dst].add(src)
+        elif edge.kind in (EdgeKind.DEPENDS_ON, EdgeKind.AFFECTS) and src != dst:
+            related[src].add(dst)
+            related[dst].add(src)
+    ordered = tuple(sorted(edges, key=lambda e: (e.kind.value, e.src, e.dst)))
+    adjacency = ({n: tuple(sorted(ns)) for n, ns in table.items()} for table in (up, down, related, used_by))
+    return EagerGraph(model.kinds, ordered, *adjacency)
 
 
 # -- diffs on canonical dicts -----------------------------------------------------

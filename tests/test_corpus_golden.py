@@ -7,16 +7,19 @@ the file columns inside diagnostics match what the goldens were frozen with.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from corpus import CORPUS_ROOT, corpus_manifest
 from symbiosis_kit import cli
+from symbiosis_kit.graph import TraceabilityGraph
 
 JPMORGAN_Q_LOGS = [f"corpus/logs/jpmorgan_2014-{m:02d}.jsonl" for m in range(1, 10)]
 # Every jpmorgan log: 2014-Q4 has one for November only.
@@ -137,14 +140,79 @@ def test_payloads_reach_a_stdout_without_a_byte_buffer(monkeypatch, argv, golden
     assert out.getvalue().encode("utf-8") == _golden(golden)
 
 
-@pytest.mark.parametrize("flags,ext", [([], "txt"), (["--json"], "json")])
-def test_jpmorgan_base_edit_impact_goldens(monkeypatch, tmp_path, flags, ext):
+def _jpmorgan_base_edit(tmp_path: Path) -> Path:
+    """jpmorgan with the base edit, written under `tmp_path`."""
     text = (CORPUS_ROOT / "jpmorgan.sym").read_text(encoding="utf-8")
     assert text.count(ATTENDED) == 1
     edited = tmp_path / "jpmorgan_base_edit.sym"
     edited.write_text(text.replace(ATTENDED, ABSENT), encoding="utf-8")
-    argv = ["impact", "corpus/jpmorgan.sym", str(edited), *flags]
+    return edited
+
+
+@pytest.mark.parametrize("flags,ext", [([], "txt"), (["--json"], "json")])
+def test_jpmorgan_base_edit_impact_goldens(monkeypatch, tmp_path, flags, ext):
+    argv = ["impact", "corpus/jpmorgan.sym", str(_jpmorgan_base_edit(tmp_path)), *flags]
     assert _regen(monkeypatch, tmp_path, argv) == _golden(f"jpmorgan_base_edit_impact.{ext}")
+
+
+# -- the graph tables each command builds --------------------------------------
+# A graph builds each table on its first read: `eval` and `report` read only
+# the upward closure, `impact` the neighbour tables and never the sorted
+# edges, and `graph` the sorted edges.
+
+TABLES = {name for name, value in vars(TraceabilityGraph).items() if isinstance(value, cached_property)}
+
+
+def _spied_graphs(monkeypatch) -> list[TraceabilityGraph]:
+    """The graphs `cli.build_graph` and `impact.build_graph` return from now on, in order."""
+    graphs = []
+    for module in (cli, importlib.import_module("symbiosis_kit.impact")):
+
+        def spy(model, build=module.build_graph):
+            graphs.append(build(model))
+            return graphs[-1]
+
+        monkeypatch.setattr(module, "build_graph", spy)
+    return graphs
+
+
+def _built(graph: TraceabilityGraph) -> set[str]:
+    return TABLES & set(vars(graph))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        JPMORGAN_Q4_EVAL,
+        ["report", "corpus/jpmorgan.sym", "--measurements", *JPMORGAN_Q_LOGS, "--from", "2014-Q1", "--to", "2014-Q3"],
+    ],
+    ids=["eval", "report"],
+)
+def test_eval_and_report_build_only_the_upward_closure(monkeypatch, tmp_path, argv):
+    graphs = _spied_graphs(monkeypatch)
+    assert _regen(monkeypatch, tmp_path, argv)
+    assert [_built(graph) for graph in graphs] == [{"closure_up"}]
+
+
+NEIGHBOURS = TABLES - {"edges"}
+
+
+# jpmorgan against anthem removes every old node and adds every new one; the
+# base edit changes one node of the old model and adds none.
+@pytest.mark.parametrize("new,built", [("corpus/anthem.sym", [NEIGHBOURS, NEIGHBOURS]), ("edited", [NEIGHBOURS, set()])])
+def test_impact_builds_the_neighbour_tables_and_never_the_sorted_edges(monkeypatch, tmp_path, new, built):
+    if new == "edited":
+        new = _jpmorgan_base_edit(tmp_path)
+    graphs = _spied_graphs(monkeypatch)
+    assert _regen(monkeypatch, tmp_path, ["impact", "corpus/jpmorgan.sym", str(new)])
+    assert [_built(graph) for graph in graphs] == built
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_builds_only_the_sorted_edges(monkeypatch, tmp_path, fmt):
+    graphs = _spied_graphs(monkeypatch)
+    assert _regen(monkeypatch, tmp_path, ["graph", "corpus/jpmorgan.sym", "--format", fmt]) == _golden(f"jpmorgan_graph.{fmt}")
+    assert [_built(graph) for graph in graphs] == [{"edges"}]
 
 
 def _run_under_hash_seed(seed: str, argv: list[str]) -> tuple[int, bytes]:

@@ -2,16 +2,18 @@
 
 import json
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import CORPUS_ROOT
-from modelgen import random_dag_model, random_model
-from oracles import related_by_scan, root_objectives_by_scan, users_by_scan
+from modelgen import program_model, random_dag_model, random_model
+from oracles import graph_built_at_once, related_by_scan, root_objectives_by_scan, users_by_scan
 from symbiosis_kit.graph import (
     EdgeKind,
+    TraceabilityGraph,
     UnknownNode,
     ancestors,
     build_graph,
@@ -198,3 +200,73 @@ def test_jpmorgan_base_users_are_kept_outside_the_closure(jpmorgan):
     assert graph.used_by["bm_took"] == ("ME1.1.1.1.1",)
     assert graph.used_by["bm_completed"] == ("ME1.1.1.1.1",)
     assert "bm_took" not in graph.closure_up and "bm_took" not in graph.closure_down
+
+
+# -- tables built on first read, against the graph built at once --------------------
+# `build_graph` returns at once and builds each table the first time it is
+# read; `oracles.graph_built_at_once` builds all of them in one call, as
+# `build_graph` did before. Whatever order the tables are read in, each must
+# equal the one built at once, and no table may be built before it, or another
+# that reads it, is read.
+
+TABLES = ("closure_up", "closure_down", "related", "used_by", "edges")
+READS = {"closure_down": {"closure_up"}}  # the tables each table reads to build itself
+
+
+def test_the_tables_are_the_cached_properties_of_the_graph():
+    cached = {name for name, value in vars(TraceabilityGraph).items() if isinstance(value, cached_property)}
+    assert cached == set(TABLES)
+
+
+def _assert_tables_match_the_graph_built_at_once(model, order):
+    graph = build_graph(model)
+    at_once = graph_built_at_once(model)
+    assert graph.nodes == at_once.nodes
+    assert not set(vars(graph)) & set(TABLES)
+    built: set[str] = set()
+    for table in order:
+        assert getattr(graph, table) == getattr(at_once, table), table
+        built |= {table, *READS.get(table, ())}
+        assert set(vars(graph)) & set(TABLES) == built
+    for table in TABLES:  # a kept table is the same object on each read
+        assert getattr(graph, table) is getattr(graph, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "dag", "program"]), st.permutations(TABLES))
+def test_generated_tables_match_the_graph_built_at_once(seed, shape, order):
+    rng = random.Random(seed)
+    if shape == "random":
+        model = random_model(rng, max_nodes=30)
+    elif shape == "dag":
+        model = random_dag_model(rng, max_nodes=20)
+    else:
+        model = program_model(rng, objectives=rng.randint(1, 40))
+    _assert_tables_match_the_graph_built_at_once(model, order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(TABLES))
+@pytest.mark.parametrize("name", ["jpmorgan", "anthem", "heartland_broken", "heartland_fixed"])
+def test_corpus_tables_match_the_graph_built_at_once(name, order):
+    model, diags = parse_file(CORPUS_ROOT / f"{name}.sym")
+    assert not diags
+    _assert_tables_match_the_graph_built_at_once(model, order)
+
+
+# Models the validator rejects; `build_graph` and every table still return on them.
+INVALID = {
+    "dangling refines": "objective A { refines: GHOST }\ngoal G { measures: A }\nquestion Q { goal: G }",
+    "self refines": "objective A { refines: A }\ngoal G { measures: A }",
+    "refines cycle": "objective A { refines: B }\nobjective B { refines: C }\nobjective C { refines: A }",
+    "depends_on itself": "objective A { depends_on: A affects: A }\nobjective B { depends_on: A, B, B affects: A }",
+    "empty for": "objective A { }\nstrategy S { }\nquestion Q { }\nmetric M { answers: Q uses: ghost }",
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(TABLES))
+@pytest.mark.parametrize("name", INVALID)
+def test_invalid_model_tables_match_the_graph_built_at_once(name, order):
+    model, _ = parse(INVALID[name])
+    _assert_tables_match_the_graph_built_at_once(model, order)

@@ -255,7 +255,7 @@ def test_a_quarter_removal_costs_lookups_linear_in_nodes_plus_output(objectives)
     new = _without(old, _subtree(old, "BO4"))
     calls = [0]
     graph = build_graph(old)
-    graph = graph._replace(closure_up=_Counted(graph.closure_up, calls), closure_down=_Counted(graph.closure_down, calls))
+    graph.closure_up, graph.closure_down = _Counted(graph.closure_up, calls), _Counted(graph.closure_down, calls)
     removed = [c for c in diff(old, new) if c.kind is ChangeKind.REMOVED]
     assert len(removed) > objectives // 4
     entries = 0
