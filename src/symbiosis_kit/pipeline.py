@@ -11,13 +11,14 @@ COUNT bases. Bad lines become I-diagnostics; good lines still flow.
 whose schedule refuses a key; `route_result` routes each result's actions.
 
 Cost model: each log is read once at ingest. Identical lines are tallied
-first, and each distinct line text is classified once. A line in one of the
-two shapes exactly as json.dumps writes them is checked by slicing: its
-`{"timestamp": "` prefix and the `", ` after its 10-character date are
-compared, the date is parsed once per distinct date string, and the text
-after that separator is matched and decoded once per distinct text, so a
-line that repeats another's text after a new date costs two slices and two
-cache lookups. Every other line is decoded in full. A DIRECT line's base is
+first, and each distinct line text is classified once, inside the loop that
+tallies it. A text in one of the two shapes exactly as json.dumps writes
+them is checked as read, by slicing: its `{"timestamp": "` prefix and the
+`", ` after its 10-character date are compared, the date is parsed once per
+distinct date string, and the text after that separator is matched and
+decoded once per distinct text, so a line that repeats another's text after
+a new date costs two slices and two cache lookups. Every other text is
+stripped and, unless blank, decoded in full. A DIRECT line's base is
 checked (I002) once per distinct line text, after every I001 and I003
 check. Those date and remainder caches, and the raw-event tally, belong to
 one ingest_many call and serve all of its files, so a date or remainder
@@ -228,15 +229,16 @@ def _decode(line: str) -> object:
         raise ValueError("JSON nested too deeply") from None
 
 
-# What one line text is, as `_classify_line` tags it: a raw event (date,
-# fields), a DIRECT value (date, base, value) or a rejected line (message,
-# I-code).
+# What one line text is: its date (None when rejected) and what it says
+# after the date, as `_remainder` and `_decode_line` tag it: a raw event
+# (_EVENT, fields), a DIRECT value (_DIRECT, base, value) or a rejected line
+# (_REJECTED, message, I-code).
 _EVENT, _DIRECT, _REJECTED = "event", "direct", "rejected"
-Classified = tuple[str, tuple]
+Classified = tuple[dt.date | None, tuple]
 
 
 def _rejected(message: str, code: str = "I001") -> Classified:
-    return _REJECTED, (message, code)
+    return None, (_REJECTED, message, code)
 
 
 def _decode_line(line: str) -> Classified:
@@ -261,7 +263,7 @@ def _decode_line(line: str) -> Classified:
         fields = _field_set(obj["fields"])
         if fields is None:
             return _rejected("malformed log line: 'fields' must map strings to strings")
-        return _EVENT, (timestamp, fields)
+        return timestamp, (_EVENT, fields)
 
     base_id = obj["base"]
     if not isinstance(base_id, str):
@@ -269,7 +271,7 @@ def _decode_line(line: str) -> Classified:
     number = _finite_number(obj.get("value"))
     if number is None:
         return _rejected("malformed log line: 'value' must be a finite number")
-    return _DIRECT, (timestamp, base_id, number)
+    return timestamp, (_DIRECT, base_id, number)
 
 
 # The two record shapes exactly as json.dumps writes them are `_PREFIX`, a
@@ -329,34 +331,6 @@ def _remainder(text: str) -> tuple | None:
     return None if value is None else (_DIRECT, base_id, value)
 
 
-def _classify_line(
-    text: str,
-    dates: Callable[[str], dt.date | None],
-    remainders: Callable[[str], tuple | None],
-) -> Classified | None:
-    """One log line text classified; None when it is blank.
-
-    A line in one of the two shapes json.dumps writes takes the fast path:
-    its prefix and separator compared by slicing, its date from `dates` and
-    the text after the separator from `remainders`. Every other line, and a
-    fast-path line that fails a check, is decoded in full by `_decode_line`.
-    """
-    stripped = text.strip()
-    if not stripped:
-        return None
-    # _PREFIX is 15 characters, the date 10 and _SEPARATOR 3
-    if (
-        stripped[:15] == _PREFIX
-        and stripped[25:28] == _SEPARATOR
-        and (timestamp := dates(stripped[15:25])) is not None
-        and (rest := remainders(stripped[28:])) is not None
-    ):
-        if rest[0] is _EVENT:
-            return _EVENT, (timestamp, rest[1])
-        return _DIRECT, (timestamp, rest[1], rest[2])
-    return _decode_line(stripped)
-
-
 class _IngestState(NamedTuple):
     """What the files of one ingest share: a cache of dates, one of the texts
     after a line's date, and one tally."""
@@ -376,12 +350,14 @@ def ingest_lines(
     """The raw-event tally, DIRECT entries and I-diagnostics of one log's lines.
 
     Identical lines are tallied first and each distinct text is classified
-    once, with dates parsed once per distinct date string and the text after
-    the date matched and decoded once per distinct text, so events share
-    date and field set objects. A raw event only adds its lines' count to
-    its field set's count for its date. One pass over the lines then gives
-    each DIRECT entry its line number and each rejected line its own
-    diagnostic.
+    once. A text in one of the two shapes json.dumps writes is tested as
+    read: its prefix and separator compared by slicing, its date from the
+    `dates` cache and the text after the separator from `remainders`, so
+    events share date and field set objects. Any other text is stripped,
+    skipped if blank and otherwise decoded in full by `_decode_line`. A raw
+    event from either only adds its lines' count to its field set's count
+    for its date. One pass over the lines then gives each DIRECT entry its
+    line number and each rejected line its own diagnostic.
 
     Without a `state` the caches and the tally are this call's own. With
     one (as `ingest_many` passes for every file), dates and remainders
@@ -393,35 +369,43 @@ def ingest_lines(
     dates, remainders, events = _new_state() if state is None else state
     numbered: dict[str, Classified] = {}  # DIRECT and rejected line texts
     for text, count in Counter(lines).items():
-        classified = _classify_line(text, dates, remainders)
-        if classified is None:
-            continue
-        kind, item = classified
+        # _PREFIX is 15 characters, the date 10 and _SEPARATOR 3
+        if (
+            text[:15] != _PREFIX
+            or text[25:28] != _SEPARATOR
+            or (day := dates(text[15:25])) is None
+            or (rest := remainders(text[28:])) is None
+        ):
+            stripped = text.strip()
+            if not stripped:
+                continue
+            day, rest = _decode_line(stripped)
+        kind = rest[0]
         if kind is _EVENT:
-            day, fields = item
+            fields = rest[1]
             days = events.get(fields)
             if days is None:
                 events[fields] = {day: count}
             else:
                 days[day] = days.get(day, 0) + count
             continue
-        if kind is _DIRECT and (base := model.bases.get(item[1])) is None:
-            classified = _rejected(f"unknown base measurement {item[1]!r}", "I002")
+        if kind is _DIRECT and (base := model.bases.get(rest[1])) is None:
+            day, rest = _rejected(f"unknown base measurement {rest[1]!r}", "I002")
         elif kind is _DIRECT and base.mode is not SourceMode.DIRECT:
-            message = f"base measurement {item[1]!r} is not DIRECT mode and cannot take reported values"
-            classified = _rejected(message, "I002")
-        numbered[text] = classified
+            message = f"base measurement {rest[1]!r} is not DIRECT mode and cannot take reported values"
+            day, rest = _rejected(message, "I002")
+        numbered[text] = day, rest
     records: list[DirectEntry] = []
     diags: list[Diagnostic] = []
     for line_no, text in enumerate(lines, start=1):
         classified = numbered.get(text)
         if classified is None:
             continue
-        kind, item = classified
-        if kind is _DIRECT:
-            records.append(DirectEntry(*item, line_no))
+        day, rest = classified
+        if rest[0] is _DIRECT:
+            records.append(DirectEntry(day, rest[1], rest[2], line_no))
         else:
-            diags.append(_bad_line(filename, line_no, *item))
+            diags.append(_bad_line(filename, line_no, *rest[1:]))
     return MeasurementLog(tuple(records), events, tuple(sorted(diags, key=sort_key)))
 
 

@@ -21,6 +21,7 @@ import math
 import os
 import re
 from collections import Counter, defaultdict
+from functools import cache
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -67,7 +68,16 @@ from symbiosis_kit.graph import CLOSURE_KINDS, Edge, EdgeKind
 from symbiosis_kit.impact import Change, ChangeKind, FieldChange
 from symbiosis_kit.parser import _Builder
 from symbiosis_kit.periods import PeriodError
-from symbiosis_kit.pipeline import _DIRECT, _EVENT, DirectEntry, _decode_line, _json_number, evaluate_period
+from symbiosis_kit.pipeline import (
+    _DIRECT,
+    _EVENT,
+    DirectEntry,
+    _date_or_none,
+    _decode_line,
+    _decoded_field_set,
+    _json_number,
+    evaluate_period,
+)
 
 # -- band coverage sweep --------------------------------------------------------
 # Works in integer micro-units (1 unit == 1e-6 of the metric's value scale) so
@@ -997,11 +1007,13 @@ def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> D
 
 
 # -- line classification by one pattern ------------------------------------------
-# `_SHAPES` and `_classify_line` as the package had them before it compared a
-# line's prefix and separator by slicing and matched the text after the date
-# once per distinct text: one pattern matches the whole stripped line, and
+# The line classifier as the package had it before it compared a line's
+# prefix and separator by slicing and matched the text after the date once
+# per distinct text: one pattern matches the whole stripped line, and
 # `field_sets` decodes a `fields` object. The slow path (`_decode_line`) and
-# the number reader (`_json_number`) are the package's own.
+# the number reader (`_json_number`) are the package's own, and a line is
+# classified in their shape: its date and what it says after the date.
+# `ingest_lines_by_one_pattern` classifies each line with it, one by one.
 
 # The two record shapes exactly as json.dumps writes them, with a base name
 # free of escapes and control characters. Groups: date, base, number, the
@@ -1018,7 +1030,7 @@ def classify_line_by_one_pattern(
     text: str,
     dates: Callable[[str], dt.date | None],
     field_sets: Callable[[str], tuple[tuple[str, str], ...] | None],
-) -> tuple[str, tuple] | None:
+) -> tuple[dt.date | None, tuple] | None:
     """One log line text classified; None when it is blank.
 
     A line in one of the two shapes json.dumps writes takes the fast path:
@@ -1035,10 +1047,43 @@ def classify_line_by_one_pattern(
         if fields_text is not None:
             fields = field_sets(fields_text)
             if fields is not None:
-                return _EVENT, (timestamp, fields)
+                return timestamp, (_EVENT, fields)
         elif (value := _json_number(number, fraction)) is not None:
-            return _DIRECT, (timestamp, base_id, value)
+            return timestamp, (_DIRECT, base_id, value)
     return _decode_line(stripped)
+
+
+def ingest_lines_by_one_pattern(
+    lines: list[str], filename: str, model: Model
+) -> tuple[list[DirectEntry], dict[tuple, dict[dt.date, int]], tuple[Diagnostic, ...]]:
+    """The DIRECT entries, raw-event tally and diagnostics of one log's lines.
+
+    Each line is classified on its own by `classify_line_by_one_pattern`,
+    with one fresh set of caches per call, and a DIRECT line's base is then
+    checked against the model (I002).
+    """
+    dates, field_sets = cache(_date_or_none), cache(_decoded_field_set)
+    records: list[DirectEntry] = []
+    events: dict[tuple, dict[dt.date, int]] = {}
+    diags: list[Diagnostic] = []
+    for line_no, line in enumerate(lines, start=1):
+        classified = classify_line_by_one_pattern(line, dates, field_sets)
+        if classified is None:
+            continue
+        day, (kind, *item) = classified
+        if kind == _EVENT:
+            days = events.setdefault(item[0], {})
+            days[day] = days.get(day, 0) + 1
+        elif kind != _DIRECT:
+            diags.append(_bad_line(filename, line_no, *item))
+        elif (base := model.bases.get(item[0])) is None:
+            diags.append(_bad_line(filename, line_no, f"unknown base measurement {item[0]!r}", "I002"))
+        elif base.mode is not SourceMode.DIRECT:
+            message = f"base measurement {item[0]!r} is not DIRECT mode and cannot take reported values"
+            diags.append(_bad_line(filename, line_no, message, "I002"))
+        else:
+            records.append(DirectEntry(day, item[0], item[1], line_no))
+    return records, events, tuple(sorted(diags, key=sort_key))
 
 
 # -- parsing one token per method call ----------------------------------------------

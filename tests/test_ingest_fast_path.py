@@ -3,23 +3,24 @@
 Lines in the two shapes json.dumps writes, and near-misses of them, must give
 the same DIRECT entries (values compared by repr, so the sign of zero
 counts), the same raw-event tally and the same diagnostics as
-`oracles.ingest_lines_by_decoding`. Each line must also be classified as
-`oracles.classify_line_by_one_pattern`, the whole-line pattern that the
-sliced fast path replaced, classifies it.
+`oracles.ingest_lines_by_decoding`. Each list of lines must also ingest as
+`oracles.ingest_lines_by_one_pattern` ingests it, line by line with the
+whole-line pattern that the sliced fast path replaced, and a line padded
+with blanks must ingest as the bare line does.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-from functools import cache
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import _SHAPES, classify_line_by_one_pattern, direct_entries, event_tally, ingest_lines_by_decoding
+from oracles import _SHAPES, direct_entries, event_tally, ingest_lines_by_decoding, ingest_lines_by_one_pattern
 from symbiosis_kit import pipeline
+from symbiosis_kit.model import Aggregation, BaseMeasurementDef, Model
 from symbiosis_kit.parser import parse
 from symbiosis_kit.pipeline import DirectEntry, ingest_lines
 
@@ -212,14 +213,20 @@ _identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*", full
     st.dictionaries(st.text(max_size=5), st.text(max_size=5), max_size=3),
 )
 def test_json_dumps_writes_the_fast_shapes(day, base, value, fields):
-    state = pipeline._new_state()
-    for obj in ({"timestamp": day, "base": base, "value": value}, {"timestamp": day, "fields": fields}):
-        line = json.dumps(obj)
+    lines = [
+        json.dumps({"timestamp": day, "base": base, "value": value}),
+        json.dumps({"timestamp": day, "fields": fields}),
+    ]
+    for line in lines:
         assert _SHAPES.fullmatch(line) is not None
-        # and the package takes its fast path: it never decodes such a line in full
-        with mock.patch.object(pipeline, "_decode_line", side_effect=AssertionError("decoded in full")):
-            kind, _ = pipeline._classify_line(line, state.dates, state.remainders)
-        assert kind == ("direct" if "base" in obj else "event")
+    # and the package takes its fast path: it never decodes such a line in full
+    model = Model(bases={base: BaseMeasurementDef(base, aggregation=Aggregation.SUM)})
+    with mock.patch.object(pipeline, "_decode_line", side_effect=AssertionError("decoded in full")):
+        log = ingest_lines(lines, "log", model)
+    date = dt.date.fromisoformat(day)
+    assert [_entry_key(entry) for entry in log.records] == [(date, base, repr(float(value)), 1)]
+    assert log.events == {tuple(sorted(fields.items())): {date: 1}}
+    assert not log.diagnostics
 
 
 def test_events_and_entries_share_dates_and_field_sets():
@@ -239,11 +246,11 @@ def test_events_and_entries_share_dates_and_field_sets():
 
 
 # -- the sliced fast path against the one-pattern copy --------------------------
-# `_classify_line` compares a line's prefix and separator by slicing and
+# `ingest_lines` compares a line's prefix and separator by slicing and
 # classifies the text after its date through a cache;
-# `oracles.classify_line_by_one_pattern` is the whole-line pattern it
-# replaced. Each list of lines shares one set of fresh caches on each side,
-# so later lines hit what earlier ones put there.
+# `oracles.ingest_lines_by_one_pattern` classifies each line with the
+# whole-line pattern the slices replaced. Each list of lines shares one set of
+# fresh caches on each side, so later lines hit what earlier ones put there.
 
 _record_dates = (
     st.dates().map(str)
@@ -277,12 +284,12 @@ _pieces = st.sampled_from(
 _joined = st.lists(_pieces | _record_dates, max_size=12).map("".join)
 
 
-def _classified_by_both(lines: list[str]) -> tuple[str, str]:
-    state = pipeline._new_state()
-    dates, field_sets = cache(pipeline._date_or_none), cache(pipeline._decoded_field_set)
-    fast = [pipeline._classify_line(line, state.dates, state.remainders) for line in lines]
-    slow = [classify_line_by_one_pattern(line, dates, field_sets) for line in lines]
-    return repr(fast), repr(slow)  # repr tells 0.0 from -0.0
+def _ingested_by_both(lines: list[str]) -> tuple[str, str]:
+    fast = ingest_lines(lines, "log", MODEL)
+    records, events, diagnostics = ingest_lines_by_one_pattern(lines, "log", MODEL)
+    # repr tells 0.0 from -0.0; the tallies are compared as dicts, without their order
+    assert fast.events == events
+    return repr((fast.records, fast.diagnostics)), repr((tuple(records), diagnostics))
 
 
 @settings(max_examples=300, deadline=None)
@@ -295,5 +302,33 @@ def _classified_by_both(lines: list[str]) -> tuple[str, str]:
 )
 @example(['{"timestamp": "2014-01-05"; "fields": {}}', '{"timestamp": "2014-01-0",  "fields": {}}'])
 def test_sliced_fast_path_classifies_as_the_one_pattern_copy(lines):
-    fast, slow = _classified_by_both(lines)
+    fast, slow = _ingested_by_both(lines)
     assert fast == slow
+
+
+# -- padded lines ------------------------------------------------------------------
+# The fast path tests a line as read, so a json.dumps-shaped line with blanks
+# around it is stripped and decoded in full; it must ingest as the bare line
+# does, line numbers included.
+
+_pads = st.text(st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0", "\u3000"]), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_pads, _records.map(json.dumps) | _good_items.map(_line), _pads), max_size=6))
+@example(
+    [
+        ("\u3000", '{"timestamp": "2014-01-05", "fields": {"kind": "x"}}', ""),
+        ("", '{"timestamp": "2014-01-05", "fields": {"kind": "x"}}', "\xa0"),
+        ("", '{"timestamp": "2014-01-05", "fields": {"kind": "x"}}', ""),
+        ("\x0b", '{"timestamp": "2014-01-05", "base": "tot", "value": -0.0}', "\x0c"),
+        ("\t", '{"timestamp": "2014-01-05", "base": "nope", "value": 1}', " "),
+        (" ", '{"timestamp": "2014-02-30", "base": "tot", "value": 1}', ""),
+    ]
+)
+def test_a_padded_line_ingests_as_the_bare_line(padded):
+    bare = ingest_lines([line for _, line, _ in padded], "log", MODEL)
+    log = ingest_lines(["".join(parts) for parts in padded], "log", MODEL)
+    assert [_entry_key(entry) for entry in log.records] == [_entry_key(entry) for entry in bare.records]
+    assert log.events == bare.events
+    assert log.diagnostics == bare.diagnostics

@@ -175,11 +175,19 @@ def test_many_files_decode_each_date_and_fields_text_once(tmp_path):
     assert not log.records and not log.diagnostics
 
 
+def _counted_state() -> tuple[pipeline._IngestState, mock.Mock, mock.Mock]:
+    """An ingest state whose date and remainder lookups are counted, not cached,
+    so every time `ingest_lines` classifies a text on its fast path shows."""
+    dates, remainders = mock.Mock(wraps=pipeline._date_or_none), mock.Mock(wraps=pipeline._remainder)
+    return pipeline._IngestState(dates, remainders, {}), dates, remainders
+
+
 def test_repeated_event_line_is_classified_once_and_tallied():
     line = json.dumps({"timestamp": "2014-01-05", "fields": {"kind": "x"}})
-    with mock.patch.object(pipeline, "_classify_line", wraps=pipeline._classify_line) as classify:
-        log = ingest_lines([line] * 50, "log", MODEL)
-    assert classify.call_count == 1
+    state, dates, remainders = _counted_state()
+    with mock.patch.object(pipeline, "_decode_line", wraps=pipeline._decode_line) as decode:
+        log = ingest_lines([line] * 50, "log", MODEL, state)
+    assert (dates.call_count, remainders.call_count, decode.call_count) == (1, 1, 0)
     assert log.events == {(("kind", "x"),): {dt.date(2014, 1, 5): 50}}
     assert not log.records and not log.diagnostics
 
@@ -187,8 +195,10 @@ def test_repeated_event_line_is_classified_once_and_tallied():
 def test_repeated_direct_and_bad_lines_are_classified_once_and_numbered_each_time():
     direct = json.dumps({"timestamp": "2014-01-05", "base": "tot", "value": 2})
     lines = [direct, "garbage"] * 25
-    with mock.patch.object(pipeline, "_classify_line", wraps=pipeline._classify_line) as classify:
-        log = ingest_lines(lines, "log", MODEL)
-    assert classify.call_count == 2
+    state, dates, remainders = _counted_state()
+    with mock.patch.object(pipeline, "_decode_line", wraps=pipeline._decode_line) as decode:
+        log = ingest_lines(lines, "log", MODEL, state)
+    assert (dates.call_count, remainders.call_count, decode.call_count) == (1, 1, 1)
+    assert decode.call_args == mock.call("garbage")
     assert [entry.line for entry in log.records] == list(range(1, 51, 2))
     assert [d.span.line for d in log.diagnostics] == list(range(2, 51, 2))
