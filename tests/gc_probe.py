@@ -17,11 +17,12 @@ A full collection inside a loop makes that loop slower, which scales the
 commands on both sides of it down, so a change that moves the collections
 between loops moves the scaled times of commands it does not touch. The
 `start` loop runs on what the previous round left, and scales the first
-command of each round. With `--seed 89`, no loop of any workload runs a
-full collection. While the lexer built one tuple per token, from the second
-round on, the loops after `impact`, `eval` and `report` on model-heavy ran
-one, and so did the `start` loop on program-wide (counter 8), which scales
-`eval`, that workload's first command.
+command of each round. `cli.main` runs each command with the collector
+paused, so a command brings no collection due for the loop after it: with
+`--seed 23 --rounds 3`, the counter reads 0 before every loop after a
+command on all three workloads and 3 before `start`, and no loop runs a
+full collection. While commands ran with the collector on, it read 1-3
+after each model-heavy command and 0-1 after each program-wide one.
 """
 
 from __future__ import annotations

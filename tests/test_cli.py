@@ -2,9 +2,11 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -16,7 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modelgen import program_model
 from symbiosis_kit import cli
+from symbiosis_kit.model import COLLECTIONS, FIELDS
+from symbiosis_kit.serializer import serialize
 
 CLEAN_MODEL = """
 stakeholder s { name: "S" }
@@ -1046,3 +1051,107 @@ def test_a_note_that_cannot_be_written_does_not_change_the_exit_code(
 
 def test_console_script_is_installed():
     assert shutil.which("symbiosis") is not None
+
+
+# -- the collector pause -------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """The cyclic garbage collector switched on or off, and back as it was after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("outcome, code", [("ok", 0), ("fail", 1), ("usage", 2), ("raise", None)])
+def test_a_command_runs_with_the_collector_paused_and_main_leaves_it_as_it_was(
+    monkeypatch, capsys, enabled, outcome, code
+):
+    seen = []
+
+    def command(args, io):
+        seen.append(gc.isenabled())
+        if outcome == "fail":
+            io.fail("error: stop")
+        if outcome == "raise":
+            raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "check", cli.COMMANDS["check"]._replace(func=command))
+    argv = ["check", "m.sym", *(["--format", "yaml"] if outcome == "usage" else [])]
+    with _collector(enabled):
+        if code is None:
+            with pytest.raises(RuntimeError, match="boom"):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == code
+        assert gc.isenabled() is enabled
+    assert seen == ([] if outcome == "usage" else [False])
+
+
+def _clean_program(objectives: int):
+    """A `program_model` program with its empty required texts filled and one band over each
+    metric's domain, so that every command gets past validation."""
+    model = program_model(random.Random(objectives), objectives)
+    nodes = {}
+    for kind, fields in FIELDS.items():
+        texts = [f.attribute for f in fields if f.required and f.value_kind == "str"]
+        nodes[COLLECTIONS[kind]] = {
+            node_id: node._replace(**{text: "x" for text in texts if not getattr(node, text)})
+            for node_id, node in model.collection(kind).items()
+        }
+    nodes["metrics"] = {
+        m_id: metric._replace(bands=(metric.bands[0]._replace(interval=metric.effective_domain()),))
+        for m_id, metric in nodes["metrics"].items()
+    }
+    return model._replace(**nodes)
+
+
+def _program_commands(tmp_path, objectives: int) -> dict[str, list[str]]:
+    """Each command's argv on a program of `objectives` objectives, an edit of every fourth
+    objective, and a log of six records and three malformed lines per metric."""
+    model = _clean_program(objectives)
+    old, new, log = (tmp_path / f"program{objectives}{suffix}" for suffix in (".sym", "_new.sym", ".jsonl"))
+    old.write_text(serialize(model), encoding="utf-8")
+    edited = {k: v._replace(context="edited") if int(k[2:]) % 4 == 0 else v for k, v in model.objectives.items()}
+    new.write_text(serialize(model._replace(objectives=edited)), encoding="utf-8")
+    lines = []
+    for m_id, metric in model.metrics.items():
+        count, direct = metric.uses
+        for month in (2, 5, 9):
+            lines.append(json.dumps({"timestamp": f"2014-{month:02}-03", "fields": dict(model.bases[count].filters)}))
+            lines.append(json.dumps({"timestamp": f"2014-{month:02}-17", "base": direct, "value": month}))
+        lines += [f"garbage {m_id}", json.dumps({"timestamp": "2014-13-01", "base": direct, "value": 1}), "[" * 40]
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    logs = ["--measurements", str(log)]
+    return {
+        "check": ["check", str(old)],
+        "render": ["render", str(old)],
+        "graph": ["graph", str(old)],
+        "fmt": ["fmt", str(old), "--out", str(tmp_path / "fmt.sym")],
+        "impact": ["impact", str(old), str(new)],
+        "eval": ["eval", str(old), *logs, "--metric", "all", "--period", "2014-Q3"],
+        "report": ["report", str(old), *logs, "--from", "2014-Q1", "--to", "2014-Q4", "--format", "json"],
+    }
+
+
+def test_a_command_leaves_as_many_reference_cycles_at_four_times_the_input(tmp_path, capsys):
+    """The collector pause is safe while no command makes cycles that grow with its input: then
+    `gc.collect()` after a command finds the same unreachable objects (argparse's parser, for
+    one) on a program of 63 and of 255 objectives and their logs."""
+    small, large = _program_commands(tmp_path, 63), _program_commands(tmp_path, 255)
+    found = {}
+    with _collector(False):
+        gc.collect()
+        for name in small:
+            counts = []
+            for argv in (small[name], small[name], large[name]):  # the first call warms up imports and caches
+                assert cli.main(argv) == 0, capsys.readouterr().err[-500:]
+                counts.append(gc.collect())
+            found[name] = counts[1:]
+    capsys.readouterr()
+    assert all(at_63 == at_255 for at_63, at_255 in found.values()), found

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import random
 import sys
-import types
 
 import pytest
 
-from corpus import CORPUS_ROOT
 from modelgen import program_model
+from same_bytes import bench_workloads
 from symbiosis_kit.graph import build_graph
 from symbiosis_kit.impact import analyze
 from symbiosis_kit.model import Model
@@ -184,20 +183,7 @@ def test_model_stage_line_events_grow_linearly_with_the_model(loads, stage):
 
 # -- the pipeline, on the benchmark's programs and logs ------------------------------
 
-_GEN = CORPUS_ROOT.parent / "bench" / "gen.py"
 LOG_LINES = 1200
-
-
-def _bench_gen() -> types.ModuleType:
-    """`bench/gen.py`, compiled in memory so that nothing is written under `bench/`."""
-    module = types.ModuleType("bench_gen")
-    module.__file__ = str(_GEN)
-    sys.modules[module.__name__] = module  # `dataclass` looks the module up while the classes are made
-    try:
-        exec(compile(_GEN.read_text(encoding="utf-8"), str(_GEN), "exec"), vars(module))
-    finally:
-        del sys.modules[module.__name__]
-    return module
 
 
 # Each counted stage, its input doubled, and the largest ratio allowed; "<stage> lines" is
@@ -222,7 +208,7 @@ PIPELINE = {
 @pytest.fixture(scope="module")
 def pipeline_loads(tmp_path_factory) -> dict[str, list[int]]:
     """Calls and line events of each pipeline stage before and after its input doubles."""
-    gen = _bench_gen()
+    gen = bench_workloads().gen
     out = str(tmp_path_factory.mktemp("pipeline"))
     counts = {}
     for objectives, lines in ((OBJECTIVES, LOG_LINES), (OBJECTIVES, 2 * LOG_LINES), (2 * OBJECTIVES + 1, LOG_LINES)):
