@@ -232,7 +232,7 @@ def to_json(graph: TraceabilityGraph) -> str:
             {"id": node_id, "kind": graph.nodes[node_id]}
             for node_id in sorted(graph.nodes)
         ],
-        # build_graph stores the edges sorted by (kind, src, dst)
+        # graph.edges sorts the edges by (kind, src, dst) on first read
         "edges": [{"kind": e.kind.value, "src": e.src, "dst": e.dst} for e in graph.edges],
     }
     return dumps(payload)

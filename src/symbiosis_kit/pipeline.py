@@ -12,13 +12,14 @@ whose schedule refuses a key; `route_result` routes each result's actions.
 
 Cost model: each log is read once at ingest. Identical lines are tallied
 first, and each distinct line text is classified once, inside the loop that
-tallies it. A text in one of the two shapes exactly as json.dumps writes
-them is checked as read, by slicing: its `{"timestamp": "` prefix and the
-`", ` after its 10-character date are compared, the date is parsed once per
-distinct date string, and the text after that separator is matched and
-decoded once per distinct text, so a line that repeats another's text after
-a new date costs two slices and two cache lookups. Every other text is
-stripped and, unless blank, decoded in full. A DIRECT line's base is
+tallies it. A text that starts as json.dumps writes a record is checked as
+read, by slicing: its `{"timestamp": "` prefix and the `", ` after its
+10-character date are compared, the date is parsed once per distinct date
+string, and the JSON decoder decodes the text after that separator once per
+distinct text, which the record check of a full decode then tests. So a
+line that repeats another's text after a new date costs two slices and two
+cache lookups. Every other text, and one whose text after the date fails,
+is stripped and, unless blank, decoded in full. A DIRECT line's base is
 checked (I002) once per distinct line text, after every I001 and I003
 check. Those date and remainder caches, and the raw-event tally, belong to
 one ingest_many call and serve all of its files, so a date or remainder
@@ -230,31 +231,20 @@ def _decode(line: str) -> object:
 
 
 # What one line text is: its date (None when rejected) and what it says
-# after the date, as `_remainder` and `_decode_line` tag it: a raw event
-# (_EVENT, fields), a DIRECT value (_DIRECT, base, value) or a rejected line
-# (_REJECTED, message, I-code).
+# after the date, as `_record` tags it: a raw event (_EVENT, fields), a
+# DIRECT value (_DIRECT, base, value) or a rejected line (_REJECTED,
+# message, I-code).
 _EVENT, _DIRECT, _REJECTED = "event", "direct", "rejected"
 Classified = tuple[dt.date | None, tuple]
 
 
-def _rejected(message: str, code: str = "I001") -> Classified:
-    return None, (_REJECTED, message, code)
+def _rejected(message: str, code: str = "I001") -> tuple:
+    return _REJECTED, message, code
 
 
-def _decode_line(line: str) -> Classified:
-    """One stripped, non-blank log line decoded in full and classified."""
-    try:
-        obj = _decode(line)
-    except ValueError as exc:
-        return _rejected(f"malformed log line: {exc}")
-    if not isinstance(obj, dict):
-        return _rejected("malformed log line: not a JSON object")
-
-    try:
-        timestamp = _parse_timestamp(obj.get("timestamp"))
-    except ValueError as exc:
-        return _rejected(f"invalid date: {exc}", code="I003")
-
+def _record(obj: dict) -> tuple:
+    """What a decoded log record says besides its date: (_EVENT, fields),
+    (_DIRECT, base, value) or (_REJECTED, message, I-code)."""
     has_base = "base" in obj
     if has_base == ("fields" in obj):
         return _rejected("malformed log line: need exactly one of 'base' or 'fields'")
@@ -263,7 +253,7 @@ def _decode_line(line: str) -> Classified:
         fields = _field_set(obj["fields"])
         if fields is None:
             return _rejected("malformed log line: 'fields' must map strings to strings")
-        return timestamp, (_EVENT, fields)
+        return _EVENT, fields
 
     base_id = obj["base"]
     if not isinstance(base_id, str):
@@ -271,21 +261,31 @@ def _decode_line(line: str) -> Classified:
     number = _finite_number(obj.get("value"))
     if number is None:
         return _rejected("malformed log line: 'value' must be a finite number")
-    return timestamp, (_DIRECT, base_id, number)
+    return _DIRECT, base_id, number
 
 
-# The two record shapes exactly as json.dumps writes them are `_PREFIX`, a
-# 10-character date, `_SEPARATOR` and a remainder that `_REMAINDER` matches,
-# with a base name free of escapes and control characters. A date is taken
-# only as YYYY-MM-DD (`_DATE_RE`), so slicing at fixed offsets accepts what
-# one pattern over the whole line would. Groups: base, number, the number's
-# fraction and exponent (empty for an integer), fields object.
+def _decode_line(line: str) -> Classified:
+    """One stripped, non-blank log line decoded in full and classified."""
+    try:
+        obj = _decode(line)
+    except ValueError as exc:
+        return None, _rejected(f"malformed log line: {exc}")
+    if not isinstance(obj, dict):
+        return None, _rejected("malformed log line: not a JSON object")
+
+    try:
+        timestamp = _parse_timestamp(obj.get("timestamp"))
+    except ValueError as exc:
+        return None, _rejected(f"invalid date: {exc}", code="I003")
+    rest = _record(obj)
+    return (None if rest[0] is _REJECTED else timestamp), rest
+
+
+# A record as json.dumps writes it starts with `_PREFIX`, a 10-character
+# date and `_SEPARATOR`. A date is taken only as YYYY-MM-DD (`_DATE_RE`), so
+# its string holds no escape, and the text after the separator is the rest
+# of the record's object.
 _PREFIX, _SEPARATOR = '{"timestamp": "', '", '
-_REMAINDER = re.compile(
-    r'(?:"base": "([^"\\\x00-\x1f]*)", '
-    r'"value": (-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
-    r'|"fields": (\{.*\}))\}'
-)
 
 
 def _date_or_none(text: str) -> dt.date | None:
@@ -295,40 +295,24 @@ def _date_or_none(text: str) -> dt.date | None:
         return None
 
 
-def _decoded_field_set(text: str) -> FieldSet | None:
-    try:
-        return _field_set(_decode(text))
-    except ValueError:
-        return None
-
-
-def _json_number(text: str, fraction_or_exponent: str) -> float | None:
-    """What the decoder and `_finite_number` make of the JSON number `text`.
-
-    Integer text goes through int() as in the decoder, so "-0" is 0.0.
-    """
-    try:
-        return _finite_number(float(text) if fraction_or_exponent else int(text))
-    except ValueError:  # an integer with more digits than int() converts
-        return None
-
-
 def _remainder(text: str) -> tuple | None:
-    """The text after a line's date and separator, classified on its own.
+    """The text after a line's date and separator, decoded as the rest of
+    its JSON object and classified by `_record`.
 
-    A raw event's remainder gives (_EVENT, fields) and a DIRECT value's
-    gives (_DIRECT, base, value). None when the text is not in json.dumps'
-    shape, or its fields or value fail a check.
+    None when that text does not decode to the end of one object, when the
+    object has its own "timestamp" (a full decode keeps that later value),
+    or when `_record` rejects it: such a line is decoded in full, which
+    writes its diagnostic. So is `{"timestamp": "D", }`, whose text after
+    the date decodes as `{}`.
     """
-    shape = _REMAINDER.fullmatch(text)
-    if shape is None:
+    try:
+        obj, end = _DECODER.raw_decode("{" + text)
+    except (ValueError, RecursionError):
         return None
-    base_id, number, fraction, fields_text = shape.groups()
-    if fields_text is not None:
-        fields = _decoded_field_set(fields_text)
-        return None if fields is None else (_EVENT, fields)
-    value = _json_number(number, fraction)
-    return None if value is None else (_DIRECT, base_id, value)
+    if end != len(text) + 1 or "timestamp" in obj:
+        return None
+    rest = _record(obj)
+    return None if rest[0] is _REJECTED else rest
 
 
 class _IngestState(NamedTuple):
@@ -350,14 +334,16 @@ def ingest_lines(
     """The raw-event tally, DIRECT entries and I-diagnostics of one log's lines.
 
     Identical lines are tallied first and each distinct text is classified
-    once. A text in one of the two shapes json.dumps writes is tested as
+    once. A text that starts as json.dumps writes a record is tested as
     read: its prefix and separator compared by slicing, its date from the
-    `dates` cache and the text after the separator from `remainders`, so
-    events share date and field set objects. Any other text is stripped,
-    skipped if blank and otherwise decoded in full by `_decode_line`. A raw
-    event from either only adds its lines' count to its field set's count
-    for its date. One pass over the lines then gives each DIRECT entry its
-    line number and each rejected line its own diagnostic.
+    `dates` cache and the text after the separator from `remainders`, which
+    decodes it once and checks it with `_record`, as `_decode_line` checks a
+    full decode; events share date and field set objects. Any other text,
+    and one whose text after the date fails, is stripped, skipped if blank
+    and otherwise decoded in full by `_decode_line`. A raw event from either
+    only adds its lines' count to its field set's count for its date. One
+    pass over the lines then gives each DIRECT entry its line number and
+    each rejected line its own diagnostic.
 
     Without a `state` the caches and the tally are this call's own. With
     one (as `ingest_many` passes for every file), dates and remainders
@@ -390,10 +376,10 @@ def ingest_lines(
                 days[day] = days.get(day, 0) + count
             continue
         if kind is _DIRECT and (base := model.bases.get(rest[1])) is None:
-            day, rest = _rejected(f"unknown base measurement {rest[1]!r}", "I002")
+            day, rest = None, _rejected(f"unknown base measurement {rest[1]!r}", "I002")
         elif kind is _DIRECT and base.mode is not SourceMode.DIRECT:
             message = f"base measurement {rest[1]!r} is not DIRECT mode and cannot take reported values"
-            day, rest = _rejected(message, "I002")
+            day, rest = None, _rejected(message, "I002")
         numbered[text] = day, rest
     records: list[DirectEntry] = []
     diags: list[Diagnostic] = []

@@ -73,9 +73,10 @@ from symbiosis_kit.pipeline import (
     _EVENT,
     DirectEntry,
     _date_or_none,
+    _decode,
     _decode_line,
-    _decoded_field_set,
-    _json_number,
+    _field_set,
+    _finite_number,
     evaluate_period,
 )
 
@@ -1010,10 +1011,12 @@ def ingest_lines_by_decoding(lines: list[str], filename: str, model: Model) -> D
 # The line classifier as the package had it before it compared a line's
 # prefix and separator by slicing and matched the text after the date once
 # per distinct text: one pattern matches the whole stripped line, and
-# `field_sets` decodes a `fields` object. The slow path (`_decode_line`) and
-# the number reader (`_json_number`) are the package's own, and a line is
-# classified in their shape: its date and what it says after the date.
-# `ingest_lines_by_one_pattern` classifies each line with it, one by one.
+# `field_sets` decodes a `fields` object. The slow path (`_decode_line`) is
+# the package's own; the number reader (`_json_number`) and the fields
+# decoder (`_decoded_field_set`) are copies of the package's as it had them
+# then. A line is classified in `_decode_line`'s shape: its date and what it
+# says after the date. `ingest_lines_by_one_pattern` classifies each line
+# with it, one by one.
 
 # The two record shapes exactly as json.dumps writes them, with a base name
 # free of escapes and control characters. Groups: date, base, number, the
@@ -1024,6 +1027,24 @@ _SHAPES = re.compile(
     r'"value": (-?(?:0|[1-9][0-9]*)((?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?))'
     r'|"fields": (\{.*\}))\}'
 )
+
+
+def _decoded_field_set(text: str) -> tuple[tuple[str, str], ...] | None:
+    try:
+        return _field_set(_decode(text))
+    except ValueError:
+        return None
+
+
+def _json_number(text: str, fraction_or_exponent: str) -> float | None:
+    """What the decoder and `_finite_number` make of the JSON number `text`.
+
+    Integer text goes through int() as in the decoder, so "-0" is 0.0.
+    """
+    try:
+        return _finite_number(float(text) if fraction_or_exponent else int(text))
+    except ValueError:  # an integer with more digits than int() converts
+        return None
 
 
 def classify_line_by_one_pattern(

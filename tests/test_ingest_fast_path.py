@@ -198,6 +198,12 @@ def test_a_bad_base_is_reported_only_after_the_value_and_the_date():
         '{"timestamp": "2014-01-05", "base": "ev", "value": 1}',
     ]
 )
+@example(['{"timestamp": "2014-01-05", "timestamp": "2014-02-30", "base": "tot", "value": 1}'])
+@example(['{"timestamp": "2014-01-05", "base": "tot", "value": 1, "timestamp": "2014-01-06"}'])
+@example(['{"timestamp": "2014-01-05", }'])
+@example(['{"timestamp": "2014-01-05", "base": "tot", "value": 1}}'])
+@example(['{"timestamp": "2014-01-05", "base": "tot", "value": 1} '])
+@example(['{"timestamp": "2014-01-05", "base": "tot", "value": 1}\xa0'])
 def test_fast_path_gives_what_decoding_gives(lines):
     _assert_same_as_decoding(lines)
 

@@ -166,10 +166,10 @@ def test_many_files_decode_each_date_and_fields_text_once(tmp_path):
             "utf-8",
         )
         paths.append(str(path))
-    with mock.patch.object(pipeline, "_decoded_field_set", wraps=pipeline._decoded_field_set) as field_sets, \
+    with mock.patch.object(pipeline, "_remainder", wraps=pipeline._remainder) as remainders, \
             mock.patch.object(pipeline, "_date_or_none", wraps=pipeline._date_or_none) as dates:
         log = ingest_many(paths, MODEL)
-    assert field_sets.call_count == 2
+    assert remainders.call_count == 2
     assert dates.call_count == 2
     assert log.events == {(("kind", kind),): {dt.date(2014, 1, day): 3 for day in (5, 6)} for kind in ("x", "y")}
     assert not log.records and not log.diagnostics
