@@ -20,11 +20,12 @@ Blanks are skipped without counting lines. A file's tokens are parallel
 lists of kinds, texts and character offsets (`Tokens`), read by index, so
 lexing allocates no object per token; a `Token` tuple is built only for a
 diagnostic's span or a test. A span (line and column) is built only when a
-diagnostic or a declaration asks for it, by a `Source`: `tokenize` holds
-one for its P001/P002 spans, and the parser another for its own. Each asks
-in the order of the text, so its `Source` counts the newlines from the last
-offset asked for to the next and reads a file's newlines once, in pieces;
-no `Source` builds a table of line starts. A NUMBER's value is read from
+diagnostic or a declaration's span is asked for, by a `Source`: `tokenize`
+holds one for its P001/P002 spans, the parser another for its diagnostics,
+and a model's spans (`parser.Spans`) one per file on their first read. Each
+asks in the order of the text, so its `Source` counts the newlines from the
+last offset asked for to the next and reads a file's newlines once, in
+pieces; no `Source` builds a table of line starts. A NUMBER's value is read from
 its text by `parse_number` where the parser reads it.
 """
 
@@ -64,9 +65,13 @@ class Source:
     """One file's name and text, which maps character offsets to spans.
 
     A span counts the newlines from the last offset asked for (a line
-    cursor). Its callers ask in the order of the text, so each character is
-    read at most twice. A span behind the cursor's line counts the newlines
-    back to it instead, so spans come out right in any order.
+    cursor). Three callers ask, each with a `Source` of its own and each in
+    the order of the text: `tokenize` for its P001 and P002 diagnostics, the
+    parser for its diagnostics (a new one for a full parse after a failed
+    block reuse), and `parser.Spans` for every declaration of one file, on
+    the first read of a model's spans. So each character is read at most
+    twice by one `Source`. A span behind the cursor's line counts the
+    newlines back to it instead, so spans come out right in any order.
     """
 
     __slots__ = ("name", "text", "_cursor", "_line", "_line_start")

@@ -6,6 +6,7 @@ keyed by identifier. Nodes and values are immutable `NamedTuple` records; the
 validator reports invariant violations instead of constructors raising.
 """
 
+from collections.abc import Mapping
 from datetime import date
 from enum import Enum
 from functools import cached_property
@@ -266,10 +267,11 @@ class _ModelFields(NamedTuple):
     questions: dict[str, MeasurementQuestion] = {}
     bases: dict[str, BaseMeasurementDef] = {}
     metrics: dict[str, MetricDef] = {}
-    # Plumbing: each declaration's span by its id, the re-declarations the
+    # Plumbing: each declaration's span by its id (from the parser, a
+    # read-only mapping worked out on first read), the re-declarations the
     # parser dropped as (id, span) so the validator can report V001, and
     # the real paths of the files that include lines spliced in, sorted.
-    spans: dict[str, SourceSpan] = {}
+    spans: Mapping[str, SourceSpan] = {}
     duplicate_decls: tuple[tuple[str, SourceSpan], ...] = ()
     included: tuple[str, ...] = ()
 

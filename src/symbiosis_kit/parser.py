@@ -6,6 +6,15 @@ populated; reference resolution is the validator's job. Tokens are read by
 index from the lexer's parallel lists (`lexer.Tokens`); a `Token` tuple is
 built only for the span of a diagnostic.
 
+A block becomes its node by position: a copy of its kind's default row,
+the id in slot 0 and each field read into its slot (`_READERS`), made a
+record by `tuple.__new__`. A load makes no declaration span. It records
+each declaration as (kind, node, file, offset of its id); `Model.spans` is
+a read-only mapping (`Spans`) that works out every declaration's span on
+its first read, one fresh `Source` per file asked in the order of its
+text, and then drops the file texts. Only when an id is declared twice does
+`build` work the spans out at once, for `Model.duplicate_decls`.
+
 A load given a block table records each block that parsed with no diagnostic,
 keyed by its exact source text from the kind keyword through its closing `}`.
 A load that starts with blocks in the table (the new version of `impact`)
@@ -22,6 +31,7 @@ from __future__ import annotations
 import datetime as _dt
 import os
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 from . import expr as _expr
@@ -97,44 +107,112 @@ BlockTable = dict[str, tuple[str, object, int]]
 class _Builder:
     """Accumulates declarations across files; first declaration of an id wins.
 
-    Declarations are kept in order and resolved by `build`, so a file whose
-    reuse of recorded blocks fails can take its declarations back.
+    Each declaration is kept, in order, as (kind, node, source, offset of
+    its id), with no span: `build` resolves them, so a file whose reuse of
+    recorded blocks fails can take its declarations back.
     """
 
     def __init__(self, table: BlockTable | None = None) -> None:
-        self.declarations: list[tuple[str, object, SourceSpan]] = []
+        self.declarations: list[tuple[str, object, Source, int]] = []
         self.included: set[str] = set()  # real paths of the files spliced in by an include
         self.table = table  # records each clean block, when given
         self.reuse = bool(table)  # the load began with blocks to reuse
 
-    def add(self, kind: str, node, span: SourceSpan) -> None:
-        self.declarations.append((kind, node, span))
-
     def build(self) -> Model:
         nodes: dict[str, dict] = {kind: {} for kind in NODE_TYPES}
-        spans: dict[str, SourceSpan] = {}
-        duplicates = []
-        for kind, node, span in self.declarations:
+        first: dict[str, tuple] = {}  # each id's first declaration
+        duplicated = False
+        for declaration in self.declarations:
+            node = declaration[1]
             node_id = node.id
-            if node_id in spans:
-                duplicates.append((node_id, span))
+            if node_id in first:
+                duplicated = True
                 continue
-            nodes[kind][node_id] = node
-            spans[node_id] = span
+            nodes[declaration[0]][node_id] = node
+            first[node_id] = declaration
+        duplicates = []
+        if duplicated:
+            # Every span in one walk, so that each file is read in the order of its text.
+            spans: dict[str, SourceSpan] = {}
+            for (_, node, _, _), span in zip(self.declarations, _spans_of(self.declarations)):
+                if node.id in spans:
+                    duplicates.append((node.id, span))
+                else:
+                    spans[node.id] = span
+            resolved = Spans(spans)
+        else:
+            resolved = Spans(declarations=first)
         return Model(
             **{COLLECTIONS[kind]: collection for kind, collection in nodes.items()},
-            spans=spans,
+            spans=resolved,
             duplicate_decls=tuple(duplicates),
             included=tuple(sorted(self.included)),
         )
+
+
+def _spans_of(declarations) -> list[SourceSpan]:
+    """The span of each (kind, node, source, offset) declaration's id, in order.
+
+    Each file gets one fresh `Source`. A file's declarations are recorded in
+    the order of its text, so each `Source` is asked in that order.
+    """
+    cursors: dict[Source, Source] = {}
+    spans = []
+    for _, node, source, offset in declarations:
+        cursor = cursors.get(source)
+        if cursor is None:
+            cursor = cursors[source] = Source(source.name, source.text)
+        spans.append(cursor.span(offset, len(node.id)))
+    return spans
+
+
+class Spans(Mapping):
+    """Each declaration's span by its id: a read-only mapping, worked out on first read.
+
+    A clean load makes no span. It hands over each id's first declaration;
+    the first read of any span works out all of them (`_spans_of`) and then
+    drops the declarations, and with them the file texts. Equality and
+    `repr` are those of the dict of spans, and a copy or a pickle holds that
+    dict.
+    """
+
+    __slots__ = ("_spans", "_declarations")
+
+    def __init__(self, spans: dict[str, SourceSpan] | None = None, declarations: dict[str, tuple] | None = None) -> None:
+        self._spans = spans  # None until the first read when built from declarations
+        self._declarations = declarations
+
+    def _resolved(self) -> dict[str, SourceSpan]:
+        spans = self._spans
+        if spans is None:
+            declarations = self._declarations
+            spans = self._spans = dict(zip(declarations, _spans_of(declarations.values())))
+            self._declarations = None
+        return spans
+
+    def __getitem__(self, node_id: str) -> SourceSpan:
+        return self._resolved()[node_id]
+
+    def __iter__(self):
+        return iter(self._resolved())
+
+    def __len__(self) -> int:
+        return len(self._resolved())
+
+    def __repr__(self) -> str:
+        return repr(self._resolved())
+
+    def __reduce__(self):
+        return Spans, (self._resolved(),)
 
 
 class _Parser:
     """Reads one file's tokens into the builder.
 
     A token is an index into `kinds`, `texts` and `offsets`; the `Source`
-    gives every span and each recorded block's text. `pos` is the index of
-    the next unread token; it never passes the EOF token. `take` reads the
+    gives each diagnostic's span and each recorded block's text, and goes
+    with each declaration as its file. `pos` is the index of the next
+    unread token; it never passes the EOF token. `take` reads the
     index of a token of one expected kind, or reports P001 at a token of
     another; the other readers index the lists directly.
     """
@@ -279,12 +357,11 @@ class _Parser:
         id_tok = self.take(_IDENT, f"an identifier after {kind!r}")
         if id_tok is None or self.take(_LBRACE, "'{'") is None:
             return self.skip_block()
-        node_id = texts[id_tok]
-        span = self.source.span(offsets[id_tok], len(node_id))  # before any field's diagnostic
         i = self.pos
         readers = _READERS[kind]
-        fields: dict[str, object] = {}
-        repeated: dict[str, list] = {}  # a repeated field's items, by attribute
+        row = _DEFAULT_ROWS[kind].copy()
+        row[0] = texts[id_tok]
+        repeated: dict[int, list] = {}  # a repeated field's items, by slot
         seen: set[str] = set()
         while True:
             if kinds[i] is not _IDENT:
@@ -313,7 +390,7 @@ class _Parser:
                 self.error("P001", f"unknown field {name!r} in {kind} block", name_tok)
                 value = None
             else:
-                read, attribute = entry
+                read, slot = entry
                 value = read(self)
             if value is None:
                 self.skip_to_field_boundary()
@@ -321,15 +398,15 @@ class _Parser:
             if duplicate or value is None:
                 continue
             if repeats:
-                repeated.setdefault(attribute, []).append(value)
+                repeated.setdefault(slot, []).append(value)
             else:
-                fields[attribute] = value
+                row[slot] = value
         self.pos = i
         self.take(_RBRACE, "'}'")
-        for attribute, items in repeated.items():
-            fields[attribute] = tuple(items)
-        node = NODE_TYPES[kind](id=node_id, **fields)
-        self.builder.add(kind, node, span)
+        for slot, items in repeated.items():
+            row[slot] = tuple(items)
+        node = _new_tuple(NODE_TYPES[kind], row)
+        self.builder.declarations.append((kind, node, self.source, offsets[id_tok]))
         if self.table is not None and len(self.diags) == errors:
             text = self.source.text[start : offsets[self.pos - 1] + 1]
             self.table[text] = (kind, node, offsets[id_tok] - start)
@@ -633,10 +710,19 @@ def _reader(value_kind: str):
     return lambda parser: parser.read_word(enum)
 
 
-# Each block kind's fields by name: {block kind: {field name: (reader, attribute)}}.
+# Each block kind's fields by name: {block kind: {field name: (reader, slot)}},
+# the slot being the index of the field's attribute in the kind's record.
 _READERS: dict[str, dict[str, tuple]] = {
-    kind: {f.name: (_reader(f.value_kind), f.attribute) for f in fields} for kind, fields in FIELDS.items()
+    kind: {f.name: (_reader(f.value_kind), NODE_TYPES[kind]._fields.index(f.attribute)) for f in fields}
+    for kind, fields in FIELDS.items()
 }
+
+# Each block kind's record as a list of its defaults, `id` (slot 0) left None:
+# a block fills a copy and becomes a node by `tuple.__new__`.
+_DEFAULT_ROWS: dict[str, list] = {
+    kind: [cls._field_defaults.get(name) for name in cls._fields] for kind, cls in NODE_TYPES.items()
+}
+_new_tuple = tuple.__new__
 
 # Field names that may repeat within one block: those of the repeated fields of
 # every kind, so that a `step` repeated in a metric block is unknown, not P004.
@@ -680,7 +766,7 @@ def _reuse_blocks(source: Source, builder: _Builder) -> bool:
         if not _parse_run(text, run_start, key_start, source, builder):
             break
         kind, node, offset = entry
-        builder.add(kind, node, source.span(key_start + offset, len(node.id)))
+        builder.declarations.append((kind, node, source, key_start + offset))
         run_start = end
     else:
         if run_start and _parse_run(text, run_start, len(text), source, builder):

@@ -30,6 +30,7 @@ from symbiosis_kit.diagnostics import Diagnostic, Severity, SourceSpan, sort_key
 from symbiosis_kit import expr as _expr
 from symbiosis_kit.lexer import Source, Token, TokenKind, Tokens, parse_number, tokenize
 from symbiosis_kit.model import (
+    COLLECTIONS,
     FIELDS,
     KIND_BASE,
     KIND_GOAL,
@@ -66,7 +67,6 @@ from symbiosis_kit.model import (
 )
 from symbiosis_kit.graph import CLOSURE_KINDS, Edge, EdgeKind
 from symbiosis_kit.impact import Change, ChangeKind, FieldChange
-from symbiosis_kit.parser import _Builder
 from symbiosis_kit.periods import PeriodError
 from symbiosis_kit.pipeline import (
     _DIRECT,
@@ -1116,7 +1116,9 @@ def ingest_lines_by_one_pattern(
 # (its token's value is infinity), or too small for one (a nonzero digit,
 # but the value is 0), is P001 wherever a number is read, and the field it
 # is in is dropped; the message shows a literal of up to 19 characters
-# whole, and a longer one by its ends and length.
+# whole, and a longer one by its ends and length. Its `_Builder` is a copy of
+# the package's as it was before spans were worked out on first read: each
+# declaration keeps the span of its id token, made as the token was read.
 
 # Largest offset passed to _Parser.peek.
 _LOOKAHEAD = 2
@@ -1133,6 +1135,34 @@ MAX_EXPR_DEPTH = 200
 
 _GRANULARITIES = {g.value: g for g in Granularity}
 _ACTION_KINDS = {k.value: k for k in ActionKind}
+
+
+class _Builder:
+    """Accumulates (kind, node, span) declarations in order; the first
+    declaration of an id wins, and `spans` is a plain dict."""
+
+    def __init__(self) -> None:
+        self.declarations: list[tuple[str, object, SourceSpan]] = []
+
+    def add(self, kind: str, node, span: SourceSpan) -> None:
+        self.declarations.append((kind, node, span))
+
+    def build(self) -> Model:
+        nodes: dict[str, dict] = {kind: {} for kind in NODE_TYPES}
+        spans: dict[str, SourceSpan] = {}
+        duplicates = []
+        for kind, node, span in self.declarations:
+            node_id = node.id
+            if node_id in spans:
+                duplicates.append((node_id, span))
+                continue
+            nodes[kind][node_id] = node
+            spans[node_id] = span
+        return Model(
+            **{COLLECTIONS[kind]: collection for kind, collection in nodes.items()},
+            spans=spans,
+            duplicate_decls=tuple(duplicates),
+        )
 
 
 class _Parser:

@@ -54,9 +54,10 @@ def _field_values() -> dict[str, set[str]]:
     """The values each raw-event field takes in the logs."""
     seen: dict[str, set[str]] = {}
     for path in LOGS:
-        for line in open(path, encoding="utf-8"):
-            for key, value in json.loads(line).get("fields", {}).items():
-                seen.setdefault(key, set()).add(str(value))
+        with open(path, encoding="utf-8") as lines:
+            for line in lines:
+                for key, value in json.loads(line).get("fields", {}).items():
+                    seen.setdefault(key, set()).add(str(value))
     return seen
 
 

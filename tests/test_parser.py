@@ -19,6 +19,7 @@ from symbiosis_kit.model import (
     ActionKind,
     ActionTarget,
     Aggregation,
+    BusinessObjective,
     Granularity,
     InterpretationBand,
     FIELDS,
@@ -108,6 +109,42 @@ def test_duplicate_field_is_p004_first_wins():
     model, diags = parse('objective BO1 { object: "a" object: "b" }')
     assert codes(diags) == ["P004"]
     assert model.objectives["BO1"].object == "a"
+
+
+# A node starts as its kind's default row, so a field's first value can equal
+# its default. P004 goes by the names read, never by a slot that differs
+# from the default row.
+
+
+def test_a_field_repeated_with_its_default_value_is_p004():
+    for second in ("open", "answered"):
+        text = f"question Q {{ status: open status: {second} }}"
+        model, diags = parse(text)
+        assert [(d.code, d.message, d.span.col) for d in diags] == [
+            ("P004", "duplicate field 'status' in question block", 27)
+        ]
+        assert model.questions["Q"].status is QuestionStatus.OPEN
+        _assert_same_as_token_by_token(text)
+
+
+def test_a_repeated_refines_is_p004_first_wins():
+    text = "objective BO2 { refines: BO1 refines: BO3 }"
+    model, diags = parse(text)
+    assert [(d.code, d.span.col) for d in diags] == [("P004", 30)]
+    assert model.objectives["BO2"].refines == "BO1"
+    _assert_same_as_token_by_token(text)
+
+
+def test_an_unknown_field_twice_is_p004_before_p001():
+    text = "objective BO1 { rank: 1 rank: 2 purpose: \"p\" }"
+    model, diags = parse(text)
+    assert [(d.code, d.message, d.span.col) for d in diags] == [
+        ("P001", "unknown field 'rank' in objective block", 17),
+        ("P004", "duplicate field 'rank' in objective block", 25),
+        ("P001", "unknown field 'rank' in objective block", 25),
+    ]
+    assert model.objectives["BO1"] == BusinessObjective("BO1", purpose="p")
+    _assert_same_as_token_by_token(text)
 
 
 def test_empty_interval_is_p005():
