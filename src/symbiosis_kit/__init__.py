@@ -9,7 +9,14 @@ looked up in `_EXPORTS` on first use (PEP 562), which imports only the
 module that defines it and the modules that one imports: `parse_file`,
 `validate` and `build_graph` need diagnostics, expr, model, lexer, parser,
 validator and graph, and none of the evaluation modules (periods, evaluator,
-pipeline, report) or the serializer and formulation.
+pipeline, report) or the serializer and formulation. Nor do they load
+`json`: a function that writes a payload imports the writer, and with it
+`json`, when it runs, and `impact` imports `json` only to print a modified
+field's values. Without a bytecode cache (`__pycache__` not writable, or
+`PYTHONDONTWRITEBYTECODE` set) a process compiles every module it imports,
+so a module not imported is compile time saved. Every record is a
+`typing.NamedTuple`, so no command imports `dataclasses` or `inspect`.
+`tests/test_startup.py` pins all of this.
 
 `symbiosis_kit.impact` is the `impact` function, as listed in `__all__`,
 also after the `symbiosis_kit.impact` submodule has been imported; get the

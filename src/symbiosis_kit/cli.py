@@ -10,22 +10,7 @@ Evaluation is one library call, `pipeline.evaluate_metrics`: `eval` is
 command's name is parsed by that command's parser alone; the full tree of
 `build_parser()` is built only for top-level help and usage errors.
 
-`main` runs the chosen command with Python's cyclic garbage collector
-paused (`gc.disable()`), and switches it back on afterwards only if it was on
-when `main` was called, however the command ends. The premise is that the
-package makes no reference cycles that grow with its input: after a command
-run with the collector off, `gc.collect()` finds the same few dozen
-unreachable objects (argparse's parser) on a program of 63 and of 255
-objectives and their logs, which `tests/test_cli.py` checks. Before the
-pause, each command of the benchmark's model-heavy workload ran 18-33
-generation-0 and 1-3 generation-1 collections that freed nothing the input
-made; without them its command times fell 3.8-5.7% (`python3 bench/run.py
---workload model-heavy --seed 61 --seconds 8 --trace 0`, 10 pairs). Only
-the CLI sets this policy, because it owns its process: the library
-functions leave `gc` alone, and a library caller that loads a large model
-may pause the collector around `parse_file` itself. A program that calls
-`main` from one thread should know that its other threads get no cyclic
-collection while a command runs.
+`main` runs each command with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
@@ -81,7 +66,9 @@ class _Io:
         self.quiet = quiet
 
     def payload(self, data: str | bytes) -> None:
-        raw = data.encode("utf-8") if isinstance(data, str) else data
+        # A file name that is not UTF-8 reaches argv as surrogates; it is written
+        # as the bytes the system gave, as `os.fsencode` writes it.
+        raw = data.encode("utf-8", "surrogateescape") if isinstance(data, str) else data
         if self.out_path:
             self.write(self.out_path, raw)
             return
@@ -89,7 +76,7 @@ class _Io:
             if hasattr(sys.stdout, "buffer"):
                 sys.stdout.buffer.write(raw)
             else:  # a text stream, as under contextlib.redirect_stdout(io.StringIO())
-                sys.stdout.write(raw.decode("utf-8"))
+                sys.stdout.write(raw.decode("utf-8", "surrogateescape"))
             sys.stdout.flush()
         except OSError as exc:
             _to_devnull(1)
@@ -369,6 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    The command runs with Python's cyclic garbage collector paused
+    (`gc.disable()`), and the collector is switched back on afterwards only
+    if it was on when `main` was called, however the command ends. Only the
+    CLI sets this policy, because it owns its process. The premise is that
+    the package makes no reference cycles that grow with its input: after a
+    command run with the collector off, `gc.collect()` finds the same few
+    dozen unreachable objects (argparse's parser) on a program of 63 and of
+    255 objectives and their logs, malformed lines included, which
+    `test_a_command_leaves_as_many_reference_cycles_at_four_times_the_input`
+    in `tests/test_cli.py` checks.
+    """
     argv = sys.argv[1:] if argv is None else argv
     try:
         args, extra = None, argv

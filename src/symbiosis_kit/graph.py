@@ -5,21 +5,8 @@ gives the EdgeKind of the edge from a node to each id the field names (a
 child objective REFINES its parent, a question ASKS its goal, a strategy is
 STRATEGY_OF its objective).
 
-build_graph expects a model that passed validation with zero errors,
-does not check it again, and returns at once. Each table of the graph is
-built from the edge rows it needs the first time it is read, then kept on
-that graph object: the closure edges (REFINES, MEASURES, ASKS, ANSWERS) as
-sorted neighbour tuples up (`closure_up`) and down (`closure_down`), each
-node's DEPENDS_ON/AFFECTS neighbours either way (`related`), the metrics
-that use each base (`used_by`), and every edge, sorted (`edges`). `eval`
-and `report` read only `closure_up`; `impact` reads the four neighbour
-tables, so it never scans the model and never sorts the edges; `graph`
-reads `edges`.
-Every closure query (ancestors, descendants, objective_ancestors_ordered,
-and the walk inside a removed subtree that finds impact analysis's
-orphans) is one breadth-first `reach` over that adjacency, so a query costs
-time linear in the edges it reaches, and cyclic DEPENDS_ON/AFFECTS links,
-which are outside the closure, never cause non-termination.
+`build_graph` returns at once; a `TraceabilityGraph` builds each of its
+tables on first read, and every closure query is one walk of `reach`.
 """
 
 from collections import defaultdict, deque
@@ -78,7 +65,8 @@ class UnknownNode(LookupError):
 
 def _links(model: Model, kinds: Collection[EdgeKind]) -> list[tuple[str, str]]:
     """(src, dst) of each edge of `kinds`, one per id a field names, repeats
-    kept, in the same order on every run."""
+    kept, in the same order on every run: one attribute read per node of
+    the rows' kinds, plus one link per id named."""
     return [
         (src, dst)
         for edge_kind, rows in _EDGE_ROWS.items()
@@ -100,7 +88,16 @@ def _table(links: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
 
 class TraceabilityGraph:
     """The graph of one model: its nodes, and each table built from the
-    model's edge rows the first time it is read, then kept."""
+    model's edge rows the first time it is read, then kept on this object.
+
+    The tables are the closure edges (CLOSURE_KINDS) up (`closure_up`) and
+    down (`closure_down`) as sorted neighbour tuples, each node's
+    DEPENDS_ON/AFFECTS neighbours either way (`related`), the metrics that
+    use each base (`used_by`), and every edge, sorted (`edges`). `eval` and
+    `report` read only `closure_up`; `impact` reads the four neighbour
+    tables, so it never scans the model and never sorts the edges; `graph`
+    reads `edges`.
+    """
 
     def __init__(self, model: Model) -> None:
         self._model = model
@@ -160,8 +157,10 @@ def reach(adjacency: dict[str, tuple[str, ...]], starts: Iterable[str]) -> list[
 
     Neighbours are visited in the order the adjacency lists them (sorted,
     as build_graph stores them). The starts themselves are not listed. Each
-    node and edge reached is visited once, so a cycle ends the walk instead
-    of looping.
+    node and edge reached is visited once, so a walk costs time linear in
+    the edges it reaches, and a cycle ends it instead of looping. (The
+    DEPENDS_ON/AFFECTS links, which may form cycles, are outside the
+    closure tables altogether.)
     """
     queue = deque(starts)
     seen = set(queue)

@@ -60,8 +60,9 @@ class Change(NamedTuple):
 def diff(old: Model, new: Model) -> list[Change]:
     """Node-level diff keyed by (kind, id); field diffs on the nodes' JSON forms.
 
-    Only a pair of nodes that differ is put into JSON form, and it is
-    MODIFIED only if some field of that form differs.
+    Only a pair of nodes that differ is put into JSON form, so an unchanged
+    node costs one equality test, and it is MODIFIED only if some field of
+    that form differs.
     """
     changes: list[Change] = []
     for kind in NODE_KINDS:

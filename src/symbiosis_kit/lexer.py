@@ -16,16 +16,9 @@ that matches wins (the most frequent come first):
 8. any other character (P001, skipped)
 9. the end of the input, after the last blanks (becomes the EOF token)
 
-Blanks are skipped without counting lines. A file's tokens are parallel
-lists of kinds, texts and character offsets (`Tokens`), read by index, so
-lexing allocates no object per token; a `Token` tuple is built only for a
-diagnostic's span or a test. A span (line and column) is built only when a
-diagnostic or a declaration's span is asked for, by a `Source`: `tokenize`
-holds one for its P001/P002 spans, the parser another for its diagnostics,
-and a model's spans (`parser.Spans`) one per file on their first read. Each
-asks in the order of the text, so its `Source` counts the newlines from the
-last offset asked for to the next and reads a file's newlines once, in
-pieces; no `Source` builds a table of line starts. A NUMBER's value is read from
+Blanks are skipped without counting lines. A file's tokens are stored as
+`Tokens`, with no object per token, and a token's line and column are found
+by a `Source` only when a span is asked for. A NUMBER's value is read from
 its text by `parse_number` where the parser reads it.
 """
 
@@ -69,9 +62,11 @@ class Source:
     the order of the text: `tokenize` for its P001 and P002 diagnostics, the
     parser for its diagnostics (a new one for a full parse after a failed
     block reuse), and `parser.Spans` for every declaration of one file, on
-    the first read of a model's spans. So each character is read at most
-    twice by one `Source`. A span behind the cursor's line counts the
-    newlines back to it instead, so spans come out right in any order.
+    the first read of a model's spans. So each `Source` reads a file's
+    newlines once, in pieces, each character at most twice, and builds no
+    table of line starts. A span behind the cursor's line counts the
+    newlines back to it instead, so spans come out right in any order;
+    `tests/test_lexer.py` checks that the package never asks for one.
     """
 
     __slots__ = ("name", "text", "_cursor", "_line", "_line_start")
@@ -103,7 +98,8 @@ class Token(NamedTuple):
 
 
 class Tokens:
-    """One file's tokens as parallel lists; `len()` is the token count.
+    """One file's tokens as parallel lists, so lexing allocates a few lists per
+    file, not one object per token; `len()` is the token count.
 
     Token `i` has kind `kinds[i]`, text `texts[i]` and character offset
     `offsets[i]`. It covers `len(texts[i])` characters unless `lengths`

@@ -3,7 +3,9 @@
 A model holds stakeholders, scope universes, business objectives, strategies,
 measurement goals, questions, base measurement definitions and metrics, each
 keyed by identifier. Nodes and values are immutable `NamedTuple` records; the
-validator reports invariant violations instead of constructors raising.
+validator reports invariant violations instead of constructors raising. One
+field table (`FIELDS`) drives the parser, `fmt`, `impact`, the validator and
+the graph's edges, so a new field is one new row.
 """
 
 from collections.abc import Mapping

@@ -6,24 +6,10 @@ populated; reference resolution is the validator's job. Tokens are read by
 index from the lexer's parallel lists (`lexer.Tokens`); a `Token` tuple is
 built only for the span of a diagnostic.
 
-A block becomes its node by position: a copy of its kind's default row,
-the id in slot 0 and each field read into its slot (`_READERS`), made a
-record by `tuple.__new__`. A load makes no declaration span. It records
-each declaration as (kind, node, file, offset of its id); `Model.spans` is
-a read-only mapping (`Spans`) that works out every declaration's span on
-its first read, one fresh `Source` per file asked in the order of its
-text, and then drops the file texts. Only when an id is declared twice does
-`build` work the spans out at once, for `Model.duplicate_decls`.
-
-A load given a block table records each block that parsed with no diagnostic,
-keyed by its exact source text from the kind keyword through its closing `}`.
-A load that starts with blocks in the table (the new version of `impact`)
-cuts each file at the lines that hold only `}`, takes the recorded node for
-every piece whose text after its leading blanks and comments is a key, and
-lexes and parses only the runs between those pieces. So it costs time in its
-changed blocks, and in every block whose closing `}` is not alone on its
-line. A file whose runs hold an `include` or give a diagnostic is parsed
-whole, so the model and diagnostics are those of a full parse.
+A block becomes its node by position (`_Parser.parse_block`). A load makes
+no declaration span (`_Builder`); `Model.spans` works them out on first read
+(`Spans`). A load given a block table records its clean blocks in it and
+reuses those already there (`_reuse_blocks`).
 """
 
 from __future__ import annotations
@@ -109,7 +95,9 @@ class _Builder:
 
     Each declaration is kept, in order, as (kind, node, source, offset of
     its id), with no span: `build` resolves them, so a file whose reuse of
-    recorded blocks fails can take its declarations back.
+    recorded blocks fails can take its declarations back. `build` hands each
+    id's first declaration to `Spans`, and works every span out at once
+    only when an id is declared twice, for `Model.duplicate_decls`.
     """
 
     def __init__(self, table: BlockTable | None = None) -> None:
@@ -331,7 +319,11 @@ class _Parser:
         target = os.path.normpath(os.path.join(base, self.texts[path_tok]))
         # Files are compared by real path, so a file reached through a symbolic
         # link is one file.
-        key = os.path.realpath(target)
+        try:
+            key = os.path.realpath(target)
+        except ValueError as exc:  # a NUL or a lone surrogate, which no file name holds
+            self.error("P007", f"cannot read include {target!r}: {exc}", path_tok)
+            return
         if key in self.include_stack:
             self.error("P006", f"include cycle through {target!r}", path_tok)
             return
@@ -342,7 +334,7 @@ class _Parser:
             return
         try:
             text = Path(target).read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a name no file holds
             reason = getattr(exc, "strerror", None) or exc
             self.error("P007", f"cannot read include {target!r}: {reason}", path_tok)
             return
@@ -350,6 +342,14 @@ class _Parser:
         _parse_source(text, target, self.builder, self.diags, self.include_stack + (key,))
 
     def parse_block(self, kind: str) -> None:
+        """Read one block into its node and hand the builder its declaration.
+
+        The node is built by position: a copy of the kind's default row
+        (`_DEFAULT_ROWS`), the id in slot 0 and each field read into its slot
+        by one reader call (`_READERS`), made a record by `tuple.__new__`,
+        with no keyword arguments. A block that parsed with no diagnostic
+        goes into the block table, when there is one.
+        """
         kinds, texts, offsets = self.kinds, self.texts, self.offsets
         start = offsets[self.pos]  # of the kind keyword
         errors = len(self.diags)
@@ -750,8 +750,17 @@ def _parse_source(text: str, filename: str, builder: _Builder, diags: list[Diagn
 def _reuse_blocks(source: Source, builder: _Builder) -> bool:
     """Add the file's declarations from recorded blocks and the runs parsed between them.
 
+    The table holds the blocks of an earlier load (the old version, for
+    `impact`), keyed by their exact source text from the kind keyword
+    through the closing `}`. The file is cut at the lines that hold only
+    `}`; every piece whose text after its leading blanks and comments is a
+    key takes the recorded node, and only the runs between such pieces are
+    lexed and parsed. So the load costs time in its changed blocks, and in
+    every block whose closing `}` is not alone on its line.
+
     Returns False, with nothing added, when no piece is a recorded block or
-    a run holds an `include` or gives a diagnostic.
+    a run holds an `include` or gives a diagnostic; the file is then parsed
+    whole, so the model, diagnostics and spans are those of a full parse.
     """
     text = source.text
     mark = len(builder.declarations)
@@ -794,7 +803,7 @@ def parse(text: str, filename: str = "<string>", table: BlockTable | None = None
     """Parse .sym source text. Returns (model, diagnostics); never raises.
 
     With a block table, the load records its clean blocks in it, and reuses
-    those already there (see the module docstring).
+    those already there (`_reuse_blocks`).
     """
     builder = _Builder(table)
     diags: list[Diagnostic] = []

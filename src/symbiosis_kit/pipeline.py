@@ -10,36 +10,11 @@ COUNT bases. Bad lines become I-diagnostics; good lines still flow.
 `evaluate_metrics` evaluates metrics over period keys, skipping a metric
 whose schedule refuses a key; `route_result` routes each result's actions.
 
-Cost model: each log is read once at ingest. Identical lines are tallied
-first, and each distinct line text is classified once, inside the loop that
-tallies it. A text that starts as json.dumps writes a record is checked as
-read, by slicing: its `{"timestamp": "` prefix and the `", ` after its
-10-character date are compared, the date is parsed once per distinct date
-string, and the JSON decoder decodes the text after that separator once per
-distinct text, which the record check of a full decode then tests. So a
-line that repeats another's text after a new date costs two slices and two
-cache lookups. Every other text, and one whose text after the date fails,
-is stripped and, unless blank, decoded in full. A DIRECT line's base is
-checked (I002) once per distinct line text, after every I001 and I003
-check. Those date and remainder caches, and the raw-event tally, belong to
-one ingest_many call and serve all of its files, so a date or remainder
-repeated across monthly logs is decoded once per command, not once per
-file. Raw events are kept as counts per date under each distinct set of
-fields, never as one record per line. One more pass over each file's lines
-gives line numbers only where they are kept: to each DIRECT entry and to
-each rejected line, which gets its own diagnostic. The MeasurementLog
-answers aggregation's two date queries itself: its `direct` indexes the
-DIRECT entries by base on first use, and its `count` tests each distinct
-field set once against a COUNT filter set and adds up the day counts of
-those that match; both indexes live as long as the log. After that a COUNT
-binding for any period costs two bisects, O(log n) in the log's distinct
-dates, and a DIRECT binding costs time proportional to the base's entries
-inside the period. The density check reads the same indexes through
-`days`: it fetches each base's sorted dates once per result, and a
-collection window costs one bisect per base until a base has records in
-it. `evaluate_metrics` walks a metric's objective chain once per call, on
-its first key, and passes it on to the metric's later keys. Period bounds
-and density windows come from the periods module's per-key cache.
+Where the cost goes is told where it is spent: ingest at `ingest_lines`
+and `ingest_many`, the log's date indexes at `MeasurementLog`, the density
+check at `_density_warnings`, and a metric's objective chain at
+`evaluate_metrics`. Period bounds and density windows come from the
+periods module's per-key cache.
 """
 
 from __future__ import annotations
@@ -100,10 +75,12 @@ class MeasurementLog(_LogFields):
     `direct` query groups the DIRECT entries by base, sorted by (date, line,
     later ingest first); the first `count` query for a filter set tests each
     field set against it once, adds up the day counts of those that match
-    and keeps them as sorted dates plus prefix sums.
-    Every query is then two bisects over one index's dates, and `days`
-    hands out an index's dates for the density check to bisect itself.
-    Both indexes live as long as the log does.
+    and keeps them as sorted dates plus prefix sums, so that work is per
+    field set, not per (date, field set) pair. Every query is then two
+    bisects over one index's dates, O(log n) in its distinct dates, plus,
+    for `direct`, the entries it returns; `days` hands out an index's dates
+    for the density check to bisect itself. Both indexes live as long as
+    the log does, that is for one command.
     """
 
     @cached_property
@@ -334,16 +311,21 @@ def ingest_lines(
     """The raw-event tally, DIRECT entries and I-diagnostics of one log's lines.
 
     Identical lines are tallied first and each distinct text is classified
-    once. A text that starts as json.dumps writes a record is tested as
-    read: its prefix and separator compared by slicing, its date from the
-    `dates` cache and the text after the separator from `remainders`, which
-    decodes it once and checks it with `_record`, as `_decode_line` checks a
-    full decode; events share date and field set objects. Any other text,
-    and one whose text after the date fails, is stripped, skipped if blank
-    and otherwise decoded in full by `_decode_line`. A raw event from either
-    only adds its lines' count to its field set's count for its date. One
-    pass over the lines then gives each DIRECT entry its line number and
-    each rejected line its own diagnostic.
+    once, inside the loop that tallies it. A text that starts as json.dumps
+    writes a record is tested as read: its prefix and separator compared by
+    slicing, its date from the `dates` cache and the text after the
+    separator from `remainders`, which decodes it once and checks it with
+    `_record`, as `_decode_line` checks a full decode; events share date and
+    field set objects. So a line that repeats another's text after a new
+    date costs two slices and two cache lookups. Any other text, and one
+    whose text after the date fails, is stripped, skipped if blank and
+    otherwise decoded in full by `_decode_line`, so a padded line gives what
+    the bare line gives. A raw event from either only adds its lines' count
+    to its field set's count for its date. Classifying reads no model; a
+    DIRECT line's base is then checked against it once per distinct text,
+    after its date, shape and value have passed, so I002 goes only to a
+    line with no other fault. One pass over the lines then gives each DIRECT entry its line
+    number and each rejected line its own diagnostic.
 
     Without a `state` the caches and the tally are this call's own. With
     one (as `ingest_many` passes for every file), dates and remainders
@@ -421,7 +403,8 @@ def ingest_many(paths: list[str], model: Model) -> MeasurementLog:
     Each file goes through `ingest_lines` once, and all of them share one
     ingest state: a date string or remainder is decoded once per call,
     however many files repeat it, and every file's events go straight into
-    one tally. One log file is `ingest_many([path], model)`.
+    one tally, so no per-file tallies are merged. One log file is
+    `ingest_many([path], model)`.
     """
     state = _new_state()
     records: list[DirectEntry] = []

@@ -25,7 +25,8 @@ and a `direct` base's `aggregation`, the schedule's periods, the scope's
 facets, the objectives a step spawns, and the targets of band actions,
 which `Model.stakeholders_of` resolves for V002 and the router alike.
 
-V008 walks cuts (`Interval.start` and `end`) along the effective domain.
+V008 walks cuts (`Interval.start` and `end`) along the effective domain,
+so its gap walk is one sort and one comparison per band.
 It depends only on that domain and its bands' labels and intervals, so one
 `validate` call works out the problems of each distinct band scheme once:
 metrics written from one template share their scheme.

@@ -778,6 +778,31 @@ def test_check_of_a_thousand_file_include_chain_is_one_p009_not_a_traceback(tmp_
     assert done.stdout.startswith(f"P009 error {tmp_path / 'f99.sym'}:1:9 - include nesting deeper than 100 files")
 
 
+@pytest.mark.parametrize("literal", [b'"a\x00b.sym"', b'"a\\\x00b.sym"'], ids=["raw NUL", "escaped NUL"])
+def test_check_of_an_include_path_holding_nul_is_p007_not_a_traceback(tmp_path, literal):
+    path = tmp_path / "nul.sym"
+    path.write_bytes(b"include " + literal + b"\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "symbiosis_kit", "check", str(path)],
+        capture_output=True, text=True, env=_module_env(), timeout=60,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    target = repr(f"{tmp_path}/a\x00b.sym")
+    assert done.stdout == f"P007 error {path}:1:9 - cannot read include {target}: embedded null byte\n"
+
+
+def test_check_of_a_file_name_that_is_not_utf8_writes_the_name_as_its_bytes(tmp_path, capsysbinary):
+    path = tmp_path / os.fsdecode(b"\xff.sym")
+    path.write_text("objective { }\n", encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 1
+    out, _ = capsysbinary.readouterr()
+    assert out.startswith(b"P001 error " + os.fsencode(path) + b":1:11 ")
+    assert cli.main(["check", "--format", "json", str(path)]) == 1
+    out, _ = capsysbinary.readouterr()
+    assert b'"file": "' + os.fsencode(tmp_path) + b'/\\udcff.sym"' in out
+
+
 def test_a_log_integer_beyond_the_digit_limit_is_one_fixed_i001(corpus, tmp_path, capsys):
     log = tmp_path / "long.jsonl"
     log.write_text(f'{{"timestamp": "2014-01-15", "base": "bm_sections_total", "value": {"9" * 5000}}}\n', encoding="utf-8")

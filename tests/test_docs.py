@@ -2,7 +2,11 @@
 with the fields V010 requires, the node kinds V002 checks references against,
 the traceability edges each field makes and the words a word-valued field accepts.
 The README's CLI block lists every command of the CLI's command table with
-its options and their choices, and its Library example runs."""
+its options and their choices, and its Library example runs. The README's
+cost list names the stages and bounds of `tests/test_linear_cost.py`. Every
+diagnostic code the package emits is in the grammar's table of parse
+diagnostics, the validator's list of rules and the README's code ranges,
+and those name no other code."""
 
 import re
 
@@ -99,3 +103,54 @@ def test_readme_library_example_runs(monkeypatch):
     assert scope["diags"] == [] and scope["skipped"] == []
     assert sorted(result.metric_id for result in scope["results"]) == sorted(scope["model"].metrics)
     assert scope["text"].startswith("measurement report\n")
+
+
+def _cost_list() -> dict[str, float]:
+    """Stage name -> bound, from the first list under the README's "## Cost model" heading."""
+    section = README.split("\n## Cost model\n", 1)[1].split("\n## ", 1)[0]
+    items = section.split("\n- ", 1)[1].split("\n\n", 1)[0]
+    bounds = {}
+    for line in ("- " + items).splitlines():
+        name, bound = re.fullmatch(r"- `([^`]+)`: .*?\bat most (\d+(?:\.\d+)?)\b.*", line).groups()
+        assert name not in bounds, name
+        bounds[name] = float(bound)
+    return bounds
+
+
+def test_readme_cost_list_states_the_stages_and_bounds_of_the_linear_cost_gate():
+    from test_linear_cost import LOADING, MAX_RATIO, MAX_READS, PIPELINE, STAGES
+
+    pipeline: dict[str, float] = {}
+    for name, bound in PIPELINE.items():
+        # "<function> lines by <axis>" counts the line events of "<function> by <axis>"
+        assert pipeline.setdefault(name.replace(" lines by ", " by ", 1), bound) == bound, name
+    expected = {**{stage: MAX_RATIO for stage in LOADING + STAGES}, **pipeline, "MAX_READS": MAX_READS}
+    assert _cost_list() == expected
+
+
+# -- diagnostic codes ------------------------------------------------------------------
+
+SOURCES = sorted((CORPUS_ROOT.parent / "src" / "symbiosis_kit").glob("*.py"))
+
+
+def _emitted_codes(letter: str) -> set[str]:
+    """Every quoted `<letter>NNN` code literal in the package's source."""
+    return {code for path in SOURCES for code in re.findall(rf'"({letter}\d{{3}})"', path.read_text(encoding="utf-8"))}
+
+
+def test_grammar_lists_every_parse_diagnostic_the_package_emits():
+    table = GRAMMAR.split("\n## Parse diagnostics\n", 1)[1].split("\n#", 1)[0]
+    assert set(re.findall(r"^\| (P\d{3}) \|", table, re.MULTILINE)) == _emitted_codes("P")
+
+
+def test_validator_docstring_lists_every_validation_rule_the_package_emits():
+    from symbiosis_kit import validator
+
+    assert set(re.findall(r"^(V\d{3}) [EW] ", validator.__doc__, re.MULTILINE)) == _emitted_codes("V")
+
+
+def test_readme_code_ranges_cover_exactly_the_codes_the_package_emits():
+    ranges = re.findall(r"`([PVI])(\d{3})`-`\1(\d{3})`", README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0])
+    stated = {f"{letter}{n:03d}" for letter, first, last in ranges for n in range(int(first), int(last) + 1)}
+    assert sorted({letter for letter, _, _ in ranges}) == ["I", "P", "V"]
+    assert stated == _emitted_codes("P") | _emitted_codes("V") | _emitted_codes("I")

@@ -457,6 +457,18 @@ def test_unreadable_include_is_p007(tmp_path):
     assert "BO1" in model.objectives  # parse continues
 
 
+@pytest.mark.parametrize(
+    "literal, name",
+    [('"a\x00b.sym"', "a\x00b.sym"), ('"a\\\x00b.sym"', "a\x00b.sym"), ('"\ud800"', "\ud800")],
+    ids=["raw NUL", "escaped NUL", "lone surrogate"],
+)
+def test_an_include_path_no_file_can_have_is_p007_at_its_path(literal, name):
+    model, diags = parse(f"include {literal}\nobjective BO1 {{ }}\n", "nul.sym")
+    assert [(d.code, d.span) for d in diags] == [("P007", SourceSpan("nul.sym", 1, 9, len(literal)))]
+    assert diags[0].message.startswith(f"cannot read include {name!r}: ")
+    assert "BO1" in model.objectives
+
+
 def test_include_that_is_not_utf8_is_p007_at_its_path(tmp_path):
     (tmp_path / "latin1.sym").write_bytes(b'stakeholder S { name: "\xff" }')
     a = tmp_path / "a.sym"
@@ -665,8 +677,21 @@ def _sym_texts(draw):
     return f"{head} metric M {{ function: {nest} {tail}"
 
 
+@st.composite
+def _include_lines(draw):
+    """`include "<name>"` for a drawn name that may hold NUL and lone surrogates, written
+    plain or with every character escaped. The name holds no `/`, so it is never an
+    absolute path and never reaches a device file such as /dev/zero, which reads forever."""
+    name = draw(st.text(st.characters(exclude_characters="/", exclude_categories=()), max_size=20))
+    if draw(st.booleans()):
+        literal = "".join("\\" + c for c in name)
+    else:
+        literal = name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'include "{literal}"\nobjective BO1 {{ }}\n'
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(st.text(max_size=200), _sym_texts()))
+@given(st.one_of(st.text(max_size=200), _sym_texts(), _include_lines()))
 def test_parse_never_raises(text):
     model, diags = parse(text)
     assert all(d.code.startswith("P") for d in diags)
